@@ -208,7 +208,8 @@ def build_scaled_psi(traj: Trajectory, r: float, m_sigma: float = 1.0) -> Scaled
         raise DegenerateField("identically zero field")
     psi_tilde = psi / a_r
     check = spacetime_norm(psi_tilde, r, traj.grid, traj.times)
-    assert abs(check - 1.0) <= 1e-6, f"normalization drifted: {check}"
+    if not abs(check - 1.0) <= 1e-6:
+        raise DegenerateField(f"normalization drifted: {check}")
     return ScaledPsi(psi, a_r, r, psi_tilde, traj.grid, list(traj.times))
 
 

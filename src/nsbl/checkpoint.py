@@ -3,7 +3,8 @@
 Layout: magic ``NSBL1``, one endianness tag byte, then a fixed header
 (dimension, points per axis, box length, time, component count) followed by
 the raw little-endian complex128 coefficient array in C order.  Files are
-referenced by their sha256 content hash.
+referenced by their sha256 content hash.  Every malformed file raises
+``CorruptCheckpoint``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import SpectralVelocity, TorusGrid
+from .spectral import ShapeMismatch, SpectralVelocity, TorusGrid
 
 __all__ = ["CorruptCheckpoint", "write_checkpoint", "read_checkpoint", "file_sha256"]
 
@@ -51,6 +52,8 @@ def read_checkpoint(path, expect_sha: str | None = None) -> SpectralVelocity:
     if blob[off : off + 1] != ENDIAN_TAG:
         raise CorruptCheckpoint(f"{path}: unsupported endianness tag")
     off += 1
+    if len(blob) < off + _HEADER.size:
+        raise CorruptCheckpoint(f"{path}: header truncated at {len(blob)} bytes")
     dim, npts, length, t, ncomp = _HEADER.unpack_from(blob, off)
     off += _HEADER.size
     expected = ncomp * npts**3 * 16
@@ -61,8 +64,10 @@ def read_checkpoint(path, expect_sha: str | None = None) -> SpectralVelocity:
         .reshape(ncomp, npts, npts, npts)
         .astype(np.complex128)
     )
-    grid = TorusGrid(npts, length, dim)
-    return SpectralVelocity(coeff, grid, t)
+    try:
+        return SpectralVelocity(coeff, TorusGrid(npts, length, dim), t)
+    except ShapeMismatch as exc:
+        raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from exc
 
 
 def file_sha256(path) -> str:

@@ -146,14 +146,14 @@ def cmd_audit(args) -> int:
         overrides["n_max"] = args.n_max
     try:
         report, json_path, csv_path = audit_manifest(args.manifest, overrides or None)
+    except BadExponents as exc:
+        print(f"bad audit exponents: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (OSError, ValueError) as exc:
         if isinstance(exc, CorruptCheckpoint):
             print(f"corrupt checkpoint: {exc}", file=sys.stderr)
             return EXIT_IO
         print(f"cannot audit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BadExponents as exc:
-        print(f"bad audit exponents: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Instability as exc:
         print(str(exc), file=sys.stderr)

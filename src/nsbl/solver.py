@@ -9,6 +9,9 @@ is a genuine fourth-order statement for the RK4 scheme.
 The viscous dissipation integral is accumulated inside the stepper with the
 same Runge-Kutta weights, which keeps the energy-identity residual at the
 scheme's order instead of the snapshot quadrature's.
+
+The stepper works on the real-FFT half spectrum; ``step``, ``nonlinear_term``
+and the snapshots of ``run`` take and give the full layout.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ import numpy as np
 from .spectral import (
     SpectralVelocity,
     TorusGrid,
+    _project,
     _project_coeff,
+    full_spectrum,
+    half_inverse,
+    half_spectrum,
+    quadratic_products,
     transform_forward,
     transform_inverse,
 )
@@ -136,35 +144,42 @@ class ScaledState:
 
 
 def _nonlinear(coeff: np.ndarray, grid: TorusGrid, dealias: bool) -> np.ndarray:
-    """-P[d_j (u_j u_i)] evaluated pseudo-spectrally."""
-    u = transform_inverse(coeff, grid)
-    k = grid.wavenumbers
-    out = np.zeros_like(coeff)
-    for i in range(3):
-        for j in range(i, 3):
-            w = transform_forward(u[i] * u[j], grid)
-            if dealias:
-                w = w * grid.dealias_mask
-            out[i] -= 1j * k[j] * w
-            if i != j:
-                out[j] -= 1j * k[i] * w
-    return _project_coeff(out, grid)
+    """-P[d_j (u_j u_i)] evaluated pseudo-spectrally on the half spectrum."""
+    w = quadratic_products(half_inverse(coeff, grid), grid, dealias)
+    k = grid.half_wavenumbers
+    # row i of k_j hat(u_i u_j), with w stacked in PAIRS order
+    div = np.stack([
+        k[0] * w[0] + k[1] * w[1] + k[2] * w[2],
+        k[0] * w[1] + k[1] * w[3] + k[2] * w[4],
+        k[0] * w[2] + k[1] * w[4] + k[2] * w[5],
+    ])
+    return -1j * _project(div, k, grid.half_inv_k_squared)
 
 
 def nonlinear_term(v: SpectralVelocity, dealias: bool = True) -> SpectralVelocity:
     """Projected advection tendency -P[div(u x u)] as a velocity-shaped field."""
-    return SpectralVelocity(_nonlinear(v.coeff, v.grid, dealias), v.grid, v.t)
+    grid = v.grid
+    out = _nonlinear(half_spectrum(v.coeff, grid), grid, dealias)
+    return SpectralVelocity(full_spectrum(out, grid), grid, v.t)
 
 
 def _dissipation_rate(coeff: np.ndarray, grid: TorusGrid, nu: float) -> float:
-    return nu * grid.volume * float(np.sum(grid.k_squared * np.abs(coeff) ** 2))
+    """nu |grad u|^2 integrated over the box, from half-spectrum coefficients."""
+    weighted = grid.half_weights * grid.half_k_squared
+    power = coeff.real**2 + coeff.imag**2
+    return nu * grid.volume * float(np.sum(weighted * power))
 
 
-def _step_fields(coeff, grid, cfg, t):
-    """One time step; returns (new_coeff, dissipation_increment)."""
+def _integrating_factors(grid: TorusGrid, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-nu k^2 dt/2) and exp(-nu k^2 dt) on the half spectrum."""
+    e_half = np.exp(-cfg.viscosity * grid.half_k_squared * cfg.dt / 2)
+    return e_half, e_half * e_half
+
+
+def _step_fields(coeff, grid, cfg, t, factors):
+    """One time step of half-spectrum coefficients; returns (new_coeff, dissipation_increment)."""
     nu, dt = cfg.viscosity, cfg.dt
-    e_half = np.exp(-nu * grid.k_squared * dt / 2)
-    e_full = e_half * e_half
+    e_half, e_full = factors
     nl = lambda c: _nonlinear(c, grid, cfg.dealias)
     diss = lambda c: _dissipation_rate(c, grid, nu)
 
@@ -193,15 +208,18 @@ def step(v: SpectralVelocity, cfg: SolverConfig) -> SpectralVelocity:
         raise BadSpec("dt and viscosity must be positive")
     if cfg.scheme not in ("rk4", "rk2"):
         raise BadSpec(f"unknown scheme {cfg.scheme!r}")
-    new, _ = _step_fields(v.coeff, v.grid, cfg, v.t)
-    return SpectralVelocity(new, v.grid, v.t + cfg.dt)
+    grid = v.grid
+    new, _ = _step_fields(half_spectrum(v.coeff, grid), grid, cfg, v.t,
+                          _integrating_factors(grid, cfg))
+    return SpectralVelocity(full_spectrum(new, grid), grid, v.t + cfg.dt)
 
 
 def run(v0: SpectralVelocity, cfg: SolverConfig) -> Trajectory:
     """Integrate from v0 to t_final, snapshotting every ``snapshot_stride`` steps.
 
-    The first and last states are always snapshotted.  Instability surfaces
-    as an exception carrying the failing time.
+    The first and last states are always snapshotted; the first is v0 itself
+    (dealiased if the run is).  Instability surfaces as an exception carrying
+    the failing time.
     """
     grid = v0.grid
     n_steps = cfg.validate(grid)
@@ -209,16 +227,18 @@ def run(v0: SpectralVelocity, cfg: SolverConfig) -> Trajectory:
     if cfg.dealias:
         coeff *= grid.dealias_mask
     times = [0.0]
-    coeffs = [coeff.copy()]
+    coeffs = [coeff]
     dissipation = [0.0]
     acc = 0.0
+    half = half_spectrum(coeff, grid)
+    factors = _integrating_factors(grid, cfg)
     for n in range(n_steps):
         t = n * cfg.dt
-        coeff, dd = _step_fields(coeff, grid, cfg, t)
+        half, dd = _step_fields(half, grid, cfg, t, factors)
         acc += dd
         if (n + 1) % cfg.snapshot_stride == 0 or n + 1 == n_steps:
             times.append((n + 1) * cfg.dt)
-            coeffs.append(coeff.copy())
+            coeffs.append(full_spectrum(half, grid))
             dissipation.append(acc)
     return Trajectory(grid, cfg, times, coeffs, dissipation)
 

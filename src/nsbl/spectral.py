@@ -4,6 +4,11 @@ The whole-space problem is discretized on a periodic box of side ``length``;
 on the torus the singular-integral pressure operator is the exact multiplier
 k_i k_j / |k|^2, and decay at infinity becomes periodicity.  Coefficients are
 forward-normalized, so the zero mode of a field is its mean value.
+
+Public fields use the full (..., n, n, n) layout.  Computation runs on the
+real-FFT half spectrum (..., n, n, n//2+1): the k_z >= 0 half that
+``numpy.fft.rfftn`` returns, which fixes a real field through the conjugate
+symmetry c(-k) = conj(c(k)).
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ __all__ = [
     "ScalarField",
     "transform_forward",
     "transform_inverse",
+    "half_spectrum",
+    "full_spectrum",
+    "half_inverse",
+    "quadratic_products",
     "leray_project",
     "divergence_max",
     "cz_pressure",
@@ -96,6 +105,36 @@ class TorusGrid:
             keep1d[:, None, None] & keep1d[None, :, None] & keep1d[None, None, :]
         )
 
+    # The half-spectrum operators are the first n//2+1 k_z planes of the full
+    # ones, so the Nyquist plane keeps the full layout's k_z = -n/2.
+
+    @cached_property
+    def half_wavenumbers(self) -> np.ndarray:
+        return half_spectrum(self.wavenumbers, self)
+
+    @cached_property
+    def half_k_squared(self) -> np.ndarray:
+        return half_spectrum(self.k_squared, self)
+
+    @cached_property
+    def half_inv_k_squared(self) -> np.ndarray:
+        return half_spectrum(self.inv_k_squared, self)
+
+    @cached_property
+    def half_dealias_mask(self) -> np.ndarray:
+        return half_spectrum(self.dealias_mask, self)
+
+    @cached_property
+    def half_weights(self) -> np.ndarray:
+        """Weights of the k_z planes in sums over the half spectrum.
+
+        An interior plane also stands for its conjugate mirror, so it counts
+        twice; the k_z = 0 and Nyquist planes are their own mirrors.
+        """
+        w = np.full(self.npts // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return w
+
     @property
     def cell_volume(self) -> float:
         return (self.length / self.npts) ** self.dim
@@ -128,6 +167,44 @@ def transform_inverse(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
     if coeff.shape[-3:] != (grid.npts,) * 3:
         raise ShapeMismatch(f"coefficient shape {coeff.shape} does not match grid {grid.npts}^3")
     return np.fft.ifftn(coeff, axes=(-3, -2, -1), norm="forward").real
+
+
+def half_spectrum(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The first n//2+1 k_z planes of full-layout data, as a contiguous copy."""
+    return np.ascontiguousarray(coeff[..., : grid.npts // 2 + 1])
+
+
+def full_spectrum(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Full layout of a half spectrum by conjugate mirroring, c(-k) = conj(c(k))."""
+    n = grid.npts
+    # entries k_z = n/2-1 .. 1 at (-k_x, -k_y), for the full layout's k_z = n/2+1 .. n-1
+    mirrored = np.roll(half[..., ::-1, ::-1, n // 2 - 1 : 0 : -1], 1, axis=(-3, -2))
+    return np.concatenate([half, np.conj(mirrored)], axis=-1)
+
+
+def half_inverse(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Half-spectrum coefficients to real-space data."""
+    return np.fft.irfftn(half, s=(grid.npts,) * 3, axes=(-3, -2, -1), norm="forward")
+
+
+# the six index pairs i <= j of the symmetric tensor u_i u_j, in stacking order
+PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def quadratic_products(u: np.ndarray, grid: TorusGrid, dealias: bool = True) -> np.ndarray:
+    """hat(u_i u_j) for the six ``PAIRS``, half-spectrum layout (6, n, n, n//2+1).
+
+    ``u`` is the real velocity, shape (3, n, n, n).  The products are
+    transformed in one batched real FFT and, with ``dealias``, truncated to
+    the 2/3-rule mask.
+    """
+    prods = np.empty((len(PAIRS),) + u.shape[1:])
+    for p, (i, j) in enumerate(PAIRS):
+        np.multiply(u[i], u[j], out=prods[p])
+    w = np.fft.rfftn(prods, axes=(-3, -2, -1), norm="forward")
+    if dealias:
+        w *= grid.half_dealias_mask
+    return w
 
 
 @dataclass(eq=False)
@@ -179,11 +256,14 @@ class ScalarField:
             raise ValueError("scalar field contains non-finite entries")
 
 
-def _project_coeff(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    k = grid.wavenumbers
+def _project(coeff: np.ndarray, k: np.ndarray, inv_k_squared: np.ndarray) -> np.ndarray:
     kdotv = k[0] * coeff[0] + k[1] * coeff[1] + k[2] * coeff[2]
-    kdotv = kdotv * grid.inv_k_squared
+    kdotv = kdotv * inv_k_squared
     return coeff - k * kdotv[None]
+
+
+def _project_coeff(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    return _project(coeff, grid.wavenumbers, grid.inv_k_squared)
 
 
 def leray_project(v: SpectralVelocity) -> SpectralVelocity:
@@ -207,15 +287,12 @@ def cz_pressure(v: SpectralVelocity, m_sigma: float = 1.0) -> ScalarField:
     div = v.divergence_max()
     if div > DIV_TOL * max(1.0, v.coeff_norm()):
         raise NotDivergenceFree(f"divergence {div:.3e} exceeds tolerance")
-    u = v.components()
-    k = grid.wavenumbers
-    mask = grid.dealias_mask
-    p_hat = np.zeros((grid.npts,) * 3, dtype=np.complex128)
-    for i in range(3):
-        for j in range(i, 3):
-            w = transform_forward(u[i] * u[j], grid)
-            w *= mask
-            factor = 1.0 if i == j else 2.0
-            p_hat -= factor * (m_sigma**2) * k[i] * k[j] * grid.inv_k_squared * w
+    w = quadratic_products(half_inverse(half_spectrum(v.coeff, grid), grid), grid)
+    k = grid.half_wavenumbers
+    p_hat = np.zeros(w.shape[1:], dtype=np.complex128)
+    for p, (i, j) in enumerate(PAIRS):
+        factor = 1.0 if i == j else 2.0
+        p_hat -= factor * k[i] * k[j] * w[p]
+    p_hat *= (m_sigma**2) * grid.half_inv_k_squared
     p_hat[0, 0, 0] = 0.0
-    return ScalarField(transform_inverse(p_hat, grid), grid)
+    return ScalarField(half_inverse(p_hat, grid), grid)

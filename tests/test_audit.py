@@ -54,6 +54,18 @@ class TestScaledPsi:
         with pytest.raises(A.DegenerateField):
             A.build_scaled_psi(zero_trajectory(grid), 2.0)
 
+    def test_normalization_drift_raises(self, grid, monkeypatch):
+        # a typed error, not an assert, so it survives python -O
+        calls = []
+
+        def drifting(f, r, g, times):
+            calls.append(r)
+            return spacetime_norm(f, r, g, times) * (1.0 if len(calls) == 1 else 1.5)
+
+        monkeypatch.setattr(A, "spacetime_norm", drifting)
+        with pytest.raises(A.DegenerateField, match="normalization drifted"):
+            A.build_scaled_psi(constant_trajectory(grid), 2.0)
+
     def test_constant_field_closed_form(self, grid):
         c = 2.0
         traj = constant_trajectory(grid, value=c)

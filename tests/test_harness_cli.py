@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -235,6 +237,37 @@ class TestCli:
         target.write_bytes(bytes(blob))
         rc = cli.main(["audit", str(tmp_path / "corrupt" / "manifest.json")])
         assert rc == 4
+
+    @pytest.mark.parametrize("case", ["truncated_header", "npts_7", "dim_2"])
+    def test_audit_malformed_checkpoint_exit_4(self, tmp_path, case):
+        # the manifest hash is updated so the header itself is what fails
+        sc = quick_scenario("malformed", t_final=0.0)
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(sc.to_dict()))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
+        run_dir = tmp_path / "malformed"
+        head = b"NSBL1<"
+        if case == "truncated_header":
+            blob = head + struct.pack("<II", 3, 16)
+        else:
+            dim, npts = (3, 7) if case == "npts_7" else (2, 16)
+            blob = (head + struct.pack("<IIddI", dim, npts, 2 * np.pi, 0.0, 3)
+                    + bytes(3 * npts**3 * 16))
+        (run_dir / "checkpoint_0000.nsbl").write_bytes(blob)
+        manifest = load_manifest(run_dir / "manifest.json")
+        manifest["checkpoints"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
+        (run_dir / "manifest.json").write_bytes(canonical_json(manifest))
+        assert cli.main(["audit", str(run_dir / "manifest.json")]) == 4
+
+    def test_audit_bad_exponents_message(self, tmp_path, capsys):
+        sc = quick_scenario("badr")
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(sc.to_dict()))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["audit", str(tmp_path / "badr" / "manifest.json"), "--r", "0.5"])
+        assert rc == 1
+        assert "bad audit exponents" in capsys.readouterr().err
 
     def test_simulate_instability_exit(self, tmp_path):
         bad = Scenario(
