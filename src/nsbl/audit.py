@@ -35,6 +35,7 @@ __all__ = [
     "DegenerateField",
     "ThresholdTooSmall",
     "BadExponents",
+    "FieldStats",
     "ScaledPsi",
     "LevelSetLadder",
     "CheckRecord",
@@ -63,6 +64,10 @@ ROUNDOFF_RTOL = 1e-10
 ENERGY_RESIDUAL_TOL = 1e-5
 
 FINAL_MARGIN_FACTOR = 1.5
+
+# sup |u| an audit accepts (besides 0): squares of |u| and the pressure's
+# grid sums must stay well inside float64
+AMPLITUDE_RANGE = (1e-100, 1e100)
 
 
 class DegenerateField(ValueError):
@@ -192,25 +197,95 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def _u_magnitudes(traj: Trajectory, m_sigma: float) -> np.ndarray:
-    return traj.magnitudes() / m_sigma
+@dataclass(eq=False)
+class FieldStats:
+    """One trajectory's audit quantities, each computed once.
+
+    Holds the stack |u| / m_sigma (the trajectory's own magnitude stack when
+    m_sigma is 1), the scaled psi for each r, and the space-time norms and
+    log-weighted integrals of these stacks, memoized per (stack, exponent).
+    Every check that takes a trajectory also takes a FieldStats, whose
+    m_sigma then stands in for the ``m_sigma`` argument; run_audit builds one
+    per trajectory and passes it to every check.
+    """
+
+    traj: Trajectory
+    m_sigma: float = 1.0
+
+    _scaled: Optional[np.ndarray] = field(default=None, repr=False)
+    _psi: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def grid(self):
+        return self.traj.grid
+
+    @property
+    def times(self) -> list[float]:
+        return self.traj.times
+
+    def magnitudes(self) -> np.ndarray:
+        """|u| / m_sigma for every snapshot, shape (nt, n, n, n); cached."""
+        if self._scaled is None:
+            mags = self.traj.magnitudes()
+            self._scaled = mags if self.m_sigma == 1.0 else mags / self.m_sigma
+        return self._scaled
+
+    def norm(self, stack: np.ndarray, ell: float) -> float:
+        """spacetime_norm of a stack this memo (or its trajectory) holds."""
+        return self._once("norm", spacetime_norm, stack, ell)
+
+    def log_integrals(self, p: float) -> tuple[float, float, int]:
+        """power_log_integrals of |u| / m_sigma at power p; DegenerateField
+        when the integrals leave float64, as for |u| far from 1 at large p."""
+        try:
+            i0, i1, clamped = self._once("log", power_log_integrals, self.magnitudes(), p)
+        except OverflowError:
+            i0 = i1 = math.inf
+        if not (0.0 < i0 < math.inf and math.isfinite(i1)):
+            raise DegenerateField(f"the integral of |u|^{p:g} is outside float64")
+        return i0, i1, clamped
+
+    def scaled_psi(self, r: float) -> ScaledPsi:
+        """The scaled field for exponent r; built once."""
+        if r not in self._psi:
+            self._psi[r] = build_scaled_psi(self, r)
+        return self._psi[r]
+
+    def _once(self, kind, fn, stack, exponent):
+        # functions arrive through the module namespace, so patched or
+        # wrapped versions are the ones called
+        key = (kind, id(stack), exponent)
+        if key not in self._memo:
+            # the stack rides along, so its id is not reused while the memo lives
+            self._memo[key] = (stack, fn(stack, exponent, self.grid, self.times))
+        return self._memo[key][1]
 
 
-def build_scaled_psi(traj: Trajectory, r: float, m_sigma: float = 1.0) -> ScaledPsi:
+def _field_stats(traj, m_sigma: float = 1.0) -> FieldStats:
+    """The memo itself, or a fresh one for a bare trajectory."""
+    if isinstance(traj, FieldStats):
+        return traj
+    return FieldStats(traj, m_sigma)
+
+
+def build_scaled_psi(traj: Trajectory | FieldStats, r: float, m_sigma: float = 1.0) -> ScaledPsi:
     """psi = |u|^2 normalized by its space-time r-norm."""
     if not r > 1:
         raise BadExponents(f"need r > 1, got {r}")
-    if len(traj) == 0:
+    stats = _field_stats(traj, m_sigma)
+    grid, times = stats.grid, stats.times
+    if len(times) == 0:
         raise DegenerateField("empty trajectory")
-    psi = _u_magnitudes(traj, m_sigma) ** 2
-    a_r = spacetime_norm(psi, r, traj.grid, traj.times)
+    psi = stats.magnitudes() ** 2
+    a_r = spacetime_norm(psi, r, grid, times)
     if a_r == 0.0:
         raise DegenerateField("identically zero field")
     psi_tilde = psi / a_r
-    check = spacetime_norm(psi_tilde, r, traj.grid, traj.times)
+    check = spacetime_norm(psi_tilde, r, grid, times)
     if not abs(check - 1.0) <= 1e-6:
         raise DegenerateField(f"normalization drifted: {check}")
-    return ScaledPsi(psi, a_r, r, psi_tilde, traj.grid, list(traj.times))
+    return ScaledPsi(psi, a_r, r, psi_tilde, grid, list(times))
 
 
 def build_ladder(
@@ -234,7 +309,7 @@ def build_ladder(
 
 def estimate_threshold(
     sp: ScaledPsi,
-    traj: Trajectory,
+    traj: Trajectory | FieldStats,
     params: ExponentParams,
     ell: float,
     m_sigma: float = 1.0,
@@ -247,11 +322,12 @@ def estimate_threshold(
                          float(params.alpha), float(params.b))
     if not ell > r:
         raise BadExponents(f"need ell > r, got ell = {ell}, r = {r}")
-    grid, times = traj.grid, traj.times
-    mags = _u_magnitudes(traj, m_sigma)
-    u2q = spacetime_norm(mags, 2 * q, grid, times)
-    u0_l2 = space_norm(mags[0], 2.0, grid)
-    psinorm = spacetime_norm(sp.psi_tilde, ell, grid, times)
+    stats = _field_stats(traj, m_sigma)
+    m_sigma = stats.m_sigma
+    mags = stats.magnitudes()
+    u2q = stats.norm(mags, 2 * q)
+    u0_l2 = space_norm(mags[0], 2.0, stats.grid)
+    psinorm = stats.norm(sp.psi_tilde, ell)
     if u2q == 0.0 or psinorm == 0.0 or u0_l2 == 0.0:
         raise DegenerateField("zero field has no nontrivial threshold")
     den = N * q - N - 2
@@ -293,7 +369,7 @@ def fit_recursion_constant(measures, alpha: float, prefactor: float):
 def check_recursion(
     ladder: LevelSetLadder,
     sp: ScaledPsi,
-    traj: Trajectory,
+    traj: Trajectory | FieldStats,
     params: ExponentParams,
     m_sigma: float = 1.0,
     dominating_ladder: Optional[LevelSetLadder] = None,
@@ -306,8 +382,9 @@ def check_recursion(
     """
     a = float(params.alpha)
     q = float(params.q)
-    grid, times = traj.grid, traj.times
-    u2q = spacetime_norm(_u_magnitudes(traj, m_sigma), 2 * q, grid, times)
+    stats = _field_stats(traj, m_sigma)
+    m_sigma = stats.m_sigma
+    u2q = stats.norm(stats.magnitudes(), 2 * q)
     prefactor = m_sigma**2 * u2q**4 / (ladder.threshold * sp.a_r)
     fitted, pairs = fit_recursion_constant(ladder.measures, a, prefactor)
     status = "decided_zero" if ladder.reached_zero() is not None else "undecided"
@@ -340,8 +417,10 @@ def check_recursion(
     )
 
 
-def check_energy(traj: Trajectory) -> CheckRecord:
+def check_energy(traj: Trajectory | FieldStats) -> CheckRecord:
     """Residual of the energy identity plus the fitted space-time constant."""
+    stats = _field_stats(traj)
+    traj = stats.traj
     nu = traj.config.viscosity
     energies = [0.5 * spectral_l2_norm(traj.velocity(i)) ** 2 for i in range(len(traj))]
     e0 = energies[0]
@@ -354,7 +433,7 @@ def check_energy(traj: Trajectory) -> CheckRecord:
     lz = (traj.grid.dim + 2) / traj.grid.dim
     mags = traj.magnitudes()
     u0_l2 = space_norm(mags[0], 2.0, traj.grid)
-    st_norm = spacetime_norm(mags, 2 * lz, traj.grid, traj.times)
+    st_norm = stats.norm(mags, 2 * lz)
     fitted = st_norm / u0_l2
     ok = residual <= ENERGY_RESIDUAL_TOL
     return CheckRecord(
@@ -364,45 +443,53 @@ def check_energy(traj: Trajectory) -> CheckRecord:
     )
 
 
-def check_pressure(traj: Trajectory, s: float, m_sigma: float = 1.0) -> CheckRecord:
-    """Per-snapshot ratio ||p||_s / (M^2 ||u||_{2s}^2); the max is c_s."""
-    if not s > 1:
-        raise BadExponents(f"need s > 1, got {s}")
-    grid = traj.grid
-    ratios = []
-    for i in range(len(traj)):
-        v = traj.velocity(i)
-        u = SpectralVelocity(v.coeff / m_sigma, grid, v.t)
-        den = m_sigma**2 * space_norm(u.magnitude(), 2 * s, grid) ** 2
-        if den == 0.0:
-            ratios.append(0.0)
-            continue
-        p = cz_pressure(u, m_sigma)
-        ratios.append(space_norm(p.values, s, grid) / den)
-    c_s = max(ratios) if ratios else 0.0
-    return CheckRecord(
-        f"pressure_s{s:g}", c_s, 1.0, c_s, True, 0.0,
-        {"ratios": ratios, "s": s},
-    )
+def check_pressure(traj: Trajectory | FieldStats, s_values,
+                   m_sigma: float = 1.0) -> list[CheckRecord]:
+    """Per-snapshot ratios ||p||_s / (M^2 ||u||_{2s}^2), one record per s;
+    the max over snapshots is c_s.
+
+    One pass over the snapshots: the pressure does not depend on s, so each
+    snapshot gets one pressure solve, measured at every s.
+    """
+    s_values = tuple(float(s) for s in s_values)
+    for s in s_values:
+        if not s > 1:
+            raise BadExponents(f"need s > 1, got {s}")
+    stats = _field_stats(traj, m_sigma)
+    m_sigma, grid = stats.m_sigma, stats.grid
+    ratios = [[] for _ in s_values]
+    for i in range(len(stats.times)):
+        mag = stats.magnitudes()[i]
+        dens = [m_sigma**2 * space_norm(mag, 2 * s, grid) ** 2 for s in s_values]
+        if any(dens):
+            v = stats.traj.velocity(i)
+            p = cz_pressure(SpectralVelocity(v.coeff / m_sigma, grid, v.t), m_sigma)
+        for s, den, out in zip(s_values, dens, ratios):
+            out.append(space_norm(p.values, s, grid) / den if den else 0.0)
+    return [
+        CheckRecord(f"pressure_s{s:g}", max(r, default=0.0), 1.0, max(r, default=0.0),
+                    True, 0.0, {"ratios": r, "s": s})
+        for s, r in zip(s_values, ratios)
+    ]
 
 
-def check_interpolation(traj: Trajectory, ell: float, r: float,
+def check_interpolation(traj: Trajectory | FieldStats, ell: float, r: float,
                         m_sigma: float = 1.0) -> CheckRecord:
     """Interpolation bound against the sup norm plus the unit-norm chain."""
-    lz = (traj.grid.dim + 2) / traj.grid.dim
+    stats = _field_stats(traj, m_sigma)
+    lz = (stats.grid.dim + 2) / stats.grid.dim
     if not (math.isfinite(ell) and ell > r >= lz):
         raise BadExponents(f"need inf > ell > r >= {lz:g}, got ell = {ell}, r = {r}")
-    grid, times = traj.grid, traj.times
-    f = _u_magnitudes(traj, m_sigma)
-    lhs1 = spacetime_norm(f, 2 * ell, grid, times)
-    sup = spacetime_norm(f, INF, grid, times)
-    base = spacetime_norm(f, 2 * lz, grid, times)
+    f = stats.magnitudes()
+    lhs1 = stats.norm(f, 2 * ell)
+    sup = stats.norm(f, INF)
+    base = stats.norm(f, 2 * lz)
     rhs1 = sup ** (1 - lz / ell) * base ** (lz / ell)
     margin1 = rhs1 - lhs1
-    sp = build_scaled_psi(traj, r, m_sigma)
-    psinorm = spacetime_norm(sp.psi_tilde, ell, grid, times)
+    sp = stats.scaled_psi(r)
+    psinorm = stats.norm(sp.psi_tilde, ell)
     lhs2 = psinorm ** (ell / (ell - r))
-    rhs2 = spacetime_norm(sp.psi_tilde, INF, grid, times)
+    rhs2 = stats.norm(sp.psi_tilde, INF)
     margin2 = rhs2 - lhs2
     ok = margin1 >= -ROUNDOFF_RTOL * rhs1 and margin2 >= -ROUNDOFF_RTOL * rhs2
     return CheckRecord(
@@ -413,7 +500,7 @@ def check_interpolation(traj: Trajectory, ell: float, r: float,
 
 
 def log_norm_limit(
-    traj: Trajectory,
+    traj: Trajectory | FieldStats,
     r: float,
     params: Optional[ExponentParams] = None,
     m_sigma: float = 1.0,
@@ -425,18 +512,18 @@ def log_norm_limit(
     """
     if not r > 1:
         raise BadExponents(f"need r > 1, got {r}")
-    grid, times = traj.grid, traj.times
-    f = _u_magnitudes(traj, m_sigma)
-    base = spacetime_norm(f, 2 * r, grid, times)
+    stats = _field_stats(traj, m_sigma)
+    f = stats.magnitudes()
+    base = stats.norm(f, 2 * r)
     if base == 0.0:
         return CheckRecord("log_norm_limit", 0.0, 0.0, 0.0, True, 0.0,
                            {"note": "vacuous on the zero field"})
-    i0, i1, clamped = power_log_integrals(f, 2 * r, grid, times)
+    i0, i1, clamped = stats.log_integrals(2 * r)
     closed = base ** (-1.0 / r) * math.exp(i1 / (r * i0))
     values, diffs = [], []
     for kk in range(1, 5):
         ell = r + 10.0**-kk
-        n2l = spacetime_norm(f, 2 * ell, grid, times)
+        n2l = stats.norm(f, 2 * ell)
         val = math.exp(math.log(n2l / base) / (ell - r))
         values.append(val)
         diffs.append(abs(val - closed))
@@ -461,10 +548,10 @@ def log_norm_limit(
         q, j = float(params.q), float(params.j)
         al, b = float(params.alpha), float(params.b)
         rr = float(params.r)
-        i0r, i1r, _ = power_log_integrals(f, 2 * rr, grid, times)
+        i0r, i1r, _ = stats.log_integrals(2 * rr)
         i_one = math.exp(b * (rr - q) * i1r / (2 * al * q * (rr - 2 * j) * i0r))
-        u2q = spacetime_norm(f, 2 * q, grid, times)
-        u2r = spacetime_norm(f, 2 * rr, grid, times)
+        u2q = stats.norm(f, 2 * q)
+        u2r = stats.norm(f, 2 * rr)
         jensen_rhs = u2q ** (-b / (2 * al * (rr - 2 * j))) * u2r ** (
             b * rr / (2 * al * (rr - 2 * j) * q)
         )
@@ -521,13 +608,12 @@ def check_final_bound(
     )
 
 
-def dichotomy_branch(traj: Trajectory, params: ExponentParams,
+def dichotomy_branch(traj: Trajectory | FieldStats, params: ExponentParams,
                      m_sigma: float = 1.0) -> int:
     """Which side of the log-moment dichotomy this run falls on (1 or 2)."""
     r = float(params.r)
     A = float((params.q + params.B) / params.q)
-    f = _u_magnitudes(traj, m_sigma)
-    i0, i1, _ = power_log_integrals(f, 2 * r, traj.grid, traj.times)
+    i0, i1, _ = _field_stats(traj, m_sigma).log_integrals(2 * r)
     return 1 if i1 / i0 >= (A / (2 * r)) * math.log(i0) else 2
 
 
@@ -551,36 +637,44 @@ def run_audit(
     constants = dict(constants or {})
     grid = traj.grid
     r = spec.effective_r(params)
+    if len(traj) == 0:
+        raise DegenerateField("empty trajectory")
     mags = traj.magnitudes()
+    vmax = float(mags.max())
+    lo, hi = AMPLITUDE_RANGE
+    if vmax != 0.0 and not lo <= vmax <= hi:
+        raise DegenerateField(f"sup |u| = {vmax:.3g} is outside the audited range [{lo:g}, {hi:g}]")
     v0max = float(mags[0].max())
     m_sigma = v0max ** float(params.sigma) if v0max > 0 else 1.0
 
+    stats = FieldStats(traj, m_sigma)
+
     checks: list[CheckRecord] = []
-    checks.append(check_energy(traj))
+    checks.append(check_energy(stats))
     constants.setdefault("c_energy", checks[-1].fitted_constant)
-    for s in spec.s_values:
-        rec = check_pressure(traj, float(s), m_sigma)
+    for rec in check_pressure(stats, spec.s_values):
         checks.append(rec)
-        constants.setdefault(f"c_pressure_s{s:g}", rec.fitted_constant)
+        constants.setdefault(f"c_{rec.check_id}", rec.fitted_constant)
 
     degenerate = v0max == 0.0
     branch = None
     if not degenerate:
-        sp = build_scaled_psi(traj, r, m_sigma)
+        sp = stats.scaled_psi(r)
         for ell in spec.effective_ells(r):
-            checks.append(check_interpolation(traj, float(ell), r, m_sigma))
-        checks.append(log_norm_limit(traj, r, params, m_sigma))
+            checks.append(check_interpolation(stats, float(ell), r))
+        checks.append(log_norm_limit(stats, r, params))
         ell0 = spec.effective_ells(r)[0]
-        k_dom = estimate_threshold(sp, traj, params, ell0, m_sigma)
+        k_dom = estimate_threshold(sp, stats, params, ell0)
         dom_ladder = build_ladder(sp, k_dom, spec.n_max, enforce_threshold=True)
         # exploratory ladder keyed to a bulk quantile: far stabler across
         # seeds than anything keyed to the sup
         k_fit = 2.0 * float(np.quantile(sp.psi_tilde, 0.90))
         fit_ladder = build_ladder(sp, k_fit, spec.n_max, enforce_threshold=False)
-        rec = check_recursion(fit_ladder, sp, traj, params, m_sigma, dom_ladder)
+        rec = check_recursion(fit_ladder, sp, stats, params,
+                              dominating_ladder=dom_ladder)
         checks.append(rec)
         constants.setdefault("c_recursion", rec.fitted_constant)
-        branch = dichotomy_branch(traj, params, m_sigma)
+        branch = dichotomy_branch(stats, params)
 
     if "c_final" not in constants:
         constants["c_final"] = calibrate_final_constant(traj, params)

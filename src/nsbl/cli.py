@@ -176,6 +176,9 @@ def cmd_suite(args) -> int:
     except InfeasibleLedger as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (ValueError, KeyError) as exc:
+        print(f"bad suite: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO

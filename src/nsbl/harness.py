@@ -29,6 +29,8 @@ from .spectral import TorusGrid
 
 __all__ = [
     "InfeasibleLedger",
+    "BadScenario",
+    "UnknownKey",
     "Scenario",
     "canonical_json",
     "scenario_hash",
@@ -58,6 +60,49 @@ class InfeasibleLedger(Exception):
     def __init__(self, failures):
         super().__init__(f"infeasible exponent tuple; failing constraints: {failures}")
         self.failures = failures
+
+
+class BadScenario(ValueError):
+    """A scenario file or an audit override that does not parse."""
+
+
+class UnknownKey(BadScenario):
+    """A key the scenario format does not have, e.g. a misspelled one."""
+
+    def __init__(self, key: str):
+        super().__init__(f"unknown scenario key {key!r}")
+        self.key = key
+
+
+# the keys of each level of the nsbl-scenario/1 format
+SCENARIO_KEYS = ("format", "name", "grid", "solver", "initial", "audit", "ledger")
+GRID_KEYS = ("npts", "length")
+SOLVER_KEYS = ("viscosity", "dt", "t_final", "snapshot_stride", "dealias", "scheme")
+INITIAL_KEYS = ("kind", "seed", "amplitude", "kmax")
+AUDIT_KEYS = ("r", "q", "s_values", "ell_values", "n_max", "calibration")
+
+
+def _section(d: dict, allowed, where: str) -> dict:
+    """``d`` itself once it is known to be an object holding only ``allowed`` keys."""
+    if not isinstance(d, dict):
+        raise BadScenario(f"{where or 'scenario'} must be an object, got {type(d).__name__}")
+    for key in d:
+        if key not in allowed:
+            raise UnknownKey(f"{where}.{key}" if where else key)
+    return d
+
+
+def _audit_spec(d: dict) -> AuditSpec:
+    """The audit section of a scenario, or a scenario's section with CLI overrides."""
+    a = _section(d, AUDIT_KEYS, "audit")
+    return AuditSpec(
+        r=a.get("r"),
+        q=a.get("q"),
+        s_values=tuple(a.get("s_values", (2.0, 3.0))),
+        ell_values=None if a.get("ell_values") is None else tuple(a["ell_values"]),
+        n_max=int(a.get("n_max", 40)),
+        calibration=bool(a.get("calibration", False)),
+    )
 
 
 def canonical_json(obj) -> bytes:
@@ -116,11 +161,14 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        """Parse an nsbl-scenario/1 object; every unknown key raises UnknownKey."""
+        _section(d, SCENARIO_KEYS, "")
         if d.get("format", "nsbl-scenario/1") != "nsbl-scenario/1":
-            raise ValueError(f"unknown scenario format {d.get('format')!r}")
-        g = d.get("grid", {})
-        s = d.get("solver", {})
-        a = d.get("audit", {})
+            raise BadScenario(f"unknown scenario format {d.get('format')!r}")
+        g = _section(d.get("grid", {}), GRID_KEYS, "grid")
+        s = _section(d.get("solver", {}), SOLVER_KEYS, "solver")
+        initial = _section(d.get("initial", {"kind": "beltrami"}), INITIAL_KEYS, "initial")
+        ledger = _section(d.get("ledger", DEFAULT_LEDGER), tuple(DEFAULT_LEDGER), "ledger")
         return cls(
             name=d["name"],
             grid_npts=int(g.get("npts", 32)),
@@ -133,17 +181,9 @@ class Scenario:
                 dealias=bool(s.get("dealias", True)),
                 scheme=str(s.get("scheme", "rk4")),
             ),
-            initial=dict(d.get("initial", {"kind": "beltrami"})),
-            audit=AuditSpec(
-                r=a.get("r"),
-                q=a.get("q"),
-                s_values=tuple(a.get("s_values", (2.0, 3.0))),
-                ell_values=None if a.get("ell_values") is None
-                else tuple(a["ell_values"]),
-                n_max=int(a.get("n_max", 40)),
-                calibration=bool(a.get("calibration", False)),
-            ),
-            ledger=dict(d.get("ledger", DEFAULT_LEDGER)),
+            initial=dict(initial),
+            audit=_audit_spec(d.get("audit", {})),
+            ledger=dict(ledger),
         )
 
     @classmethod
@@ -294,15 +334,8 @@ def audit_manifest(
     scenario = Scenario.from_dict(manifest["scenario"])
     spec = scenario.audit
     if overrides:
-        spec = AuditSpec(
-            r=overrides.get("r", spec.r),
-            q=overrides.get("q", spec.q),
-            s_values=tuple(overrides.get("s_values", spec.s_values)),
-            ell_values=tuple(overrides["ell_values"])
-            if overrides.get("ell_values") is not None else spec.ell_values,
-            n_max=int(overrides.get("n_max", spec.n_max)),
-            calibration=bool(overrides.get("calibration", spec.calibration)),
-        )
+        # an override replaces its key of the scenario's audit section
+        spec = _audit_spec({**scenario.to_dict()["audit"], **overrides})
     params = scenario.exponent_params()
     traj = trajectory_from_manifest(manifest, manifest_path.parent)
     report = run_audit(traj, params, spec, constants=constants, run_id=scenario.name)

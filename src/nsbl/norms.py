@@ -20,7 +20,6 @@ __all__ = [
     "magnitude_stack",
     "space_norm",
     "spacetime_norm",
-    "lebesgue_norm",
     "level_set_measure",
     "power_log_integrals",
     "spectral_l2_norm",
@@ -96,23 +95,11 @@ def spacetime_norm(stack: np.ndarray, ell: float, grid: TorusGrid, times) -> flo
     m = float(a.max())
     if m == 0.0:
         return 0.0
-    per_t = np.sum((a / m) ** ell, axis=(1, 2, 3)) * grid.cell_volume
+    # a is a fresh array from np.abs; scale and power it in place
+    a /= m
+    a **= ell
+    per_t = np.sum(a, axis=(1, 2, 3)) * grid.cell_volume
     return float(m * float(np.dot(w, per_t)) ** (1.0 / ell))
-
-
-def lebesgue_norm(f, ell: float, times=None) -> float:
-    """Dispatching norm: single fields in space, series in space-time.
-
-    ``f`` may be a ScalarField, a SpectralVelocity (its pointwise magnitude
-    is measured), a bare array, or a sequence of these with ``times``.
-    """
-    if isinstance(f, SpectralVelocity):
-        return space_norm(f.magnitude(), ell, f.grid)
-    if isinstance(f, ScalarField):
-        return space_norm(f.values, ell, f.grid)
-    if times is not None:
-        raise ValueError("pass series norms through spacetime_norm with an explicit grid")
-    raise TypeError(f"cannot measure {type(f).__name__} without a grid")
 
 
 def level_set_measure(stack: np.ndarray, threshold: float, grid: TorusGrid, times) -> float:

@@ -112,9 +112,6 @@ class Trajectory:
     def velocity(self, i: int) -> SpectralVelocity:
         return SpectralVelocity(self.coeffs[i], self.grid, self.times[i])
 
-    def velocities(self):
-        return [self.velocity(i) for i in range(len(self.times))]
-
     def magnitudes(self) -> np.ndarray:
         """|u| on the grid for every snapshot, shape (nt, n, n, n); cached."""
         if self._magnitudes is None:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from nsbl import audit as A
+from nsbl.harness import canonical_json
 from nsbl.ledger import ExponentParams
-from nsbl.norms import spacetime_norm, space_norm
+from nsbl.norms import power_log_integrals, spacetime_norm, space_norm
 from nsbl.solver import SolverConfig, Trajectory, make_initial, run
-from nsbl.spectral import SpectralVelocity, TorusGrid
+from nsbl.spectral import NotDivergenceFree, SpectralVelocity, TorusGrid, cz_pressure
 
 
 PARAMS = ExponentParams.derive(3, 10, 10, F(6, 5), F(1, 2), j=4, r=12)
@@ -174,13 +175,13 @@ class TestEnergy:
 
 class TestPressureCheck:
     def test_zero_field(self, grid):
-        rec = A.check_pressure(zero_trajectory(grid), 2.0)
+        rec = A.check_pressure(zero_trajectory(grid), (2.0,))[0]
         assert rec.fitted_constant == 0.0
 
     def test_beltrami_matches_direct(self, beltrami_traj):
         from nsbl.spectral import cz_pressure
 
-        rec = A.check_pressure(beltrami_traj, 2.0)
+        rec = A.check_pressure(beltrami_traj, (2.0,))[0]
         v = beltrami_traj.velocity(0)
         p = cz_pressure(v)
         direct = space_norm(p.values, 2.0, v.grid) / space_norm(v.magnitude(), 4.0, v.grid) ** 2
@@ -188,7 +189,112 @@ class TestPressureCheck:
 
     def test_bad_exponent(self, beltrami_traj):
         with pytest.raises(A.BadExponents):
-            A.check_pressure(beltrami_traj, 1.0)
+            A.check_pressure(beltrami_traj, (1.0,))
+
+
+def pressure_oracle(traj, s, m_sigma=1.0):
+    """Per-snapshot ratios of the pressure check as it ran before the
+    one-pass audit: one pressure solve and one |u| per snapshot and s."""
+    grid = traj.grid
+    ratios = []
+    for i in range(len(traj)):
+        v = traj.velocity(i)
+        u = SpectralVelocity(v.coeff / m_sigma, grid, v.t)
+        den = m_sigma**2 * space_norm(u.magnitude(), 2 * s, grid) ** 2
+        if den == 0.0:
+            ratios.append(0.0)
+            continue
+        p = cz_pressure(u, m_sigma)
+        ratios.append(space_norm(p.values, s, grid) / den)
+    return ratios
+
+
+class TestOnePassPressure:
+    S_VALUES = (1.5, 2.0, 3.0, 4.0)
+
+    def test_matches_oracle_exactly_unscaled(self, random_traj):
+        recs = A.check_pressure(random_traj, self.S_VALUES)
+        assert [r.check_id for r in recs] == ["pressure_s1.5", "pressure_s2",
+                                              "pressure_s3", "pressure_s4"]
+        for rec, s in zip(recs, self.S_VALUES):
+            assert rec.extra["ratios"] == pressure_oracle(random_traj, s)
+            assert rec.fitted_constant == max(rec.extra["ratios"])
+
+    def test_matches_oracle_scaled(self, random_traj):
+        # sigma = 1/2: |u|/m is taken from the cached stack, not re-transformed
+        m_sigma = float(random_traj.magnitudes()[0].max()) ** 0.5
+        recs = A.check_pressure(random_traj, self.S_VALUES, m_sigma)
+        for rec, s in zip(recs, self.S_VALUES):
+            oracle = pressure_oracle(random_traj, s, m_sigma)
+            for got, want in zip(rec.extra["ratios"], oracle, strict=True):
+                assert abs(got - want) <= 1e-12 * want
+
+    def test_one_pressure_solve_per_snapshot(self, random_traj, monkeypatch):
+        calls = []
+
+        def counting(v, m_sigma=1.0):
+            calls.append(v.t)
+            return cz_pressure(v, m_sigma)
+
+        monkeypatch.setattr(A, "cz_pressure", counting)
+        A.run_audit(random_traj, PARAMS, A.AuditSpec(s_values=self.S_VALUES))
+        assert calls == list(random_traj.times)
+
+    def test_repeated_exponent_gets_its_own_record(self, beltrami_traj):
+        first, second = A.check_pressure(beltrami_traj, (2.0, 2.0))
+        assert first.extra["ratios"] == second.extra["ratios"]
+        assert len(first.extra["ratios"]) == len(beltrami_traj)
+
+    def test_bad_exponent_anywhere_in_tuple(self, beltrami_traj):
+        with pytest.raises(A.BadExponents):
+            A.check_pressure(beltrami_traj, (2.0, 1.0))
+
+
+class TestOnePassAudit:
+    def test_each_norm_computed_once(self, random_traj, monkeypatch):
+        seen, logs = [], []
+
+        def recording(f, ell, g, times):
+            seen.append((id(f), ell))
+            return spacetime_norm(f, ell, g, times)
+
+        def recording_logs(f, p, g, times):
+            logs.append(p)
+            return power_log_integrals(f, p, g, times)
+
+        monkeypatch.setattr(A, "spacetime_norm", recording)
+        monkeypatch.setattr(A, "power_log_integrals", recording_logs)
+        A.run_audit(random_traj, PARAMS, A.AuditSpec())
+        assert len(seen) == len(set(seen))
+        assert logs == [2 * float(PARAMS.r)]
+
+    def test_not_divergence_free_snapshot_raises(self, grid):
+        v0 = make_initial("random_spectrum", grid, seed=2, amplitude=1.0, kmax=4)
+        traj = run(v0, SolverConfig(dt=1e-3, t_final=3e-3, snapshot_stride=1))
+        bad = traj.coeffs[2].copy()
+        # a gradient mode: u_x = 0.2 cos(x)
+        bad[0, 1, 0, 0] += 0.1
+        bad[0, -1, 0, 0] += 0.1
+        traj.coeffs[2] = bad
+        with pytest.raises(NotDivergenceFree):
+            A.run_audit(traj, PARAMS, A.AuditSpec())
+
+    def test_no_leak_between_trajectories(self, random_traj, beltrami_traj):
+        def fresh(traj):
+            return Trajectory(traj.grid, traj.config, list(traj.times),
+                              list(traj.coeffs), list(traj.dissipation))
+
+        def report(traj, params):
+            return canonical_json(A.run_audit(traj, params, A.AuditSpec()).as_dict())
+
+        scaled = PARAMS.with_sigma(F(1, 2), 0)
+        for params in (PARAMS, scaled):
+            alone_r = report(fresh(random_traj), params)
+            alone_b = report(fresh(beltrami_traj), params)
+            assert alone_r != alone_b
+            assert report(random_traj, params) == alone_r
+            assert report(beltrami_traj, params) == alone_b
+            assert report(random_traj, params) == alone_r
 
 
 class TestInterpolationCheck:
@@ -278,8 +384,8 @@ class TestPressureScalingInvariance:
         t1 = run(v, cfg)
         w = SpectralVelocity(2.0 * v.coeff.copy(), grid)
         t2 = run(w, cfg)
-        c1 = A.check_pressure(t1, 2.0).fitted_constant
-        c2 = A.check_pressure(t2, 2.0).fitted_constant
+        c1 = A.check_pressure(t1, (2.0,))[0].fitted_constant
+        c2 = A.check_pressure(t2, (2.0,))[0].fitted_constant
         assert abs(c1 - c2) <= 1e-10 * c1
 
 

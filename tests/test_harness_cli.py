@@ -8,8 +8,10 @@ import pytest
 from nsbl import cli
 from nsbl.harness import (
     DEFAULT_LEDGER,
+    BadScenario,
     InfeasibleLedger,
     Scenario,
+    UnknownKey,
     audit_manifest,
     canonical_json,
     load_manifest,
@@ -53,6 +55,34 @@ class TestScenario:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             Scenario.from_dict({"format": "nsbl-scenario/99", "name": "x"})
+
+    @pytest.mark.parametrize("section,key", [
+        (None, "gird"), ("grid", "npoints"), ("solver", "viscosty"),
+        ("initial", "sede"), ("audit", "s_value"), ("ledger", "sigam"),
+    ])
+    def test_unknown_key_rejected_at_every_level(self, section, key):
+        d = quick_scenario("typo").to_dict()
+        (d if section is None else d[section])[key] = 1
+        name = key if section is None else f"{section}.{key}"
+        with pytest.raises(UnknownKey, match=name) as info:
+            Scenario.from_dict(d)
+        assert info.value.key == name
+
+    def test_section_must_be_object(self):
+        d = quick_scenario("flat").to_dict()
+        d["solver"] = 5
+        with pytest.raises(BadScenario, match="solver"):
+            Scenario.from_dict(d)
+
+    def test_audit_overrides_use_the_parser(self, tmp_path):
+        mp = simulate(quick_scenario("over", t_final=0.01), tmp_path)
+        report, _, _ = audit_manifest(mp, {"s_values": (1.5,), "n_max": 5})
+        ids = [c.check_id for c in report.checks]
+        assert "pressure_s1.5" in ids and "pressure_s2" not in ids
+        ladder = next(c for c in report.checks if c.check_id == "recursion")
+        assert len(ladder.extra["levels"]) == 6
+        with pytest.raises(UnknownKey, match="audit.s_vals"):
+            audit_manifest(mp, {"s_vals": (1.5,)})
 
 
 class TestSimulate:
@@ -286,6 +316,25 @@ class TestCli:
         scn = tmp_path / "sc.json"
         scn.write_bytes(canonical_json(sc.to_dict()))
         assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 2
+
+    def test_simulate_unknown_key_exit_1(self, tmp_path, capsys):
+        d = quick_scenario("typocli").to_dict()
+        d["solver"]["viscosty"] = 0.5
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(d))
+        capsys.readouterr()
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 1
+        assert "solver.viscosty" in capsys.readouterr().err
+        assert not (tmp_path / "typocli").exists()
+
+    def test_suite_unknown_key_exit_1(self, tmp_path, capsys):
+        member = quick_scenario("typosuite").to_dict()
+        member["initial"]["amplitdue"] = 2.0
+        sp = tmp_path / "suite.json"
+        sp.write_text(json.dumps({"format": "nsbl-suite/1", "scenarios": [member]}))
+        capsys.readouterr()
+        assert cli.main(["suite", str(sp), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "initial.amplitdue" in capsys.readouterr().err
 
     def test_suite_cli(self, tmp_path):
         members = [quick_scenario(f"s{k}", kind="random_spectrum", seed=k).to_dict()
