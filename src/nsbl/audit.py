@@ -332,20 +332,31 @@ def estimate_threshold(
         raise DegenerateField("zero field has no nontrivial threshold")
     den = N * q - N - 2
     L1 = 0.5
-    ln_L2 = -math.log(8.0) - (2 * (N + 2) / den) * math.log(u0_l2)
-    beta1 = j * ell / ((r - 2 * j) * (ell - r))
     t1 = 2.0 * float(sp.psi_tilde[0].max())
-    t2 = L1 * psinorm ** (ell / (ell - r))
-    t3 = math.exp(ln_L2 - math.log(sp.a_r) + (2 * N * q / den) * math.log(u2q))
-    ln_t4 = (
-        (2 / ((r - 2 * j) * alpha)) * math.log(m_sigma)
-        - (j / (r - 2 * j)) * math.log(L1)
-        - ((1 + j * alpha) / ((r - 2 * j) * alpha)) * ln_L2
-        - beta1 * math.log(psinorm)
-        + (j / (r - 2 * j)) * math.log(sp.a_r)
-        + (b / ((r - 2 * j) * alpha)) * math.log(u2q)
-    )
-    return t1 + t2 + t3 + math.exp(ln_t4)
+    try:
+        ln_L2 = -math.log(8.0) - (2 * (N + 2) / den) * math.log(u0_l2)
+        beta1 = j * ell / ((r - 2 * j) * (ell - r))
+        t2 = L1 * psinorm ** (ell / (ell - r))
+        t3 = math.exp(ln_L2 - math.log(sp.a_r) + (2 * N * q / den) * math.log(u2q))
+        ln_t4 = (
+            (2 / ((r - 2 * j) * alpha)) * math.log(m_sigma)
+            - (j / (r - 2 * j)) * math.log(L1)
+            - ((1 + j * alpha) / ((r - 2 * j) * alpha)) * ln_L2
+            - beta1 * math.log(psinorm)
+            + (j / (r - 2 * j)) * math.log(sp.a_r)
+            + (b / ((r - 2 * j) * alpha)) * math.log(u2q)
+        )
+        k = t1 + t2 + t3 + math.exp(ln_t4)
+    except ZeroDivisionError as exc:
+        # r = 2j, or alpha so small that (r - 2j) alpha is 0 in float64
+        raise BadExponents(f"threshold exponents are singular at r = {r:g}, j = {j:g}, "
+                           f"alpha = {alpha:g}") from exc
+    except (OverflowError, ValueError) as exc:
+        # ValueError: the log of an m_sigma that underflowed to 0
+        raise DegenerateField(f"dominating threshold is outside float64: {exc}") from exc
+    if not math.isfinite(k):
+        raise DegenerateField(f"dominating threshold is outside float64: {k}")
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .spectral import ShapeMismatch, SpectralVelocity, TorusGrid
 
-__all__ = ["CorruptCheckpoint", "write_checkpoint", "read_checkpoint", "file_sha256"]
+__all__ = ["CorruptCheckpoint", "write_checkpoint", "read_checkpoint"]
 
 MAGIC = b"NSBL1"
 ENDIAN_TAG = b"<"
@@ -69,6 +69,3 @@ def read_checkpoint(path, expect_sha: str | None = None) -> SpectralVelocity:
     except ShapeMismatch as exc:
         raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from exc
 
-
-def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

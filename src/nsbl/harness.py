@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -92,6 +93,24 @@ def _section(d: dict, allowed, where: str) -> dict:
     return d
 
 
+def _integer(d: dict, key: str, default: int, where: str) -> int:
+    """``d[key]`` (else ``default``) once it is known to be an integral number."""
+    value = d.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadScenario(f"{where}.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(d: dict, key: str, default: bool, where: str) -> bool:
+    """``d[key]`` (else ``default``) once it is known to be a JSON boolean."""
+    value = d.get(key, default)
+    if not isinstance(value, bool):
+        raise BadScenario(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def _audit_spec(d: dict) -> AuditSpec:
     """The audit section of a scenario, or a scenario's section with CLI overrides."""
     a = _section(d, AUDIT_KEYS, "audit")
@@ -100,8 +119,8 @@ def _audit_spec(d: dict) -> AuditSpec:
         q=a.get("q"),
         s_values=tuple(a.get("s_values", (2.0, 3.0))),
         ell_values=None if a.get("ell_values") is None else tuple(a["ell_values"]),
-        n_max=int(a.get("n_max", 40)),
-        calibration=bool(a.get("calibration", False)),
+        n_max=_integer(a, "n_max", 40, "audit"),
+        calibration=_flag(a, "calibration", False, "audit"),
     )
 
 
@@ -167,21 +186,24 @@ class Scenario:
             raise BadScenario(f"unknown scenario format {d.get('format')!r}")
         g = _section(d.get("grid", {}), GRID_KEYS, "grid")
         s = _section(d.get("solver", {}), SOLVER_KEYS, "solver")
-        initial = _section(d.get("initial", {"kind": "beltrami"}), INITIAL_KEYS, "initial")
+        initial = dict(_section(d.get("initial", {"kind": "beltrami"}), INITIAL_KEYS, "initial"))
+        for key in ("seed", "kmax"):
+            if key in initial:
+                initial[key] = _integer(initial, key, None, "initial")
         ledger = _section(d.get("ledger", DEFAULT_LEDGER), tuple(DEFAULT_LEDGER), "ledger")
         return cls(
             name=d["name"],
-            grid_npts=int(g.get("npts", 32)),
+            grid_npts=_integer(g, "npts", 32, "grid"),
             grid_length=float(g.get("length", 2 * np.pi)),
             solver=SolverConfig(
                 viscosity=float(s.get("viscosity", 1.0)),
                 dt=float(s.get("dt", 1e-3)),
                 t_final=float(s.get("t_final", 0.5)),
-                snapshot_stride=int(s.get("snapshot_stride", 10)),
-                dealias=bool(s.get("dealias", True)),
+                snapshot_stride=_integer(s, "snapshot_stride", 10, "solver"),
+                dealias=_flag(s, "dealias", True, "solver"),
                 scheme=str(s.get("scheme", "rk4")),
             ),
-            initial=dict(initial),
+            initial=initial,
             audit=_audit_spec(d.get("audit", {})),
             ledger=dict(ledger),
         )

@@ -11,13 +11,12 @@ import math
 
 import numpy as np
 
-from .spectral import ScalarField, SpectralVelocity, TorusGrid
+from .spectral import SpectralVelocity, TorusGrid
 
 __all__ = [
     "BadExponent",
     "INF",
     "time_weights",
-    "magnitude_stack",
     "space_norm",
     "spacetime_norm",
     "level_set_measure",
@@ -48,19 +47,6 @@ def time_weights(times) -> np.ndarray:
     w[-1] = (t[-1] - t[-2]) / 2
     w[1:-1] = (t[2:] - t[:-2]) / 2
     return w
-
-
-def magnitude_stack(fields) -> np.ndarray:
-    """Stack |f| over a time series of fields, shape (nt, n, n, n)."""
-    out = []
-    for f in fields:
-        if isinstance(f, SpectralVelocity):
-            out.append(f.magnitude())
-        elif isinstance(f, ScalarField):
-            out.append(np.abs(f.values))
-        else:
-            out.append(np.abs(np.asarray(f, dtype=np.float64)))
-    return np.stack(out)
 
 
 def _check_exponent(ell):

@@ -10,26 +10,23 @@ The viscous dissipation integral is accumulated inside the stepper with the
 same Runge-Kutta weights, which keeps the energy-identity residual at the
 scheme's order instead of the snapshot quadrature's.
 
-The stepper works on the real-FFT half spectrum; ``step``, ``nonlinear_term``
-and the snapshots of ``run`` take and give the full layout.
+The stepper works on the kept band of the half spectrum (see
+``spectral.SpectralBand``); ``step``, ``nonlinear_term`` and the snapshots
+of ``run`` take and give the full layout.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .spectral import (
+    SpectralBand,
     SpectralVelocity,
     TorusGrid,
     _project,
     _project_coeff,
-    full_spectrum,
-    half_inverse,
-    half_spectrum,
     quadratic_products,
     transform_forward,
     transform_inverse,
@@ -40,7 +37,6 @@ __all__ = [
     "BadSpec",
     "SolverConfig",
     "Trajectory",
-    "ScaledState",
     "nonlinear_term",
     "step",
     "run",
@@ -120,65 +116,49 @@ class Trajectory:
         return self._magnitudes
 
 
-@dataclass(eq=False)
-class ScaledState:
-    """Velocity rescaled by a power of the initial sup norm."""
-
-    u: SpectralVelocity
-    m_sigma: float
-    sigma: Fraction
-
-    @classmethod
-    def from_velocity(cls, v: SpectralVelocity, v0_max: float, sigma) -> "ScaledState":
-        sigma = Fraction(sigma)
-        if v0_max <= 0:
-            raise BadSpec("initial data must not vanish identically")
-        m_sigma = float(v0_max) ** float(sigma)
-        recheck = math.exp(float(sigma) * math.log(v0_max))
-        if abs(m_sigma - recheck) > 1e-12 * max(1.0, m_sigma):
-            raise BadSpec("scale factor not reproducible")
-        return cls(SpectralVelocity(v.coeff / m_sigma, v.grid, v.t), m_sigma, sigma)
-
-
-def _nonlinear(coeff: np.ndarray, grid: TorusGrid, dealias: bool) -> np.ndarray:
-    """-P[d_j (u_j u_i)] evaluated pseudo-spectrally on the half spectrum."""
-    w = quadratic_products(half_inverse(coeff, grid), grid, dealias)
-    k = grid.half_wavenumbers
+def _nonlinear(coeff: np.ndarray, band: SpectralBand) -> np.ndarray:
+    """-P[d_j (u_j u_i)] evaluated pseudo-spectrally on band coefficients."""
+    w = quadratic_products(band.inverse(coeff), band)
+    k = band.wavenumbers
     # row i of k_j hat(u_i u_j), with w stacked in PAIRS order
     div = np.stack([
         k[0] * w[0] + k[1] * w[1] + k[2] * w[2],
         k[0] * w[1] + k[1] * w[3] + k[2] * w[4],
         k[0] * w[2] + k[1] * w[4] + k[2] * w[5],
     ])
-    return -1j * _project(div, k, grid.half_inv_k_squared)
+    return -1j * _project(div, k, band.inv_k_squared)
 
 
 def nonlinear_term(v: SpectralVelocity, dealias: bool = True) -> SpectralVelocity:
-    """Projected advection tendency -P[div(u x u)] as a velocity-shaped field."""
-    grid = v.grid
-    out = _nonlinear(half_spectrum(v.coeff, grid), grid, dealias)
-    return SpectralVelocity(full_spectrum(out, grid), grid, v.t)
+    """Projected advection tendency -P[div(u x u)] as a velocity-shaped field.
+
+    With ``dealias``, modes of ``v`` outside the 2/3-rule band are dropped
+    first, as ``run`` drops them from its initial data.
+    """
+    band = v.grid.band(dealias)
+    out = _nonlinear(band.compact(v.coeff), band)
+    return SpectralVelocity(band.expand(out), v.grid, v.t)
 
 
-def _dissipation_rate(coeff: np.ndarray, grid: TorusGrid, nu: float) -> float:
-    """nu |grad u|^2 integrated over the box, from half-spectrum coefficients."""
-    weighted = grid.half_weights * grid.half_k_squared
+def _dissipation_rate(coeff: np.ndarray, band: SpectralBand, nu: float) -> float:
+    """nu |grad u|^2 integrated over the box, from band coefficients."""
+    weighted = band.weights * band.k_squared
     power = coeff.real**2 + coeff.imag**2
-    return nu * grid.volume * float(np.sum(weighted * power))
+    return nu * band.volume * float(np.sum(weighted * power))
 
 
-def _integrating_factors(grid: TorusGrid, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-nu k^2 dt/2) and exp(-nu k^2 dt) on the half spectrum."""
-    e_half = np.exp(-cfg.viscosity * grid.half_k_squared * cfg.dt / 2)
+def _integrating_factors(band: SpectralBand, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-nu k^2 dt/2) and exp(-nu k^2 dt) on the band."""
+    e_half = np.exp(-cfg.viscosity * band.k_squared * cfg.dt / 2)
     return e_half, e_half * e_half
 
 
-def _step_fields(coeff, grid, cfg, t, factors):
-    """One time step of half-spectrum coefficients; returns (new_coeff, dissipation_increment)."""
+def _step_fields(coeff, band, cfg, t, factors):
+    """One time step of band coefficients; returns (new_coeff, dissipation_increment)."""
     nu, dt = cfg.viscosity, cfg.dt
     e_half, e_full = factors
-    nl = lambda c: _nonlinear(c, grid, cfg.dealias)
-    diss = lambda c: _dissipation_rate(c, grid, nu)
+    nl = lambda c: _nonlinear(c, band)
+    diss = lambda c: _dissipation_rate(c, band, nu)
 
     k1 = nl(coeff)
     if cfg.scheme == "rk2":
@@ -200,15 +180,19 @@ def _step_fields(coeff, grid, cfg, t, factors):
 
 
 def step(v: SpectralVelocity, cfg: SolverConfig) -> SpectralVelocity:
-    """Advance one dt.  Output stays divergence-free and band-limited."""
+    """Advance one dt.  Output stays divergence-free and band-limited.
+
+    With ``cfg.dealias``, modes of ``v`` outside the 2/3-rule band are
+    dropped first, as ``run`` drops them from its initial data.
+    """
     if cfg.dt <= 0 or cfg.viscosity <= 0:
         raise BadSpec("dt and viscosity must be positive")
     if cfg.scheme not in ("rk4", "rk2"):
         raise BadSpec(f"unknown scheme {cfg.scheme!r}")
-    grid = v.grid
-    new, _ = _step_fields(half_spectrum(v.coeff, grid), grid, cfg, v.t,
-                          _integrating_factors(grid, cfg))
-    return SpectralVelocity(full_spectrum(new, grid), grid, v.t + cfg.dt)
+    band = v.grid.band(cfg.dealias)
+    new, _ = _step_fields(band.compact(v.coeff), band, cfg, v.t,
+                          _integrating_factors(band, cfg))
+    return SpectralVelocity(band.expand(new), v.grid, v.t + cfg.dt)
 
 
 def run(v0: SpectralVelocity, cfg: SolverConfig) -> Trajectory:
@@ -227,15 +211,16 @@ def run(v0: SpectralVelocity, cfg: SolverConfig) -> Trajectory:
     coeffs = [coeff]
     dissipation = [0.0]
     acc = 0.0
-    half = half_spectrum(coeff, grid)
-    factors = _integrating_factors(grid, cfg)
+    band = grid.band(cfg.dealias)
+    state = band.compact(coeff)
+    factors = _integrating_factors(band, cfg)
     for n in range(n_steps):
         t = n * cfg.dt
-        half, dd = _step_fields(half, grid, cfg, t, factors)
+        state, dd = _step_fields(state, band, cfg, t, factors)
         acc += dd
         if (n + 1) % cfg.snapshot_stride == 0 or n + 1 == n_steps:
             times.append((n + 1) * cfg.dt)
-            coeffs.append(full_spectrum(half, grid))
+            coeffs.append(band.expand(state))
             dissipation.append(acc)
     return Trajectory(grid, cfg, times, coeffs, dissipation)
 

@@ -5,15 +5,23 @@ on the torus the singular-integral pressure operator is the exact multiplier
 k_i k_j / |k|^2, and decay at infinity becomes periodicity.  Coefficients are
 forward-normalized, so the zero mode of a field is its mean value.
 
-Public fields use the full (..., n, n, n) layout.  Computation runs on the
-real-FFT half spectrum (..., n, n, n//2+1): the k_z >= 0 half that
-``numpy.fft.rfftn`` returns, which fixes a real field through the conjugate
-symmetry c(-k) = conj(c(k)).
+Layouts.  Public fields (``SpectralVelocity``, trajectory snapshots,
+checkpoints) use the full (..., n, n, n) layout.  The real-FFT half
+spectrum (..., n, n, n//2+1) is the k_z >= 0 half that ``numpy.fft.rfftn``
+returns; it fixes a real field through the conjugate symmetry
+c(-k) = conj(c(k)).  The solver computes on the band (``SpectralBand``):
+the modes a run keeps, cut out of the half spectrum.  With the 2/3 rule
+that is (..., 2c+1, 2c+1, c+1) with c = n//3, 3.6 times fewer entries
+than the half spectrum at n = 32; without dealiasing it is the whole half
+spectrum.  ``SpectralBand.compact`` takes a full or half layout to the
+band, ``expand`` takes the band back to the full layout with zeros outside,
+and its ``forward`` and ``inverse`` transform only the lines that carry
+band modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +34,7 @@ __all__ = [
     "ScalarField",
     "transform_forward",
     "transform_inverse",
-    "half_spectrum",
+    "SpectralBand",
     "full_spectrum",
     "half_inverse",
     "quadratic_products",
@@ -60,6 +68,7 @@ class TorusGrid:
     npts: int
     length: float = TWO_PI
     dim: int = 3
+    _bands: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.dim != 3:
@@ -105,35 +114,12 @@ class TorusGrid:
             keep1d[:, None, None] & keep1d[None, :, None] & keep1d[None, None, :]
         )
 
-    # The half-spectrum operators are the first n//2+1 k_z planes of the full
-    # ones, so the Nyquist plane keeps the full layout's k_z = -n/2.
-
-    @cached_property
-    def half_wavenumbers(self) -> np.ndarray:
-        return half_spectrum(self.wavenumbers, self)
-
-    @cached_property
-    def half_k_squared(self) -> np.ndarray:
-        return half_spectrum(self.k_squared, self)
-
-    @cached_property
-    def half_inv_k_squared(self) -> np.ndarray:
-        return half_spectrum(self.inv_k_squared, self)
-
-    @cached_property
-    def half_dealias_mask(self) -> np.ndarray:
-        return half_spectrum(self.dealias_mask, self)
-
-    @cached_property
-    def half_weights(self) -> np.ndarray:
-        """Weights of the k_z planes in sums over the half spectrum.
-
-        An interior plane also stands for its conjugate mirror, so it counts
-        twice; the k_z = 0 and Nyquist planes are their own mirrors.
-        """
-        w = np.full(self.npts // 2 + 1, 2.0)
-        w[0] = w[-1] = 1.0
-        return w
+    def band(self, dealias: bool = True) -> "SpectralBand":
+        """The modes a run on this grid keeps; built once per grid and flag."""
+        dealias = bool(dealias)
+        if dealias not in self._bands:
+            self._bands[dealias] = SpectralBand(self, dealias)
+        return self._bands[dealias]
 
     @property
     def cell_volume(self) -> float:
@@ -169,14 +155,9 @@ def transform_inverse(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.ifftn(coeff, axes=(-3, -2, -1), norm="forward").real
 
 
-def half_spectrum(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """The first n//2+1 k_z planes of full-layout data, as a contiguous copy."""
-    return np.ascontiguousarray(coeff[..., : grid.npts // 2 + 1])
-
-
-def full_spectrum(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
+def full_spectrum(half: np.ndarray) -> np.ndarray:
     """Full layout of a half spectrum by conjugate mirroring, c(-k) = conj(c(k))."""
-    n = grid.npts
+    n = half.shape[-3]
     # entries k_z = n/2-1 .. 1 at (-k_x, -k_y), for the full layout's k_z = n/2+1 .. n-1
     mirrored = np.roll(half[..., ::-1, ::-1, n // 2 - 1 : 0 : -1], 1, axis=(-3, -2))
     return np.concatenate([half, np.conj(mirrored)], axis=-1)
@@ -187,23 +168,89 @@ def half_inverse(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.irfftn(half, s=(grid.npts,) * 3, axes=(-3, -2, -1), norm="forward")
 
 
+class SpectralBand:
+    """The modes a run keeps, as a compact block of the half spectrum.
+
+    With the 2/3 rule these are the modes with every |m_i| <= n//3, stored
+    as (..., 2c+1, 2c+1, c+1) with c = n//3: the kept k_x and k_y indices
+    ``rows`` in FFT order (0..c, n-c..n-1) and the k_z planes 0..c.  Without
+    dealiasing the band is the whole half spectrum (..., n, n, n//2+1).
+
+    The operators are the full-layout ones at the kept indices, so the
+    Nyquist entries keep the full layout's -n/2.  The transforms skip the
+    lines that only carry modes outside the band; every line they do
+    compute is the line ``rfftn`` or ``irfftn`` would compute.
+
+    The band holds no reference to its grid, which caches it: a cycle
+    would keep both alive until the cyclic garbage collector runs.
+    """
+
+    def __init__(self, grid: TorusGrid, dealias: bool):
+        n = grid.npts
+        cut = n // 3 if dealias else n // 2
+        self.npts = n
+        self.volume = grid.volume
+        self.rows = np.flatnonzero(np.abs(grid.freqs) <= cut)
+        self.planes = cut + 1
+        self.shape = (self.rows.size, self.rows.size, self.planes)
+        self.wavenumbers = self.compact(grid.wavenumbers)
+        self.k_squared = self.compact(grid.k_squared)
+        self.inv_k_squared = self.compact(grid.inv_k_squared)
+        # In sums over the band an interior k_z plane also stands for its
+        # conjugate mirror, so it counts twice; the k_z = 0 and Nyquist
+        # planes are their own mirrors.
+        self.weights = np.full(self.planes, 2.0)
+        self.weights[0] = 1.0
+        if 2 * cut == n:
+            self.weights[-1] = 1.0
+
+    def compact(self, coeff: np.ndarray) -> np.ndarray:
+        """The band entries of full- or half-layout data, as a copy."""
+        return coeff[..., self.rows[:, None], self.rows, : self.planes]
+
+    def expand(self, band: np.ndarray) -> np.ndarray:
+        """Full-layout coefficients of band data, zero outside the band."""
+        n = self.npts
+        half = np.zeros(band.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
+        half[..., self.rows[:, None], self.rows, : self.planes] = band
+        return full_spectrum(half)
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Band coefficients of one real field (n, n, n): rfft along z, keep
+        the band planes, fft along y, keep the band rows, fft along x."""
+        w = np.fft.rfft(values, axis=-1, norm="forward")[..., : self.planes]
+        w = np.fft.fft(w, axis=-2, norm="forward")[:, self.rows]
+        return np.fft.fft(w, axis=-3, norm="forward")[self.rows]
+
+    def inverse(self, band: np.ndarray) -> np.ndarray:
+        """Real-space data of band coefficients (..., *shape): zero-pad x and
+        ifft, zero-pad y and ifft, then irfft along z."""
+        n = self.npts
+        lead = band.shape[:-3]
+        w = np.zeros(lead + (n,) + self.shape[1:], dtype=np.complex128)
+        w[..., self.rows, :, :] = band
+        w = np.fft.ifft(w, axis=-3, norm="forward")
+        padded = np.zeros(lead + (n, n, self.planes), dtype=np.complex128)
+        padded[..., self.rows, :] = w
+        padded = np.fft.ifft(padded, axis=-2, norm="forward")
+        return np.fft.irfft(padded, n=n, axis=-1, norm="forward")
+
+
 # the six index pairs i <= j of the symmetric tensor u_i u_j, in stacking order
 PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def quadratic_products(u: np.ndarray, grid: TorusGrid, dealias: bool = True) -> np.ndarray:
-    """hat(u_i u_j) for the six ``PAIRS``, half-spectrum layout (6, n, n, n//2+1).
+def quadratic_products(u: np.ndarray, band: SpectralBand) -> np.ndarray:
+    """hat(u_i u_j) for the six ``PAIRS`` on the band, shape (6, *band.shape).
 
-    ``u`` is the real velocity, shape (3, n, n, n).  The products are
-    transformed in one batched real FFT and, with ``dealias``, truncated to
-    the 2/3-rule mask.
+    ``u`` is the real velocity, shape (3, n, n, n).  Each product is formed
+    and transformed on its own, so only one real-space product is alive.
     """
-    prods = np.empty((len(PAIRS),) + u.shape[1:])
+    w = np.empty((len(PAIRS),) + band.shape, dtype=np.complex128)
+    prod = np.empty(u.shape[1:])
     for p, (i, j) in enumerate(PAIRS):
-        np.multiply(u[i], u[j], out=prods[p])
-    w = np.fft.rfftn(prods, axes=(-3, -2, -1), norm="forward")
-    if dealias:
-        w *= grid.half_dealias_mask
+        np.multiply(u[i], u[j], out=prod)
+        w[p] = band.forward(prod)
     return w
 
 
@@ -281,18 +328,20 @@ def cz_pressure(v: SpectralVelocity, m_sigma: float = 1.0) -> ScalarField:
     """Pressure from the velocity through the exact multiplier k_i k_j/|k|^2.
 
     Solves -lap(p) = m_sigma^2 d_i d_j (u_j u_i) spectrally; the zero mode of
-    p is fixed to 0.  Quadratic products are dealiased on the grid mask.
+    p is fixed to 0.  The velocity is taken in full, band-limited or not;
+    the quadratic products and p are dealiased to the 2/3-rule band.
     """
     grid = v.grid
     div = v.divergence_max()
     if div > DIV_TOL * max(1.0, v.coeff_norm()):
         raise NotDivergenceFree(f"divergence {div:.3e} exceeds tolerance")
-    w = quadratic_products(half_inverse(half_spectrum(v.coeff, grid), grid), grid)
-    k = grid.half_wavenumbers
-    p_hat = np.zeros(w.shape[1:], dtype=np.complex128)
+    band = grid.band()
+    w = quadratic_products(half_inverse(v.coeff[..., : grid.npts // 2 + 1], grid), band)
+    k = band.wavenumbers
+    p_hat = np.zeros(band.shape, dtype=np.complex128)
     for p, (i, j) in enumerate(PAIRS):
         factor = 1.0 if i == j else 2.0
         p_hat -= factor * k[i] * k[j] * w[p]
-    p_hat *= (m_sigma**2) * grid.half_inv_k_squared
+    p_hat *= (m_sigma**2) * band.inv_k_squared
     p_hat[0, 0, 0] = 0.0
-    return ScalarField(half_inverse(p_hat, grid), grid)
+    return ScalarField(band.inverse(p_hat), grid)

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from nsbl.checkpoint import CorruptCheckpoint, file_sha256, read_checkpoint, write_checkpoint
+from nsbl.checkpoint import CorruptCheckpoint, read_checkpoint, write_checkpoint
 from nsbl.spectral import TorusGrid
 from nsbl.solver import make_initial
 
@@ -20,7 +22,7 @@ def test_round_trip_bit_exact(tmp_path, field):
     assert back.grid.npts == 16
     assert back.grid.length == field.grid.length
     assert np.array_equal(back.coeff, field.coeff)
-    assert file_sha256(path) == sha
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
 def test_hash_mismatch(tmp_path, field):

@@ -1,19 +1,26 @@
-"""The half-spectrum solver kernels against full-layout reference algorithms.
+"""The band solver kernels against two generations of reference algorithms.
 
-The oracles below are the complex full-spectrum algorithms the solver and
-``cz_pressure`` used before they moved to the real-FFT half spectrum.  The
-arithmetic order differs, so results agree to roundoff, not bit for bit.
+The full-layout oracles are the complex full-spectrum algorithms the solver
+and ``cz_pressure`` used first; their arithmetic order differs, so results
+agree to roundoff.  The half-spectrum oracles are the real-FFT algorithms
+that ran over the whole half spectrum (n, n, n//2+1) before the state
+shrank to the kept band: every band entry is computed by the same
+operations, so results agree bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from nsbl.checkpoint import write_checkpoint
 from nsbl.norms import spectral_l2_norm
 from nsbl.solver import SolverConfig, make_initial, nonlinear_term, run, step
 from nsbl.spectral import (
+    PAIRS,
     SpectralVelocity,
     TorusGrid,
     cz_pressure,
+    full_spectrum,
+    leray_project,
     transform_forward,
     transform_inverse,
 )
@@ -71,6 +78,72 @@ def oracle_rk4_step(coeff, grid, cfg):
     return e_full * coeff + (dt / 6) * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
 
 
+class HalfOps:
+    """The half-spectrum operators: the first n//2+1 k_z planes of the full ones."""
+
+    def __init__(self, grid):
+        m = grid.npts // 2 + 1
+        self.grid = grid
+        self.k = grid.wavenumbers[..., :m]
+        self.k2 = grid.k_squared[..., :m]
+        self.inv_k2 = grid.inv_k_squared[..., :m]
+        self.mask = grid.dealias_mask[..., :m]
+        self.weights = np.full(m, 2.0)
+        self.weights[0] = self.weights[-1] = 1.0
+
+    def inverse(self, half):
+        n = self.grid.npts
+        return np.fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+
+    def products(self, u, dealias=True):
+        prods = np.stack([u[i] * u[j] for i, j in PAIRS])
+        w = np.fft.rfftn(prods, axes=(-3, -2, -1), norm="forward")
+        return w * self.mask if dealias else w
+
+
+def half_oracle_nonlinear(half, ops, dealias):
+    w = ops.products(ops.inverse(half), dealias)
+    k = ops.k
+    div = np.stack([
+        k[0] * w[0] + k[1] * w[1] + k[2] * w[2],
+        k[0] * w[1] + k[1] * w[3] + k[2] * w[4],
+        k[0] * w[2] + k[1] * w[4] + k[2] * w[5],
+    ])
+    kdotv = (k[0] * div[0] + k[1] * div[1] + k[2] * div[2]) * ops.inv_k2
+    return -1j * (div - k * kdotv[None])
+
+
+def half_oracle_step(half, ops, cfg):
+    """One RK4 step over the whole half spectrum; (new, dissipation increment)."""
+    nu, dt = cfg.viscosity, cfg.dt
+    e_half = np.exp(-nu * ops.k2 * dt / 2)
+    e_full = e_half * e_half
+    nl = lambda c: half_oracle_nonlinear(c, ops, cfg.dealias)
+    weighted = ops.weights * ops.k2
+    diss = lambda c: nu * ops.grid.volume * float(np.sum(weighted * (c.real**2 + c.imag**2)))
+    k1 = nl(half)
+    a = e_half * (half + (dt / 2) * k1)
+    k2 = nl(a)
+    b = e_half * half + (dt / 2) * k2
+    k3 = nl(b)
+    c = e_full * half + dt * e_half * k3
+    k4 = nl(c)
+    new = e_full * half + (dt / 6) * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
+    return new, (dt / 6) * (diss(half) + 2 * diss(a) + 2 * diss(b) + diss(c))
+
+
+def half_oracle_cz_pressure(v, m_sigma):
+    ops = HalfOps(v.grid)
+    w = ops.products(ops.inverse(v.coeff[..., : v.grid.npts // 2 + 1]))
+    p_hat = np.zeros(w.shape[1:], dtype=np.complex128)
+    for p, (i, j) in enumerate(PAIRS):
+        factor = 1.0 if i == j else 2.0
+        p_hat -= factor * ops.k[i] * ops.k[j] * w[p]
+    p_hat *= (m_sigma**2) * ops.inv_k2
+    p_hat[0, 0, 0] = 0.0
+    return ops.inverse(p_hat)
+
+
 def rel_err(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
@@ -81,15 +154,58 @@ def field(n, seed=3):
     return make_initial("random_spectrum", TorusGrid(n), seed=seed, amplitude=2.0, kmax=n // 3)
 
 
+def wide_field(n, seed=3):
+    """``field(n)`` plus a divergence-free part outside the 2/3-rule band."""
+    v = field(n, seed)
+    g = v.grid
+    noise = np.random.default_rng(seed).normal(size=(3, n, n, n))
+    outside = transform_forward(noise, g) * ~g.dealias_mask
+    wide = v.coeff + 0.1 * leray_project(SpectralVelocity(outside, g)).coeff
+    return SpectralVelocity(wide, g)
+
+
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_half_operators_are_full_layout_slices(n):
+    # without dealiasing the band is the whole half spectrum
     g = TorusGrid(n)
     m = n // 2 + 1
-    assert np.array_equal(g.half_wavenumbers, g.wavenumbers[..., :m])
-    assert np.array_equal(g.half_k_squared, g.k_squared[..., :m])
-    assert np.array_equal(g.half_inv_k_squared, g.inv_k_squared[..., :m])
-    assert np.array_equal(g.half_dealias_mask, g.dealias_mask[..., :m])
-    assert g.half_weights.tolist() == [1.0] + [2.0] * (n // 2 - 1) + [1.0]
+    half = g.band(dealias=False)
+    assert half.shape == (n, n, m)
+    assert np.array_equal(half.wavenumbers, g.wavenumbers[..., :m])
+    assert np.array_equal(half.k_squared, g.k_squared[..., :m])
+    assert np.array_equal(half.inv_k_squared, g.inv_k_squared[..., :m])
+    assert half.weights.tolist() == [1.0] + [2.0] * (n // 2 - 1) + [1.0]
+    # the 2/3-rule band: kept indices 0..c, n-c..n-1 in FFT order, k_z planes 0..c
+    c = n // 3
+    band = g.band()
+    assert band is g.band(True)
+    assert band.rows.tolist() == list(range(c + 1)) + list(range(n - c, n))
+    assert band.shape == (2 * c + 1, 2 * c + 1, c + 1)
+    keep = np.ix_(band.rows, band.rows, range(c + 1))
+    assert np.array_equal(band.wavenumbers, g.wavenumbers[(slice(None),) + keep])
+    assert np.array_equal(band.k_squared, g.k_squared[keep])
+    assert np.array_equal(band.inv_k_squared, g.inv_k_squared[keep])
+    assert g.dealias_mask[keep].all()
+    assert g.dealias_mask.sum() == (2 * c + 1) ** 3
+    assert band.weights.tolist() == [1.0] + [2.0] * c
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("n", [16, 24, 48])
+def test_pruned_transforms_match_rfftn_and_irfftn(n, dealias):
+    g = TorusGrid(n)
+    band = g.band(dealias)
+    ops = HalfOps(g)
+    values = np.random.default_rng(n).normal(size=(n, n, n))
+    want = np.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
+    if dealias:
+        want *= ops.mask
+    assert np.array_equal(band.forward(values), band.compact(want))
+    coeff = band.compact(transform_forward(np.stack([values, -values, 2 * values]), g))
+    padded = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
+    padded[(slice(None),) + np.ix_(band.rows, band.rows, range(band.planes))] = coeff
+    assert np.array_equal(band.inverse(coeff), ops.inverse(padded))
+    assert np.array_equal(band.expand(coeff), full_spectrum(padded))
 
 
 @pytest.mark.parametrize("dealias", [True, False])
@@ -129,6 +245,51 @@ def test_run_snapshots_hermitian():
     traj = run(v, SolverConfig(viscosity=1.0, dt=2e-3, t_final=0.02, snapshot_stride=3))
     for i in range(len(traj)):
         assert traj.velocity(i).hermitian_error() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 24, 48])
+def test_band_kernels_match_half_spectrum_oracle(n):
+    v = field(n)
+    m = n // 2 + 1
+    for dealias in (True, False):
+        want = half_oracle_nonlinear(v.coeff[..., :m], HalfOps(v.grid), dealias)
+        got = nonlinear_term(v, dealias=dealias).coeff
+        assert np.array_equal(got, full_spectrum(want))
+    for u in (v, wide_field(n)):
+        got = cz_pressure(u, m_sigma=1.7).values
+        assert np.array_equal(got, half_oracle_cz_pressure(u, 1.7))
+
+
+@pytest.mark.parametrize("n", [16, 24, 48])
+def test_band_run_matches_half_spectrum_oracle(n, tmp_path):
+    # coefficients and checkpoint bytes bit for bit; the dissipation sums
+    # run over fewer terms, so only their summation order differs
+    v = field(n, seed=n)
+    cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=6e-3, snapshot_stride=1)
+    traj = run(v, cfg)
+    ops = HalfOps(v.grid)
+    half, acc = v.coeff[..., : n // 2 + 1], 0.0
+    for i in range(1, len(traj)):
+        half, dd = half_oracle_step(half, ops, cfg)
+        acc += dd
+        want = SpectralVelocity(full_spectrum(half), v.grid, traj.times[i])
+        assert np.array_equal(traj.coeffs[i], want.coeff)
+        sha_want = write_checkpoint(tmp_path / f"want{i}", want)
+        sha_got = write_checkpoint(tmp_path / f"got{i}", traj.velocity(i))
+        assert sha_got == sha_want
+        assert traj.dissipation[i] == pytest.approx(acc, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_out_of_band_input_is_dropped(n):
+    # step and nonlinear_term see only the band, as run does: modes outside
+    # it do not leak through the linear term
+    wide = wide_field(n)
+    masked = SpectralVelocity(wide.coeff * wide.grid.dealias_mask, wide.grid)
+    cfg = SolverConfig(viscosity=1.0, dt=2e-3)
+    assert np.array_equal(step(wide, cfg).coeff, step(masked, cfg).coeff)
+    assert np.array_equal(nonlinear_term(wide).coeff, nonlinear_term(masked).coeff)
+    assert np.abs(step(wide, cfg).coeff * ~wide.grid.dealias_mask).max() == 0.0
 
 
 @pytest.mark.parametrize("plane,mode", [

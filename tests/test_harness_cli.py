@@ -68,6 +68,31 @@ class TestScenario:
             Scenario.from_dict(d)
         assert info.value.key == name
 
+    @pytest.mark.parametrize("section,key,bad", [
+        ("grid", "npts", 32.9), ("grid", "npts", "32"), ("grid", "npts", True),
+        ("solver", "snapshot_stride", 2.5), ("solver", "snapshot_stride", None),
+        ("audit", "n_max", "40"), ("audit", "n_max", 1e400),
+        ("initial", "seed", 0.5), ("initial", "seed", False),
+        ("initial", "kmax", "4"), ("initial", "kmax", float("nan")),
+        ("solver", "dealias", "false"), ("solver", "dealias", 0),
+        ("audit", "calibration", "no"), ("audit", "calibration", 1),
+    ])
+    def test_wrong_type_rejected(self, section, key, bad):
+        # bool() and int() would coerce these silently: "false" is truthy,
+        # 32.9 truncates to 32
+        d = quick_scenario("types").to_dict()
+        d[section][key] = bad
+        with pytest.raises(BadScenario, match=f"{section}.{key}"):
+            Scenario.from_dict(d)
+
+    def test_integral_numbers_accepted(self):
+        d = quick_scenario("whole", kind="random_spectrum").to_dict()
+        d["grid"]["npts"] = 16.0
+        d["initial"]["seed"] = 3.0
+        sc = Scenario.from_dict(d)
+        assert sc.grid_npts == 16 and type(sc.grid_npts) is int
+        assert sc.initial["seed"] == 3 and type(sc.initial["seed"]) is int
+
     def test_section_must_be_object(self):
         d = quick_scenario("flat").to_dict()
         d["solver"] = 5
@@ -326,6 +351,16 @@ class TestCli:
         assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 1
         assert "solver.viscosty" in capsys.readouterr().err
         assert not (tmp_path / "typocli").exists()
+
+    def test_simulate_wrong_type_exit_1(self, tmp_path, capsys):
+        d = quick_scenario("typecli").to_dict()
+        d["solver"]["dealias"] = "false"
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(d))
+        capsys.readouterr()
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 1
+        assert "solver.dealias" in capsys.readouterr().err
+        assert not (tmp_path / "typecli").exists()
 
     def test_suite_unknown_key_exit_1(self, tmp_path, capsys):
         member = quick_scenario("typosuite").to_dict()

@@ -57,19 +57,6 @@ def test_interpolation_inequality(grid):
     assert lhs <= rhs * (1 + 1e-12)
 
 
-def test_magnitude_stack_dispatch(grid):
-    from nsbl.norms import magnitude_stack
-    from nsbl.spectral import ScalarField
-
-    v = make_initial("beltrami", grid)
-    raw = -np.ones((16, 16, 16))
-    stack = magnitude_stack([v, ScalarField(raw, grid), raw])
-    assert stack.shape == (3, 16, 16, 16)
-    assert np.allclose(stack[0], v.magnitude())
-    assert np.all(stack[1] == 1.0)
-    assert np.all(stack[2] == 1.0)
-
-
 def test_time_weights_trapezoid():
     w = time_weights([0.0, 1.0, 2.0, 3.0])
     assert np.allclose(w, [0.5, 1.0, 1.0, 0.5])

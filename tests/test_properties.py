@@ -1,7 +1,9 @@
-"""Property tests: the audit on degenerate fields and the checkpoint reader
-on damaged files fail only with their typed errors."""
+"""Property tests: the exact-rational ledger identities hold, and the audit
+on degenerate fields or extreme exponents and the checkpoint reader on
+damaged files fail only with their typed errors."""
 
 import itertools
+import math
 import struct
 from fractions import Fraction as F
 
@@ -11,6 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nsbl import audit as A
+from nsbl import ledger as L
 from nsbl.checkpoint import MAGIC, CorruptCheckpoint, read_checkpoint, write_checkpoint
 from nsbl.ledger import ExponentParams
 from nsbl.solver import SolverConfig, Trajectory, make_initial
@@ -112,3 +115,70 @@ def test_bit_flipped_checkpoint(tmp_path_factory, position, bit, structural):
         # without a hash, a flip in a layout field still cannot pass
         with pytest.raises(CorruptCheckpoint):
             read_checkpoint(path)
+
+
+dims = st.integers(3, 8)
+# positive rationals from 1e-12 to 1e12, with small and large denominators
+scales = st.builds(lambda m, d, e: F(m, d) * F(10) ** e,
+                   st.integers(1, 10**6), st.integers(1, 10**6), st.integers(-12, 12))
+unit_open = st.builds(lambda a, b: F(a, a + b), st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=200)
+@given(N=dims, excess=scales, j=scales, share=unit_open, delta=unit_open)
+def test_ledger_identities_exact(N, excess, j, share, delta):
+    q = N + 2 + excess
+    # the three forms of b, and the expansion chain for M at j = delta (N+2)
+    f1, f2, f3 = L.b_exponent_forms(N, q, j)
+    assert f1 == f2 == f3
+    assert len(set(L.m_delta_forms(N, q, delta))) == 1
+    # both forms of M, anywhere in the admissible range 0 <= alpha j < sup
+    a = L.alpha(N, q)
+    j_in = share * L.alpha_j_interval_sup(N, q) / a
+    m1, m2 = L.big_m_forms(N, q, j_in)
+    assert m1 == m2
+    assert L.m_delta(N, q, delta) == L.big_m(N, q, delta * (N + 2))
+
+
+@settings(max_examples=100)
+@given(N=dims, sigma0=scales, s3=scales, theta=unit_open)
+def test_sigma_solve_substitutes_back(N, sigma0, s3, theta):
+    p = ExponentParams.derive(N, 2 * (N + 2), 10, F(6, 5))
+    try:
+        sigma, delta0 = L.sigma_solve(p, sigma0, s3, theta)
+    except L.DegenerateCoefficient:
+        assert sigma0 / theta - s3 / theta + 1 == 0
+        return
+    assert sigma * (sigma0 / theta - s3 / theta + 1) - 1 == (N - 2) * s3 / (2 * theta)
+    assert delta0 == s3 / theta
+
+
+THRESHOLD_TRAJ = Trajectory(
+    GRID, SolverConfig(dt=0.01, t_final=0.01, snapshot_stride=1), [0.0, 0.01],
+    [make_initial("random_spectrum", GRID, seed=2, amplitude=1.0, kmax=2).coeff] * 2,
+    [0.0, 0.0])
+exponents = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-12, 12))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150)
+@given(N=dims, excess=scales, j=scales, r=exponents, singular=st.booleans(),
+       ell_gap=exponents, m_sigma=st.one_of(amplitudes, st.just(0.0)))
+def test_threshold_with_extreme_exponents(N, excess, j, r, singular, ell_gap, m_sigma):
+    # the threshold is a finite positive number or a typed error, never a
+    # bare ZeroDivisionError or OverflowError from math.exp or math.log
+    if singular:
+        j = max(j, F(1))
+        r = 2 * j
+    else:
+        r = F(max(r, 1.5))
+    params = ExponentParams.derive(N, N + 2 + excess, 10, F(6, 5), j=j, r=r)
+    stats = A.FieldStats(THRESHOLD_TRAJ, m_sigma)
+    ell = float(r) * (1.0 + ell_gap)
+    try:
+        k = A.estimate_threshold(stats.scaled_psi(float(r)), stats, params, ell)
+    except (A.BadExponents, A.DegenerateField) as exc:
+        event(type(exc).__name__)
+        return
+    event("threshold")
+    assert 0.0 < k < math.inf

@@ -6,7 +6,6 @@ from nsbl.spectral import SpectralVelocity, TorusGrid
 from nsbl.solver import (
     BadSpec,
     Instability,
-    ScaledState,
     SolverConfig,
     make_initial,
     nonlinear_term,
@@ -201,21 +200,3 @@ class TestRun:
         for a, b in zip(t1.coeffs, t2.coeffs):
             assert np.array_equal(a, b)
 
-
-class TestScaledState:
-    def test_scaling(self, grid):
-        from fractions import Fraction
-
-        v = make_initial("random_spectrum", grid, seed=2, amplitude=2.0, kmax=4)
-        v0max = float(v.magnitude().max())
-        st = ScaledState.from_velocity(v, v0max, Fraction(2))
-        assert st.m_sigma == pytest.approx(v0max**2)
-        assert np.allclose(st.u.coeff * st.m_sigma, v.coeff)
-
-    def test_sigma_zero_identity(self, grid):
-        from fractions import Fraction
-
-        v = make_initial("beltrami", grid)
-        st = ScaledState.from_velocity(v, 5.0, Fraction(0))
-        assert st.m_sigma == 1.0
-        assert np.array_equal(st.u.coeff, v.coeff)
