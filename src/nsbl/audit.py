@@ -675,6 +675,10 @@ def run_audit(
             checks.append(check_interpolation(stats, float(ell), r))
         checks.append(log_norm_limit(stats, r, params))
         ell0 = spec.effective_ells(r)[0]
+        if spec.ell_values is None and not ell0 > float(params.r):
+            # the threshold's chain runs at the ledger's r, whatever r the
+            # audit overrides; its default ell must exceed that r
+            ell0 = float(params.r) + 1.0
         k_dom = estimate_threshold(sp, stats, params, ell0)
         dom_ladder = build_ladder(sp, k_dom, spec.n_max, enforce_threshold=True)
         # exploratory ladder keyed to a bulk quantile: far stabler across

@@ -1,16 +1,21 @@
 """Binary checkpoint format for spectral velocity fields.
 
-Layout: magic ``NSBL1``, one endianness tag byte, then a fixed header
-(dimension, points per axis, box length, time, component count) followed by
-the raw little-endian complex128 coefficient array in C order.  Files are
-referenced by their sha256 content hash.  Every malformed file raises
-``CorruptCheckpoint``.
+Layout (NSBL2): magic ``NSBL2``, one endianness tag byte, then a fixed
+header (dimension, points per axis, box length, time, component count, the
+band's cut ``n//3`` dealiased or ``n//2`` not) and a CRC-32 of every other
+byte of the file, followed by the band coefficients (ncomp, rows, rows,
+cut+1) of ``spectral.SpectralBand`` as little-endian complex128 in C order.
+Readers get the full layout back.  Files are referenced by their sha256
+content hash; the CRC catches damage without it.  Every malformed file
+raises ``CorruptCheckpoint``; NSBL1 files (full layout, no CRC) are no
+longer read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -19,53 +24,83 @@ from .spectral import ShapeMismatch, SpectralVelocity, TorusGrid
 
 __all__ = ["CorruptCheckpoint", "write_checkpoint", "read_checkpoint"]
 
-MAGIC = b"NSBL1"
+MAGIC = b"NSBL2"
 ENDIAN_TAG = b"<"
-_HEADER = struct.Struct("<IIddI")
+_HEADER = struct.Struct("<IIddII")
+_CRC = struct.Struct("<I")
+_HEADER_AT = len(MAGIC) + len(ENDIAN_TAG)
+# the CRC sits right after the header and covers every byte but its own
+_CRC_AT = _HEADER_AT + _HEADER.size
+_PAYLOAD_AT = _CRC_AT + _CRC.size
 
 
 class CorruptCheckpoint(ValueError):
     pass
 
 
-def write_checkpoint(path, v: SpectralVelocity) -> str:
-    """Write the field and return the file's sha256 hex digest."""
+def write_checkpoint(path, v: SpectralVelocity, dealias: bool = True) -> str:
+    """Write the field's band of a run with ``dealias`` and return the file's
+    sha256 hex digest; raises ShapeMismatch if the field has modes outside
+    the band, so no mode is dropped silently."""
     path = Path(path)
+    band = v.grid.band(dealias)
+    coeff = band.compact(v.coeff)
+    if not np.array_equal(band.expand(coeff), v.coeff):
+        raise ShapeMismatch(f"{path}: field is not the real field of its "
+                            f"{'dealiased' if dealias else 'undealiased'} band")
     header = MAGIC + ENDIAN_TAG + _HEADER.pack(
-        v.grid.dim, v.grid.npts, v.grid.length, v.t, v.coeff.shape[0]
+        v.grid.dim, v.grid.npts, v.grid.length, v.t, coeff.shape[0], band.cut
     )
-    payload = np.ascontiguousarray(v.coeff).astype("<c16").tobytes()
-    path.write_bytes(header + payload)
-    return hashlib.sha256(header + payload).hexdigest()
+    payload = coeff.astype("<c16").tobytes()
+    blob = header + _CRC.pack(zlib.crc32(payload, zlib.crc32(header))) + payload
+    path.write_bytes(blob)
+    return hashlib.sha256(blob).hexdigest()
 
 
-def read_checkpoint(path, expect_sha: str | None = None) -> SpectralVelocity:
+def read_checkpoint(path, expect_sha: str | None = None, *,
+                    dealias: bool | None = None) -> SpectralVelocity:
+    """The field of an NSBL2 file, in the full layout.  With ``dealias``,
+    the file must hold the band of a run with that flag."""
     path = Path(path)
     blob = path.read_bytes()
     if expect_sha is not None:
         actual = hashlib.sha256(blob).hexdigest()
         if actual != expect_sha:
             raise CorruptCheckpoint(f"{path}: sha256 {actual} != expected {expect_sha}")
+    if blob[: len(MAGIC)] == b"NSBL1":
+        raise CorruptCheckpoint(f"{path}: NSBL1 checkpoints are no longer read; "
+                                "re-run `nsbl simulate` to write NSBL2")
     if blob[: len(MAGIC)] != MAGIC:
         raise CorruptCheckpoint(f"{path}: bad magic {blob[:5]!r}")
-    off = len(MAGIC)
-    if blob[off : off + 1] != ENDIAN_TAG:
+    if blob[len(MAGIC) : _HEADER_AT] != ENDIAN_TAG:
         raise CorruptCheckpoint(f"{path}: unsupported endianness tag")
-    off += 1
-    if len(blob) < off + _HEADER.size:
+    if len(blob) < _PAYLOAD_AT:
         raise CorruptCheckpoint(f"{path}: header truncated at {len(blob)} bytes")
-    dim, npts, length, t, ncomp = _HEADER.unpack_from(blob, off)
-    off += _HEADER.size
-    expected = ncomp * npts**3 * 16
-    if len(blob) - off != expected:
-        raise CorruptCheckpoint(f"{path}: payload is {len(blob) - off} bytes, expected {expected}")
-    coeff = (
-        np.frombuffer(blob, dtype="<c16", offset=off)
-        .reshape(ncomp, npts, npts, npts)
-        .astype(np.complex128)
-    )
+    (crc,) = _CRC.unpack_from(blob, _CRC_AT)
+    view = memoryview(blob)
+    if crc != zlib.crc32(view[_PAYLOAD_AT:], zlib.crc32(view[:_CRC_AT])):
+        raise CorruptCheckpoint(f"{path}: CRC-32 mismatch")
+    dim, npts, length, t, ncomp, cut = _HEADER.unpack_from(blob, _HEADER_AT)
     try:
-        return SpectralVelocity(coeff, TorusGrid(npts, length, dim), t)
+        grid = TorusGrid(npts, length, dim)
     except ShapeMismatch as exc:
         raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from exc
-
+    dealiased = cut == npts // 3
+    if not dealiased and cut != npts // 2:
+        raise CorruptCheckpoint(f"{path}: band cut {cut} is neither {npts // 3} nor {npts // 2}")
+    if dealias is not None and dealias != dealiased:
+        raise CorruptCheckpoint(f"{path}: band cut {cut} does not match a run with "
+                                f"dealias = {str(dealias).lower()}")
+    # the payload size is checked before the band's operators are built
+    rows = 2 * cut + 1 if dealiased else npts
+    expected = ncomp * rows * rows * (cut + 1) * 16
+    if len(blob) - _PAYLOAD_AT != expected:
+        raise CorruptCheckpoint(
+            f"{path}: payload is {len(blob) - _PAYLOAD_AT} bytes, expected {expected}"
+        )
+    band = grid.band(dealiased)
+    coeff = np.frombuffer(blob, dtype="<c16", offset=_PAYLOAD_AT).reshape((ncomp,) + band.shape)
+    try:
+        return SpectralVelocity(band.expand(coeff), grid, t)
+    except ShapeMismatch as exc:
+        raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from exc

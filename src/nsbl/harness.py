@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -111,14 +112,48 @@ def _flag(d: dict, key: str, default: bool, where: str) -> bool:
     return value
 
 
+def _number(d: dict, key: str, default: float, where: str) -> float:
+    """``d[key]`` (else ``default``) once it is known to be a finite number."""
+    value = d.get(key, default)
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value))
+    except OverflowError:  # an integer beyond float64
+        ok = False
+    if not ok:
+        raise BadScenario(f"{where}.{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _optional_number(d: dict, key: str, where: str) -> float | None:
+    return None if d.get(key) is None else _number(d, key, None, where)
+
+
+def _numbers(d: dict, key: str, default, where: str) -> tuple:
+    """``d[key]`` (else ``default``) once it is known to be a list of finite numbers."""
+    value = d.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise BadScenario(f"{where}.{key} must be a list of numbers, got {value!r}")
+    return tuple(_number({key: x}, key, None, where) for x in value)
+
+
+def _string(d: dict, key: str, default: str, where: str) -> str:
+    """``d[key]`` (else ``default``) once it is known to be a JSON string."""
+    value = d.get(key, default)
+    if not isinstance(value, str):
+        raise BadScenario(f"{where}.{key} must be a string, got {value!r}")
+    return value
+
+
 def _audit_spec(d: dict) -> AuditSpec:
     """The audit section of a scenario, or a scenario's section with CLI overrides."""
     a = _section(d, AUDIT_KEYS, "audit")
     return AuditSpec(
-        r=a.get("r"),
-        q=a.get("q"),
-        s_values=tuple(a.get("s_values", (2.0, 3.0))),
-        ell_values=None if a.get("ell_values") is None else tuple(a["ell_values"]),
+        r=_optional_number(a, "r", "audit"),
+        q=_optional_number(a, "q", "audit"),
+        s_values=_numbers(a, "s_values", (2.0, 3.0), "audit"),
+        ell_values=None if a.get("ell_values") is None
+        else _numbers(a, "ell_values", None, "audit"),
         n_max=_integer(a, "n_max", 40, "audit"),
         calibration=_flag(a, "calibration", False, "audit"),
     )
@@ -190,18 +225,22 @@ class Scenario:
         for key in ("seed", "kmax"):
             if key in initial:
                 initial[key] = _integer(initial, key, None, "initial")
+        if "kind" in initial:
+            initial["kind"] = _string(initial, "kind", None, "initial")
+        if "amplitude" in initial:
+            initial["amplitude"] = _number(initial, "amplitude", None, "initial")
         ledger = _section(d.get("ledger", DEFAULT_LEDGER), tuple(DEFAULT_LEDGER), "ledger")
         return cls(
-            name=d["name"],
+            name=_string(d, "name", None, "scenario"),
             grid_npts=_integer(g, "npts", 32, "grid"),
-            grid_length=float(g.get("length", 2 * np.pi)),
+            grid_length=_number(g, "length", 2 * np.pi, "grid"),
             solver=SolverConfig(
-                viscosity=float(s.get("viscosity", 1.0)),
-                dt=float(s.get("dt", 1e-3)),
-                t_final=float(s.get("t_final", 0.5)),
+                viscosity=_number(s, "viscosity", 1.0, "solver"),
+                dt=_number(s, "dt", 1e-3, "solver"),
+                t_final=_number(s, "t_final", 0.5, "solver"),
                 snapshot_stride=_integer(s, "snapshot_stride", 10, "solver"),
                 dealias=_flag(s, "dealias", True, "solver"),
-                scheme=str(s.get("scheme", "rk4")),
+                scheme=_string(s, "scheme", "rk4", "solver"),
             ),
             initial=initial,
             audit=_audit_spec(d.get("audit", {})),
@@ -277,7 +316,7 @@ def simulate(scenario: Scenario, out_root) -> Path:
     else:
         for i in range(len(traj)):
             name = f"checkpoint_{i:04d}.nsbl"
-            sha = write_checkpoint(out_dir / name, traj.velocity(i))
+            sha = write_checkpoint(out_dir / name, traj.velocity(i), scenario.solver.dealias)
             checkpoints.append({
                 "path": name,
                 "t": traj.times[i],
@@ -305,17 +344,19 @@ def load_manifest(path) -> dict:
 
 
 def trajectory_from_manifest(manifest: dict, base_dir) -> Trajectory:
-    """Rebuild the trajectory, verifying every checkpoint hash."""
+    """Rebuild the trajectory, verifying every checkpoint hash and band."""
     base = Path(base_dir)
     scenario = Scenario.from_dict(manifest["scenario"])
     grid = scenario.grid()
+    band = grid.band(scenario.solver.dealias)
     times, coeffs, dissipation = [], [], []
     for entry in manifest["checkpoints"]:
-        v = read_checkpoint(base / entry["path"], expect_sha=entry["sha256"])
+        v = read_checkpoint(base / entry["path"], expect_sha=entry["sha256"],
+                            dealias=scenario.solver.dealias)
         if not v.grid.compatible(grid):
             raise CorruptCheckpoint(f"{entry['path']}: grid mismatch with scenario")
         times.append(entry["t"])
-        coeffs.append(v.coeff)
+        coeffs.append(band.compact(v.coeff))
         dissipation.append(entry["dissipation"])
     return Trajectory(grid, scenario.solver, times, coeffs, dissipation)
 

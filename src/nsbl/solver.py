@@ -11,8 +11,9 @@ same Runge-Kutta weights, which keeps the energy-identity residual at the
 scheme's order instead of the snapshot quadrature's.
 
 The stepper works on the kept band of the half spectrum (see
-``spectral.SpectralBand``); ``step``, ``nonlinear_term`` and the snapshots
-of ``run`` take and give the full layout.
+``spectral.SpectralBand``), and a trajectory stores its snapshots as that
+band; ``step``, ``nonlinear_term`` and ``Trajectory.velocity`` take and
+give the full layout.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (
+    ShapeMismatch,
     SpectralBand,
     SpectralVelocity,
     TorusGrid,
@@ -92,7 +94,11 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Snapshots of one run plus the step-resolved dissipation integral."""
+    """Snapshots of one run plus the step-resolved dissipation integral.
+
+    ``coeffs`` holds each snapshot as band coefficients of
+    ``grid.band(config.dealias)``; ``velocity`` expands one on demand.
+    """
 
     grid: TorusGrid
     config: SolverConfig
@@ -102,11 +108,20 @@ class Trajectory:
 
     _magnitudes: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        shape = (3,) + self.grid.band(self.config.dealias).shape
+        for c in self.coeffs:
+            if c.shape != shape:
+                raise ShapeMismatch(f"snapshot coefficients have shape {c.shape}, "
+                                    f"not the band's {shape}")
+
     def __len__(self):
         return len(self.times)
 
     def velocity(self, i: int) -> SpectralVelocity:
-        return SpectralVelocity(self.coeffs[i], self.grid, self.times[i])
+        """Snapshot i in the full layout."""
+        band = self.grid.band(self.config.dealias)
+        return SpectralVelocity(band.expand(self.coeffs[i]), self.grid, self.times[i])
 
     def magnitudes(self) -> np.ndarray:
         """|u| on the grid for every snapshot, shape (nt, n, n, n); cached."""
@@ -198,21 +213,19 @@ def step(v: SpectralVelocity, cfg: SolverConfig) -> SpectralVelocity:
 def run(v0: SpectralVelocity, cfg: SolverConfig) -> Trajectory:
     """Integrate from v0 to t_final, snapshotting every ``snapshot_stride`` steps.
 
-    The first and last states are always snapshotted; the first is v0 itself
-    (dealiased if the run is).  Instability surfaces as an exception carrying
-    the failing time.
+    The first and last states are always snapshotted; the first is the band
+    of v0 (so dealiased if the run is).  Snapshots are the band states as
+    they are.  Instability surfaces as an exception carrying the failing
+    time.
     """
     grid = v0.grid
     n_steps = cfg.validate(grid)
-    coeff = v0.coeff.copy()
-    if cfg.dealias:
-        coeff *= grid.dealias_mask
+    band = grid.band(cfg.dealias)
+    state = band.compact(v0.coeff)
     times = [0.0]
-    coeffs = [coeff]
+    coeffs = [state]
     dissipation = [0.0]
     acc = 0.0
-    band = grid.band(cfg.dealias)
-    state = band.compact(coeff)
     factors = _integrating_factors(band, cfg)
     for n in range(n_steps):
         t = n * cfg.dt
@@ -220,7 +233,7 @@ def run(v0: SpectralVelocity, cfg: SolverConfig) -> Trajectory:
         acc += dd
         if (n + 1) % cfg.snapshot_stride == 0 or n + 1 == n_steps:
             times.append((n + 1) * cfg.dt)
-            coeffs.append(band.expand(state))
+            coeffs.append(state)
             dissipation.append(acc)
     return Trajectory(grid, cfg, times, coeffs, dissipation)
 
@@ -306,10 +319,12 @@ def make_initial(
     amplitude: float = 1.0,
     kmax: int = 8,
 ) -> SpectralVelocity:
-    """Divergence-free, real, mean-zero initial data.
+    """Divergence-free, real, mean-zero initial data on the 2/3-rule band.
 
     ``random_spectrum`` is normalized so the initial sup norm equals
     ``amplitude``; the analytic kinds use ``amplitude`` as their coefficient.
+    The coefficients are exactly the expansion of their band, so a run and
+    its checkpoints hold this very field.
     """
     if kind == "beltrami":
         coeff = _beltrami(grid, amplitude)
@@ -319,7 +334,7 @@ def make_initial(
         coeff = _random_spectrum(grid, seed, amplitude, kmax)
     else:
         raise BadSpec(f"unknown initial data kind {kind!r}")
-    coeff *= grid.dealias_mask
-    coeff = _project_coeff(coeff, grid)
+    band = grid.band()
+    coeff = _project(band.compact(coeff), band.wavenumbers, band.inv_k_squared)
     coeff[:, 0, 0, 0] = 0.0
-    return SpectralVelocity(coeff, grid, 0.0)
+    return SpectralVelocity(band.expand(coeff), grid, 0.0)

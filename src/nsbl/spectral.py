@@ -5,18 +5,20 @@ on the torus the singular-integral pressure operator is the exact multiplier
 k_i k_j / |k|^2, and decay at infinity becomes periodicity.  Coefficients are
 forward-normalized, so the zero mode of a field is its mean value.
 
-Layouts.  Public fields (``SpectralVelocity``, trajectory snapshots,
-checkpoints) use the full (..., n, n, n) layout.  The real-FFT half
-spectrum (..., n, n, n//2+1) is the k_z >= 0 half that ``numpy.fft.rfftn``
-returns; it fixes a real field through the conjugate symmetry
-c(-k) = conj(c(k)).  The solver computes on the band (``SpectralBand``):
-the modes a run keeps, cut out of the half spectrum.  With the 2/3 rule
-that is (..., 2c+1, 2c+1, c+1) with c = n//3, 3.6 times fewer entries
-than the half spectrum at n = 32; without dealiasing it is the whole half
-spectrum.  ``SpectralBand.compact`` takes a full or half layout to the
-band, ``expand`` takes the band back to the full layout with zeros outside,
-and its ``forward`` and ``inverse`` transform only the lines that carry
-band modes.
+Layouts.  Public fields (``SpectralVelocity``, ``Trajectory.velocity``,
+what ``read_checkpoint`` returns) use the full (..., n, n, n) layout.  The
+real-FFT half spectrum (..., n, n, n//2+1) is the k_z >= 0 half that
+``numpy.fft.rfftn`` returns; it fixes a real field through the conjugate
+symmetry c(-k) = conj(c(k)).  Everything a run computes and stores is the
+band (``SpectralBand``): the modes the run keeps, cut out of the half
+spectrum.  With the 2/3 rule that is (..., 2c+1, 2c+1, c+1) with c = n//3,
+3.6 times fewer entries than the half spectrum and 6.8 times fewer than the
+full layout at n = 32; without dealiasing it is the whole half spectrum.
+The solver steps it, trajectories hold it and NSBL2 checkpoints store it.
+``SpectralBand.compact`` takes a full or half layout to the band,
+``expand`` takes the band back to the full layout with zeros outside, and
+its ``forward`` and ``inverse`` transform only the lines that carry band
+modes.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "transform_forward",
     "transform_inverse",
     "SpectralBand",
-    "full_spectrum",
     "half_inverse",
     "quadratic_products",
     "leray_project",
@@ -155,14 +156,6 @@ def transform_inverse(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.ifftn(coeff, axes=(-3, -2, -1), norm="forward").real
 
 
-def full_spectrum(half: np.ndarray) -> np.ndarray:
-    """Full layout of a half spectrum by conjugate mirroring, c(-k) = conj(c(k))."""
-    n = half.shape[-3]
-    # entries k_z = n/2-1 .. 1 at (-k_x, -k_y), for the full layout's k_z = n/2+1 .. n-1
-    mirrored = np.roll(half[..., ::-1, ::-1, n // 2 - 1 : 0 : -1], 1, axis=(-3, -2))
-    return np.concatenate([half, np.conj(mirrored)], axis=-1)
-
-
 def half_inverse(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Half-spectrum coefficients to real-space data."""
     return np.fft.irfftn(half, s=(grid.npts,) * 3, axes=(-3, -2, -1), norm="forward")
@@ -190,30 +183,42 @@ class SpectralBand:
         cut = n // 3 if dealias else n // 2
         self.npts = n
         self.volume = grid.volume
+        self.cut = cut
         self.rows = np.flatnonzero(np.abs(grid.freqs) <= cut)
+        # the row of -k for each row of k; the Nyquist row is its own mirror
+        self.mirror_rows = -self.rows % n
         self.planes = cut + 1
+        # The interior k_z planes 1..inner-1 have their conjugate mirrors
+        # n-1..n-inner+1 outside the half spectrum; the k_z = 0 and Nyquist
+        # planes are their own mirrors.
+        self.inner = cut if 2 * cut == n else cut + 1
         self.shape = (self.rows.size, self.rows.size, self.planes)
         self.wavenumbers = self.compact(grid.wavenumbers)
         self.k_squared = self.compact(grid.k_squared)
         self.inv_k_squared = self.compact(grid.inv_k_squared)
-        # In sums over the band an interior k_z plane also stands for its
-        # conjugate mirror, so it counts twice; the k_z = 0 and Nyquist
-        # planes are their own mirrors.
-        self.weights = np.full(self.planes, 2.0)
-        self.weights[0] = 1.0
-        if 2 * cut == n:
-            self.weights[-1] = 1.0
+        # in sums over the band an interior plane also stands for its
+        # mirror, so it counts twice
+        self.weights = np.ones(self.planes)
+        self.weights[1 : self.inner] = 2.0
 
     def compact(self, coeff: np.ndarray) -> np.ndarray:
         """The band entries of full- or half-layout data, as a copy."""
         return coeff[..., self.rows[:, None], self.rows, : self.planes]
 
     def expand(self, band: np.ndarray) -> np.ndarray:
-        """Full-layout coefficients of band data, zero outside the band."""
-        n = self.npts
-        half = np.zeros(band.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
-        half[..., self.rows[:, None], self.rows, : self.planes] = band
-        return full_spectrum(half)
+        """Full-layout coefficients of band data, zero outside the band.
+
+        The band goes in as it is; each interior k_z plane goes in once
+        more, conjugated, at the negated indices, c(-k) = conj(c(k)).  The
+        k_z = 0 and Nyquist planes are their own mirrors and go in once.
+        """
+        n, m = self.npts, self.inner
+        full = np.zeros(band.shape[:-3] + (n, n, n), dtype=np.complex128)
+        full[..., self.rows[:, None], self.rows, : self.planes] = band
+        full[..., self.mirror_rows[:, None], self.mirror_rows, n - m + 1 :] = np.conj(
+            band[..., m - 1 : 0 : -1]
+        )
+        return full
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Band coefficients of one real field (n, n, n): rfft along z, keep
@@ -282,13 +287,6 @@ class SpectralVelocity:
 
     def divergence_max(self) -> float:
         return divergence_max(self.coeff, self.grid)
-
-    def hermitian_error(self) -> float:
-        """Max deviation of coeff from the symmetry of a real field."""
-        c = self.coeff
-        mirrored = np.conj(c[:, ::-1, ::-1, ::-1])
-        mirrored = np.roll(mirrored, 1, axis=(1, 2, 3))
-        return float(np.max(np.abs(c - mirrored)))
 
 
 @dataclass(eq=False)

@@ -274,7 +274,8 @@ def test_criterion_08_interpolation_and_log_limit():
     coeff = np.zeros((3, 16, 16, 16), dtype=complex)
     coeff[0, 0, 0, 0] = 2.0
     cfg = SolverConfig(dt=0.5, t_final=1.0, snapshot_stride=1)
-    const_traj = Trajectory(g16, cfg, [0.0, 0.5, 1.0], [coeff.copy()] * 3, [0.0] * 3)
+    const_traj = Trajectory(g16, cfg, [0.0, 0.5, 1.0], [g16.band().compact(coeff)] * 3,
+                            [0.0] * 3)
     r = 3.0
     rec_const = audit_mod.log_norm_limit(const_traj, r)
     qt = g16.volume * 1.0

@@ -40,14 +40,14 @@ def constant_trajectory(grid, value=2.0, times=(0.0, 0.5, 1.0)):
     coeff[0, 0, 0, 0] = value
     cfg = SolverConfig(dt=times[1] - times[0] if len(times) > 1 else 1e-3,
                        t_final=times[-1], snapshot_stride=1)
-    return Trajectory(grid, cfg, list(times), [coeff.copy() for _ in times],
+    return Trajectory(grid, cfg, list(times), [grid.band().compact(coeff) for _ in times],
                       [0.0 for _ in times])
 
 
 def zero_trajectory(grid):
     coeff = np.zeros((3, grid.npts, grid.npts, grid.npts), dtype=complex)
     cfg = SolverConfig(dt=1e-3, t_final=0.0, snapshot_stride=1)
-    return Trajectory(grid, cfg, [0.0], [coeff], [0.0])
+    return Trajectory(grid, cfg, [0.0], [grid.band().compact(coeff)], [0.0])
 
 
 class TestScaledPsi:

@@ -1,11 +1,16 @@
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from nsbl.checkpoint import CorruptCheckpoint, read_checkpoint, write_checkpoint
-from nsbl.spectral import TorusGrid
+from nsbl.spectral import ShapeMismatch, SpectralVelocity, TorusGrid
 from nsbl.solver import make_initial
+
+# magic, endianness tag, dim, npts, length, t, ncomp, cut, CRC-32
+HEADER_BYTES = 5 + 1 + 4 + 4 + 8 + 8 + 4 + 4 + 4
 
 
 @pytest.fixture
@@ -58,3 +63,80 @@ def test_deterministic_bytes(tmp_path, field):
     s2 = write_checkpoint(p2, field)
     assert s1 == s2
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def band_field(n, dealias, seed=0):
+    """Arbitrary band data of a grid and the full-layout field it expands to."""
+    band = TorusGrid(n).band(dealias)
+    rng = np.random.default_rng(seed)
+    coeff = rng.normal(size=(3,) + band.shape) + 1j * rng.normal(size=(3,) + band.shape)
+    return coeff, SpectralVelocity(band.expand(coeff), TorusGrid(n), 0.125)
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("n", [16, 24])
+def test_band_round_trip_bit_exact(tmp_path, n, dealias):
+    coeff, v = band_field(n, dealias)
+    path = tmp_path / "b.nsbl"
+    sha = write_checkpoint(path, v, dealias)
+    band = v.grid.band(dealias)
+    # the payload is the band itself, after the fixed header
+    assert len(path.read_bytes()) == HEADER_BYTES + coeff.nbytes
+    back = read_checkpoint(path, expect_sha=sha, dealias=dealias)
+    assert np.array_equal(back.coeff, v.coeff)
+    assert band.compact(back.coeff).tobytes() == coeff.tobytes()
+    assert back.t == 0.125
+
+
+def test_write_refuses_modes_outside_the_band(tmp_path):
+    _, wide = band_field(16, dealias=False)
+    with pytest.raises(ShapeMismatch):
+        write_checkpoint(tmp_path / "w.nsbl", wide, dealias=True)
+    assert not (tmp_path / "w.nsbl").exists()
+    # inside the band, but not the real field of it: the mirror is not conj
+    skew = SpectralVelocity(wide.coeff.copy(), wide.grid)
+    skew.coeff[0, 1, 2, -3] += 1e-14
+    with pytest.raises(ShapeMismatch):
+        write_checkpoint(tmp_path / "w.nsbl", skew, dealias=False)
+
+
+def test_band_mismatch_raises(tmp_path, field):
+    path = tmp_path / "f.nsbl"
+    write_checkpoint(path, field, dealias=True)
+    with pytest.raises(CorruptCheckpoint, match="dealias = false"):
+        read_checkpoint(path, dealias=False)
+    assert np.array_equal(read_checkpoint(path, dealias=True).coeff, field.coeff)
+
+
+def test_nsbl1_is_no_longer_read(tmp_path, field):
+    path = tmp_path / "old.nsbl"
+    header = b"NSBL1<" + struct.pack("<IIddI", 3, 16, field.grid.length, 0.0, 3)
+    path.write_bytes(header + field.coeff.astype("<c16").tobytes())
+    with pytest.raises(CorruptCheckpoint, match="nsbl simulate"):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("offset", [14, 22, 30, HEADER_BYTES - 4, HEADER_BYTES + 100])
+def test_crc_catches_flips_without_the_hash(tmp_path, field, offset):
+    # box length, time, component count, the CRC itself, the payload
+    path = tmp_path / "f.nsbl"
+    write_checkpoint(path, field)
+    blob = bytearray(path.read_bytes())
+    blob[offset] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptCheckpoint, match="CRC"):
+        read_checkpoint(path)
+
+
+def test_payload_size_checked_before_the_band_is_built(tmp_path, monkeypatch):
+    # a valid CRC over a header that claims a huge grid: building its band
+    # operators would allocate terabytes, so the size check must come first
+    def no_band(self, dealias=True):
+        raise AssertionError("band built before the payload size was checked")
+
+    monkeypatch.setattr(TorusGrid, "band", no_band)
+    head = b"NSBL2<" + struct.pack("<IIddII", 3, 4096, 2 * np.pi, 0.0, 3, 4096 // 3)
+    path = tmp_path / "huge.nsbl"
+    path.write_bytes(head + struct.pack("<I", zlib.crc32(head)))
+    with pytest.raises(CorruptCheckpoint, match="payload"):
+        read_checkpoint(path)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -84,6 +85,34 @@ class TestScenario:
         d[section][key] = bad
         with pytest.raises(BadScenario, match=f"{section}.{key}"):
             Scenario.from_dict(d)
+
+    @pytest.mark.parametrize("section,key,bad", [
+        ("grid", "length", "6.5"), ("grid", "length", float("inf")),
+        ("solver", "viscosity", True), ("solver", "dt", "0.002"),
+        ("solver", "t_final", None), ("initial", "amplitude", "2"),
+        ("audit", "r", "12"), ("audit", "q", False),
+        ("audit", "s_values", [2.0, "3"]), ("audit", "s_values", "2,3"),
+        ("audit", "ell_values", [float("nan")]),
+        ("solver", "scheme", 5), ("initial", "kind", ["beltrami"]),
+        (None, "name", 7),
+    ])
+    def test_wrong_number_or_string_rejected(self, section, key, bad):
+        # float() and str() would coerce these silently: "0.002" and True
+        # parse as numbers, 5 as the scheme '5'
+        d = quick_scenario("types").to_dict()
+        (d if section is None else d[section])[key] = bad
+        name = key if section is None else f"{section}.{key}"
+        with pytest.raises(BadScenario, match=name):
+            Scenario.from_dict(d)
+
+    def test_numbers_parse_as_floats(self):
+        d = quick_scenario("nums").to_dict()
+        d["grid"]["length"] = 6
+        d["audit"].update(r=12, q=None, s_values=[2, 3.5], ell_values=[13])
+        sc = Scenario.from_dict(d)
+        assert sc.grid_length == 6.0 and type(sc.grid_length) is float
+        assert sc.audit.r == 12.0 and sc.audit.q is None
+        assert sc.audit.s_values == (2.0, 3.5) and sc.audit.ell_values == (13.0,)
 
     def test_integral_numbers_accepted(self):
         d = quick_scenario("whole", kind="random_spectrum").to_dict()
@@ -301,18 +330,53 @@ class TestCli:
         scn.write_bytes(canonical_json(sc.to_dict()))
         assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
         run_dir = tmp_path / "malformed"
-        head = b"NSBL1<"
+        head = b"NSBL2<"
         if case == "truncated_header":
             blob = head + struct.pack("<II", 3, 16)
         else:
+            # a valid CRC-32, so that the grid check is the one that fails
             dim, npts = (3, 7) if case == "npts_7" else (2, 16)
-            blob = (head + struct.pack("<IIddI", dim, npts, 2 * np.pi, 0.0, 3)
-                    + bytes(3 * npts**3 * 16))
+            head += struct.pack("<IIddII", dim, npts, 2 * np.pi, 0.0, 3, npts // 3)
+            payload = bytes(3 * (2 * (npts // 3) + 1) ** 2 * (npts // 3 + 1) * 16)
+            blob = head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload
         (run_dir / "checkpoint_0000.nsbl").write_bytes(blob)
         manifest = load_manifest(run_dir / "manifest.json")
         manifest["checkpoints"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
         (run_dir / "manifest.json").write_bytes(canonical_json(manifest))
         assert cli.main(["audit", str(run_dir / "manifest.json")]) == 4
+
+    @pytest.mark.parametrize("case", ["band_mismatch", "nsbl1"])
+    def test_audit_unreadable_band_exit_4(self, tmp_path, capsys, case):
+        sc = quick_scenario("band", t_final=0.0)
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(sc.to_dict()))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
+        run_dir = tmp_path / "band"
+        manifest = load_manifest(run_dir / "manifest.json")
+        if case == "band_mismatch":
+            # the run claims no dealiasing, the file holds the 2/3-rule band
+            manifest["scenario"]["solver"]["dealias"] = False
+            message = "does not match"
+        else:
+            blob = (b"NSBL1<" + struct.pack("<IIddI", 3, 16, 2 * np.pi, 0.0, 3)
+                    + bytes(3 * 16**3 * 16))
+            (run_dir / "checkpoint_0000.nsbl").write_bytes(blob)
+            manifest["checkpoints"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
+            message = "re-run `nsbl simulate`"
+        (run_dir / "manifest.json").write_bytes(canonical_json(manifest))
+        capsys.readouterr()
+        assert cli.main(["audit", str(run_dir / "manifest.json")]) == 4
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", ["3", "11"])
+    def test_audit_r_below_ledger_r(self, tmp_path, r):
+        # the threshold's default ell must exceed the ledger's r = 12, not
+        # only the overridden r
+        sc = quick_scenario("lowr", t_final=0.01)
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(sc.to_dict()))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
+        assert cli.main(["audit", str(tmp_path / "lowr" / "manifest.json"), "--r", r]) == 0
 
     def test_audit_bad_exponents_message(self, tmp_path, capsys):
         sc = quick_scenario("badr")

@@ -62,7 +62,8 @@ def test_audit_on_degenerate_fields(kind, amplitude, mode, snapshots, sigma, s_v
     coeff = degenerate_coeff(kind, amplitude, mode)
     times = [0.01 * i for i in range(snapshots)]
     cfg = SolverConfig(dt=0.01, t_final=times[-1], snapshot_stride=1)
-    traj = Trajectory(GRID, cfg, times, [coeff] * snapshots, [0.0] * snapshots)
+    traj = Trajectory(GRID, cfg, times, [GRID.band().compact(coeff)] * snapshots,
+                      [0.0] * snapshots)
     try:
         report = A.run_audit(traj, PARAMS.with_sigma(sigma, 0),
                              A.AuditSpec(s_values=tuple(s_values)))
@@ -86,12 +87,12 @@ def test_truncated_checkpoint(tmp_path_factory, cut):
             read_checkpoint(path, expect_sha=expect)
 
 
-HEADER = struct.Struct("<IIddI")
-# byte ranges of the header fields that fix the file's layout: magic,
-# endianness tag, dimension, points per axis and component count
+HEADER = struct.Struct("<IIddII")
+# byte ranges of the fields that fix the file's layout: magic, endianness
+# tag, dimension, points per axis, component count, band cut and the CRC
 STRUCTURAL = [range(0, len(MAGIC) + 1),
               range(len(MAGIC) + 1, len(MAGIC) + 9),
-              range(len(MAGIC) + 1 + HEADER.size - 4, len(MAGIC) + 1 + HEADER.size)]
+              range(len(MAGIC) + 1 + HEADER.size - 8, len(MAGIC) + 1 + HEADER.size + 4)]
 
 
 @settings(max_examples=80)
@@ -108,13 +109,10 @@ def test_bit_flipped_checkpoint(tmp_path_factory, position, bit, structural):
         position %= len(data)
     data[position] ^= 1 << bit
     path.write_bytes(bytes(data))
-    # the manifest's hash catches every flip
-    with pytest.raises(CorruptCheckpoint):
-        read_checkpoint(path, expect_sha=sha)
-    if structural:
-        # without a hash, a flip in a layout field still cannot pass
+    # the manifest's hash catches every flip, and so does the file's CRC-32
+    for expect in (sha, None):
         with pytest.raises(CorruptCheckpoint):
-            read_checkpoint(path)
+            read_checkpoint(path, expect_sha=expect)
 
 
 dims = st.integers(3, 8)
@@ -155,7 +153,8 @@ def test_sigma_solve_substitutes_back(N, sigma0, s3, theta):
 
 THRESHOLD_TRAJ = Trajectory(
     GRID, SolverConfig(dt=0.01, t_final=0.01, snapshot_stride=1), [0.0, 0.01],
-    [make_initial("random_spectrum", GRID, seed=2, amplitude=1.0, kmax=2).coeff] * 2,
+    [GRID.band().compact(make_initial("random_spectrum", GRID, seed=2, amplitude=1.0,
+                                      kmax=2).coeff)] * 2,
     [0.0, 0.0])
 exponents = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-12, 12))
 

@@ -47,7 +47,10 @@ class TestInitialData:
     def test_divergence_free_real_mean_zero(self, grid, kind):
         v = make_initial(kind, grid, seed=1, amplitude=1.0, kmax=4)
         assert v.divergence_max() <= 1e-12 * max(1.0, v.coeff_norm())
-        assert v.hermitian_error() <= 1e-13
+        band = grid.band()
+        assert np.array_equal(band.expand(band.compact(v.coeff)), v.coeff)
+        u = np.fft.ifftn(v.coeff, axes=(1, 2, 3), norm="forward")
+        assert np.abs(u.imag).max() <= 1e-13
         assert np.abs(v.coeff[:, 0, 0, 0]).max() == 0.0
 
     def test_random_spectrum_deterministic(self, grid):
@@ -136,7 +139,8 @@ class TestStep:
         for _ in range(10):
             v = step(v, cfg)
         assert v.divergence_max() <= 1e-12 * max(1.0, v.coeff_norm())
-        assert v.hermitian_error() <= 1e-12
+        band = grid.band()
+        assert np.array_equal(band.expand(band.compact(v.coeff)), v.coeff)
 
     def test_blowup_flagged(self, grid):
         v = make_initial("random_spectrum", grid, seed=9, amplitude=200.0, kmax=4)
@@ -154,7 +158,8 @@ class TestRun:
         traj = run(v, SolverConfig(dt=1e-3, t_final=0.0))
         assert len(traj) == 1
         assert traj.times == [0.0]
-        assert np.array_equal(traj.coeffs[0], v.coeff)
+        assert np.array_equal(traj.coeffs[0], grid.band().compact(v.coeff))
+        assert np.array_equal(traj.velocity(0).coeff, v.coeff)
 
     def test_beltrami_decay_short(self):
         g = TorusGrid(32)
