@@ -193,9 +193,17 @@ class SpectralBand:
         # planes are their own mirrors.
         self.inner = cut if 2 * cut == n else cut + 1
         self.shape = (self.rows.size, self.rows.size, self.planes)
-        self.wavenumbers = self.compact(grid.wavenumbers)
-        self.k_squared = self.compact(grid.k_squared)
-        self.inv_k_squared = self.compact(grid.inv_k_squared)
+        # the grid's operators at the kept indices, built from one axis
+        # without the grid's full-layout arrays (same values, bit for bit)
+        k = TWO_PI / grid.length * grid.freqs.astype(np.float64)
+        self.wavenumbers = np.stack(np.meshgrid(k[self.rows], k[self.rows], k[: self.planes],
+                                                indexing="ij"))
+        w = self.wavenumbers
+        self.k_squared = w[0] ** 2 + w[1] ** 2 + w[2] ** 2
+        k2 = self.k_squared.copy()
+        k2[0, 0, 0] = 1.0
+        self.inv_k_squared = 1.0 / k2
+        self.inv_k_squared[0, 0, 0] = 0.0
         # in sums over the band an interior plane also stands for its
         # mirror, so it counts twice
         self.weights = np.ones(self.planes)
