@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,15 +27,15 @@ from .norms import (
     power_log_integrals,
     space_norm,
     spacetime_norm,
-    spectral_l2_norm,
 )
 from .solver import Trajectory
-from .spectral import SpectralVelocity, cz_pressure
+from .spectral import cz_pressure
 
 __all__ = [
     "DegenerateField",
     "ThresholdTooSmall",
     "BadExponents",
+    "UndealiasedRun",
     "FieldStats",
     "ScaledPsi",
     "LevelSetLadder",
@@ -82,6 +83,11 @@ class BadExponents(ValueError):
     pass
 
 
+class UndealiasedRun(ValueError):
+    """A run that keeps modes outside the 2/3-rule band: the audit's
+    pressure solve reads that band only."""
+
+
 @dataclass(eq=False)
 class ScaledPsi:
     """|u|^2 time series normalized to unit space-time r-norm."""
@@ -92,6 +98,12 @@ class ScaledPsi:
     psi_tilde: np.ndarray
     grid: object
     times: list[float]
+
+    @cached_property
+    def sorted_tilde(self) -> np.ndarray:
+        """Each snapshot of psi_tilde sorted ascending, shape (nt, cells):
+        the one sort every ladder's measures are read from."""
+        return np.sort(self.psi_tilde.reshape(len(self.psi_tilde), -1), axis=1)
 
 
 @dataclass(eq=False)
@@ -236,15 +248,9 @@ class FieldStats:
         return self._once("norm", spacetime_norm, stack, ell)
 
     def log_integrals(self, p: float) -> tuple[float, float, int]:
-        """power_log_integrals of |u| / m_sigma at power p; DegenerateField
-        when the integrals leave float64, as for |u| far from 1 at large p."""
-        try:
-            i0, i1, clamped = self._once("log", power_log_integrals, self.magnitudes(), p)
-        except OverflowError:
-            i0 = i1 = math.inf
-        if not (0.0 < i0 < math.inf and math.isfinite(i1)):
-            raise DegenerateField(f"the integral of |u|^{p:g} is outside float64")
-        return i0, i1, clamped
+        """power_log_integrals of |u| / m_sigma at power p:
+        (ln I0, I1/I0, clamped cell count)."""
+        return self._once("log", power_log_integrals, self.magnitudes(), p)
 
     def scaled_psi(self, r: float) -> ScaledPsi:
         """The scaled field for exponent r; built once."""
@@ -301,9 +307,7 @@ def build_ladder(
                 f"threshold {k:.6g} below twice the initial sup {initial_sup:.6g}"
             )
     levels = [k - k / 2 ** (n + 1) for n in range(n_max + 1)]
-    measures = [
-        level_set_measure(sp.psi_tilde, kn, sp.grid, sp.times) for kn in levels
-    ]
+    measures = level_set_measure(sp.sorted_tilde, levels, sp.grid, sp.times)
     return LevelSetLadder(k, levels, measures, n_max)
 
 
@@ -433,7 +437,8 @@ def check_energy(traj: Trajectory | FieldStats) -> CheckRecord:
     stats = _field_stats(traj)
     traj = stats.traj
     nu = traj.config.viscosity
-    energies = [0.5 * spectral_l2_norm(traj.velocity(i)) ** 2 for i in range(len(traj))]
+    band = traj.grid.band(traj.config.dealias)
+    energies = [0.5 * band.volume * band.sum_squares(c) for c in traj.coeffs]
     e0 = energies[0]
     if e0 == 0.0:
         return CheckRecord("energy", 0.0, 0.0, 0.0, True, 0.0,
@@ -473,8 +478,7 @@ def check_pressure(traj: Trajectory | FieldStats, s_values,
         mag = stats.magnitudes()[i]
         dens = [m_sigma**2 * space_norm(mag, 2 * s, grid) ** 2 for s in s_values]
         if any(dens):
-            v = stats.traj.velocity(i)
-            p = cz_pressure(SpectralVelocity(v.coeff / m_sigma, grid, v.t), m_sigma)
+            p = cz_pressure(stats.traj.coeffs[i] / m_sigma, grid, m_sigma)
         for s, den, out in zip(s_values, dens, ratios):
             out.append(space_norm(p.values, s, grid) / den if den else 0.0)
     return [
@@ -529,8 +533,8 @@ def log_norm_limit(
     if base == 0.0:
         return CheckRecord("log_norm_limit", 0.0, 0.0, 0.0, True, 0.0,
                            {"note": "vacuous on the zero field"})
-    i0, i1, clamped = stats.log_integrals(2 * r)
-    closed = base ** (-1.0 / r) * math.exp(i1 / (r * i0))
+    _, mean_log, clamped = stats.log_integrals(2 * r)
+    closed = base ** (-1.0 / r) * math.exp(mean_log / r)
     values, diffs = [], []
     for kk in range(1, 5):
         ell = r + 10.0**-kk
@@ -559,8 +563,8 @@ def log_norm_limit(
         q, j = float(params.q), float(params.j)
         al, b = float(params.alpha), float(params.b)
         rr = float(params.r)
-        i0r, i1r, _ = stats.log_integrals(2 * rr)
-        i_one = math.exp(b * (rr - q) * i1r / (2 * al * q * (rr - 2 * j) * i0r))
+        _, mean_log_r, _ = stats.log_integrals(2 * rr)
+        i_one = math.exp(b * (rr - q) * mean_log_r / (2 * al * q * (rr - 2 * j)))
         u2q = stats.norm(f, 2 * q)
         u2r = stats.norm(f, 2 * rr)
         jensen_rhs = u2q ** (-b / (2 * al * (rr - 2 * j))) * u2r ** (
@@ -624,8 +628,8 @@ def dichotomy_branch(traj: Trajectory | FieldStats, params: ExponentParams,
     """Which side of the log-moment dichotomy this run falls on (1 or 2)."""
     r = float(params.r)
     A = float((params.q + params.B) / params.q)
-    i0, i1, _ = _field_stats(traj, m_sigma).log_integrals(2 * r)
-    return 1 if i1 / i0 >= (A / (2 * r)) * math.log(i0) else 2
+    log_i0, mean_log, _ = _field_stats(traj, m_sigma).log_integrals(2 * r)
+    return 1 if mean_log >= (A / (2 * r)) * log_i0 else 2
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +649,9 @@ def run_audit(
     ``constants`` carries fitted constants from a calibration run; missing
     entries are fitted on this run (self-calibration, recorded as such).
     """
+    if not traj.config.dealias:
+        raise UndealiasedRun("an undealiased run (solver.dealias = false) cannot be "
+                             "audited: the pressure solve reads the 2/3-rule band")
     constants = dict(constants or {})
     grid = traj.grid
     r = spec.effective_r(params)

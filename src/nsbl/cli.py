@@ -54,43 +54,48 @@ def _parse_check(text: str) -> dict:
     return out
 
 
+def _exponent_params(args) -> tuple[ExponentParams, str]:
+    """The tuple ``--check`` spells out, else the lattice search's, and a
+    note saying which; ValueError or ZeroDivisionError on a value that does
+    not parse or lies outside its domain."""
+    if not args.check:
+        params = select_parameters(args.N, q_ceiling=args.q_max, delta=Fraction(args.delta))
+        return params, "lattice search result"
+    overrides = _parse_check(args.check)
+    fields = {"N": int(overrides.pop("N", args.N))}
+    for key in ("q", "B", "K", "delta", "j", "r", "sigma"):
+        if key in overrides:
+            fields[key] = Fraction(overrides.pop(key))
+    if overrides:
+        raise ValueError(f"unknown --check keys: {sorted(overrides)}")
+    defaults = {"q": Fraction(10), "B": Fraction(10), "K": Fraction(6, 5),
+                "delta": Fraction(1, 2)}
+    for key, val in defaults.items():
+        fields.setdefault(key, val)
+    params = ExponentParams.derive(
+        fields["N"], fields["q"], fields["B"], fields["K"], fields["delta"],
+        fields.get("j"), fields.get("r"), fields.get("sigma", 0),
+    )
+    return params, "explicit tuple check"
+
+
 def cmd_exponents(args) -> int:
     root = out_root(args)
-    if args.check:
-        overrides = _parse_check(args.check)
-        fields = {"N": int(overrides.pop("N", args.N))}
-        for key in ("q", "B", "K", "delta", "j", "r", "sigma"):
-            if key in overrides:
-                fields[key] = Fraction(overrides.pop(key))
-        if overrides:
-            print(f"unknown --check keys: {sorted(overrides)}", file=sys.stderr)
-            return EXIT_USAGE
-        defaults = {"q": Fraction(10), "B": Fraction(10), "K": Fraction(6, 5),
-                    "delta": Fraction(1, 2)}
-        for key, val in defaults.items():
-            fields.setdefault(key, val)
-        try:
-            params = ExponentParams.derive(
-                fields["N"], fields["q"], fields["B"], fields["K"], fields["delta"],
-                fields.get("j"), fields.get("r"), fields.get("sigma", 0),
-            )
-        except DomainError as exc:
-            print(f"invalid tuple: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        note = "explicit tuple check"
-    else:
-        try:
-            params = select_parameters(args.N, q_ceiling=args.q_max, delta=Fraction(args.delta))
-        except SearchExhausted as exc:
-            cert = {"format": "nsbl-certificate/1", "feasible": False,
-                    "search_exhausted": str(exc), "params": None,
-                    "reports": [], "diagnostics": [], "note": "lattice search exhausted"}
-            path = root / f"certificate-N{args.N}.json"
-            write_certificate(path, cert)
-            print(f"SearchExhausted: {exc}", file=sys.stderr)
-            print(f"certificate: {path}")
-            return EXIT_INFEASIBLE
-        note = "lattice search result"
+    try:
+        params, note = _exponent_params(args)
+    except SearchExhausted as exc:
+        cert = {"format": "nsbl-certificate/1", "feasible": False,
+                "search_exhausted": str(exc), "params": None,
+                "reports": [], "diagnostics": [], "note": "lattice search exhausted"}
+        path = root / f"certificate-N{args.N}.json"
+        write_certificate(path, cert)
+        print(f"SearchExhausted: {exc}", file=sys.stderr)
+        print(f"certificate: {path}")
+        return EXIT_INFEASIBLE
+    except (ValueError, ZeroDivisionError) as exc:
+        # DomainError, or a number that int or Fraction cannot parse
+        print(f"invalid exponents: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     cert = certificate_dict(params, note=note)
     path = root / f"certificate-N{params.N}.json"
     write_certificate(path, cert)
@@ -151,7 +156,7 @@ def cmd_audit(args) -> int:
         return EXIT_USAGE
     except (OSError, ValueError) as exc:
         if isinstance(exc, CorruptCheckpoint):
-            print(f"corrupt checkpoint: {exc}", file=sys.stderr)
+            print(f"corrupt run data: {exc}", file=sys.stderr)
             return EXIT_IO
         print(f"cannot audit: {exc}", file=sys.stderr)
         return EXIT_USAGE

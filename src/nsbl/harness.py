@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import numbers
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
+MANIFEST_KEYS = ("format", "scenario", "checkpoints", "instability")
 
 # default certified tuple for audits (N=3); spelled as strings so scenario
 # files round-trip exactly
@@ -337,10 +339,38 @@ def simulate(scenario: Scenario, out_root) -> Path:
 
 
 def load_manifest(path) -> dict:
+    """The manifest at ``path``, once its keys and checkpoint entries are
+    known to be well formed; a malformed one raises CorruptCheckpoint."""
     d = json.loads(Path(path).read_text())
-    if d.get("format") != "nsbl-manifest/1":
-        raise ValueError(f"unknown manifest format {d.get('format')!r}")
+    try:
+        _check_manifest(d)
+    except BadScenario as exc:
+        raise CorruptCheckpoint(f"{path}: malformed manifest: {exc}") from exc
+    if d["format"] != "nsbl-manifest/1":
+        raise ValueError(f"unknown manifest format {d['format']!r}")
     return d
+
+
+def _check_manifest(d) -> None:
+    if not isinstance(d, dict):
+        raise BadScenario(f"manifest must be an object, got {type(d).__name__}")
+    missing = [key for key in MANIFEST_KEYS if key not in d]
+    if missing:
+        raise BadScenario(f"manifest lacks {', '.join(missing)}")
+    if d["instability"] is not None:
+        _number(_section(d["instability"], ("time", "message"), "instability"),
+                "time", None, "instability")
+    if not isinstance(d["checkpoints"], list):
+        raise BadScenario(f"checkpoints must be a list, got {type(d['checkpoints']).__name__}")
+    for i, entry in enumerate(d["checkpoints"]):
+        where = f"checkpoints[{i}]"
+        if not isinstance(entry, dict):
+            raise BadScenario(f"{where} must be an object, got {type(entry).__name__}")
+        _string(entry, "path", None, where)
+        _number(entry, "t", None, where)
+        _number(entry, "dissipation", None, where)
+        if not re.fullmatch("[0-9a-f]{64}", _string(entry, "sha256", None, where)):
+            raise BadScenario(f"{where}.sha256 must be 64 hex digits, got {entry['sha256']!r}")
 
 
 def trajectory_from_manifest(manifest: dict, base_dir) -> Trajectory:

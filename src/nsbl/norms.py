@@ -2,7 +2,10 @@
 
 Space integrals are cell sums weighted by the cell volume; space-time
 integrals use trapezoidal weights over the stored snapshot times.  Large
-exponents are evaluated after rescaling by the max so nothing overflows.
+exponents are evaluated after rescaling by the max so nothing overflows;
+the log-weighted integrals return the logarithm and a ratio, with the
+scale put back analytically.  Super-level-set measures answer a whole
+ladder of thresholds from one per-snapshot sort.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "level_set_measure",
     "power_log_integrals",
     "spectral_l2_norm",
-    "gradient_l2_squared",
 ]
 
 INF = math.inf
@@ -88,23 +90,35 @@ def spacetime_norm(stack: np.ndarray, ell: float, grid: TorusGrid, times) -> flo
     return float(m * float(np.dot(w, per_t)) ** (1.0 / ell))
 
 
-def level_set_measure(stack: np.ndarray, threshold: float, grid: TorusGrid, times) -> float:
-    """Space-time measure of {f >= threshold} over the stored snapshots."""
-    a = np.asarray(stack, dtype=np.float64)
-    if a.ndim == 3:
-        a = a[None]
+def level_set_measure(sorted_stack: np.ndarray, thresholds, grid: TorusGrid,
+                      times) -> list[float]:
+    """Space-time measure of {f >= k} over the stored snapshots, for each
+    threshold k.
+
+    ``sorted_stack`` holds each snapshot's values in ascending order, shape
+    (nt, cells), as ``np.sort(stack.reshape(nt, -1), axis=1)`` gives them;
+    a binary search per snapshot and threshold then counts the cells at or
+    above k.
+    """
+    a = np.asarray(sorted_stack, dtype=np.float64)
     w = time_weights(times)
-    counts = np.sum(a >= threshold, axis=(1, 2, 3)).astype(np.float64)
-    return float(np.dot(w, counts)) * grid.cell_volume
+    below = np.stack([np.searchsorted(row, thresholds, side="left") for row in a], axis=1)
+    # one contiguous row of per-snapshot counts per threshold
+    counts = (a.shape[1] - below).astype(np.float64)
+    return [float(np.dot(w, c)) * grid.cell_volume for c in counts]
 
 
 def power_log_integrals(
     stack: np.ndarray, p: float, grid: TorusGrid, times
 ) -> tuple[float, float, int]:
-    """(integral |f|^p, integral |f|^p ln|f|, clamped cell count).
+    """(ln I0, I1/I0, clamped cell count) for I0 = integral |f|^p and
+    I1 = integral |f|^p ln|f|; I1/I0 is the |f|^p-weighted mean of ln|f|.
 
-    |f| is clamped below LOG_CLAMP so the logarithm stays finite; the number
-    of clamped cells is reported alongside.
+    Both integrals are taken of |f|/m with m = max |f|, and the scale goes
+    back in analytically: ln I0 gains p ln m and I1/I0 gains ln m, so
+    neither leaves float64 whatever m and p are.  |f| is clamped below
+    LOG_CLAMP so the logarithm stays finite; the number of clamped cells is
+    reported alongside.
     """
     a = np.abs(np.asarray(stack, dtype=np.float64))
     if a.ndim == 3:
@@ -115,18 +129,12 @@ def power_log_integrals(
     m = float(a.max())
     g = a / m
     gp = g**p
-    log_a = np.log(g) + math.log(m)
-    i0_t = np.sum(gp, axis=(1, 2, 3)) * grid.cell_volume
-    i1_t = np.sum(gp * log_a, axis=(1, 2, 3)) * grid.cell_volume
-    scale = m**p
-    return scale * float(np.dot(w, i0_t)), scale * float(np.dot(w, i1_t)), clamped
+    j0 = float(np.dot(w, np.sum(gp, axis=(1, 2, 3)) * grid.cell_volume))
+    j1 = float(np.dot(w, np.sum(gp * np.log(g), axis=(1, 2, 3)) * grid.cell_volume))
+    log_m = math.log(m)
+    return math.log(j0) + p * log_m, j1 / j0 + log_m, clamped
 
 
 def spectral_l2_norm(v: SpectralVelocity) -> float:
     """Spatial L2 norm evaluated from the coefficients (volume-weighted)."""
     return float(np.sqrt(v.grid.volume * np.sum(np.abs(v.coeff) ** 2)))
-
-
-def gradient_l2_squared(v: SpectralVelocity) -> float:
-    """|grad u|^2 integrated over the box, evaluated spectrally."""
-    return float(v.grid.volume * np.sum(v.grid.k_squared * np.abs(v.coeff) ** 2))

@@ -13,7 +13,7 @@ scheme's order instead of the snapshot quadrature's.
 The stepper works on the kept band of the half spectrum (see
 ``spectral.SpectralBand``), and a trajectory stores its snapshots as that
 band; ``step``, ``nonlinear_term`` and ``Trajectory.velocity`` take and
-give the full layout.
+give the full layout, and ``Trajectory.magnitudes`` reads the band.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ class Trajectory:
     """Snapshots of one run plus the step-resolved dissipation integral.
 
     ``coeffs`` holds each snapshot as band coefficients of
-    ``grid.band(config.dealias)``; ``velocity`` expands one on demand.
+    ``grid.band(config.dealias)``; ``velocity`` expands one to the full
+    layout on demand, and ``magnitudes`` reads the bands directly.
     """
 
     grid: TorusGrid
@@ -124,10 +125,19 @@ class Trajectory:
         return SpectralVelocity(band.expand(self.coeffs[i]), self.grid, self.times[i])
 
     def magnitudes(self) -> np.ndarray:
-        """|u| on the grid for every snapshot, shape (nt, n, n, n); cached."""
+        """|u| on the grid for every snapshot, shape (nt, n, n, n); cached.
+
+        Each snapshot's velocity comes from one pruned inverse transform of
+        its band and lives only until its |u| is written.
+        """
         if self._magnitudes is None:
-            mags = [self.velocity(i).magnitude() for i in range(len(self.times))]
-            self._magnitudes = np.stack(mags)
+            band = self.grid.band(self.config.dealias)
+            mags = np.empty((len(self.coeffs),) + (self.grid.npts,) * 3)
+            for c, out in zip(self.coeffs, mags):
+                u = band.inverse(c)
+                np.square(u, out=u)
+                np.sqrt(u[0] + u[1] + u[2], out=out)
+            self._magnitudes = mags
         return self._magnitudes
 
 

@@ -14,11 +14,12 @@ band (``SpectralBand``): the modes the run keeps, cut out of the half
 spectrum.  With the 2/3 rule that is (..., 2c+1, 2c+1, c+1) with c = n//3,
 3.6 times fewer entries than the half spectrum and 6.8 times fewer than the
 full layout at n = 32; without dealiasing it is the whole half spectrum.
-The solver steps it, trajectories hold it and NSBL2 checkpoints store it.
-``SpectralBand.compact`` takes a full or half layout to the band,
-``expand`` takes the band back to the full layout with zeros outside, and
-its ``forward`` and ``inverse`` transform only the lines that carry band
-modes.
+The solver steps it, trajectories hold it, NSBL2 checkpoints store it and
+the audit reads it: ``cz_pressure`` takes band coefficients, and |u| comes
+from the band's ``inverse``.  ``SpectralBand.compact`` takes a full or half
+layout to the band, ``expand`` takes the band back to the full layout with
+zeros outside, and its ``forward`` and ``inverse`` transform only the lines
+that carry band modes.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "transform_forward",
     "transform_inverse",
     "SpectralBand",
-    "half_inverse",
     "quadratic_products",
     "leray_project",
     "divergence_max",
@@ -156,11 +156,6 @@ def transform_inverse(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.ifftn(coeff, axes=(-3, -2, -1), norm="forward").real
 
 
-def half_inverse(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Half-spectrum coefficients to real-space data."""
-    return np.fft.irfftn(half, s=(grid.npts,) * 3, axes=(-3, -2, -1), norm="forward")
-
-
 class SpectralBand:
     """The modes a run keeps, as a compact block of the half spectrum.
 
@@ -228,6 +223,11 @@ class SpectralBand:
         )
         return full
 
+    def sum_squares(self, band: np.ndarray) -> float:
+        """The sum of |c|^2 over the full layout, taken on the band: an
+        interior k_z plane counts for its mirror too."""
+        return float(np.sum(self.weights * (band.real**2 + band.imag**2)))
+
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Band coefficients of one real field (n, n, n): rfft along z, keep
         the band planes, fft along y, keep the band rows, fft along x."""
@@ -294,7 +294,7 @@ class SpectralVelocity:
         return float(np.sqrt(np.sum(np.abs(self.coeff) ** 2)))
 
     def divergence_max(self) -> float:
-        return divergence_max(self.coeff, self.grid)
+        return divergence_max(self.coeff, self.grid.wavenumbers)
 
 
 @dataclass(eq=False)
@@ -324,25 +324,29 @@ def leray_project(v: SpectralVelocity) -> SpectralVelocity:
     return SpectralVelocity(_project_coeff(v.coeff, v.grid), v.grid, v.t)
 
 
-def divergence_max(coeff: np.ndarray, grid: TorusGrid) -> float:
-    k = grid.wavenumbers
+def divergence_max(coeff: np.ndarray, k: np.ndarray) -> float:
+    """max |k . c| over coefficients ``coeff`` at wavevectors ``k``, in
+    either layout."""
     div = k[0] * coeff[0] + k[1] * coeff[1] + k[2] * coeff[2]
     return float(np.max(np.abs(div)))
 
 
-def cz_pressure(v: SpectralVelocity, m_sigma: float = 1.0) -> ScalarField:
+def cz_pressure(coeff: np.ndarray, grid: TorusGrid, m_sigma: float = 1.0) -> ScalarField:
     """Pressure from the velocity through the exact multiplier k_i k_j/|k|^2.
 
     Solves -lap(p) = m_sigma^2 d_i d_j (u_j u_i) spectrally; the zero mode of
-    p is fixed to 0.  The velocity is taken in full, band-limited or not;
-    the quadratic products and p are dealiased to the 2/3-rule band.
+    p is fixed to 0.  ``coeff`` holds the velocity's 2/3-rule band, shape
+    (3, *grid.band().shape), as trajectories store it; the quadratic
+    products and p are dealiased to the same band.
     """
-    grid = v.grid
-    div = v.divergence_max()
-    if div > DIV_TOL * max(1.0, v.coeff_norm()):
-        raise NotDivergenceFree(f"divergence {div:.3e} exceeds tolerance")
     band = grid.band()
-    w = quadratic_products(half_inverse(v.coeff[..., : grid.npts // 2 + 1], grid), band)
+    if coeff.shape != (3,) + band.shape:
+        raise ShapeMismatch(f"velocity band has shape {coeff.shape}, "
+                            f"not the 2/3-rule band's {(3,) + band.shape}")
+    div = divergence_max(coeff, band.wavenumbers)
+    if div > DIV_TOL * max(1.0, np.sqrt(band.sum_squares(coeff))):
+        raise NotDivergenceFree(f"divergence {div:.3e} exceeds tolerance")
+    w = quadratic_products(band.inverse(coeff), band)
     k = band.wavenumbers
     p_hat = np.zeros(band.shape, dtype=np.complex128)
     for p, (i, j) in enumerate(PAIRS):

@@ -7,7 +7,13 @@ import pytest
 from nsbl import audit as A
 from nsbl.harness import canonical_json
 from nsbl.ledger import ExponentParams
-from nsbl.norms import power_log_integrals, spacetime_norm, space_norm
+from nsbl.norms import (
+    power_log_integrals,
+    space_norm,
+    spacetime_norm,
+    spectral_l2_norm,
+    time_weights,
+)
 from nsbl.solver import SolverConfig, Trajectory, make_initial, run
 from nsbl.spectral import NotDivergenceFree, SpectralVelocity, TorusGrid, cz_pressure
 
@@ -111,6 +117,21 @@ class TestLadder:
         assert lad.measures[1] == pytest.approx(full / 2)  # level 0.75
         assert lad.measures[2] == pytest.approx(full / 2)  # level 0.875
 
+    def test_sorted_measures_match_per_threshold_counts(self, random_traj):
+        # both of run_audit's ladders, read from one sort, bit for bit
+        # against a scan of the stack per rung
+        sp = A.build_scaled_psi(random_traj, float(PARAMS.r))
+        w = time_weights(sp.times)
+        k_dom = A.estimate_threshold(sp, random_traj, PARAMS, float(PARAMS.r) + 1.0)
+        k_fit = 2.0 * float(np.quantile(sp.psi_tilde, 0.90))
+        for k, enforce in ((k_dom, True), (k_fit, False)):
+            lad = A.build_ladder(sp, k, 40, enforce_threshold=enforce)
+            scans = [float(np.dot(w, np.sum(sp.psi_tilde >= kn, axis=(1, 2, 3))
+                                  .astype(np.float64))) * sp.grid.cell_volume
+                     for kn in lad.levels]
+            assert lad.measures == scans
+        assert any(y > 0.0 for y in lad.measures)
+
     def test_threshold_too_small(self, grid):
         traj = constant_trajectory(grid, value=1.0)
         sp = A.build_scaled_psi(traj, 2.0)
@@ -172,6 +193,19 @@ class TestEnergy:
         assert rec.passed
         assert rec.lhs <= 1e-5
 
+    def test_band_summation_order(self, random_traj):
+        # energies are weighted sums over the band, as the solver's
+        # dissipation rate is; pinned bit for bit
+        band = random_traj.grid.band()
+        energies = [0.5 * band.volume * float(np.sum(band.weights * (c.real**2 + c.imag**2)))
+                    for c in random_traj.coeffs]
+        want = max(abs(e + d - energies[0]) / energies[0]
+                   for e, d in zip(energies, random_traj.dissipation))
+        assert A.check_energy(random_traj).lhs == want
+        full = [0.5 * spectral_l2_norm(random_traj.velocity(i)) ** 2
+                for i in range(len(random_traj))]
+        assert energies == pytest.approx(full, rel=1e-14, abs=0)
+
 
 class TestPressureCheck:
     def test_zero_field(self, grid):
@@ -179,11 +213,9 @@ class TestPressureCheck:
         assert rec.fitted_constant == 0.0
 
     def test_beltrami_matches_direct(self, beltrami_traj):
-        from nsbl.spectral import cz_pressure
-
         rec = A.check_pressure(beltrami_traj, (2.0,))[0]
         v = beltrami_traj.velocity(0)
-        p = cz_pressure(v)
+        p = cz_pressure(beltrami_traj.coeffs[0], v.grid)
         direct = space_norm(p.values, 2.0, v.grid) / space_norm(v.magnitude(), 4.0, v.grid) ** 2
         assert rec.extra["ratios"][0] == pytest.approx(direct, abs=1e-8)
 
@@ -194,17 +226,19 @@ class TestPressureCheck:
 
 def pressure_oracle(traj, s, m_sigma=1.0):
     """Per-snapshot ratios of the pressure check as it ran before the
-    one-pass audit: one pressure solve and one |u| per snapshot and s."""
+    one-pass audit: one pressure solve and one |u| per snapshot and s, with
+    |u| from the band's inverse transform as the audit takes it."""
     grid = traj.grid
     ratios = []
     for i in range(len(traj)):
-        v = traj.velocity(i)
-        u = SpectralVelocity(v.coeff / m_sigma, grid, v.t)
-        den = m_sigma**2 * space_norm(u.magnitude(), 2 * s, grid) ** 2
+        u = traj.coeffs[i] / m_sigma
+        uu = grid.band().inverse(u)
+        mag = np.sqrt(uu[0] ** 2 + uu[1] ** 2 + uu[2] ** 2)
+        den = m_sigma**2 * space_norm(mag, 2 * s, grid) ** 2
         if den == 0.0:
             ratios.append(0.0)
             continue
-        p = cz_pressure(u, m_sigma)
+        p = cz_pressure(u, grid, m_sigma)
         ratios.append(space_norm(p.values, s, grid) / den)
     return ratios
 
@@ -232,13 +266,16 @@ class TestOnePassPressure:
     def test_one_pressure_solve_per_snapshot(self, random_traj, monkeypatch):
         calls = []
 
-        def counting(v, m_sigma=1.0):
-            calls.append(v.t)
-            return cz_pressure(v, m_sigma)
+        def counting(coeff, grid, m_sigma=1.0):
+            calls.append(coeff)
+            return cz_pressure(coeff, grid, m_sigma)
 
         monkeypatch.setattr(A, "cz_pressure", counting)
         A.run_audit(random_traj, PARAMS, A.AuditSpec(s_values=self.S_VALUES))
-        assert calls == list(random_traj.times)
+        # sigma = 0, so m_sigma = 1 and each call gets its snapshot's band as it is
+        assert len(calls) == len(random_traj)
+        for got, want in zip(calls, random_traj.coeffs):
+            assert np.array_equal(got, want)
 
     def test_repeated_exponent_gets_its_own_record(self, beltrami_traj):
         first, second = A.check_pressure(beltrami_traj, (2.0, 2.0))
@@ -267,6 +304,13 @@ class TestOnePassAudit:
         A.run_audit(random_traj, PARAMS, A.AuditSpec())
         assert len(seen) == len(set(seen))
         assert logs == [2 * float(PARAMS.r)]
+
+    def test_undealiased_run_refused(self, grid):
+        v0 = make_initial("random_spectrum", grid, seed=2, amplitude=1.0, kmax=4)
+        traj = run(v0, SolverConfig(dt=1e-3, t_final=1e-3, snapshot_stride=1, dealias=False))
+        with pytest.raises(A.UndealiasedRun, match="dealias"):
+            A.run_audit(traj, PARAMS, A.AuditSpec())
+        assert traj._magnitudes is None
 
     def test_not_divergence_free_snapshot_raises(self, grid):
         v0 = make_initial("random_spectrum", grid, seed=2, amplitude=1.0, kmax=4)

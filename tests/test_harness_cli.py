@@ -293,6 +293,13 @@ class TestCli:
         bad = [r["id"] for r in cert["reports"] if not r["satisfied"]]
         assert "j_above_sign_threshold" in bad
 
+    @pytest.mark.parametrize("argv", [["--check", "q=abc"], ["--delta", "abc"], ["--N", "2"]],
+                             ids=["check_value", "delta", "dimension"])
+    def test_exponents_bad_value_exit_1(self, tmp_path, capsys, argv):
+        capsys.readouterr()
+        assert cli.main(["exponents", "--out-dir", str(tmp_path)] + argv) == 1
+        assert "invalid exponents" in capsys.readouterr().err
+
     def test_simulate_and_audit_chain(self, tmp_path):
         sc = quick_scenario("chain")
         scn = tmp_path / "sc.json"
@@ -367,6 +374,55 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["audit", str(run_dir / "manifest.json")]) == 4
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        "list", "no_scenario", "no_instability", "checkpoints_object", "entry_list",
+        "path_number", "t_string", "dissipation_missing", "sha256_short", "sha256_not_hex",
+    ])
+    def test_audit_malformed_manifest_exit_4(self, tmp_path, capsys, case):
+        sc = quick_scenario("manifest", t_final=0.0)
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(sc.to_dict()))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
+        path = tmp_path / "manifest" / "manifest.json"
+        manifest = load_manifest(path)
+        entry = manifest["checkpoints"][0]
+        if case == "list":
+            manifest = [1, 2]
+        elif case == "no_scenario":
+            del manifest["scenario"]
+        elif case == "no_instability":
+            del manifest["instability"]
+        elif case == "checkpoints_object":
+            manifest["checkpoints"] = entry
+        elif case == "entry_list":
+            manifest["checkpoints"] = [list(entry.values())]
+        elif case == "path_number":
+            entry["path"] = 0
+        elif case == "t_string":
+            entry["t"] = "0.0"
+        elif case == "dissipation_missing":
+            del entry["dissipation"]
+        elif case == "sha256_short":
+            entry["sha256"] = entry["sha256"][:-1]
+        else:
+            entry["sha256"] = "g" + entry["sha256"][1:]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["audit", str(path)]) == 4
+        assert "malformed manifest" in capsys.readouterr().err
+
+    def test_audit_undealiased_run_exit_1(self, tmp_path, capsys):
+        sc = quick_scenario("undealiased", t_final=4e-3)
+        sc.solver = SolverConfig(viscosity=1.0, dt=2e-3, t_final=4e-3, snapshot_stride=1,
+                                 dealias=False)
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(sc.to_dict()))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["audit", str(tmp_path / "undealiased" / "manifest.json")]) == 1
+        assert "undealiased run" in capsys.readouterr().err
+        assert not (tmp_path / "undealiased" / "report.json").exists()
 
     @pytest.mark.parametrize("r", ["3", "11"])
     def test_audit_r_below_ledger_r(self, tmp_path, r):

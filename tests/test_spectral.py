@@ -117,15 +117,19 @@ class TestLerayProjection:
         assert out.divergence_max() <= 1e-12 * out.coeff_norm()
 
 
+def pressure(v, m_sigma=1.0):
+    """cz_pressure of a full-layout field, through its band."""
+    return cz_pressure(v.grid.band().compact(v.coeff), v.grid, m_sigma)
+
+
 class TestPressure:
     def test_zero_velocity(self, grid):
-        v = SpectralVelocity(np.zeros((3, 32, 32, 32), dtype=complex), grid)
-        p = cz_pressure(v)
+        p = cz_pressure(np.zeros((3,) + grid.band().shape, dtype=complex), grid)
         assert np.all(p.values == 0)
 
     def test_beltrami_closed_form(self, grid):
         v = make_initial("beltrami", grid, amplitude=1.0)
-        p = cz_pressure(v, m_sigma=1.0)
+        p = pressure(v, m_sigma=1.0)
         u2 = v.magnitude() ** 2
         closed = -(u2 / 2 - u2.mean() / 2)
         assert np.abs(p.values - closed).max() <= 1e-8
@@ -134,7 +138,7 @@ class TestPressure:
         # the operator zeroes the mean mode by construction; going back
         # through physical space only leaves transform roundoff
         v = make_initial("random_spectrum", grid, seed=9, amplitude=2.0)
-        p = cz_pressure(v)
+        p = pressure(v)
         c = transform_forward(p.values, grid)
         assert abs(c[0, 0, 0]) <= 1e-15 * np.abs(p.values).max()
 
@@ -142,7 +146,24 @@ class TestPressure:
         rng = np.random.default_rng(7)
         c = rng.normal(size=(3, 32, 32, 32)) + 1j * rng.normal(size=(3, 32, 32, 32))
         with pytest.raises(NotDivergenceFree):
-            cz_pressure(SpectralVelocity(c, grid))
+            pressure(SpectralVelocity(c, grid))
+
+    @pytest.mark.parametrize("plane", [0, 1, 10])
+    def test_band_divergence_checked_on_every_plane(self, grid, plane):
+        # a gradient mode u_x ~ cos(x + z k_z) on an otherwise solenoidal
+        # band: the k_z = 0 plane, an interior plane and the last kept plane
+        band = grid.band()
+        v = make_initial("random_spectrum", grid, seed=5, amplitude=1.0)
+        c = band.compact(v.coeff)
+        cz_pressure(c, grid)
+        c[0, 1, 0, plane] += 1e-6
+        with pytest.raises(NotDivergenceFree):
+            cz_pressure(c, grid)
+
+    def test_full_layout_rejected(self, grid):
+        v = make_initial("beltrami", grid, amplitude=1.0)
+        with pytest.raises(ShapeMismatch):
+            cz_pressure(v.coeff, grid)
 
     def test_rescaling_invariance(self, grid):
         # both sides of the bound scale like amplitude^2
@@ -165,7 +186,7 @@ class TestPressure:
 
 
 def _pressure_ratio(v, s):
-    p = cz_pressure(v)
+    p = pressure(v)
     num = space_norm(p.values, s, v.grid)
     den = space_norm(v.magnitude(), 2 * s, v.grid) ** 2
     return num / den
