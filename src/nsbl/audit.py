@@ -35,7 +35,6 @@ __all__ = [
     "DegenerateField",
     "ThresholdTooSmall",
     "BadExponents",
-    "UndealiasedRun",
     "FieldStats",
     "ScaledPsi",
     "LevelSetLadder",
@@ -81,11 +80,6 @@ class ThresholdTooSmall(ValueError):
 
 class BadExponents(ValueError):
     pass
-
-
-class UndealiasedRun(ValueError):
-    """A run that keeps modes outside the 2/3-rule band: the audit's
-    pressure solve reads that band only."""
 
 
 @dataclass(eq=False)
@@ -437,7 +431,7 @@ def check_energy(traj: Trajectory | FieldStats) -> CheckRecord:
     stats = _field_stats(traj)
     traj = stats.traj
     nu = traj.config.viscosity
-    band = traj.grid.band(traj.config.dealias)
+    band = traj.grid.band
     energies = [0.5 * band.volume * band.sum_squares(c) for c in traj.coeffs]
     e0 = energies[0]
     if e0 == 0.0:
@@ -649,9 +643,6 @@ def run_audit(
     ``constants`` carries fitted constants from a calibration run; missing
     entries are fitted on this run (self-calibration, recorded as such).
     """
-    if not traj.config.dealias:
-        raise UndealiasedRun("an undealiased run (solver.dealias = false) cannot be "
-                             "audited: the pressure solve reads the 2/3-rule band")
     constants = dict(constants or {})
     grid = traj.grid
     r = spec.effective_r(params)

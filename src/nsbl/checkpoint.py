@@ -2,10 +2,10 @@
 
 Layout (NSBL2): magic ``NSBL2``, one endianness tag byte, then a fixed
 header (dimension, points per axis, box length, time, component count, the
-band's cut ``n//3`` dealiased or ``n//2`` not) and a CRC-32 of every other
-byte of the file, followed by the band coefficients (ncomp, rows, rows,
-cut+1) of ``spectral.SpectralBand`` as little-endian complex128 in C order.
-Readers get the full layout back.  Files are referenced by their sha256
+2/3-rule band's cut ``n//3``) and a CRC-32 of every other byte of the file,
+followed by the band coefficients (ncomp, 2*cut+1, 2*cut+1, cut+1) of
+``spectral.SpectralBand`` as little-endian complex128 in C order.  Readers
+get the full layout back.  Files are referenced by their sha256
 content hash; the CRC catches damage without it.  Every malformed file
 raises ``CorruptCheckpoint``; NSBL1 files (full layout, no CRC) are no
 longer read.
@@ -38,16 +38,15 @@ class CorruptCheckpoint(ValueError):
     pass
 
 
-def write_checkpoint(path, v: SpectralVelocity, dealias: bool = True) -> str:
-    """Write the field's band of a run with ``dealias`` and return the file's
-    sha256 hex digest; raises ShapeMismatch if the field has modes outside
-    the band, so no mode is dropped silently."""
+def write_checkpoint(path, v: SpectralVelocity) -> str:
+    """Write the field's band and return the file's sha256 hex digest;
+    raises ShapeMismatch if the field has modes outside the band, so no
+    mode is dropped silently."""
     path = Path(path)
-    band = v.grid.band(dealias)
+    band = v.grid.band
     coeff = band.compact(v.coeff)
     if not np.array_equal(band.expand(coeff), v.coeff):
-        raise ShapeMismatch(f"{path}: field is not the real field of its "
-                            f"{'dealiased' if dealias else 'undealiased'} band")
+        raise ShapeMismatch(f"{path}: field is not the real field of its band")
     header = MAGIC + ENDIAN_TAG + _HEADER.pack(
         v.grid.dim, v.grid.npts, v.grid.length, v.t, coeff.shape[0], band.cut
     )
@@ -57,10 +56,8 @@ def write_checkpoint(path, v: SpectralVelocity, dealias: bool = True) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def read_checkpoint(path, expect_sha: str | None = None, *,
-                    dealias: bool | None = None) -> SpectralVelocity:
-    """The field of an NSBL2 file, in the full layout.  With ``dealias``,
-    the file must hold the band of a run with that flag."""
+def read_checkpoint(path, expect_sha: str | None = None) -> SpectralVelocity:
+    """The field of an NSBL2 file, in the full layout."""
     path = Path(path)
     blob = path.read_bytes()
     if expect_sha is not None:
@@ -85,20 +82,15 @@ def read_checkpoint(path, expect_sha: str | None = None, *,
         grid = TorusGrid(npts, length, dim)
     except ShapeMismatch as exc:
         raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from exc
-    dealiased = cut == npts // 3
-    if not dealiased and cut != npts // 2:
-        raise CorruptCheckpoint(f"{path}: band cut {cut} is neither {npts // 3} nor {npts // 2}")
-    if dealias is not None and dealias != dealiased:
-        raise CorruptCheckpoint(f"{path}: band cut {cut} does not match a run with "
-                                f"dealias = {str(dealias).lower()}")
+    if cut != npts // 3:
+        raise CorruptCheckpoint(f"{path}: band cut {cut} is not the 2/3-rule cut {npts // 3}")
     # the payload size is checked before the band's operators are built
-    rows = 2 * cut + 1 if dealiased else npts
-    expected = ncomp * rows * rows * (cut + 1) * 16
+    expected = ncomp * (2 * cut + 1) ** 2 * (cut + 1) * 16
     if len(blob) - _PAYLOAD_AT != expected:
         raise CorruptCheckpoint(
             f"{path}: payload is {len(blob) - _PAYLOAD_AT} bytes, expected {expected}"
         )
-    band = grid.band(dealiased)
+    band = grid.band
     coeff = np.frombuffer(blob, dtype="<c16", offset=_PAYLOAD_AT).reshape((ncomp,) + band.shape)
     try:
         return SpectralVelocity(band.expand(coeff), grid, t)

@@ -48,7 +48,10 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_KEYS = ("format", "scenario", "checkpoints", "instability")
+# the keys ``simulate`` writes, and of those the ones the audit reads
+MANIFEST_KEYS = ("format", "scenario", "scenario_hash", "checkpoints", "instability",
+                 "wall_clock_s", "version")
+REQUIRED_MANIFEST_KEYS = ("format", "scenario", "checkpoints", "instability")
 
 # default certified tuple for audits (N=3); spelled as strings so scenario
 # files round-trip exactly
@@ -199,7 +202,9 @@ class Scenario:
                 "dt": self.solver.dt,
                 "t_final": self.solver.t_final,
                 "snapshot_stride": self.solver.snapshot_stride,
-                "dealias": self.solver.dealias,
+                # runs keep the 2/3-rule band only; the key stays so the
+                # nsbl-scenario/1 bytes and scenario_hash do not change
+                "dealias": True,
                 "scheme": self.solver.scheme,
             },
             "initial": dict(self.initial),
@@ -223,6 +228,9 @@ class Scenario:
             raise BadScenario(f"unknown scenario format {d.get('format')!r}")
         g = _section(d.get("grid", {}), GRID_KEYS, "grid")
         s = _section(d.get("solver", {}), SOLVER_KEYS, "solver")
+        if s.get("dealias", True) is not True:
+            raise BadScenario(f"solver.dealias must be true (runs keep the 2/3-rule band), "
+                              f"got {s['dealias']!r}")
         initial = dict(_section(d.get("initial", {"kind": "beltrami"}), INITIAL_KEYS, "initial"))
         for key in ("seed", "kmax"):
             if key in initial:
@@ -241,7 +249,6 @@ class Scenario:
                 dt=_number(s, "dt", 1e-3, "solver"),
                 t_final=_number(s, "t_final", 0.5, "solver"),
                 snapshot_stride=_integer(s, "snapshot_stride", 10, "solver"),
-                dealias=_flag(s, "dealias", True, "solver"),
                 scheme=_string(s, "scheme", "rk4", "solver"),
             ),
             initial=initial,
@@ -318,7 +325,7 @@ def simulate(scenario: Scenario, out_root) -> Path:
     else:
         for i in range(len(traj)):
             name = f"checkpoint_{i:04d}.nsbl"
-            sha = write_checkpoint(out_dir / name, traj.velocity(i), scenario.solver.dealias)
+            sha = write_checkpoint(out_dir / name, traj.velocity(i))
             checkpoints.append({
                 "path": name,
                 "t": traj.times[i],
@@ -341,7 +348,10 @@ def simulate(scenario: Scenario, out_root) -> Path:
 def load_manifest(path) -> dict:
     """The manifest at ``path``, once its keys and checkpoint entries are
     known to be well formed; a malformed one raises CorruptCheckpoint."""
-    d = json.loads(Path(path).read_text())
+    try:
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptCheckpoint(f"{path}: malformed manifest: not UTF-8 JSON: {exc}") from exc
     try:
         _check_manifest(d)
     except BadScenario as exc:
@@ -354,7 +364,10 @@ def load_manifest(path) -> dict:
 def _check_manifest(d) -> None:
     if not isinstance(d, dict):
         raise BadScenario(f"manifest must be an object, got {type(d).__name__}")
-    missing = [key for key in MANIFEST_KEYS if key not in d]
+    unknown = [key for key in d if key not in MANIFEST_KEYS]
+    if unknown:
+        raise BadScenario(f"unknown manifest key {unknown[0]!r}")
+    missing = [key for key in REQUIRED_MANIFEST_KEYS if key not in d]
     if missing:
         raise BadScenario(f"manifest lacks {', '.join(missing)}")
     if d["instability"] is not None:
@@ -378,11 +391,10 @@ def trajectory_from_manifest(manifest: dict, base_dir) -> Trajectory:
     base = Path(base_dir)
     scenario = Scenario.from_dict(manifest["scenario"])
     grid = scenario.grid()
-    band = grid.band(scenario.solver.dealias)
+    band = grid.band
     times, coeffs, dissipation = [], [], []
     for entry in manifest["checkpoints"]:
-        v = read_checkpoint(base / entry["path"], expect_sha=entry["sha256"],
-                            dealias=scenario.solver.dealias)
+        v = read_checkpoint(base / entry["path"], expect_sha=entry["sha256"])
         if not v.grid.compatible(grid):
             raise CorruptCheckpoint(f"{entry['path']}: grid mismatch with scenario")
         times.append(entry["t"])

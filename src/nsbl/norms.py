@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .spectral import SpectralVelocity, TorusGrid
+from .spectral import TorusGrid
 
 __all__ = [
     "BadExponent",
@@ -24,7 +24,6 @@ __all__ = [
     "spacetime_norm",
     "level_set_measure",
     "power_log_integrals",
-    "spectral_l2_norm",
 ]
 
 INF = math.inf
@@ -133,8 +132,3 @@ def power_log_integrals(
     j1 = float(np.dot(w, np.sum(gp * np.log(g), axis=(1, 2, 3)) * grid.cell_volume))
     log_m = math.log(m)
     return math.log(j0) + p * log_m, j1 / j0 + log_m, clamped
-
-
-def spectral_l2_norm(v: SpectralVelocity) -> float:
-    """Spatial L2 norm evaluated from the coefficients (volume-weighted)."""
-    return float(np.sqrt(v.grid.volume * np.sum(np.abs(v.coeff) ** 2)))

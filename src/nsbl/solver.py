@@ -2,7 +2,7 @@
 
 The viscous term is handled exactly by an integrating factor; the projected
 nonlinear term is advanced by explicit Runge-Kutta stages.  Initial data
-stays band-limited to the dealias mask, so the semi-discrete system
+stays band-limited to the 2/3-rule band, so the semi-discrete system
 conserves energy up to viscous dissipation and the discrete energy identity
 is a genuine fourth-order statement for the RK4 scheme.
 
@@ -66,7 +66,6 @@ class SolverConfig:
     dt: float = 1e-3
     t_final: float = 0.5
     snapshot_stride: int = 10
-    dealias: bool = True
     scheme: str = "rk4"
 
     def validate(self, grid: TorusGrid) -> int:
@@ -96,9 +95,9 @@ class SolverConfig:
 class Trajectory:
     """Snapshots of one run plus the step-resolved dissipation integral.
 
-    ``coeffs`` holds each snapshot as band coefficients of
-    ``grid.band(config.dealias)``; ``velocity`` expands one to the full
-    layout on demand, and ``magnitudes`` reads the bands directly.
+    ``coeffs`` holds each snapshot as band coefficients of ``grid.band``;
+    ``velocity`` expands one to the full layout on demand, and
+    ``magnitudes`` reads the bands directly.
     """
 
     grid: TorusGrid
@@ -110,7 +109,7 @@ class Trajectory:
     _magnitudes: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        shape = (3,) + self.grid.band(self.config.dealias).shape
+        shape = (3,) + self.grid.band.shape
         for c in self.coeffs:
             if c.shape != shape:
                 raise ShapeMismatch(f"snapshot coefficients have shape {c.shape}, "
@@ -121,7 +120,7 @@ class Trajectory:
 
     def velocity(self, i: int) -> SpectralVelocity:
         """Snapshot i in the full layout."""
-        band = self.grid.band(self.config.dealias)
+        band = self.grid.band
         return SpectralVelocity(band.expand(self.coeffs[i]), self.grid, self.times[i])
 
     def magnitudes(self) -> np.ndarray:
@@ -131,7 +130,7 @@ class Trajectory:
         its band and lives only until its |u| is written.
         """
         if self._magnitudes is None:
-            band = self.grid.band(self.config.dealias)
+            band = self.grid.band
             mags = np.empty((len(self.coeffs),) + (self.grid.npts,) * 3)
             for c, out in zip(self.coeffs, mags):
                 u = band.inverse(c)
@@ -154,13 +153,13 @@ def _nonlinear(coeff: np.ndarray, band: SpectralBand) -> np.ndarray:
     return -1j * _project(div, k, band.inv_k_squared)
 
 
-def nonlinear_term(v: SpectralVelocity, dealias: bool = True) -> SpectralVelocity:
+def nonlinear_term(v: SpectralVelocity) -> SpectralVelocity:
     """Projected advection tendency -P[div(u x u)] as a velocity-shaped field.
 
-    With ``dealias``, modes of ``v`` outside the 2/3-rule band are dropped
-    first, as ``run`` drops them from its initial data.
+    Modes of ``v`` outside the 2/3-rule band are dropped first, as ``run``
+    drops them from its initial data.
     """
-    band = v.grid.band(dealias)
+    band = v.grid.band
     out = _nonlinear(band.compact(v.coeff), band)
     return SpectralVelocity(band.expand(out), v.grid, v.t)
 
@@ -207,14 +206,14 @@ def _step_fields(coeff, band, cfg, t, factors):
 def step(v: SpectralVelocity, cfg: SolverConfig) -> SpectralVelocity:
     """Advance one dt.  Output stays divergence-free and band-limited.
 
-    With ``cfg.dealias``, modes of ``v`` outside the 2/3-rule band are
-    dropped first, as ``run`` drops them from its initial data.
+    Modes of ``v`` outside the 2/3-rule band are dropped first, as ``run``
+    drops them from its initial data.
     """
     if cfg.dt <= 0 or cfg.viscosity <= 0:
         raise BadSpec("dt and viscosity must be positive")
     if cfg.scheme not in ("rk4", "rk2"):
         raise BadSpec(f"unknown scheme {cfg.scheme!r}")
-    band = v.grid.band(cfg.dealias)
+    band = v.grid.band
     new, _ = _step_fields(band.compact(v.coeff), band, cfg, v.t,
                           _integrating_factors(band, cfg))
     return SpectralVelocity(band.expand(new), v.grid, v.t + cfg.dt)
@@ -224,13 +223,12 @@ def run(v0: SpectralVelocity, cfg: SolverConfig) -> Trajectory:
     """Integrate from v0 to t_final, snapshotting every ``snapshot_stride`` steps.
 
     The first and last states are always snapshotted; the first is the band
-    of v0 (so dealiased if the run is).  Snapshots are the band states as
-    they are.  Instability surfaces as an exception carrying the failing
-    time.
+    of v0.  Snapshots are the band states as they are.  Instability
+    surfaces as an exception carrying the failing time.
     """
     grid = v0.grid
     n_steps = cfg.validate(grid)
-    band = grid.band(cfg.dealias)
+    band = grid.band
     state = band.compact(v0.coeff)
     times = [0.0]
     coeffs = [state]
@@ -344,7 +342,7 @@ def make_initial(
         coeff = _random_spectrum(grid, seed, amplitude, kmax)
     else:
         raise BadSpec(f"unknown initial data kind {kind!r}")
-    band = grid.band()
+    band = grid.band
     coeff = _project(band.compact(coeff), band.wavenumbers, band.inv_k_squared)
     coeff[:, 0, 0, 0] = 0.0
     return SpectralVelocity(band.expand(coeff), grid, 0.0)

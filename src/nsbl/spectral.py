@@ -10,10 +10,10 @@ what ``read_checkpoint`` returns) use the full (..., n, n, n) layout.  The
 real-FFT half spectrum (..., n, n, n//2+1) is the k_z >= 0 half that
 ``numpy.fft.rfftn`` returns; it fixes a real field through the conjugate
 symmetry c(-k) = conj(c(k)).  Everything a run computes and stores is the
-band (``SpectralBand``): the modes the run keeps, cut out of the half
-spectrum.  With the 2/3 rule that is (..., 2c+1, 2c+1, c+1) with c = n//3,
-3.6 times fewer entries than the half spectrum and 6.8 times fewer than the
-full layout at n = 32; without dealiasing it is the whole half spectrum.
+band (``SpectralBand``): the modes the 2/3 rule keeps, cut out of the
+half spectrum, (..., 2c+1, 2c+1, c+1) with c = n//3: 3.6 times fewer
+entries than the half spectrum and 6.8 times fewer than the full layout at
+n = 32.
 The solver steps it, trajectories hold it, NSBL2 checkpoints store it and
 the audit reads it: ``cz_pressure`` takes band coefficients, and |u| comes
 from the band's ``inverse``.  ``SpectralBand.compact`` takes a full or half
@@ -39,7 +39,6 @@ __all__ = [
     "transform_inverse",
     "SpectralBand",
     "quadratic_products",
-    "leray_project",
     "divergence_max",
     "cz_pressure",
 ]
@@ -69,7 +68,7 @@ class TorusGrid:
     npts: int
     length: float = TWO_PI
     dim: int = 3
-    _bands: dict = field(default_factory=dict, init=False, repr=False)
+    _band: "SpectralBand | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dim != 3:
@@ -106,21 +105,12 @@ class TorusGrid:
         out[0, 0, 0] = 0.0
         return out
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Keep modes with |m_i| <= npts/3 on every axis (2/3 rule)."""
-        cut = self.npts // 3
-        keep1d = np.abs(self.freqs) <= cut
-        return (
-            keep1d[:, None, None] & keep1d[None, :, None] & keep1d[None, None, :]
-        )
-
-    def band(self, dealias: bool = True) -> "SpectralBand":
-        """The modes a run on this grid keeps; built once per grid and flag."""
-        dealias = bool(dealias)
-        if dealias not in self._bands:
-            self._bands[dealias] = SpectralBand(self, dealias)
-        return self._bands[dealias]
+    @property
+    def band(self) -> "SpectralBand":
+        """The modes a run on this grid keeps (2/3 rule); built on first use."""
+        if self._band is None:
+            self._band = SpectralBand(self)
+        return self._band
 
     @property
     def cell_volume(self) -> float:
@@ -159,34 +149,28 @@ def transform_inverse(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
 class SpectralBand:
     """The modes a run keeps, as a compact block of the half spectrum.
 
-    With the 2/3 rule these are the modes with every |m_i| <= n//3, stored
-    as (..., 2c+1, 2c+1, c+1) with c = n//3: the kept k_x and k_y indices
-    ``rows`` in FFT order (0..c, n-c..n-1) and the k_z planes 0..c.  Without
-    dealiasing the band is the whole half spectrum (..., n, n, n//2+1).
+    These are the modes with every |m_i| <= n//3 (2/3 rule), stored as
+    (..., 2c+1, 2c+1, c+1) with c = n//3: the kept k_x and k_y indices
+    ``rows`` in FFT order (0..c, n-c..n-1) and the k_z planes 0..c.
 
-    The operators are the full-layout ones at the kept indices, so the
-    Nyquist entries keep the full layout's -n/2.  The transforms skip the
-    lines that only carry modes outside the band; every line they do
-    compute is the line ``rfftn`` or ``irfftn`` would compute.
+    The operators are the full-layout ones at the kept indices.  The
+    transforms skip the lines that only carry modes outside the band; every
+    line they do compute is the line ``rfftn`` or ``irfftn`` would compute.
 
     The band holds no reference to its grid, which caches it: a cycle
     would keep both alive until the cyclic garbage collector runs.
     """
 
-    def __init__(self, grid: TorusGrid, dealias: bool):
+    def __init__(self, grid: TorusGrid):
         n = grid.npts
-        cut = n // 3 if dealias else n // 2
+        cut = n // 3
         self.npts = n
         self.volume = grid.volume
         self.cut = cut
         self.rows = np.flatnonzero(np.abs(grid.freqs) <= cut)
-        # the row of -k for each row of k; the Nyquist row is its own mirror
+        # the row of -k for each row of k
         self.mirror_rows = -self.rows % n
         self.planes = cut + 1
-        # The interior k_z planes 1..inner-1 have their conjugate mirrors
-        # n-1..n-inner+1 outside the half spectrum; the k_z = 0 and Nyquist
-        # planes are their own mirrors.
-        self.inner = cut if 2 * cut == n else cut + 1
         self.shape = (self.rows.size, self.rows.size, self.planes)
         # the grid's operators at the kept indices, built from one axis
         # without the grid's full-layout arrays (same values, bit for bit)
@@ -199,10 +183,10 @@ class SpectralBand:
         k2[0, 0, 0] = 1.0
         self.inv_k_squared = 1.0 / k2
         self.inv_k_squared[0, 0, 0] = 0.0
-        # in sums over the band an interior plane also stands for its
+        # in sums over the band a k_z plane 1..c also stands for its
         # mirror, so it counts twice
         self.weights = np.ones(self.planes)
-        self.weights[1 : self.inner] = 2.0
+        self.weights[1:] = 2.0
 
     def compact(self, coeff: np.ndarray) -> np.ndarray:
         """The band entries of full- or half-layout data, as a copy."""
@@ -211,21 +195,21 @@ class SpectralBand:
     def expand(self, band: np.ndarray) -> np.ndarray:
         """Full-layout coefficients of band data, zero outside the band.
 
-        The band goes in as it is; each interior k_z plane goes in once
-        more, conjugated, at the negated indices, c(-k) = conj(c(k)).  The
-        k_z = 0 and Nyquist planes are their own mirrors and go in once.
+        The band goes in as it is; each k_z plane 1..c goes in once more,
+        conjugated, at the negated indices, c(-k) = conj(c(k)).  The k_z = 0
+        plane is its own mirror and goes in once.
         """
-        n, m = self.npts, self.inner
+        n, c = self.npts, self.cut
         full = np.zeros(band.shape[:-3] + (n, n, n), dtype=np.complex128)
         full[..., self.rows[:, None], self.rows, : self.planes] = band
-        full[..., self.mirror_rows[:, None], self.mirror_rows, n - m + 1 :] = np.conj(
-            band[..., m - 1 : 0 : -1]
+        full[..., self.mirror_rows[:, None], self.mirror_rows, n - c :] = np.conj(
+            band[..., c:0:-1]
         )
         return full
 
     def sum_squares(self, band: np.ndarray) -> float:
-        """The sum of |c|^2 over the full layout, taken on the band: an
-        interior k_z plane counts for its mirror too."""
+        """The sum of |c|^2 over the full layout, taken on the band: a k_z
+        plane 1..c counts for its mirror too."""
         return float(np.sum(self.weights * (band.real**2 + band.imag**2)))
 
     def forward(self, values: np.ndarray) -> np.ndarray:
@@ -279,9 +263,6 @@ class SpectralVelocity:
         if self.coeff.shape != (3,) + (self.grid.npts,) * 3:
             raise ShapeMismatch(f"velocity coefficients have shape {self.coeff.shape}")
 
-    def copy(self, t: float | None = None) -> "SpectralVelocity":
-        return SpectralVelocity(self.coeff.copy(), self.grid, self.t if t is None else t)
-
     def components(self) -> np.ndarray:
         """Physical velocity components, shape (3, n, n, n)."""
         return transform_inverse(self.coeff, self.grid)
@@ -289,9 +270,6 @@ class SpectralVelocity:
     def magnitude(self) -> np.ndarray:
         u = self.components()
         return np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
-
-    def coeff_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.coeff) ** 2)))
 
     def divergence_max(self) -> float:
         return divergence_max(self.coeff, self.grid.wavenumbers)
@@ -319,11 +297,6 @@ def _project_coeff(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return _project(coeff, grid.wavenumbers, grid.inv_k_squared)
 
 
-def leray_project(v: SpectralVelocity) -> SpectralVelocity:
-    """Project onto divergence-free fields; the zero mode passes through."""
-    return SpectralVelocity(_project_coeff(v.coeff, v.grid), v.grid, v.t)
-
-
 def divergence_max(coeff: np.ndarray, k: np.ndarray) -> float:
     """max |k . c| over coefficients ``coeff`` at wavevectors ``k``, in
     either layout."""
@@ -336,10 +309,10 @@ def cz_pressure(coeff: np.ndarray, grid: TorusGrid, m_sigma: float = 1.0) -> Sca
 
     Solves -lap(p) = m_sigma^2 d_i d_j (u_j u_i) spectrally; the zero mode of
     p is fixed to 0.  ``coeff`` holds the velocity's 2/3-rule band, shape
-    (3, *grid.band().shape), as trajectories store it; the quadratic
+    (3, *grid.band.shape), as trajectories store it; the quadratic
     products and p are dealiased to the same band.
     """
-    band = grid.band()
+    band = grid.band
     if coeff.shape != (3,) + band.shape:
         raise ShapeMismatch(f"velocity band has shape {coeff.shape}, "
                             f"not the 2/3-rule band's {(3,) + band.shape}")

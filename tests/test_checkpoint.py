@@ -65,47 +65,58 @@ def test_deterministic_bytes(tmp_path, field):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def band_field(n, dealias, seed=0):
+def band_field(n, seed=0):
     """Arbitrary band data of a grid and the full-layout field it expands to."""
-    band = TorusGrid(n).band(dealias)
+    band = TorusGrid(n).band
     rng = np.random.default_rng(seed)
     coeff = rng.normal(size=(3,) + band.shape) + 1j * rng.normal(size=(3,) + band.shape)
     return coeff, SpectralVelocity(band.expand(coeff), TorusGrid(n), 0.125)
 
 
-@pytest.mark.parametrize("dealias", [True, False])
+def nsbl2_blob(npts, cut, payload):
+    """An NSBL2 file of a 3-component field with a valid CRC-32."""
+    head = b"NSBL2<" + struct.pack("<IIddII", 3, npts, 2 * np.pi, 0.0, 3, cut)
+    return head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload
+
+
 @pytest.mark.parametrize("n", [16, 24])
-def test_band_round_trip_bit_exact(tmp_path, n, dealias):
-    coeff, v = band_field(n, dealias)
+def test_band_round_trip_bit_exact(tmp_path, n):
+    coeff, v = band_field(n)
     path = tmp_path / "b.nsbl"
-    sha = write_checkpoint(path, v, dealias)
-    band = v.grid.band(dealias)
+    sha = write_checkpoint(path, v)
     # the payload is the band itself, after the fixed header
     assert len(path.read_bytes()) == HEADER_BYTES + coeff.nbytes
-    back = read_checkpoint(path, expect_sha=sha, dealias=dealias)
+    back = read_checkpoint(path, expect_sha=sha)
     assert np.array_equal(back.coeff, v.coeff)
-    assert band.compact(back.coeff).tobytes() == coeff.tobytes()
+    assert v.grid.band.compact(back.coeff).tobytes() == coeff.tobytes()
     assert back.t == 0.125
 
 
 def test_write_refuses_modes_outside_the_band(tmp_path):
-    _, wide = band_field(16, dealias=False)
+    _, v = band_field(16)
+    # a real mode pair at |m_x| = 6 > 16//3
+    wide = SpectralVelocity(v.coeff.copy(), v.grid)
+    wide.coeff[1, 6, 0, 0] = wide.coeff[1, -6, 0, 0] = 0.5
     with pytest.raises(ShapeMismatch):
-        write_checkpoint(tmp_path / "w.nsbl", wide, dealias=True)
+        write_checkpoint(tmp_path / "w.nsbl", wide)
     assert not (tmp_path / "w.nsbl").exists()
     # inside the band, but not the real field of it: the mirror is not conj
-    skew = SpectralVelocity(wide.coeff.copy(), wide.grid)
+    skew = SpectralVelocity(v.coeff.copy(), v.grid)
     skew.coeff[0, 1, 2, -3] += 1e-14
     with pytest.raises(ShapeMismatch):
-        write_checkpoint(tmp_path / "w.nsbl", skew, dealias=False)
+        write_checkpoint(tmp_path / "w.nsbl", skew)
+    assert not (tmp_path / "w.nsbl").exists()
 
 
-def test_band_mismatch_raises(tmp_path, field):
+def test_band_mismatch_raises(tmp_path):
+    # only the 2/3-rule cut 16//3 = 5 is read.  The cut is checked before the
+    # payload size, so a payload sized for the file's own cut gives the same
+    # error; cut 8 with 16 rows is the half spectrum of an undealiased run.
     path = tmp_path / "f.nsbl"
-    write_checkpoint(path, field, dealias=True)
-    with pytest.raises(CorruptCheckpoint, match="dealias = false"):
-        read_checkpoint(path, dealias=False)
-    assert np.array_equal(read_checkpoint(path, dealias=True).coeff, field.coeff)
+    for cut, rows in [(8, 16), (4, 9), (6, 13)]:
+        path.write_bytes(nsbl2_blob(16, cut, bytes(3 * rows * rows * (cut + 1) * 16)))
+        with pytest.raises(CorruptCheckpoint, match=f"band cut {cut} is not the 2/3-rule cut 5"):
+            read_checkpoint(path)
 
 
 def test_nsbl1_is_no_longer_read(tmp_path, field):
@@ -131,12 +142,11 @@ def test_crc_catches_flips_without_the_hash(tmp_path, field, offset):
 def test_payload_size_checked_before_the_band_is_built(tmp_path, monkeypatch):
     # a valid CRC over a header that claims a huge grid: building its band
     # operators would allocate terabytes, so the size check must come first
-    def no_band(self, dealias=True):
+    def no_band(self):
         raise AssertionError("band built before the payload size was checked")
 
-    monkeypatch.setattr(TorusGrid, "band", no_band)
-    head = b"NSBL2<" + struct.pack("<IIddII", 3, 4096, 2 * np.pi, 0.0, 3, 4096 // 3)
+    monkeypatch.setattr(TorusGrid, "band", property(no_band))
     path = tmp_path / "huge.nsbl"
-    path.write_bytes(head + struct.pack("<I", zlib.crc32(head)))
+    path.write_bytes(nsbl2_blob(4096, 4096 // 3, b""))
     with pytest.raises(CorruptCheckpoint, match="payload"):
         read_checkpoint(path)

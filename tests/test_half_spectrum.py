@@ -12,14 +12,12 @@ import numpy as np
 import pytest
 
 from nsbl.checkpoint import write_checkpoint
-from nsbl.norms import spectral_l2_norm
 from nsbl.solver import SolverConfig, make_initial, nonlinear_term, run, step
 from nsbl.spectral import (
     PAIRS,
     SpectralVelocity,
     TorusGrid,
     cz_pressure,
-    leray_project,
     transform_forward,
     transform_inverse,
 )
@@ -36,10 +34,16 @@ def full_spectrum(half):
     return np.concatenate([half, np.conj(mirrored)], axis=-1)
 
 
-def in_band(c, grid, dealias=True):
+def two_thirds_mask(grid):
+    """Full-layout mask of the modes with every |m_i| <= n//3."""
+    keep = np.abs(grid.freqs) <= grid.npts // 3
+    return keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+
+
+def in_band(c, grid):
     """c is exactly the expansion of its band: nothing outside it, and every
     mirrored entry the conjugate of its band entry."""
-    band = grid.band(dealias)
+    band = grid.band
     return np.array_equal(band.expand(band.compact(c)), c)
 
 
@@ -49,15 +53,13 @@ def oracle_project(coeff, grid):
     return coeff - k * kdotv[None]
 
 
-def oracle_nonlinear(coeff, grid, dealias):
+def oracle_nonlinear(coeff, grid):
     u = transform_inverse(coeff, grid)
     k = grid.wavenumbers
     out = np.zeros_like(coeff)
     for i in range(3):
         for j in range(i, 3):
-            w = transform_forward(u[i] * u[j], grid)
-            if dealias:
-                w = w * grid.dealias_mask
+            w = transform_forward(u[i] * u[j], grid) * two_thirds_mask(grid)
             out[i] -= 1j * k[j] * w
             if i != j:
                 out[j] -= 1j * k[i] * w
@@ -71,7 +73,7 @@ def oracle_cz_pressure(v, m_sigma):
     p_hat = np.zeros((grid.npts,) * 3, dtype=np.complex128)
     for i in range(3):
         for j in range(i, 3):
-            w = transform_forward(u[i] * u[j], grid) * grid.dealias_mask
+            w = transform_forward(u[i] * u[j], grid) * two_thirds_mask(grid)
             factor = 1.0 if i == j else 2.0
             p_hat -= factor * (m_sigma**2) * k[i] * k[j] * grid.inv_k_squared * w
     p_hat[0, 0, 0] = 0.0
@@ -82,7 +84,7 @@ def oracle_rk4_step(coeff, grid, cfg):
     nu, dt = cfg.viscosity, cfg.dt
     e_half = np.exp(-nu * grid.k_squared * dt / 2)
     e_full = e_half * e_half
-    nl = lambda c: oracle_nonlinear(c, grid, cfg.dealias)
+    nl = lambda c: oracle_nonlinear(c, grid)
     k1 = nl(coeff)
     a = e_half * (coeff + (dt / 2) * k1)
     k2 = nl(a)
@@ -102,7 +104,7 @@ class HalfOps:
         self.k = grid.wavenumbers[..., :m]
         self.k2 = grid.k_squared[..., :m]
         self.inv_k2 = grid.inv_k_squared[..., :m]
-        self.mask = grid.dealias_mask[..., :m]
+        self.mask = two_thirds_mask(grid)[..., :m]
         self.weights = np.full(m, 2.0)
         self.weights[0] = self.weights[-1] = 1.0
 
@@ -110,14 +112,13 @@ class HalfOps:
         n = self.grid.npts
         return np.fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
 
-    def products(self, u, dealias=True):
+    def products(self, u):
         prods = np.stack([u[i] * u[j] for i, j in PAIRS])
-        w = np.fft.rfftn(prods, axes=(-3, -2, -1), norm="forward")
-        return w * self.mask if dealias else w
+        return np.fft.rfftn(prods, axes=(-3, -2, -1), norm="forward") * self.mask
 
 
-def half_oracle_nonlinear(half, ops, dealias):
-    w = ops.products(ops.inverse(half), dealias)
+def half_oracle_nonlinear(half, ops):
+    w = ops.products(ops.inverse(half))
     k = ops.k
     div = np.stack([
         k[0] * w[0] + k[1] * w[1] + k[2] * w[2],
@@ -133,7 +134,7 @@ def half_oracle_step(half, ops, cfg):
     nu, dt = cfg.viscosity, cfg.dt
     e_half = np.exp(-nu * ops.k2 * dt / 2)
     e_full = e_half * e_half
-    nl = lambda c: half_oracle_nonlinear(c, ops, cfg.dealias)
+    nl = lambda c: half_oracle_nonlinear(c, ops)
     weighted = ops.weights * ops.k2
     diss = lambda c: nu * ops.grid.volume * float(np.sum(weighted * (c.real**2 + c.imag**2)))
     k1 = nl(half)
@@ -159,13 +160,18 @@ def half_oracle_cz_pressure(v, m_sigma):
     return ops.inverse(p_hat)
 
 
+def coeff_l2_norm(v):
+    """Spatial L2 norm of a full-layout field, from its coefficients."""
+    return float(np.sqrt(v.grid.volume * np.sum(np.abs(v.coeff) ** 2)))
+
+
 def rel_err(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
 
 def field(n, seed=3):
-    # kmax at the top of the dealias band, so that without the mask the
-    # quadratic products reach the Nyquist planes
+    # kmax at the top of the band, so that the quadratic products reach
+    # past it and would alias without the mask
     return make_initial("random_spectrum", TorusGrid(n), seed=seed, amplitude=2.0, kmax=n // 3)
 
 
@@ -174,47 +180,36 @@ def wide_field(n, seed=3):
     v = field(n, seed)
     g = v.grid
     noise = np.random.default_rng(seed).normal(size=(3, n, n, n))
-    outside = transform_forward(noise, g) * ~g.dealias_mask
-    wide = v.coeff + 0.1 * leray_project(SpectralVelocity(outside, g)).coeff
+    outside = transform_forward(noise, g) * ~two_thirds_mask(g)
+    wide = v.coeff + 0.1 * oracle_project(outside, g)
     return SpectralVelocity(wide, g)
 
 
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_half_operators_are_full_layout_slices(n):
-    # without dealiasing the band is the whole half spectrum
-    g = TorusGrid(n)
-    m = n // 2 + 1
-    half = g.band(dealias=False)
-    assert half.shape == (n, n, m)
-    assert np.array_equal(half.wavenumbers, g.wavenumbers[..., :m])
-    assert np.array_equal(half.k_squared, g.k_squared[..., :m])
-    assert np.array_equal(half.inv_k_squared, g.inv_k_squared[..., :m])
-    assert half.weights.tolist() == [1.0] + [2.0] * (n // 2 - 1) + [1.0]
     # the 2/3-rule band: kept indices 0..c, n-c..n-1 in FFT order, k_z planes 0..c
+    g = TorusGrid(n)
     c = n // 3
-    band = g.band()
-    assert band is g.band(True)
+    band = g.band
+    assert band is g.band
     assert band.rows.tolist() == list(range(c + 1)) + list(range(n - c, n))
     assert band.shape == (2 * c + 1, 2 * c + 1, c + 1)
     keep = np.ix_(band.rows, band.rows, range(c + 1))
     assert np.array_equal(band.wavenumbers, g.wavenumbers[(slice(None),) + keep])
     assert np.array_equal(band.k_squared, g.k_squared[keep])
     assert np.array_equal(band.inv_k_squared, g.inv_k_squared[keep])
-    assert g.dealias_mask[keep].all()
-    assert g.dealias_mask.sum() == (2 * c + 1) ** 3
+    assert two_thirds_mask(g)[keep].all()
+    assert two_thirds_mask(g).sum() == (2 * c + 1) ** 3
     assert band.weights.tolist() == [1.0] + [2.0] * c
 
 
-@pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("n", [16, 24, 48])
-def test_pruned_transforms_match_rfftn_and_irfftn(n, dealias):
+def test_pruned_transforms_match_rfftn_and_irfftn(n):
     g = TorusGrid(n)
-    band = g.band(dealias)
+    band = g.band
     ops = HalfOps(g)
     values = np.random.default_rng(n).normal(size=(n, n, n))
-    want = np.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
-    if dealias:
-        want *= ops.mask
+    want = np.fft.rfftn(values, axes=(-3, -2, -1), norm="forward") * ops.mask
     assert np.array_equal(band.forward(values), band.compact(want))
     coeff = band.compact(transform_forward(np.stack([values, -values, 2 * values]), g))
     padded = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
@@ -223,13 +218,12 @@ def test_pruned_transforms_match_rfftn_and_irfftn(n, dealias):
     assert np.array_equal(band.expand(coeff), full_spectrum(padded))
 
 
-@pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("n", [16, 24, 48])
-def test_expand_scatter_matches_mirrored_half_spectrum(n, dealias):
-    # arbitrary band data, so the k_z = 0 and Nyquist planes are not their
-    # own mirrors and any mirroring of them would show
-    band = TorusGrid(n).band(dealias)
-    rng = np.random.default_rng(n + dealias)
+def test_expand_scatter_matches_mirrored_half_spectrum(n):
+    # arbitrary band data, so the k_z = 0 plane is not its own mirror and
+    # any mirroring of it would show
+    band = TorusGrid(n).band
+    rng = np.random.default_rng(n)
     coeff = rng.normal(size=(3,) + band.shape) + 1j * rng.normal(size=(3,) + band.shape)
     padded = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
     padded[(slice(None),) + np.ix_(band.rows, band.rows, range(band.planes))] = coeff
@@ -238,30 +232,20 @@ def test_expand_scatter_matches_mirrored_half_spectrum(n, dealias):
     # conjugates the zeros outside the band to -0j
     assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
     assert np.array_equal(band.compact(got), coeff)
-    if not dealias:
-        assert np.array_equal(got[..., n // 2], coeff[..., n // 2])
 
 
-@pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("n", [16, 24, 48])
-def test_nonlinear_matches_full_oracle(n, dealias):
+def test_nonlinear_matches_full_oracle(n):
     v = field(n)
-    got = nonlinear_term(v, dealias=dealias).coeff
-    want = oracle_nonlinear(v.coeff, v.grid, dealias)
-    m = n // 2 + 1
-    assert rel_err(got[..., :m], want[..., :m]) <= RTOL
-    # Without the mask, -i k_N on a Nyquist index has no conjugate partner,
-    # so neither result is Hermitian on the Nyquist lines and the mirrored
-    # half need not match the oracle there.
-    if dealias:
-        assert rel_err(got, want) <= RTOL
-        assert in_band(got, v.grid)
+    got = nonlinear_term(v).coeff
+    assert rel_err(got, oracle_nonlinear(v.coeff, v.grid)) <= RTOL
+    assert in_band(got, v.grid)
 
 
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_cz_pressure_matches_full_oracle(n):
     v = field(n)
-    got = cz_pressure(v.grid.band().compact(v.coeff), v.grid, m_sigma=1.7).values
+    got = cz_pressure(v.grid.band.compact(v.coeff), v.grid, m_sigma=1.7).values
     assert rel_err(got, oracle_cz_pressure(v, 1.7)) <= RTOL
 
 
@@ -284,13 +268,10 @@ def test_run_snapshots_hermitian():
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_band_kernels_match_half_spectrum_oracle(n):
     v = field(n)
-    m = n // 2 + 1
-    for dealias in (True, False):
-        want = half_oracle_nonlinear(v.coeff[..., :m], HalfOps(v.grid), dealias)
-        got = nonlinear_term(v, dealias=dealias).coeff
-        assert np.array_equal(got, full_spectrum(want))
+    want = half_oracle_nonlinear(v.coeff[..., : n // 2 + 1], HalfOps(v.grid))
+    assert np.array_equal(nonlinear_term(v).coeff, full_spectrum(want))
     for u in (v, field(n, seed=n)):
-        got = cz_pressure(u.grid.band().compact(u.coeff), u.grid, m_sigma=1.7).values
+        got = cz_pressure(u.grid.band.compact(u.coeff), u.grid, m_sigma=1.7).values
         assert np.array_equal(got, half_oracle_cz_pressure(u, 1.7))
 
 
@@ -300,7 +281,7 @@ def test_band_velocity_matches_irfftn_of_half_spectrum(n):
     # irfftn of the half spectrum bit for bit, and the full ifftn to roundoff
     v = field(n)
     traj = run(v, SolverConfig(viscosity=1.0, dt=2e-3, t_final=2e-3, snapshot_stride=1))
-    band = v.grid.band()
+    band = v.grid.band
     for i in range(len(traj)):
         full = traj.velocity(i)
         u = band.inverse(traj.coeffs[i])
@@ -334,33 +315,34 @@ def test_out_of_band_input_is_dropped(n):
     # step and nonlinear_term see only the band, as run does: modes outside
     # it do not leak through the linear term
     wide = wide_field(n)
-    masked = SpectralVelocity(wide.coeff * wide.grid.dealias_mask, wide.grid)
+    masked = SpectralVelocity(wide.coeff * two_thirds_mask(wide.grid), wide.grid)
     cfg = SolverConfig(viscosity=1.0, dt=2e-3)
     assert np.array_equal(step(wide, cfg).coeff, step(masked, cfg).coeff)
     assert np.array_equal(nonlinear_term(wide).coeff, nonlinear_term(masked).coeff)
-    assert np.abs(step(wide, cfg).coeff * ~wide.grid.dealias_mask).max() == 0.0
+    assert np.abs(step(wide, cfg).coeff * ~two_thirds_mask(wide.grid)).max() == 0.0
 
 
 @pytest.mark.parametrize("plane,mode", [
     ("k_z = 0", (0, 1, 0)),
     ("interior", (0, 0, 3)),
-    ("Nyquist", (0, 0, 8)),
+    ("outermost", (0, 0, 5)),
 ])
 def test_dissipation_weights_per_plane(plane, mode):
     # u_x = cos(k.x) with k.e_x = 0 is a steady Euler shear flow: its
     # advection vanishes, so all the energy lost is viscous dissipation.
-    # A wrong k_z-plane weight doubles or halves the accumulated integral.
+    # A wrong k_z-plane weight doubles or halves the accumulated integral;
+    # the outermost case is the last kept plane k_z = c = 16//3.
     g = TorusGrid(16)
     x = g.mesh()
     phase = sum(m * xi for m, xi in zip(mode, x))
     u = np.stack([np.cos(phase), np.zeros_like(phase), np.zeros_like(phase)])
     v0 = SpectralVelocity(transform_forward(u, g), g)
     nu, t_final = 0.5, 0.01
-    cfg = SolverConfig(viscosity=nu, dt=1e-3, t_final=t_final, snapshot_stride=5, dealias=False)
+    cfg = SolverConfig(viscosity=nu, dt=1e-3, t_final=t_final, snapshot_stride=5)
     traj = run(v0, cfg)
     k2 = float(sum(m * m for m in mode))
-    e0 = 0.5 * spectral_l2_norm(v0) ** 2
+    e0 = 0.5 * coeff_l2_norm(v0) ** 2
     decay = np.exp(-2 * nu * k2 * t_final)
-    e_final = 0.5 * spectral_l2_norm(traj.velocity(len(traj) - 1)) ** 2
+    e_final = 0.5 * coeff_l2_norm(traj.velocity(len(traj) - 1)) ** 2
     assert e_final == pytest.approx(e0 * decay, rel=1e-12)
     assert traj.dissipation[-1] == pytest.approx(e0 * (1 - decay), rel=1e-6), plane

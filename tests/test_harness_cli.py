@@ -41,6 +41,18 @@ class TestScenario:
         assert back.to_dict() == sc.to_dict()
         assert scenario_hash(back) == scenario_hash(sc)
 
+    def test_scenario_hash_pinned(self):
+        # the nsbl-scenario/1 bytes, "dealias": true included, are those of
+        # the runs and manifests written so far
+        sc = quick_scenario("pinned", kind="random_spectrum", seed=3)
+        d = sc.to_dict()
+        assert d["solver"]["dealias"] is True
+        assert scenario_hash(sc) == (
+            "2dd82f86dad5003d42f130888175011b27b2eb179daf9897741e67293d759dc0")
+        assert Scenario.from_dict(d) == sc
+        del d["solver"]["dealias"]
+        assert scenario_hash(Scenario.from_dict(d)) == scenario_hash(sc)
+
     def test_load_from_file(self, tmp_path):
         sc = quick_scenario("b")
         p = tmp_path / "sc.json"
@@ -76,6 +88,7 @@ class TestScenario:
         ("initial", "seed", 0.5), ("initial", "seed", False),
         ("initial", "kmax", "4"), ("initial", "kmax", float("nan")),
         ("solver", "dealias", "false"), ("solver", "dealias", 0),
+        ("solver", "dealias", False), ("solver", "dealias", None),
         ("audit", "calibration", "no"), ("audit", "calibration", 1),
     ])
     def test_wrong_type_rejected(self, section, key, bad):
@@ -361,15 +374,18 @@ class TestCli:
         run_dir = tmp_path / "band"
         manifest = load_manifest(run_dir / "manifest.json")
         if case == "band_mismatch":
-            # the run claims no dealiasing, the file holds the 2/3-rule band
-            manifest["scenario"]["solver"]["dealias"] = False
-            message = "does not match"
+            # the whole half spectrum, as an undealiased run would store it,
+            # under a valid CRC-32
+            head = b"NSBL2<" + struct.pack("<IIddII", 3, 16, 2 * np.pi, 0.0, 3, 16 // 2)
+            payload = bytes(3 * 16 * 16 * (16 // 2 + 1) * 16)
+            blob = head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload
+            message = "band cut 8 is not the 2/3-rule cut 5"
         else:
             blob = (b"NSBL1<" + struct.pack("<IIddI", 3, 16, 2 * np.pi, 0.0, 3)
                     + bytes(3 * 16**3 * 16))
-            (run_dir / "checkpoint_0000.nsbl").write_bytes(blob)
-            manifest["checkpoints"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
             message = "re-run `nsbl simulate`"
+        (run_dir / "checkpoint_0000.nsbl").write_bytes(blob)
+        manifest["checkpoints"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
         (run_dir / "manifest.json").write_bytes(canonical_json(manifest))
         capsys.readouterr()
         assert cli.main(["audit", str(run_dir / "manifest.json")]) == 4
@@ -378,6 +394,7 @@ class TestCli:
     @pytest.mark.parametrize("case", [
         "list", "no_scenario", "no_instability", "checkpoints_object", "entry_list",
         "path_number", "t_string", "dissipation_missing", "sha256_short", "sha256_not_hex",
+        "not_json", "not_utf8", "unknown_key",
     ])
     def test_audit_malformed_manifest_exit_4(self, tmp_path, capsys, case):
         sc = quick_scenario("manifest", t_final=0.0)
@@ -405,23 +422,34 @@ class TestCli:
             del entry["dissipation"]
         elif case == "sha256_short":
             entry["sha256"] = entry["sha256"][:-1]
-        else:
+        elif case == "sha256_not_hex":
             entry["sha256"] = "g" + entry["sha256"][1:]
-        path.write_text(json.dumps(manifest))
+        elif case == "unknown_key":
+            manifest["checkpoint"] = manifest["checkpoints"]
+        text = json.dumps(manifest).encode()
+        if case == "not_json":
+            text = b"not json"
+        elif case == "not_utf8":
+            text = text.replace(b'"manifest"', b'"\xe9"')
+        path.write_bytes(text)
         capsys.readouterr()
         assert cli.main(["audit", str(path)]) == 4
         assert "malformed manifest" in capsys.readouterr().err
 
     def test_audit_undealiased_run_exit_1(self, tmp_path, capsys):
-        sc = quick_scenario("undealiased", t_final=4e-3)
-        sc.solver = SolverConfig(viscosity=1.0, dt=2e-3, t_final=4e-3, snapshot_stride=1,
-                                 dealias=False)
+        # a manifest whose scenario asks for an undealiased run is refused
+        # when the scenario is parsed, before any checkpoint is read
+        sc = quick_scenario("undealiased", t_final=4e-3, stride=1)
         scn = tmp_path / "sc.json"
         scn.write_bytes(canonical_json(sc.to_dict()))
         assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
+        path = tmp_path / "undealiased" / "manifest.json"
+        manifest = load_manifest(path)
+        manifest["scenario"]["solver"]["dealias"] = False
+        path.write_bytes(canonical_json(manifest))
         capsys.readouterr()
-        assert cli.main(["audit", str(tmp_path / "undealiased" / "manifest.json")]) == 1
-        assert "undealiased run" in capsys.readouterr().err
+        assert cli.main(["audit", str(path)]) == 1
+        assert "solver.dealias" in capsys.readouterr().err
         assert not (tmp_path / "undealiased" / "report.json").exists()
 
     @pytest.mark.parametrize("r", ["3", "11"])

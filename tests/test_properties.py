@@ -62,7 +62,7 @@ def test_audit_on_degenerate_fields(kind, amplitude, mode, snapshots, sigma, s_v
     coeff = degenerate_coeff(kind, amplitude, mode)
     times = [0.01 * i for i in range(snapshots)]
     cfg = SolverConfig(dt=0.01, t_final=times[-1], snapshot_stride=1)
-    traj = Trajectory(GRID, cfg, times, [GRID.band().compact(coeff)] * snapshots,
+    traj = Trajectory(GRID, cfg, times, [GRID.band.compact(coeff)] * snapshots,
                       [0.0] * snapshots)
     try:
         report = A.run_audit(traj, PARAMS.with_sigma(sigma, 0),
@@ -153,7 +153,7 @@ def test_sigma_solve_substitutes_back(N, sigma0, s3, theta):
 
 THRESHOLD_TRAJ = Trajectory(
     GRID, SolverConfig(dt=0.01, t_final=0.01, snapshot_stride=1), [0.0, 0.01],
-    [GRID.band().compact(make_initial("random_spectrum", GRID, seed=2, amplitude=1.0,
+    [GRID.band.compact(make_initial("random_spectrum", GRID, seed=2, amplitude=1.0,
                                       kmax=2).coeff)] * 2,
     [0.0, 0.0])
 exponents = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-12, 12))
