@@ -371,7 +371,13 @@ def fit_recursion_constant(measures, alpha: float, prefactor: float):
         yn, yn1 = measures[n], measures[n + 1]
         if yn > 0.0:
             pairs += 1
-            fitted = max(fitted, yn1 / (4.0**n * prefactor * yn ** (1 + alpha)))
+            try:
+                fitted = max(fitted, yn1 / (4.0**n * prefactor * yn ** (1 + alpha)))
+            except OverflowError:  # a weight beyond float64 bounds nothing
+                pass
+            except ZeroDivisionError as exc:
+                raise DegenerateField(f"recursion rung {n}: its weight 4^n * {prefactor:g} "
+                                      f"* y_n^(1+a) underflows to 0") from exc
     return fitted, pairs
 
 
@@ -394,7 +400,11 @@ def check_recursion(
     stats = _field_stats(traj, m_sigma)
     m_sigma = stats.m_sigma
     u2q = stats.norm(stats.magnitudes(), 2 * q)
-    prefactor = m_sigma**2 * u2q**4 / (ladder.threshold * sp.a_r)
+    try:
+        prefactor = m_sigma**2 * u2q**4 / (ladder.threshold * sp.a_r)
+    except OverflowError as exc:
+        raise DegenerateField("recursion prefactor M^2 |u|_2q^4 / (k A_r) is outside "
+                              "float64") from exc
     fitted, pairs = fit_recursion_constant(ladder.measures, a, prefactor)
     status = "decided_zero" if ladder.reached_zero() is not None else "undecided"
     extra = {
@@ -418,7 +428,10 @@ def check_recursion(
         bound = math.inf
         ok = True
     else:
-        bound = big_c ** (-1.0 / a) * 4.0 ** (-1.0 / a**2)
+        try:
+            bound = big_c ** (-1.0 / a) * 4.0 ** (-1.0 / a**2)
+        except OverflowError:  # beyond float64, so above any measure
+            bound = math.inf
         ok = y0 <= bound
     return CheckRecord(
         "recursion", y0, bound if math.isfinite(bound) else 0.0, fitted, ok,
@@ -519,8 +532,9 @@ def log_norm_limit(
     Also evaluates the convexity bound on the exponential factor when the
     parameter tuple puts r above q with a negative high-norm exponent.
     """
-    if not r > 1:
-        raise BadExponents(f"need r > 1, got {r}")
+    # the limit is sampled at ell = r + 1e-4 and above, which must differ from r
+    if not 1 < r < r + 1e-4:
+        raise BadExponents(f"need r > 1 and r + 1e-4 != r in float64, got {r}")
     stats = _field_stats(traj, m_sigma)
     f = stats.magnitudes()
     base = stats.norm(f, 2 * r)
@@ -590,9 +604,13 @@ def _final_bound_pieces(traj: Trajectory, params: ExponentParams):
     mags = traj.magnitudes()
     v0max = float(mags[0].max())
     v0_l2 = space_norm(mags[0], 2.0, traj.grid)
-    d0 = float(params.delta0)
-    n_exp = (params.N - 2) * d0 / 2
-    bracket = 1.0 + v0max**n_exp * v0_l2**d0 if v0max > 0 else 1.0
+    try:
+        d0 = float(params.delta0)
+        n_exp = (params.N - 2) * d0 / 2
+        bracket = 1.0 + v0max**n_exp * v0_l2**d0 if v0max > 0 else 1.0
+    except OverflowError as exc:
+        raise BadExponents(f"delta0 = {params.delta0} takes the final bound's bracket "
+                           f"beyond float range") from exc
     vmax = float(mags.max())
     return v0max, bracket, vmax
 
@@ -654,7 +672,13 @@ def run_audit(
     if vmax != 0.0 and not lo <= vmax <= hi:
         raise DegenerateField(f"sup |u| = {vmax:.3g} is outside the audited range [{lo:g}, {hi:g}]")
     v0max = float(mags[0].max())
-    m_sigma = v0max ** float(params.sigma) if v0max > 0 else 1.0
+    try:
+        m_sigma = v0max ** float(params.sigma) if v0max > 0 else 1.0
+    except OverflowError:
+        m_sigma = math.inf
+    if not lo <= m_sigma <= hi:
+        raise BadExponents(f"sigma = {params.sigma} takes M_sigma = (sup |u0|)^sigma outside "
+                           f"the audited range [{lo:g}, {hi:g}]")
 
     stats = FieldStats(traj, m_sigma)
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 completed (falsification findings are report content, not
 errors), 1 usage or precondition failure, 2 infeasible exponent tuple,
-3 discrete instability, 4 I/O or corruption.
+3 discrete instability, 4 I/O or corruption.  A command returns its
+outcome (0, 2 or 3); an error it raises leaves through ``ERRORS``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .audit import BadExponents
@@ -26,15 +26,47 @@ from .harness import (
     simulate,
     write_certificate,
 )
-from .ledger import DomainError, ExponentParams, SearchExhausted, select_parameters
-from .solver import BadSpec, Instability
-from .spectral import ShapeMismatch
+from .ledger import (
+    DomainError,
+    ExponentParams,
+    SearchExhausted,
+    parse_exact,
+    select_parameters,
+)
+from .solver import Instability
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_INSTABILITY = 3
 EXIT_IO = 4
+
+# every error a command may raise, with its exit code and stderr label;
+# the first row whose class matches wins, so the most specific come first
+ERRORS = (
+    (CorruptCheckpoint, EXIT_IO, "corrupt run data"),
+    (InfeasibleLedger, EXIT_INFEASIBLE, "ledger gate"),
+    (Instability, EXIT_INSTABILITY, "instability"),
+    (BadExponents, EXIT_USAGE, "bad audit exponents"),
+    (DomainError, EXIT_USAGE, "invalid exponents"),
+    (ValueError, EXIT_USAGE, "invalid input"),
+    (OSError, EXIT_IO, "i/o failure"),
+)
+
+# the keys of an explicit ``--check`` tuple, and the defaults of those it omits
+CHECK_KEYS = ("N", "q", "B", "K", "delta", "j", "r", "sigma")
+CHECK_DEFAULTS = {"q": "10", "B": "10", "K": "6/5", "delta": "1/2"}
+
+
+class UsageError(ValueError):
+    """A command line that does not parse."""
+
+
+class Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise instead of exiting 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def out_root(args) -> Path:
@@ -44,58 +76,41 @@ def out_root(args) -> Path:
     return path
 
 
-def _parse_check(text: str) -> dict:
-    out = {}
-    for item in text.split(","):
-        key, _, val = item.partition("=")
-        if not val:
-            raise ValueError(f"bad --check entry {item!r}, expected key=value")
-        out[key.strip()] = val.strip()
-    return out
-
-
-def _exponent_params(args) -> tuple[ExponentParams, str]:
-    """The tuple ``--check`` spells out, else the lattice search's, and a
-    note saying which; ValueError or ZeroDivisionError on a value that does
-    not parse or lies outside its domain."""
-    if not args.check:
-        params = select_parameters(args.N, q_ceiling=args.q_max, delta=Fraction(args.delta))
-        return params, "lattice search result"
-    overrides = _parse_check(args.check)
-    fields = {"N": int(overrides.pop("N", args.N))}
-    for key in ("q", "B", "K", "delta", "j", "r", "sigma"):
-        if key in overrides:
-            fields[key] = Fraction(overrides.pop(key))
-    if overrides:
-        raise ValueError(f"unknown --check keys: {sorted(overrides)}")
-    defaults = {"q": Fraction(10), "B": Fraction(10), "K": Fraction(6, 5),
-                "delta": Fraction(1, 2)}
-    for key, val in defaults.items():
-        fields.setdefault(key, val)
-    params = ExponentParams.derive(
-        fields["N"], fields["q"], fields["B"], fields["K"], fields["delta"],
-        fields.get("j"), fields.get("r"), fields.get("sigma", 0),
-    )
-    return params, "explicit tuple check"
+def _exponent_fields(args) -> dict:
+    """The exponents ``--N``, ``--delta`` and ``--check`` spell out, as
+    keywords of ``ExponentParams.derive``; DomainError on a value that is
+    not an exact rational, a fractional N, or an unknown or repeated key."""
+    check = {}
+    for item in args.check.split(",") if args.check else ():
+        key, sep, val = (part.strip() for part in item.partition("="))
+        if not sep or not val:
+            raise DomainError(f"bad --check entry {item!r}, expected key=value")
+        if key not in CHECK_KEYS or key in check:
+            raise DomainError(f"{'repeated' if key in check else 'unknown'} --check key {key!r}")
+        check[key] = val
+    # an explicit tuple takes its defaults from CHECK_DEFAULTS, not --delta
+    given = {"N": args.N, **(CHECK_DEFAULTS if args.check else {"delta": args.delta}), **check}
+    return {key: parse_exact(key, val, integer=key == "N") for key, val in given.items()}
 
 
 def cmd_exponents(args) -> int:
     root = out_root(args)
-    try:
-        params, note = _exponent_params(args)
-    except SearchExhausted as exc:
-        cert = {"format": "nsbl-certificate/1", "feasible": False,
-                "search_exhausted": str(exc), "params": None,
-                "reports": [], "diagnostics": [], "note": "lattice search exhausted"}
-        path = root / f"certificate-N{args.N}.json"
-        write_certificate(path, cert)
-        print(f"SearchExhausted: {exc}", file=sys.stderr)
-        print(f"certificate: {path}")
-        return EXIT_INFEASIBLE
-    except (ValueError, ZeroDivisionError) as exc:
-        # DomainError, or a number that int or Fraction cannot parse
-        print(f"invalid exponents: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    fields = _exponent_fields(args)
+    if args.check:
+        params, note = ExponentParams.derive(**fields), "explicit tuple check"
+    else:
+        try:
+            params = select_parameters(fields["N"], q_ceiling=args.q_max, delta=fields["delta"])
+        except SearchExhausted as exc:
+            cert = {"format": "nsbl-certificate/1", "feasible": False,
+                    "search_exhausted": str(exc), "params": None,
+                    "reports": [], "diagnostics": [], "note": "lattice search exhausted"}
+            path = root / f"certificate-N{fields['N']}.json"
+            write_certificate(path, cert)
+            print(f"SearchExhausted: {exc}", file=sys.stderr)
+            print(f"certificate: {path}")
+            return EXIT_INFEASIBLE
+        note = "lattice search result"
     cert = certificate_dict(params, note=note)
     path = root / f"certificate-N{params.N}.json"
     write_certificate(path, cert)
@@ -108,22 +123,8 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scenario = Scenario.load(args.scenario)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot load scenario: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        manifest_path = simulate(scenario, out_root(args))
-    except InfeasibleLedger as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (BadSpec, ShapeMismatch, DomainError) as exc:
-        print(f"bad scenario: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    scenario = Scenario.load(args.scenario)
+    manifest_path = simulate(scenario, out_root(args))
     manifest = json.loads(manifest_path.read_text())
     print(f"manifest: {manifest_path}")
     if manifest["instability"]:
@@ -149,20 +150,7 @@ def cmd_audit(args) -> int:
         overrides["ell_values"] = _parse_floats(args.l)
     if args.n_max is not None:
         overrides["n_max"] = args.n_max
-    try:
-        report, json_path, csv_path = audit_manifest(args.manifest, overrides or None)
-    except BadExponents as exc:
-        print(f"bad audit exponents: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
-        if isinstance(exc, CorruptCheckpoint):
-            print(f"corrupt run data: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"cannot audit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Instability as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INSTABILITY
+    report, json_path, csv_path = audit_manifest(args.manifest, overrides or None)
     print(f"report: {json_path}")
     print(f"csv: {csv_path}")
     for cid in report.falsifications():
@@ -171,22 +159,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    try:
-        suite = load_suite(args.suite)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load suite: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        aggregate = run_suite(suite, out_root(args), workers=args.workers)
-    except InfeasibleLedger as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (ValueError, KeyError) as exc:
-        print(f"bad suite: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    suite = load_suite(args.suite)
+    aggregate = run_suite(suite, out_root(args), workers=args.workers)
     print(f"runs completed: {aggregate['runs_completed']}")
     print(f"falsifications: {len(aggregate['falsifications'])}")
     for item in aggregate["falsifications"]:
@@ -201,14 +175,14 @@ def cmd_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="nsbl",
         description="Pseudo-spectral flow runs, inequality audits, and exact exponent certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exponents", help="search or check an exponent tuple")
-    p.add_argument("--N", type=int, default=3, help="space dimension (>= 3)")
+    p.add_argument("--N", default="3", help="space dimension (>= 3)")
     p.add_argument("--q-max", type=int, default=1_000_000, dest="q_max",
                    help="ceiling for the q lattice search")
     p.add_argument("--delta", default="1/2", help="delta for the pivot exponent")
@@ -240,8 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command; an error from ``ERRORS`` prints ``label: message``
+    to stderr and returns its exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except tuple(row[0] for row in ERRORS) as exc:
+        code, label = next((code, label) for cls, code, label in ERRORS if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

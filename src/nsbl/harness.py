@@ -17,7 +17,6 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +25,7 @@ import numpy as np
 from . import __version__
 from .audit import AuditReport, AuditSpec, run_audit
 from .checkpoint import CorruptCheckpoint, read_checkpoint, write_checkpoint
-from .ledger import ExponentParams, constraint_suite, diagnostics
+from .ledger import ExponentParams, constraint_suite, diagnostics, parse_exact
 from .solver import Instability, SolverConfig, Trajectory, make_initial, run
 from .spectral import TorusGrid
 
@@ -77,7 +76,7 @@ class UnknownKey(BadScenario):
     """A key the scenario format does not have, e.g. a misspelled one."""
 
     def __init__(self, key: str):
-        super().__init__(f"unknown scenario key {key!r}")
+        super().__init__(f"unknown key {key!r}")
         self.key = key
 
 
@@ -87,6 +86,7 @@ GRID_KEYS = ("npts", "length")
 SOLVER_KEYS = ("viscosity", "dt", "t_final", "snapshot_stride", "dealias", "scheme")
 INITIAL_KEYS = ("kind", "seed", "amplitude", "kmax")
 AUDIT_KEYS = ("r", "q", "s_values", "ell_values", "n_max", "calibration")
+SUITE_KEYS = ("format", "name", "calibration", "scenarios")
 
 
 def _section(d: dict, allowed, where: str) -> dict:
@@ -153,13 +153,19 @@ def _string(d: dict, key: str, default: str, where: str) -> str:
 def _audit_spec(d: dict) -> AuditSpec:
     """The audit section of a scenario, or a scenario's section with CLI overrides."""
     a = _section(d, AUDIT_KEYS, "audit")
+    ells = None if a.get("ell_values") is None else _numbers(a, "ell_values", None, "audit")
+    if ells == ():
+        raise BadScenario("audit.ell_values must be null or a non-empty list")
+    n_max = _integer(a, "n_max", 40, "audit")
+    # the ladder's levels k - k / 2^(n+1) need 2^(n_max+1) inside float64
+    if not 0 <= n_max <= 1022:
+        raise BadScenario(f"audit.n_max must be in [0, 1022], got {n_max}")
     return AuditSpec(
         r=_optional_number(a, "r", "audit"),
         q=_optional_number(a, "q", "audit"),
         s_values=_numbers(a, "s_values", (2.0, 3.0), "audit"),
-        ell_values=None if a.get("ell_values") is None
-        else _numbers(a, "ell_values", None, "audit"),
-        n_max=_integer(a, "n_max", 40, "audit"),
+        ell_values=ells,
+        n_max=n_max,
         calibration=_flag(a, "calibration", False, "audit"),
     )
 
@@ -183,14 +189,10 @@ class Scenario:
         return TorusGrid(self.grid_npts, self.grid_length)
 
     def exponent_params(self) -> ExponentParams:
-        d = dict(DEFAULT_LEDGER)
-        d.update(self.ledger or {})
-        return ExponentParams.derive(
-            int(d["N"]), Fraction(str(d["q"])), Fraction(str(d["B"])),
-            Fraction(str(d["K"])), Fraction(str(d["delta"])),
-            Fraction(str(d["j"])), Fraction(str(d["r"])),
-            Fraction(str(d.get("sigma", 0))), Fraction(str(d.get("delta0", 0))),
-        )
+        d = {**DEFAULT_LEDGER, **(self.ledger or {})}
+        return ExponentParams.derive(**{
+            key: parse_exact(f"ledger.{key}", value, integer=key == "N")
+            for key, value in d.items()})
 
     def to_dict(self) -> dict:
         return {
@@ -240,8 +242,12 @@ class Scenario:
         if "amplitude" in initial:
             initial["amplitude"] = _number(initial, "amplitude", None, "initial")
         ledger = _section(d.get("ledger", DEFAULT_LEDGER), tuple(DEFAULT_LEDGER), "ledger")
+        name = _string(d, "name", None, "scenario")
+        # the run directory is out_root / name: one component, inside out_root
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise BadScenario(f"scenario.name must be one path component, got {name!r}")
         return cls(
-            name=_string(d, "name", None, "scenario"),
+            name=name,
             grid_npts=_integer(g, "npts", 32, "grid"),
             grid_length=_number(g, "length", 2 * np.pi, "grid"),
             solver=SolverConfig(
@@ -454,9 +460,17 @@ def audit_manifest(
 
 
 def load_suite(path) -> dict:
-    d = json.loads(Path(path).read_text())
+    """The nsbl-suite/1 object at ``path``, once its top level is known to be
+    well formed; anything else raises BadScenario.  Members are parsed by
+    ``run_suite``."""
+    d = _section(json.loads(Path(path).read_text()), SUITE_KEYS, "suite")
     if d.get("format") != "nsbl-suite/1":
-        raise ValueError(f"unknown suite format {d.get('format')!r}")
+        raise BadScenario(f"unknown suite format {d.get('format')!r}")
+    _string(d, "name", "", "suite")
+    if d.get("calibration") is not None:
+        _string(d, "calibration", None, "suite")
+    if not isinstance(d.get("scenarios"), list) or not d["scenarios"]:
+        raise BadScenario(f"suite.scenarios must be a non-empty list, got {d.get('scenarios')!r}")
     return d
 
 

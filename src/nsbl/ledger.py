@@ -27,6 +27,7 @@ __all__ = [
     "ConstraintReport",
     "ExponentParams",
     "KInterval",
+    "parse_exact",
     "lambda_z",
     "alpha",
     "b_exponent",
@@ -67,6 +68,18 @@ class SearchExhausted(RuntimeError):
 
 def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def parse_exact(key: str, value, integer: bool = False):
+    """``value``, a number or its text, as an exact rational (an int if
+    ``integer``); DomainError naming ``key`` if it is not one."""
+    try:
+        x = Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"{key} = {value!r} is not a rational number") from exc
+    if integer and x.denominator != 1:
+        raise DomainError(f"{key} = {value!r} is not an integer")
+    return int(x) if integer else x
 
 
 # ---------------------------------------------------------------------------

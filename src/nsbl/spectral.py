@@ -47,6 +47,9 @@ TWO_PI = 2.0 * np.pi
 
 # relative tolerance on the discrete divergence for "divergence-free" inputs
 DIV_TOL = 1e-12
+# box lengths on which a run and its audit end in a result or a typed error,
+# never a float64 overflow, for every amplitude in audit.AMPLITUDE_RANGE
+LENGTH_RANGE = (1e-30, 1e30)
 
 
 class ShapeMismatch(ValueError):
@@ -75,8 +78,9 @@ class TorusGrid:
             raise ShapeMismatch(f"only dim=3 grids are implemented, got {self.dim}")
         if self.npts < 8 or self.npts % 2:
             raise ShapeMismatch(f"npts must be even and >= 8, got {self.npts}")
-        if not self.length > 0:
-            raise ShapeMismatch(f"box length must be positive, got {self.length}")
+        lo, hi = LENGTH_RANGE
+        if not lo <= self.length <= hi:
+            raise ShapeMismatch(f"box length must lie in [{lo:g}, {hi:g}], got {self.length}")
 
     @cached_property
     def freqs(self) -> np.ndarray:

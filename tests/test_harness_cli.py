@@ -21,6 +21,7 @@ from nsbl.harness import (
     simulate,
     trajectory_from_manifest,
 )
+from nsbl.ledger import DomainError
 from nsbl.solver import SolverConfig
 
 
@@ -107,7 +108,8 @@ class TestScenario:
         ("audit", "s_values", [2.0, "3"]), ("audit", "s_values", "2,3"),
         ("audit", "ell_values", [float("nan")]),
         ("solver", "scheme", 5), ("initial", "kind", ["beltrami"]),
-        (None, "name", 7),
+        (None, "name", 7), ("audit", "n_max", -1), ("audit", "n_max", 1023),
+        ("audit", "ell_values", []),
     ])
     def test_wrong_number_or_string_rejected(self, section, key, bad):
         # float() and str() would coerce these silently: "0.002" and True
@@ -117,6 +119,22 @@ class TestScenario:
         name = key if section is None else f"{section}.{key}"
         with pytest.raises(BadScenario, match=name):
             Scenario.from_dict(d)
+
+    @pytest.mark.parametrize("name", ["/tmp/escaped", "a/b", "a\\b", "", ".", "..", "a\0b"])
+    def test_name_must_be_one_path_component(self, name):
+        # the run directory is out_root / name
+        d = quick_scenario("x").to_dict()
+        d["name"] = name
+        with pytest.raises(BadScenario, match="name"):
+            Scenario.from_dict(d)
+
+    @pytest.mark.parametrize("key,bad", [("N", None), ("N", "3.5"), ("q", "1/0"),
+                                         ("K", [6, 5]), ("j", True)])
+    def test_ledger_value_not_rational(self, key, bad):
+        sc = Scenario.from_dict({**quick_scenario("x").to_dict(),
+                                 "ledger": dict(DEFAULT_LEDGER, **{key: bad})})
+        with pytest.raises(DomainError, match=f"ledger.{key}"):
+            sc.exponent_params()
 
     def test_numbers_parse_as_floats(self):
         d = quick_scenario("nums").to_dict()
@@ -306,12 +324,17 @@ class TestCli:
         bad = [r["id"] for r in cert["reports"] if not r["satisfied"]]
         assert "j_above_sign_threshold" in bad
 
-    @pytest.mark.parametrize("argv", [["--check", "q=abc"], ["--delta", "abc"], ["--N", "2"]],
-                             ids=["check_value", "delta", "dimension"])
+    @pytest.mark.parametrize("argv", [
+        ["--check", "q=abc"], ["--delta", "abc"], ["--N", "2"],
+        ["--check", "q=10,q=12"], ["--check", "q=1/0"], ["--check", "N=7/2"],
+        ["--check", "bogus=1"], ["--check", "q"], ["--N", "abc"],
+    ], ids=["check_value", "delta", "dimension", "check_repeated", "check_zero_denominator",
+            "check_fractional_dimension", "check_unknown_key", "check_no_value", "dimension_text"])
     def test_exponents_bad_value_exit_1(self, tmp_path, capsys, argv):
         capsys.readouterr()
         assert cli.main(["exponents", "--out-dir", str(tmp_path)] + argv) == 1
         assert "invalid exponents" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_simulate_and_audit_chain(self, tmp_path):
         sc = quick_scenario("chain")
@@ -472,6 +495,25 @@ class TestCli:
         assert rc == 1
         assert "bad audit exponents" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ledger,amplitude,args,message", [
+        ({"delta0": "377"}, 7.0, [], "bad audit exponents: delta0 = 377"),
+        ({"sigma": "3e18"}, 7.0, [], "bad audit exponents: sigma = 3000000000000000000"),
+        ({}, 1e-90, [], "underflows to 0"),
+        ({}, 1.0, ["--r", str(2**40)], "bad audit exponents: need r > 1 and r + 1e-4 != r"),
+    ], ids=["bracket", "m_sigma", "prefactor", "log_norm_step"])
+    def test_audit_outside_float_range_exit_1(self, tmp_path, capsys, ledger, amplitude, args,
+                                              message):
+        # a quantity beyond float64 is a typed error, not an OverflowError or
+        # a ZeroDivisionError
+        sc = quick_scenario("range", kind="random_spectrum", amplitude=amplitude, t_final=0.0)
+        sc.ledger = dict(DEFAULT_LEDGER, **ledger)
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(sc.to_dict()))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["audit", str(tmp_path / "range" / "manifest.json"), *args]) == 1
+        assert message in capsys.readouterr().err
+
     def test_simulate_instability_exit(self, tmp_path):
         bad = Scenario(
             name="blowcli",
@@ -518,6 +560,73 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["suite", str(sp), "--out-dir", str(tmp_path / "out")]) == 1
         assert "initial.amplitdue" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", [
+        [1, 2], 5, {"format": "nsbl-suite/1", "scenarios": 5},
+        {"format": "nsbl-suite/1", "scenarios": []}, {"format": "nsbl-suite/1"},
+        {"format": "nsbl-suite/1", "scenarios": [5]},
+        {"format": "nsbl-suite/1", "scenario": []},
+        {"format": "nsbl-suite/2", "scenarios": [{}]},
+        {"format": "nsbl-suite/1", "calibration": 0, "scenarios": [{}]},
+        {"format": "nsbl-suite/1", "name": ["x"], "scenarios": [{}]},
+    ], ids=["list", "number", "scenarios_number", "scenarios_empty", "no_scenarios",
+            "member_number", "unknown_key", "format", "calibration_number", "name_list"])
+    def test_suite_malformed_exit_1(self, tmp_path, capsys, suite):
+        sp = tmp_path / "suite.json"
+        sp.write_text(json.dumps(suite))
+        capsys.readouterr()
+        assert cli.main(["suite", str(sp), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "suite" in err or "scenario" in err
+        assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("name", ["ABS", "", ".."])
+    def test_simulate_name_outside_out_dir_exit_1(self, tmp_path, capsys, name):
+        d = quick_scenario("x", t_final=0.0).to_dict()
+        d["name"] = str(tmp_path / "escaped") if name == "ABS" else name
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(d))
+        capsys.readouterr()
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "name" in capsys.readouterr().err
+        assert not (tmp_path / "escaped").exists() and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_max,rc", [("-5", 1), ("0", 0), ("1022", 0), ("1023", 1)])
+    def test_audit_n_max(self, tmp_path, capsys, n_max, rc):
+        sc = quick_scenario("nmax", t_final=0.0)
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(sc.to_dict()))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["audit", str(tmp_path / "nmax" / "manifest.json"),
+                         "--n-max", n_max]) == rc
+        assert ("audit.n_max" in capsys.readouterr().err) == (rc == 1)
+
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["audit", "m.json", "--n-max", "abc"],
+                                      ["exponents", "--bogus"]],
+                             ids=["unknown_command", "no_command", "n_max_abc", "unknown_option"])
+    def test_usage_error_exit_1(self, capsys, argv):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert "nsbl" in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["audit", "--help"])
+        assert info.value.code == 0
+        assert "--n-max" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["simulate", "audit", "suite"])
+    def test_missing_input_exit_4(self, tmp_path, capsys, command):
+        capsys.readouterr()
+        assert cli.main([command, str(tmp_path / "missing.json"),
+                         *(["--out-dir", str(tmp_path)] if command != "audit" else [])]) == 4
+        assert "missing.json" in capsys.readouterr().err
+
+    def test_exponents_out_dir_is_a_file_exit_4(self, tmp_path):
+        target = tmp_path / "afile"
+        target.write_text("x")
+        assert cli.main(["exponents", "--out-dir", str(target)]) == 4
 
     def test_suite_cli(self, tmp_path):
         members = [quick_scenario(f"s{k}", kind="random_spectrum", seed=k).to_dict()

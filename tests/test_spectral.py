@@ -30,6 +30,9 @@ class TestGrid:
             TorusGrid(33)
         with pytest.raises(ShapeMismatch):
             TorusGrid(32, length=-1.0)
+        for length in (1e31, 1e-31, float("nan"), float("inf")):
+            with pytest.raises(ShapeMismatch, match="box length"):
+                TorusGrid(32, length=length)
 
     def test_accepts_non_power_of_two(self):
         TorusGrid(48)
