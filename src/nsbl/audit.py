@@ -29,7 +29,7 @@ from .norms import (
     spacetime_norm,
 )
 from .solver import Trajectory
-from .spectral import cz_pressure
+from .spectral import cz_pressure, over_snapshots
 
 __all__ = [
     "DegenerateField",
@@ -97,7 +97,9 @@ class ScaledPsi:
     def sorted_tilde(self) -> np.ndarray:
         """Each snapshot of psi_tilde sorted ascending, shape (nt, cells):
         the one sort every ladder's measures are read from."""
-        return np.sort(self.psi_tilde.reshape(len(self.psi_tilde), -1), axis=1)
+        out = self.psi_tilde.reshape(len(self.psi_tilde), -1).copy()
+        over_snapshots(lambda i: out[i].sort(), len(out))
+        return out
 
 
 @dataclass(eq=False)
@@ -480,14 +482,18 @@ def check_pressure(traj: Trajectory | FieldStats, s_values,
             raise BadExponents(f"need s > 1, got {s}")
     stats = _field_stats(traj, m_sigma)
     m_sigma, grid = stats.m_sigma, stats.grid
-    ratios = [[] for _ in s_values]
-    for i in range(len(stats.times)):
-        mag = stats.magnitudes()[i]
-        dens = [m_sigma**2 * space_norm(mag, 2 * s, grid) ** 2 for s in s_values]
-        if any(dens):
-            p = cz_pressure(stats.traj.coeffs[i] / m_sigma, grid, m_sigma)
-        for s, den, out in zip(s_values, dens, ratios):
-            out.append(space_norm(p.values, s, grid) / den if den else 0.0)
+    mags, coeffs = stats.magnitudes(), stats.traj.coeffs
+
+    def snapshot_ratios(i):
+        dens = [m_sigma**2 * space_norm(mags[i], 2 * s, grid) ** 2 for s in s_values]
+        if not any(dens):
+            return [0.0 for _ in s_values]
+        p = cz_pressure(coeffs[i] / m_sigma, grid, m_sigma)
+        return [space_norm(p.values, s, grid) / den if den else 0.0
+                for s, den in zip(s_values, dens)]
+
+    per_snapshot = over_snapshots(snapshot_ratios, len(mags))
+    ratios = [[row[k] for row in per_snapshot] for k in range(len(s_values))]
     return [
         CheckRecord(f"pressure_s{s:g}", max(r, default=0.0), 1.0, max(r, default=0.0),
                     True, 0.0, {"ratios": r, "s": s})
@@ -661,6 +667,13 @@ def run_audit(
     ``constants`` carries fitted constants from a calibration run; missing
     entries are fitted on this run (self-calibration, recorded as such).
     """
+    # exact ledger values the checks take as floats; one beyond float64
+    # is refused here, by name, instead of overflowing inside a check
+    for key in ("N", "q", "B", "j", "r", "alpha", "b", "sigma", "delta0"):
+        try:
+            float(getattr(params, key))
+        except OverflowError as exc:
+            raise BadExponents(f"ledger {key} is beyond float64 range") from exc
     constants = dict(constants or {})
     grid = traj.grid
     r = spec.effective_r(params)

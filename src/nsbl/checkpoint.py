@@ -4,9 +4,11 @@ Layout (NSBL2): magic ``NSBL2``, one endianness tag byte, then a fixed
 header (dimension, points per axis, box length, time, component count, the
 2/3-rule band's cut ``n//3``) and a CRC-32 of every other byte of the file,
 followed by the band coefficients (ncomp, 2*cut+1, 2*cut+1, cut+1) of
-``spectral.SpectralBand`` as little-endian complex128 in C order.  Readers
-get the full layout back.  Files are referenced by their sha256
-content hash; the CRC catches damage without it.  Every malformed file
+``spectral.SpectralBand`` as little-endian complex128 in C order.
+``write_band`` and ``read_band`` take and give the band as it is stored;
+``write_checkpoint`` and ``read_checkpoint`` take and give the full
+layout.  Files are referenced by their sha256 content hash; the CRC
+catches damage without it.  Every malformed file
 raises ``CorruptCheckpoint``; NSBL1 files (full layout, no CRC) are no
 longer read.
 """
@@ -22,7 +24,7 @@ import numpy as np
 
 from .spectral import ShapeMismatch, SpectralVelocity, TorusGrid
 
-__all__ = ["CorruptCheckpoint", "write_checkpoint", "read_checkpoint"]
+__all__ = ["CorruptCheckpoint", "write_band", "write_checkpoint", "read_band", "read_checkpoint"]
 
 MAGIC = b"NSBL2"
 ENDIAN_TAG = b"<"
@@ -38,28 +40,32 @@ class CorruptCheckpoint(ValueError):
     pass
 
 
+def write_band(path, grid: TorusGrid, coeff: np.ndarray, t: float) -> str:
+    """Write the band coefficients ``coeff`` of ``grid.band``, at time t, as
+    they are; return the file's sha256 hex digest."""
+    header = MAGIC + ENDIAN_TAG + _HEADER.pack(
+        grid.dim, grid.npts, grid.length, t, coeff.shape[0], grid.npts // 3
+    )
+    payload = coeff.astype("<c16").tobytes()
+    blob = header + _CRC.pack(zlib.crc32(payload, zlib.crc32(header))) + payload
+    Path(path).write_bytes(blob)
+    return hashlib.sha256(blob).hexdigest()
+
+
 def write_checkpoint(path, v: SpectralVelocity) -> str:
     """Write the field's band and return the file's sha256 hex digest;
     raises ShapeMismatch if the field has modes outside the band, so no
     mode is dropped silently."""
-    path = Path(path)
     band = v.grid.band
     coeff = band.compact(v.coeff)
     if not np.array_equal(band.expand(coeff), v.coeff):
         raise ShapeMismatch(f"{path}: field is not the real field of its band")
-    header = MAGIC + ENDIAN_TAG + _HEADER.pack(
-        v.grid.dim, v.grid.npts, v.grid.length, v.t, coeff.shape[0], band.cut
-    )
-    payload = coeff.astype("<c16").tobytes()
-    blob = header + _CRC.pack(zlib.crc32(payload, zlib.crc32(header))) + payload
-    path.write_bytes(blob)
-    return hashlib.sha256(blob).hexdigest()
+    return write_band(path, v.grid, coeff, v.t)
 
 
-def read_checkpoint(path, expect_sha: str | None = None) -> SpectralVelocity:
-    """The field of an NSBL2 file, in the full layout."""
-    path = Path(path)
-    blob = path.read_bytes()
+def _header(path, blob: bytes, expect_sha: str | None) -> tuple:
+    """(dim, npts, length, t, ncomp, cut) of an NSBL2 file's bytes, once its
+    hash, magic, endianness tag and CRC-32 are known to be right."""
     if expect_sha is not None:
         actual = hashlib.sha256(blob).hexdigest()
         if actual != expect_sha:
@@ -77,22 +83,55 @@ def read_checkpoint(path, expect_sha: str | None = None) -> SpectralVelocity:
     view = memoryview(blob)
     if crc != zlib.crc32(view[_PAYLOAD_AT:], zlib.crc32(view[:_CRC_AT])):
         raise CorruptCheckpoint(f"{path}: CRC-32 mismatch")
-    dim, npts, length, t, ncomp, cut = _HEADER.unpack_from(blob, _HEADER_AT)
-    try:
-        grid = TorusGrid(npts, length, dim)
-    except ShapeMismatch as exc:
-        raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from exc
+    return _HEADER.unpack_from(blob, _HEADER_AT)
+
+
+def _payload(path, blob: bytes, npts: int, ncomp: int, cut: int) -> np.ndarray:
+    """The band coefficients of a file whose header passed ``_header``, as
+    a read-only view of its bytes."""
     if cut != npts // 3:
         raise CorruptCheckpoint(f"{path}: band cut {cut} is not the 2/3-rule cut {npts // 3}")
-    # the payload size is checked before the band's operators are built
-    expected = ncomp * (2 * cut + 1) ** 2 * (cut + 1) * 16
+    if ncomp != 3:
+        raise CorruptCheckpoint(f"{path}: malformed header: {ncomp} velocity components, not 3")
+    # the payload size is checked before any band operator is built
+    rows = 2 * cut + 1
+    expected = ncomp * rows**2 * (cut + 1) * 16
     if len(blob) - _PAYLOAD_AT != expected:
         raise CorruptCheckpoint(
             f"{path}: payload is {len(blob) - _PAYLOAD_AT} bytes, expected {expected}"
         )
-    band = grid.band
-    coeff = np.frombuffer(blob, dtype="<c16", offset=_PAYLOAD_AT).reshape((ncomp,) + band.shape)
+    return np.frombuffer(blob, dtype="<c16", offset=_PAYLOAD_AT).reshape(ncomp, rows, rows,
+                                                                         cut + 1)
+
+
+def read_band(path, grid: TorusGrid, expect_sha: str | None = None) -> tuple[float, np.ndarray]:
+    """(t, band coefficients) of an NSBL2 file written on ``grid``, with no
+    full-layout round trip.
+
+    The coefficients come in the memory layout ``SpectralBand.compact``
+    gives (component axis inside the two row axes).  Sums over a band run
+    in memory order, so an audit adds up a read trajectory's energies
+    exactly as it did when each file was expanded and compacted.
+    """
+    blob = Path(path).read_bytes()
+    dim, npts, length, t, ncomp, cut = _header(path, blob, expect_sha)
+    if (dim, npts, length) != (grid.dim, grid.npts, grid.length):
+        raise CorruptCheckpoint(f"{path}: grid {npts}^{dim} of side {length!r} does not match "
+                                f"the run's {grid.npts}^{grid.dim} of side {grid.length!r}")
+    stored = _payload(path, blob, npts, ncomp, cut)
+    ncomp, rows, _, planes = stored.shape
+    coeff = np.empty((rows, rows, ncomp, planes), dtype=np.complex128).transpose(2, 0, 1, 3)
+    coeff[...] = stored
+    return t, coeff
+
+
+def read_checkpoint(path, expect_sha: str | None = None) -> SpectralVelocity:
+    """The field of an NSBL2 file, in the full layout."""
+    blob = Path(path).read_bytes()
+    dim, npts, length, t, ncomp, cut = _header(path, blob, expect_sha)
     try:
-        return SpectralVelocity(band.expand(coeff), grid, t)
+        grid = TorusGrid(npts, length, dim)
     except ShapeMismatch as exc:
         raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from exc
+    coeff = _payload(path, blob, npts, ncomp, cut)
+    return SpectralVelocity(grid.band.expand(coeff), grid, t)

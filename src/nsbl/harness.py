@@ -24,10 +24,10 @@ import numpy as np
 
 from . import __version__
 from .audit import AuditReport, AuditSpec, run_audit
-from .checkpoint import CorruptCheckpoint, read_checkpoint, write_checkpoint
+from .checkpoint import CorruptCheckpoint, read_band, write_band
 from .ledger import ExponentParams, constraint_suite, diagnostics, parse_exact
 from .solver import Instability, SolverConfig, Trajectory, make_initial, run
-from .spectral import TorusGrid
+from .spectral import TorusGrid, over_snapshots
 
 __all__ = [
     "InfeasibleLedger",
@@ -331,7 +331,7 @@ def simulate(scenario: Scenario, out_root) -> Path:
     else:
         for i in range(len(traj)):
             name = f"checkpoint_{i:04d}.nsbl"
-            sha = write_checkpoint(out_dir / name, traj.velocity(i))
+            sha = write_band(out_dir / name, grid, traj.coeffs[i], traj.times[i])
             checkpoints.append({
                 "path": name,
                 "t": traj.times[i],
@@ -393,20 +393,23 @@ def _check_manifest(d) -> None:
 
 
 def trajectory_from_manifest(manifest: dict, base_dir) -> Trajectory:
-    """Rebuild the trajectory, verifying every checkpoint hash and band."""
+    """Rebuild the trajectory, verifying every checkpoint hash and band.
+
+    Each file's band is read as stored into the scenario's grid; the reads
+    are shared out with ``over_snapshots``, and the first bad file in
+    manifest order is the one reported.
+    """
     base = Path(base_dir)
     scenario = Scenario.from_dict(manifest["scenario"])
     grid = scenario.grid()
-    band = grid.band
-    times, coeffs, dissipation = [], [], []
-    for entry in manifest["checkpoints"]:
-        v = read_checkpoint(base / entry["path"], expect_sha=entry["sha256"])
-        if not v.grid.compatible(grid):
-            raise CorruptCheckpoint(f"{entry['path']}: grid mismatch with scenario")
-        times.append(entry["t"])
-        coeffs.append(band.compact(v.coeff))
-        dissipation.append(entry["dissipation"])
-    return Trajectory(grid, scenario.solver, times, coeffs, dissipation)
+    entries = manifest["checkpoints"]
+
+    def read(i):
+        return read_band(base / entries[i]["path"], grid, expect_sha=entries[i]["sha256"])[1]
+
+    coeffs = over_snapshots(read, len(entries))
+    return Trajectory(grid, scenario.solver, [e["t"] for e in entries], coeffs,
+                      [e["dissipation"] for e in entries])
 
 
 # ---------------------------------------------------------------------------

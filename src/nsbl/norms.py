@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .spectral import TorusGrid
+from .spectral import TorusGrid, over_snapshots
 
 __all__ = [
     "BadExponent",
@@ -68,24 +68,37 @@ def space_norm(values: np.ndarray, ell: float, grid: TorusGrid) -> float:
     return float(m * s ** (1.0 / ell))
 
 
+def _snapshots(stack) -> np.ndarray:
+    a = np.asarray(stack, dtype=np.float64)
+    return a[None] if a.ndim == 3 else a
+
+
 def spacetime_norm(stack: np.ndarray, ell: float, grid: TorusGrid, times) -> float:
-    """Space-time norm over stored snapshots with trapezoidal time weights."""
+    """Space-time norm over stored snapshots with trapezoidal time weights.
+
+    Each snapshot's max |f| and its sum of (|f|/m)^ell are computed on
+    their own (``over_snapshots``); the max and the time sum over the
+    snapshots are taken here, in snapshot order.
+    """
     _check_exponent(ell)
-    a = np.abs(np.asarray(stack, dtype=np.float64))
-    if a.ndim == 3:
-        a = a[None]
+    a = _snapshots(stack)
+    m = float(np.max(over_snapshots(lambda i: np.abs(a[i]).max(), len(a))))
     if ell == INF:
-        return float(a.max())
+        return m
     w = time_weights(times)
     if w.size != a.shape[0]:
         raise ValueError(f"{a.shape[0]} snapshots but {w.size} time weights")
-    m = float(a.max())
     if m == 0.0:
         return 0.0
-    # a is a fresh array from np.abs; scale and power it in place
-    a /= m
-    a **= ell
-    per_t = np.sum(a, axis=(1, 2, 3)) * grid.cell_volume
+
+    def power_sum(i):
+        # one snapshot's temporary, scaled and powered in place
+        g = np.abs(a[i])
+        g /= m
+        g **= ell
+        return np.sum(g)
+
+    per_t = np.array(over_snapshots(power_sum, len(a))) * grid.cell_volume
     return float(m * float(np.dot(w, per_t)) ** (1.0 / ell))
 
 
@@ -119,16 +132,29 @@ def power_log_integrals(
     LOG_CLAMP so the logarithm stays finite; the number of clamped cells is
     reported alongside.
     """
-    a = np.abs(np.asarray(stack, dtype=np.float64))
-    if a.ndim == 3:
-        a = a[None]
+    a = _snapshots(stack)
     w = time_weights(times)
-    clamped = int(np.sum(a < LOG_CLAMP))
-    a = np.maximum(a, LOG_CLAMP)
-    m = float(a.max())
-    g = a / m
-    gp = g**p
-    j0 = float(np.dot(w, np.sum(gp, axis=(1, 2, 3)) * grid.cell_volume))
-    j1 = float(np.dot(w, np.sum(gp * np.log(g), axis=(1, 2, 3)) * grid.cell_volume))
+
+    def clamped_max(i):
+        g = np.abs(a[i])
+        return np.count_nonzero(g < LOG_CLAMP), np.maximum(g, LOG_CLAMP, out=g).max()
+
+    counts, maxes = zip(*over_snapshots(clamped_max, len(a)))
+    clamped = sum(counts)
+    m = float(np.max(maxes))
+
+    def sums(i):
+        # one snapshot's temporaries: |f|/m (clamped) and its p-th power
+        g = np.abs(a[i])
+        np.maximum(g, LOG_CLAMP, out=g)
+        g /= m
+        gp = g**p
+        np.log(g, out=g)
+        g *= gp
+        return np.sum(gp), np.sum(g)
+
+    s0, s1 = np.array(over_snapshots(sums, len(a))).T
+    j0 = float(np.dot(w, s0 * grid.cell_volume))
+    j1 = float(np.dot(w, s1 * grid.cell_volume))
     log_m = math.log(m)
     return math.log(j0) + p * log_m, j1 / j0 + log_m, clamped

@@ -29,6 +29,7 @@ from .spectral import (
     TorusGrid,
     _project,
     _project_coeff,
+    over_snapshots,
     quadratic_products,
     transform_forward,
     transform_inverse,
@@ -127,15 +128,19 @@ class Trajectory:
         """|u| on the grid for every snapshot, shape (nt, n, n, n); cached.
 
         Each snapshot's velocity comes from one pruned inverse transform of
-        its band and lives only until its |u| is written.
+        its band and lives only until its |u| is written; the snapshots are
+        shared out with ``over_snapshots``.
         """
         if self._magnitudes is None:
             band = self.grid.band
             mags = np.empty((len(self.coeffs),) + (self.grid.npts,) * 3)
-            for c, out in zip(self.coeffs, mags):
-                u = band.inverse(c)
+
+            def fill(i):
+                u = band.inverse(self.coeffs[i])
                 np.square(u, out=u)
-                np.sqrt(u[0] + u[1] + u[2], out=out)
+                np.sqrt(u[0] + u[1] + u[2], out=mags[i])
+
+            over_snapshots(fill, len(self.coeffs))
             self._magnitudes = mags
         return self._magnitudes
 

@@ -24,6 +24,9 @@ that carry band modes.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,6 +44,7 @@ __all__ = [
     "quadratic_products",
     "divergence_max",
     "cz_pressure",
+    "over_snapshots",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -50,6 +54,36 @@ DIV_TOL = 1e-12
 # box lengths on which a run and its audit end in a result or a typed error,
 # never a float64 overflow, for every amplitude in audit.AMPLITUDE_RANGE
 LENGTH_RANGE = (1e-30, 1e30)
+
+
+# CPUs this process may run on: an audit splits its snapshots into this
+# many chunks.  The pool starts its threads on first use, not on import.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = ThreadPoolExecutor(CPUS, thread_name_prefix="nsbl-snapshots")
+
+
+def over_snapshots(fn, nt: int) -> list:
+    """[fn(i) for i in range(nt)], with range(nt) cut into contiguous
+    chunks, one per usable CPU, each run in order on the module's pool.
+
+    Called from any thread but the main one (a suite's workers, say), it
+    runs inline, so threads never nest.  ``fn`` computes one snapshot's
+    values only; sums and maxima over the snapshots stay with the caller,
+    in snapshot order, so results do not depend on the CPU count.  Every
+    chunk ends before an error is raised, and the error raised is the one
+    of the first snapshot that failed.
+    """
+    bounds = [nt * k // CPUS for k in range(CPUS + 1)]
+    chunks = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+    def run(chunk):
+        return [fn(i) for i in chunk]
+
+    if len(chunks) < 2 or threading.current_thread() is not threading.main_thread():
+        return run(range(nt))
+    futures = [_POOL.submit(run, chunk) for chunk in chunks]
+    wait(futures)
+    return [value for f in futures for value in f.result()]
 
 
 class ShapeMismatch(ValueError):
@@ -131,9 +165,6 @@ class TorusGrid:
     def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x = self.length * np.arange(self.npts) / self.npts
         return np.meshgrid(x, x, x, indexing="ij")
-
-    def compatible(self, other: "TorusGrid") -> bool:
-        return self.npts == other.npts and self.length == other.length
 
 
 def transform_forward(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -320,7 +351,9 @@ def cz_pressure(coeff: np.ndarray, grid: TorusGrid, m_sigma: float = 1.0) -> Sca
     if coeff.shape != (3,) + band.shape:
         raise ShapeMismatch(f"velocity band has shape {coeff.shape}, "
                             f"not the 2/3-rule band's {(3,) + band.shape}")
-    div = divergence_max(coeff, band.wavenumbers)
+    # measured on the integer mode numbers m = k / (2 pi / L), so the
+    # verdict does not depend on the box length (the factor is 1 at L = 2 pi)
+    div = divergence_max(coeff, band.wavenumbers) / (TWO_PI / grid.length)
     if div > DIV_TOL * max(1.0, np.sqrt(band.sum_squares(coeff))):
         raise NotDivergenceFree(f"divergence {div:.3e} exceeds tolerance")
     w = quadratic_products(band.inverse(coeff), band)

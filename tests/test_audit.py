@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from nsbl import audit as A
-from nsbl.harness import canonical_json
+from nsbl import cli
+from nsbl.harness import Scenario, canonical_json, simulate
 from nsbl.ledger import ExponentParams
 from nsbl.norms import (
     power_log_integrals,
@@ -53,6 +54,12 @@ def constant_trajectory(grid, value=2.0, times=(0.0, 0.5, 1.0)):
                        t_final=times[-1], snapshot_stride=1)
     return Trajectory(grid, cfg, list(times), [grid.band.compact(coeff) for _ in times],
                       [0.0 for _ in times])
+
+
+def copy_trajectory(traj):
+    """The same snapshots in a new Trajectory, with no cached |u|."""
+    return Trajectory(traj.grid, traj.config, list(traj.times), list(traj.coeffs),
+                      list(traj.dissipation))
 
 
 def zero_trajectory(grid):
@@ -277,10 +284,12 @@ class TestOnePassPressure:
 
         monkeypatch.setattr(A, "cz_pressure", counting)
         A.run_audit(random_traj, PARAMS, A.AuditSpec(s_values=self.S_VALUES))
-        # sigma = 0, so m_sigma = 1 and each call gets its snapshot's band as it is
+        # sigma = 0, so m_sigma = 1 and each call gets its snapshot's band as
+        # it is; the snapshots run on several threads, so in no fixed order
         assert len(calls) == len(random_traj)
-        for got, want in zip(calls, random_traj.coeffs):
-            assert np.array_equal(got, want)
+        solved = [next(i for i, want in enumerate(random_traj.coeffs) if np.array_equal(got, want))
+                  for got in calls]
+        assert sorted(solved) == list(range(len(random_traj)))
 
     def test_repeated_exponent_gets_its_own_record(self, beltrami_traj):
         first, second = A.check_pressure(beltrami_traj, (2.0, 2.0))
@@ -331,17 +340,13 @@ class TestOnePassAudit:
             A.run_audit(traj, PARAMS, A.AuditSpec())
 
     def test_no_leak_between_trajectories(self, random_traj, beltrami_traj):
-        def fresh(traj):
-            return Trajectory(traj.grid, traj.config, list(traj.times),
-                              list(traj.coeffs), list(traj.dissipation))
-
         def report(traj, params):
             return canonical_json(A.run_audit(traj, params, A.AuditSpec()).as_dict())
 
         scaled = PARAMS.with_sigma(F(1, 2), 0)
         for params in (PARAMS, scaled):
-            alone_r = report(fresh(random_traj), params)
-            alone_b = report(fresh(beltrami_traj), params)
+            alone_r = report(copy_trajectory(random_traj), params)
+            alone_b = report(copy_trajectory(beltrami_traj), params)
             assert alone_r != alone_b
             assert report(random_traj, params) == alone_r
             assert report(beltrami_traj, params) == alone_b
@@ -463,3 +468,58 @@ class TestRunAudit:
                            constants={"c_final": rep1.constants["c_final"]}, run_id="held")
         assert "c_final_self_calibrated" not in rep2.constants
         assert rep2.constants["c_final"] == rep1.constants["c_final"]
+
+
+class TestSnapshotFanOut:
+    """An audit shares each trajectory's snapshots out over the usable CPUs;
+    reports and errors do not depend on how many there are."""
+
+    def test_reports_identical_for_any_worker_count(self, random_traj, snapshot_workers):
+        # 11 snapshots: one chunk of 11, chunks of 5 + 6, and of 3 + 4 + 4
+        spec = A.AuditSpec(s_values=(1.5, 2.0, 3.0))
+        reports = {}
+        for workers in (1, 2, 3):
+            snapshot_workers(workers)
+            reports[workers] = [
+                canonical_json(A.run_audit(copy_trajectory(random_traj), params, spec).as_dict())
+                for params in (PARAMS, PARAMS.with_sigma(F(1, 2), 0))
+            ]
+        assert reports[1] == reports[2] == reports[3]
+        assert reports[1][0] != reports[1][1]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_not_divergence_free_in_a_later_chunk(self, grid, snapshot_workers, workers):
+        snapshot_workers(workers)
+        v0 = make_initial("random_spectrum", grid, seed=2, amplitude=1.0, kmax=4)
+        traj = run(v0, SolverConfig(dt=1e-3, t_final=5e-3, snapshot_stride=1))
+        # the first snapshot of the second of the chunks of 6 snapshots
+        i = len(traj) // workers
+        bad = traj.coeffs[i].copy()
+        bad[0, 1, 0, 0] += 0.1
+        bad[0, -1, 0, 0] += 0.1
+        traj.coeffs[i] = bad
+        with pytest.raises(NotDivergenceFree):
+            A.run_audit(traj, PARAMS, A.AuditSpec())
+
+    @pytest.mark.parametrize("workers,bad", [(1, (5, 6)), (2, (5, 6)), (3, (5, 6)), (3, (3, 6))])
+    def test_corrupt_checkpoint_names_the_first_bad_file(self, tmp_path, capsys,
+                                                         snapshot_workers, workers, bad):
+        # 7 checkpoints; with 2 workers they are read in chunks [0, 3) and
+        # [3, 7), with 3 workers in [0, 2), [2, 4) and [4, 7)
+        snapshot_workers(workers)
+        scenario = Scenario(
+            name="bad", grid_npts=16,
+            solver=SolverConfig(dt=1e-3, t_final=6e-3, snapshot_stride=1),
+            initial={"kind": "random_spectrum", "seed": 1, "amplitude": 1.0, "kmax": 4},
+        )
+        manifest = simulate(scenario, tmp_path)
+        for i in bad:
+            path = tmp_path / "bad" / f"checkpoint_{i:04d}.nsbl"
+            blob = bytearray(path.read_bytes())
+            blob[-1] ^= 0xFF
+            path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert cli.main(["audit", str(manifest)]) == 4
+        err = capsys.readouterr().err
+        assert f"checkpoint_{bad[0]:04d}.nsbl" in err
+        assert f"checkpoint_{bad[1]:04d}.nsbl" not in err

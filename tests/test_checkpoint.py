@@ -5,7 +5,13 @@ import zlib
 import numpy as np
 import pytest
 
-from nsbl.checkpoint import CorruptCheckpoint, read_checkpoint, write_checkpoint
+from nsbl.checkpoint import (
+    CorruptCheckpoint,
+    read_band,
+    read_checkpoint,
+    write_band,
+    write_checkpoint,
+)
 from nsbl.spectral import ShapeMismatch, SpectralVelocity, TorusGrid
 from nsbl.solver import make_initial
 
@@ -90,6 +96,49 @@ def test_band_round_trip_bit_exact(tmp_path, n):
     assert np.array_equal(back.coeff, v.coeff)
     assert v.grid.band.compact(back.coeff).tobytes() == coeff.tobytes()
     assert back.t == 0.125
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_band_io_is_the_full_layout_io(tmp_path, n):
+    # the same bytes as write_checkpoint, and the band back as compact
+    # gives it, in its memory layout too (audit sums run in memory order)
+    coeff, v = band_field(n)
+    sha = write_checkpoint(tmp_path / "full.nsbl", v)
+    assert write_band(tmp_path / "band.nsbl", v.grid, coeff, v.t) == sha
+    assert (tmp_path / "band.nsbl").read_bytes() == (tmp_path / "full.nsbl").read_bytes()
+    t, back = read_band(tmp_path / "band.nsbl", TorusGrid(n), expect_sha=sha)
+    want = v.grid.band.compact(read_checkpoint(tmp_path / "full.nsbl").coeff)
+    assert t == 0.125
+    assert np.array_equal(back, coeff) and np.array_equal(back, want)
+    assert back.strides == want.strides
+
+
+def test_read_band_refuses_what_read_checkpoint_refuses(tmp_path, field):
+    grid = TorusGrid(16)
+    path = tmp_path / "f.nsbl"
+    sha = write_checkpoint(path, field)
+    good = path.read_bytes()
+    cases = {
+        "sha256": (good, "0" * 64),
+        "payload is 100 bytes": (nsbl2_blob(16, 5, bytes(100)), None),
+        "magic": (b"WRONG" + good[5:], None),
+        "CRC-32": (good[:-1] + bytes([good[-1] ^ 1]), None),
+        "header truncated": (good[:20], None),
+        "re-run `nsbl simulate`": (b"NSBL1" + good[5:], None),
+        "band cut 8 is not": (nsbl2_blob(16, 8, bytes(3 * 16 * 16 * 9 * 16)), None),
+    }
+    for message, (blob, expect) in cases.items():
+        path.write_bytes(blob)
+        with pytest.raises(CorruptCheckpoint, match=message):
+            read_checkpoint(path, expect_sha=expect)
+        with pytest.raises(CorruptCheckpoint, match=message):
+            read_band(path, grid, expect_sha=expect)
+    path.write_bytes(good)
+    read_band(path, grid, expect_sha=sha)
+    # a file of another grid is refused before its payload is looked at
+    for other in (TorusGrid(24), TorusGrid(16, 1.0)):
+        with pytest.raises(CorruptCheckpoint, match="does not match"):
+            read_band(path, other, expect_sha=sha)
 
 
 def test_write_refuses_modes_outside_the_band(tmp_path):

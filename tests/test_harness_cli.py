@@ -500,7 +500,8 @@ class TestCli:
         ({"sigma": "3e18"}, 7.0, [], "bad audit exponents: sigma = 3000000000000000000"),
         ({}, 1e-90, [], "underflows to 0"),
         ({}, 1.0, ["--r", str(2**40)], "bad audit exponents: need r > 1 and r + 1e-4 != r"),
-    ], ids=["bracket", "m_sigma", "prefactor", "log_norm_step"])
+        ({"B": "1e400"}, 1.0, [], "bad audit exponents: ledger B is beyond float64"),
+    ], ids=["bracket", "m_sigma", "prefactor", "log_norm_step", "ledger_value"])
     def test_audit_outside_float_range_exit_1(self, tmp_path, capsys, ledger, amplitude, args,
                                               message):
         # a quantity beyond float64 is a typed error, not an OverflowError or
@@ -513,6 +514,17 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["audit", str(tmp_path / "range" / "manifest.json"), *args]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("length", [1e-6, 1e-15])
+    def test_small_box_audits(self, tmp_path, length):
+        # the divergence check is read in integer mode numbers, so the
+        # projected field of a tiny box is divergence-free there too
+        sc = quick_scenario("small", kind="random_spectrum", t_final=4e-3, stride=1)
+        sc.grid_length = length
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(sc.to_dict()))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
+        assert cli.main(["audit", str(tmp_path / "small" / "manifest.json")]) == 0
 
     def test_simulate_instability_exit(self, tmp_path):
         bad = Scenario(

@@ -5,6 +5,7 @@ import pytest
 
 from nsbl.norms import (
     INF,
+    LOG_CLAMP,
     BadExponent,
     level_set_measure,
     power_log_integrals,
@@ -147,3 +148,46 @@ def test_power_log_clamps_zeros(grid):
     log_i0, mean_log, clamped = power_log_integrals(stack, 2.0, grid, [0.0])
     assert math.isfinite(log_i0) and math.isfinite(mean_log)
     assert clamped == 16**3 - 1
+
+
+def whole_stack_norm(stack, ell, grid, times):
+    """spacetime_norm as one pass over the whole stack: the reference the
+    per-snapshot version must equal bit for bit."""
+    a = np.abs(stack)
+    m = float(a.max())
+    if ell == INF:
+        return m
+    a /= m
+    a **= ell
+    per_t = np.sum(a, axis=(1, 2, 3)) * grid.cell_volume
+    return float(m * float(np.dot(time_weights(times), per_t)) ** (1.0 / ell))
+
+
+def whole_stack_log_integrals(stack, p, grid, times):
+    """power_log_integrals as one pass over the whole stack (reference)."""
+    w = time_weights(times)
+    a = np.abs(stack)
+    clamped = int(np.sum(a < LOG_CLAMP))
+    a = np.maximum(a, LOG_CLAMP)
+    m = float(a.max())
+    g = a / m
+    gp = g**p
+    j0 = float(np.dot(w, np.sum(gp, axis=(1, 2, 3)) * grid.cell_volume))
+    j1 = float(np.dot(w, np.sum(gp * np.log(g), axis=(1, 2, 3)) * grid.cell_volume))
+    return math.log(j0) + p * math.log(m), j1 / j0 + math.log(m), clamped
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_snapshot_chunks_match_the_whole_stack(grid, snapshot_workers, workers):
+    # 5 snapshots make uneven chunks for 2 and 3 workers; signed values and
+    # exact zeros exercise the abs and the log clamp
+    snapshot_workers(workers)
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(5, 16, 16, 16))
+    stack[1, :4] = 0.0
+    times = [0.0, 0.1, 0.25, 0.3, 0.5]
+    for ell in (1.0, 2.0, 3.7, 24.0, INF):
+        assert spacetime_norm(stack, ell, grid, times) == whole_stack_norm(stack, ell, grid, times)
+    for p in (2.0, 24.0):
+        assert (power_log_integrals(stack, p, grid, times)
+                == whole_stack_log_integrals(stack, p, grid, times))

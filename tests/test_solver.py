@@ -3,7 +3,7 @@ import pytest
 
 from nsbl.audit import check_energy
 from nsbl.norms import space_norm
-from nsbl.spectral import SpectralVelocity, TorusGrid
+from nsbl.spectral import SpectralVelocity, TorusGrid, transform_forward
 from nsbl.solver import (
     BadSpec,
     Instability,
@@ -115,6 +115,34 @@ class TestNonlinearTerm:
         hot = np.argwhere(np.abs(out) > 1e-14 * max(1.0, np.abs(out).max()))
         allowed = {(0, 0, 0), (2, 0, 0), (16 - 2, 0, 0)}
         assert {tuple(ix[1:]) for ix in hot} <= allowed
+
+
+@pytest.mark.parametrize("n", [
+    16,
+    pytest.param(24, marks=pytest.mark.xfail(
+        strict=True, reason="n = 3c: the product mode 2c aliases onto -c, which the band keeps")),
+    32,
+    pytest.param(48, marks=pytest.mark.xfail(
+        strict=True, reason="n = 3c: the product mode 2c aliases onto -c, which the band keeps")),
+])
+def test_band_is_alias_free(n):
+    # arbitrary band data of a real field: its nonlinear term on the kept
+    # modes must equal the same field's on a 3n/2 grid, where no product
+    # of two band modes (|m_i| <= 2c < 3n/2 - c) aliases onto a kept mode
+    c, big = n // 3, 3 * n // 2
+    rng = np.random.default_rng(n)
+    coarse = TorusGrid(n)
+    band = coarse.band
+    coeff = band.expand(band.compact(transform_forward(rng.normal(size=(3, n, n, n)), coarse)))
+    modes = np.arange(-c, c + 1)
+    fine = np.zeros((3, big, big, big), dtype=complex)
+    fine[np.ix_(range(3), modes % big, modes % big, modes % big)] = (
+        coeff[np.ix_(range(3), modes % n, modes % n, modes % n)])
+    got = nonlinear_term(SpectralVelocity(coeff, coarse)).coeff
+    want = nonlinear_term(SpectralVelocity(fine, TorusGrid(big))).coeff
+    got = got[np.ix_(range(3), modes % n, modes % n, modes % n)]
+    want = want[np.ix_(range(3), modes % big, modes % big, modes % big)]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestStep:

@@ -1,3 +1,8 @@
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,7 @@ from nsbl.spectral import (
     _project_coeff,
     cz_pressure,
     divergence_max,
+    over_snapshots,
     transform_forward,
     transform_inverse,
 )
@@ -163,6 +169,19 @@ class TestPressure:
         with pytest.raises(NotDivergenceFree):
             cz_pressure(c, grid)
 
+    @pytest.mark.parametrize("length", [1e-15, 1e-6, 2 * np.pi, 1e6])
+    def test_divergence_check_does_not_depend_on_the_box(self, length):
+        # k . c is measured in integer mode numbers: a solenoidal field
+        # passes and a gradient mode u_x = 2e-6 cos(x) is refused on any box
+        g = TorusGrid(16, length)
+        c = g.band.compact(make_initial("random_spectrum", g, seed=3, amplitude=1.0,
+                                        kmax=4).coeff)
+        cz_pressure(c, g)
+        c[0, 1, 0, 0] += 1e-6
+        c[0, -1, 0, 0] += 1e-6
+        with pytest.raises(NotDivergenceFree):
+            cz_pressure(c, g)
+
     def test_full_layout_rejected(self, grid):
         v = make_initial("beltrami", grid, amplitude=1.0)
         with pytest.raises(ShapeMismatch):
@@ -202,3 +221,65 @@ def test_scalar_field_validation(grid):
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         ScalarField(bad, grid)
+
+
+class TestOverSnapshots:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("nt", [0, 1, 2, 5])
+    def test_results_in_snapshot_order(self, snapshot_workers, workers, nt):
+        snapshot_workers(workers)
+        assert over_snapshots(lambda i: i * i, nt) == [i * i for i in range(nt)]
+
+    def test_pool_from_the_main_thread_inline_elsewhere(self, snapshot_workers):
+        snapshot_workers(3)
+        seen = []
+
+        def fn(i):
+            seen.append((i, threading.current_thread()))
+            return i
+
+        assert over_snapshots(fn, 6) == list(range(6))
+        assert threading.main_thread() not in {t for _, t in seen}
+        # each chunk runs in snapshot order: 0 before 1, 2 before 3, 4 before 5
+        order = [i for i, _ in seen]
+        assert all(order.index(i) < order.index(i + 1) for i in (0, 2, 4))
+        seen.clear()
+        # from another thread, e.g. one of a suite's workers: all inline
+        with ThreadPoolExecutor(1) as outer:
+            assert outer.submit(over_snapshots, fn, 6).result(timeout=60) == list(range(6))
+        assert [i for i, _ in seen] == list(range(6))
+        assert len({t for _, t in seen}) == 1 and seen[0][1] is not threading.main_thread()
+
+    def test_first_error_in_order_after_every_chunk_ends(self, snapshot_workers):
+        # chunks [0, 2), [2, 4), [4, 6): snapshots 3 and 5 fail, 3 is reported
+        snapshot_workers(3)
+        ended = []
+
+        def fn(i):
+            if i == 0:
+                time.sleep(0.05)
+            ended.append(i)
+            if i in (3, 5):
+                raise ValueError(f"snapshot {i}")
+
+        with pytest.raises(ValueError, match="snapshot 3"):
+            over_snapshots(fn, 6)
+        assert sorted(ended) == [0, 1, 2, 3, 4, 5]
+
+    def test_many_workers_fast_switching(self, snapshot_workers):
+        # more threads than CPUs, switching every microsecond: every snapshot
+        # is computed once, into its own slot, and comes back in order
+        snapshot_workers(8)
+        slots = np.zeros(64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def fn(i):
+                slots[i] += i
+                return float(np.sum(np.full(1000, i)))
+
+            got = over_snapshots(fn, 64)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [1000.0 * i for i in range(64)]
+        assert slots.tolist() == [float(i) for i in range(64)]
