@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .norms import (
     INF,
     level_set_measure,
     power_log_integrals,
+    sorted_quantile,
     space_norm,
     spacetime_norm,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "ThresholdTooSmall",
     "BadExponents",
     "FieldStats",
+    "SnapshotView",
     "ScaledPsi",
     "LevelSetLadder",
     "CheckRecord",
@@ -82,23 +84,44 @@ class BadExponents(ValueError):
     pass
 
 
+@dataclass(frozen=True, eq=False)
+class SnapshotView:
+    """A stack formed one snapshot at a time, ``view[i] = op(base[i])``; the
+    norms take it as an (nt, n, n, n) array, and only snapshots in use exist."""
+
+    name: str
+    base: object
+    op: Callable
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.op(self.base[i])
+
+
 @dataclass(eq=False)
 class ScaledPsi:
-    """|u|^2 time series normalized to unit space-time r-norm."""
+    """|u|^2 time series normalized to unit space-time r-norm: a view, kept
+    as one stack only in sorted_tilde."""
 
-    psi: np.ndarray
     a_r: float
     r: float
-    psi_tilde: np.ndarray
+    psi_tilde: SnapshotView
     grid: object
     times: list[float]
 
     @cached_property
     def sorted_tilde(self) -> np.ndarray:
         """Each snapshot of psi_tilde sorted ascending, shape (nt, cells):
-        the one sort every ladder's measures are read from."""
-        out = self.psi_tilde.reshape(len(self.psi_tilde), -1).copy()
-        over_snapshots(lambda i: out[i].sort(), len(out))
+        the one sort every ladder's measures and the quantile are read from."""
+        out = np.empty((len(self.psi_tilde), self.grid.npts ** self.grid.dim))
+
+        def fill(i):
+            out[i] = self.psi_tilde[i].ravel()
+            out[i].sort()
+
+        over_snapshots(fill, len(out))
         return out
 
 
@@ -209,9 +232,10 @@ class AuditReport:
 class FieldStats:
     """One trajectory's audit quantities, each computed once.
 
-    Holds the stack |u| / m_sigma (the trajectory's own magnitude stack when
-    m_sigma is 1), the scaled psi for each r, and the space-time norms and
-    log-weighted integrals of these stacks, memoized per (stack, exponent).
+    Holds |u| / m_sigma (the trajectory's own magnitude stack when m_sigma
+    is 1, else a view of it), the scaled psi for each r, and the space-time
+    norms and log-weighted integrals of these, memoized per (kind, quantity
+    name, exponent).
     Every check that takes a trajectory also takes a FieldStats, whose
     m_sigma then stands in for the ``m_sigma`` argument; run_audit builds one
     per trajectory and passes it to every check.
@@ -220,7 +244,6 @@ class FieldStats:
     traj: Trajectory
     m_sigma: float = 1.0
 
-    _scaled: Optional[np.ndarray] = field(default=None, repr=False)
     _psi: dict = field(default_factory=dict, repr=False)
     _memo: dict = field(default_factory=dict, repr=False)
 
@@ -232,15 +255,16 @@ class FieldStats:
     def times(self) -> list[float]:
         return self.traj.times
 
-    def magnitudes(self) -> np.ndarray:
-        """|u| / m_sigma for every snapshot, shape (nt, n, n, n); cached."""
-        if self._scaled is None:
-            mags = self.traj.magnitudes()
-            self._scaled = mags if self.m_sigma == 1.0 else mags / self.m_sigma
-        return self._scaled
+    def magnitudes(self):
+        """|u| / m_sigma for every snapshot: the trajectory's |u| stack when
+        m_sigma is 1, else a view dividing one snapshot at a time."""
+        mags = self.traj.magnitudes()
+        if self.m_sigma == 1.0:
+            return mags
+        return SnapshotView("|u|/m_sigma", mags, lambda x: x / self.m_sigma)
 
-    def norm(self, stack: np.ndarray, ell: float) -> float:
-        """spacetime_norm of a stack this memo (or its trajectory) holds."""
+    def norm(self, stack, ell: float) -> float:
+        """spacetime_norm of the trajectory's |u| stack or of a named view."""
         return self._once("norm", spacetime_norm, stack, ell)
 
     def log_integrals(self, p: float) -> tuple[float, float, int]:
@@ -256,12 +280,12 @@ class FieldStats:
 
     def _once(self, kind, fn, stack, exponent):
         # functions arrive through the module namespace, so patched or
-        # wrapped versions are the ones called
-        key = (kind, id(stack), exponent)
+        # wrapped versions are the ones called; views are short-lived, so
+        # the key holds a quantity's name, never an object id
+        key = (kind, getattr(stack, "name", "|u|"), exponent)
         if key not in self._memo:
-            # the stack rides along, so its id is not reused while the memo lives
-            self._memo[key] = (stack, fn(stack, exponent, self.grid, self.times))
-        return self._memo[key][1]
+            self._memo[key] = fn(stack, exponent, self.grid, self.times)
+        return self._memo[key]
 
 
 def _field_stats(traj, m_sigma: float = 1.0) -> FieldStats:
@@ -279,15 +303,22 @@ def build_scaled_psi(traj: Trajectory | FieldStats, r: float, m_sigma: float = 1
     grid, times = stats.grid, stats.times
     if len(times) == 0:
         raise DegenerateField("empty trajectory")
-    psi = stats.magnitudes() ** 2
-    a_r = spacetime_norm(psi, r, grid, times)
+    mags = stats.magnitudes()
+    a_r = spacetime_norm(SnapshotView(f"psi r={r!r}", mags, lambda x: x**2), r, grid, times)
     if a_r == 0.0:
         raise DegenerateField("identically zero field")
-    psi_tilde = psi / a_r
+
+    def tilde(x):
+        # x**2 / a_r with one temporary per snapshot, not two
+        g = x**2
+        g /= a_r
+        return g
+
+    psi_tilde = SnapshotView(f"psi_tilde r={r!r}", mags, tilde)
     check = spacetime_norm(psi_tilde, r, grid, times)
     if not abs(check - 1.0) <= 1e-6:
         raise DegenerateField(f"normalization drifted: {check}")
-    return ScaledPsi(psi, a_r, r, psi_tilde, grid, list(times))
+    return ScaledPsi(a_r, r, psi_tilde, grid, list(times))
 
 
 def build_ladder(
@@ -297,7 +328,7 @@ def build_ladder(
     if not k > 0:
         raise ThresholdTooSmall(f"threshold must be positive, got {k}")
     if enforce_threshold:
-        initial_sup = float(sp.psi_tilde[0].max())
+        initial_sup = float(sp.sorted_tilde[0, -1])
         if k < 2 * initial_sup:
             raise ThresholdTooSmall(
                 f"threshold {k:.6g} below twice the initial sup {initial_sup:.6g}"
@@ -332,7 +363,7 @@ def estimate_threshold(
         raise DegenerateField("zero field has no nontrivial threshold")
     den = N * q - N - 2
     L1 = 0.5
-    t1 = 2.0 * float(sp.psi_tilde[0].max())
+    t1 = 2.0 * float(sp.sorted_tilde[0, -1])
     try:
         ln_L2 = -math.log(8.0) - (2 * (N + 2) / den) * math.log(u0_l2)
         beta1 = j * ell / ((r - 2 * j) * (ell - r))
@@ -718,7 +749,7 @@ def run_audit(
         dom_ladder = build_ladder(sp, k_dom, spec.n_max, enforce_threshold=True)
         # exploratory ladder keyed to a bulk quantile: far stabler across
         # seeds than anything keyed to the sup
-        k_fit = 2.0 * float(np.quantile(sp.psi_tilde, 0.90))
+        k_fit = 2.0 * sorted_quantile(sp.sorted_tilde, 0.90)
         fit_ladder = build_ladder(sp, k_fit, spec.n_max, enforce_threshold=False)
         rec = check_recursion(fit_ladder, sp, stats, params,
                               dominating_ladder=dom_ladder)

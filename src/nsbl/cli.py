@@ -88,8 +88,12 @@ def _exponent_fields(args) -> dict:
         if key not in CHECK_KEYS or key in check:
             raise DomainError(f"{'repeated' if key in check else 'unknown'} --check key {key!r}")
         check[key] = val
-    # an explicit tuple takes its defaults from CHECK_DEFAULTS, not --delta
-    given = {"N": args.N, **(CHECK_DEFAULTS if args.check else {"delta": args.delta}), **check}
+    if args.delta is not None and "delta" in check:
+        raise DomainError("delta given twice, as --delta and in --check")
+    # --delta stands in for a tuple's delta= key; keys a tuple omits, and an
+    # omitted --delta, take their values from CHECK_DEFAULTS
+    delta = CHECK_DEFAULTS["delta"] if args.delta is None else args.delta
+    given = {"N": args.N, **(CHECK_DEFAULTS if args.check else {}), "delta": delta, **check}
     return {key: parse_exact(key, val, integer=key == "N") for key, val in given.items()}
 
 
@@ -185,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", default="3", help="space dimension (>= 3)")
     p.add_argument("--q-max", type=int, default=1_000_000, dest="q_max",
                    help="ceiling for the q lattice search")
-    p.add_argument("--delta", default="1/2", help="delta for the pivot exponent")
+    p.add_argument("--delta", default=None, help="delta for the pivot exponent (default 1/2)")
     p.add_argument("--check", default=None,
                    help="explicit tuple, e.g. q=10,j=3,B=10,K=6/5,r=12")
     p.add_argument("--out-dir", default=None)

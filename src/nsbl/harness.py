@@ -619,7 +619,7 @@ def _aggregate(results, errors, cal_name) -> dict:
         )
 
     drift = {}
-    resolutions = sorted(per_resolution)
+    resolutions = sorted(per_resolution, key=int)
     if len(resolutions) > 1:
         base = resolutions[0]
         for key in constants:

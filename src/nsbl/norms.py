@@ -5,7 +5,7 @@ integrals use trapezoidal weights over the stored snapshot times.  Large
 exponents are evaluated after rescaling by the max so nothing overflows;
 the log-weighted integrals return the logarithm and a ratio, with the
 scale put back analytically.  Super-level-set measures answer a whole
-ladder of thresholds from one per-snapshot sort.
+ladder of thresholds, and quantiles are selected, from one per-snapshot sort.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "space_norm",
     "spacetime_norm",
     "level_set_measure",
+    "sorted_quantile",
     "power_log_integrals",
 ]
 
@@ -68,12 +69,15 @@ def space_norm(values: np.ndarray, ell: float, grid: TorusGrid) -> float:
     return float(m * s ** (1.0 / ell))
 
 
-def _snapshots(stack) -> np.ndarray:
-    a = np.asarray(stack, dtype=np.float64)
+def _snapshots(stack):
+    # anything with len() and [i] giving one (n, n, n) snapshot is a stack
+    if not isinstance(stack, np.ndarray):
+        return stack
+    a = stack.astype(np.float64, copy=False)
     return a[None] if a.ndim == 3 else a
 
 
-def spacetime_norm(stack: np.ndarray, ell: float, grid: TorusGrid, times) -> float:
+def spacetime_norm(stack, ell: float, grid: TorusGrid, times) -> float:
     """Space-time norm over stored snapshots with trapezoidal time weights.
 
     Each snapshot's max |f| and its sum of (|f|/m)^ell are computed on
@@ -86,8 +90,8 @@ def spacetime_norm(stack: np.ndarray, ell: float, grid: TorusGrid, times) -> flo
     if ell == INF:
         return m
     w = time_weights(times)
-    if w.size != a.shape[0]:
-        raise ValueError(f"{a.shape[0]} snapshots but {w.size} time weights")
+    if w.size != len(a):
+        raise ValueError(f"{len(a)} snapshots but {w.size} time weights")
     if m == 0.0:
         return 0.0
 
@@ -120,8 +124,39 @@ def level_set_measure(sorted_stack: np.ndarray, thresholds, grid: TorusGrid,
     return [float(np.dot(w, c)) * grid.cell_volume for c in counts]
 
 
+def sorted_quantile(sorted_stack: np.ndarray, q: float) -> float:
+    """``np.quantile(stack, q)`` of a non-negative stack, bit for bit, from
+    its sorted rows (as level_set_measure takes them) with no copy.
+
+    The order statistics at floor((N-1) q) and the next are selected: every
+    row is searched for a sample of 16 values from each row, and only the
+    values between two neighbouring samples are partitioned.  They are then
+    interpolated as numpy's default linear method (``_lerp``) does.
+    """
+    a = np.asarray(sorted_stack, dtype=np.float64)
+    sample = np.unique(a[:, :: max(1, a.shape[1] // 16)])
+    below = np.stack([np.searchsorted(row, sample) for row in a])
+    n_below = below.sum(axis=0)
+
+    def select(k):
+        # the k-th value is the last sample s with at most k values below
+        # it, or lies strictly between s and the next sample
+        j = int(np.searchsorted(n_below, k, side="right")) - 1
+        start = [np.searchsorted(row, sample[j], side="right") for row in a]
+        if (k := k - sum(start)) < 0:
+            return sample[j]
+        stop = below[:, j + 1] if j + 1 < sample.size else [a.shape[1]] * len(a)
+        return np.partition(np.concatenate([r[i:s] for r, i, s in zip(a, start, stop)]), k)[k]
+
+    virtual = (a.size - 1) * q
+    lo, gamma = math.floor(virtual), virtual - math.floor(virtual)
+    prev, nxt = select(lo), select(min(lo + 1, a.size - 1))
+    diff = nxt - prev
+    return float(nxt - diff * (1 - gamma) if gamma >= 0.5 else prev + diff * gamma)
+
+
 def power_log_integrals(
-    stack: np.ndarray, p: float, grid: TorusGrid, times
+    stack, p: float, grid: TorusGrid, times
 ) -> tuple[float, float, int]:
     """(ln I0, I1/I0, clamped cell count) for I0 = integral |f|^p and
     I1 = integral |f|^p ln|f|; I1/I0 is the |f|^p-weighted mean of ln|f|.

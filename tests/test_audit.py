@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -62,6 +63,15 @@ def copy_trajectory(traj):
                       list(traj.dissipation))
 
 
+def psi_tilde_oracle(sp, traj):
+    """The scaled field |u|^2 / A_r as one stack, checked bit for bit
+    against the view the audit reads it from, one snapshot at a time."""
+    want = traj.magnitudes() ** 2 / sp.a_r
+    got = [sp.psi_tilde[i] for i in range(len(sp.psi_tilde))]
+    assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+    return want
+
+
 def zero_trajectory(grid):
     coeff = np.zeros((3, grid.npts, grid.npts, grid.npts), dtype=complex)
     cfg = SolverConfig(dt=1e-3, t_final=0.0, snapshot_stride=1)
@@ -92,11 +102,12 @@ class TestScaledPsi:
         sp = A.build_scaled_psi(traj, r)
         qt_measure = grid.volume * 1.0
         assert sp.a_r == pytest.approx(c**2 * qt_measure ** (1 / r), rel=1e-12)
-        assert np.allclose(sp.psi_tilde, qt_measure ** (-1 / r), rtol=1e-12)
+        assert np.allclose(psi_tilde_oracle(sp, traj), qt_measure ** (-1 / r), rtol=1e-12)
 
     def test_beltrami_unit_norm_requadrature(self, beltrami_traj):
         sp = A.build_scaled_psi(beltrami_traj, 3.0)
-        check = spacetime_norm(sp.psi_tilde, 3.0, beltrami_traj.grid, beltrami_traj.times)
+        check = spacetime_norm(psi_tilde_oracle(sp, beltrami_traj), 3.0, beltrami_traj.grid,
+                               beltrami_traj.times)
         assert abs(check - 1.0) <= 1e-6
 
 
@@ -110,7 +121,7 @@ class TestLadder:
     def test_bounded_field_all_zero(self, grid):
         traj = constant_trajectory(grid, value=1.0)
         sp = A.build_scaled_psi(traj, 2.0)
-        k = 4.0 * float(sp.psi_tilde.max())
+        k = 4.0 * float(psi_tilde_oracle(sp, traj).max())
         lad = A.build_ladder(sp, k, 10)
         assert all(y == 0.0 for y in lad.measures)
         assert lad.reached_zero() == 0
@@ -122,7 +133,7 @@ class TestLadder:
         n = grid.npts
         high = np.full((2, n, n, n), 0.25)
         high[:, : n // 2] = 1.0  # half the cells sit at 1.0
-        sp.psi_tilde = high
+        sp.sorted_tilde = np.sort(high.reshape(2, -1), axis=1)
         lad = A.build_ladder(sp, 1.0, 2, enforce_threshold=False)
         full = grid.volume * 1.0
         assert lad.measures[0] == pytest.approx(full / 2)  # level 0.5
@@ -134,11 +145,12 @@ class TestLadder:
         # against a scan of the stack per rung
         sp = A.build_scaled_psi(random_traj, float(PARAMS.r))
         w = time_weights(sp.times)
+        psi_tilde = psi_tilde_oracle(sp, random_traj)
         k_dom = A.estimate_threshold(sp, random_traj, PARAMS, float(PARAMS.r) + 1.0)
-        k_fit = 2.0 * float(np.quantile(sp.psi_tilde, 0.90))
+        k_fit = 2.0 * float(np.quantile(psi_tilde, 0.90))
         for k, enforce in ((k_dom, True), (k_fit, False)):
             lad = A.build_ladder(sp, k, 40, enforce_threshold=enforce)
-            scans = [float(np.dot(w, np.sum(sp.psi_tilde >= kn, axis=(1, 2, 3))
+            scans = [float(np.dot(w, np.sum(psi_tilde >= kn, axis=(1, 2, 3))
                                   .astype(np.float64))) * sp.grid.cell_volume
                      for kn in lad.levels]
             assert lad.measures == scans
@@ -168,7 +180,7 @@ class TestRecursionFit:
 
     def test_vacuous_pass_on_bounded_run(self, beltrami_traj):
         sp = A.build_scaled_psi(beltrami_traj, float(PARAMS.r))
-        k = 4.0 * float(sp.psi_tilde.max())
+        k = 4.0 * float(psi_tilde_oracle(sp, beltrami_traj).max())
         lad = A.build_ladder(sp, k, 10)
         rec = A.check_recursion(lad, sp, beltrami_traj, PARAMS)
         assert rec.passed
@@ -183,7 +195,7 @@ class TestRecursionFit:
 
     def test_measures_nonincreasing(self, random_traj):
         sp = A.build_scaled_psi(random_traj, float(PARAMS.r))
-        k = 2.0 * float(np.quantile(sp.psi_tilde, 0.9))
+        k = 2.0 * float(np.quantile(psi_tilde_oracle(sp, random_traj), 0.9))
         lad = A.build_ladder(sp, k, 40, enforce_threshold=False)
         ys = lad.measures
         assert all(a >= b for a, b in zip(ys, ys[1:]))
@@ -303,10 +315,21 @@ class TestOnePassPressure:
 
 class TestOnePassAudit:
     def test_each_norm_computed_once(self, random_traj, monkeypatch):
+        self.assert_each_norm_once(random_traj, PARAMS, monkeypatch)
+
+    def test_each_norm_computed_once_scaled(self, random_traj, monkeypatch):
+        # sigma = 1/2: |u| / m_sigma is a view too
+        self.assert_each_norm_once(random_traj, PARAMS.with_sigma(F(1, 2), 0), monkeypatch)
+
+    @staticmethod
+    def assert_each_norm_once(random_traj, params, monkeypatch):
         seen, logs = [], []
 
         def recording(f, ell, g, times):
-            seen.append((id(f), ell))
+            # |u| is the one stack normed; every other quantity is a named
+            # view, formed per snapshot and keyed on its name
+            assert isinstance(f, A.SnapshotView) or f is random_traj.magnitudes()
+            seen.append((getattr(f, "name", "|u|"), ell))
             return spacetime_norm(f, ell, g, times)
 
         def recording_logs(f, p, g, times):
@@ -315,7 +338,7 @@ class TestOnePassAudit:
 
         monkeypatch.setattr(A, "spacetime_norm", recording)
         monkeypatch.setattr(A, "power_log_integrals", recording_logs)
-        A.run_audit(random_traj, PARAMS, A.AuditSpec())
+        A.run_audit(random_traj, params, A.AuditSpec())
         assert len(seen) == len(set(seen))
         assert logs == [2 * float(PARAMS.r)]
 
@@ -351,6 +374,30 @@ class TestOnePassAudit:
             assert report(random_traj, params) == alone_r
             assert report(beltrami_traj, params) == alone_b
             assert report(random_traj, params) == alone_r
+
+
+class TestAuditMemory:
+    def test_two_stacks_and_per_worker_snapshots(self, snapshot_workers):
+        # |u| and the sorted scaled field are the only stacks an audit keeps;
+        # every other quantity is formed one snapshot at a time per worker
+        workers, per_worker = 2, 4
+        snapshot_workers(workers)
+        g = TorusGrid(24)
+        v0 = make_initial("random_spectrum", g, seed=0, amplitude=2.0, kmax=8)
+        traj = run(v0, SolverConfig(viscosity=1.0, dt=2e-3, t_final=0.05, snapshot_stride=1))
+        assert len(traj) == 26
+        snapshot = g.npts**3 * 8
+        spec = A.AuditSpec(s_values=(1.5, 2.0, 3.0, 4.0))
+        # the grid's own caches are built once, outside the measured audits
+        A.run_audit(copy_trajectory(traj), PARAMS, spec)
+        for params in (PARAMS, PARAMS.with_sigma(F(1, 2), 0)):
+            tracemalloc.start()
+            try:
+                A.run_audit(copy_trajectory(traj), params, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (2 * len(traj) + workers * per_worker) * snapshot
 
 
 class TestInterpolationCheck:

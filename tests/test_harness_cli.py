@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from nsbl import audit as A
 from nsbl import cli
 from nsbl.harness import (
     DEFAULT_LEDGER,
@@ -13,6 +14,7 @@ from nsbl.harness import (
     InfeasibleLedger,
     Scenario,
     UnknownKey,
+    _aggregate,
     audit_manifest,
     canonical_json,
     load_manifest,
@@ -285,6 +287,17 @@ class TestSuite:
         assert set(drift["c_pressure_s2"]["per_resolution_median"]) == {"16", "24"}
         assert drift["c_pressure_s2"]["max_rel_drift"] < 0.5
 
+    def test_drift_base_is_the_coarsest_grid(self):
+        # 16 < 128 as grid sizes, though '128' < '16' as strings
+        def result(name, npts, c_energy):
+            rec = A.CheckRecord("energy", 0.0, 0.0, c_energy, True, 0.0)
+            return {"name": name, "report": A.AuditReport(name, [rec], {}, {"grid_npts": npts})}
+
+        agg = _aggregate([result("hi", 128, 3.0), result("lo", 16, 2.0)], [], "lo")
+        drift = agg["per_resolution_drift"]["c_energy"]
+        assert drift["per_resolution_median"] == {"16": 2.0, "128": 3.0}
+        assert drift["max_rel_drift"] == 0.5
+
     def test_calibrated_constant_shared(self, tmp_path):
         members = [quick_scenario(f"m{k}", kind="random_spectrum", seed=k).to_dict()
                    for k in range(3)]
@@ -323,6 +336,28 @@ class TestCli:
         assert not cert["feasible"]
         bad = [r["id"] for r in cert["reports"] if not r["satisfied"]]
         assert "j_above_sign_threshold" in bad
+
+    def test_exponents_check_takes_delta_flag(self, tmp_path):
+        cli.main(["exponents", "--out-dir", str(tmp_path), "--delta", "1/4",
+                  "--check", "q=10,j=4,B=10,K=6/5,r=12"])
+        cert = json.loads((tmp_path / "certificate-N3.json").read_text())
+        assert cert["params"]["delta"] == "1/4"
+
+    def test_exponents_check_delta_key_alone(self, tmp_path):
+        cli.main(["exponents", "--out-dir", str(tmp_path),
+                  "--check", "q=10,j=4,B=10,K=6/5,r=12,delta=1/4"])
+        with_key = (tmp_path / "certificate-N3.json").read_bytes()
+        cli.main(["exponents", "--out-dir", str(tmp_path), "--delta", "1/4",
+                  "--check", "q=10,j=4,B=10,K=6/5,r=12"])
+        assert (tmp_path / "certificate-N3.json").read_bytes() == with_key
+
+    def test_exponents_delta_given_twice_exit_1(self, tmp_path, capsys):
+        capsys.readouterr()
+        rc = cli.main(["exponents", "--out-dir", str(tmp_path), "--delta", "1/4",
+                       "--check", "q=10,j=4,B=10,K=6/5,r=12,delta=1/4"])
+        assert rc == 1
+        assert "delta given twice" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["--check", "q=abc"], ["--delta", "abc"], ["--N", "2"],

@@ -1,7 +1,8 @@
-"""Property tests: the exact-rational ledger identities hold, the audit
-on degenerate fields or extreme exponents and the checkpoint reader on
-damaged files fail only with their typed errors, and the command line on
-mutated arguments and files exits with a documented code."""
+"""Property tests: the exact-rational ledger identities hold, the quantile
+read from sorted rows is numpy's to the bit, the audit on degenerate fields
+or extreme exponents and the checkpoint reader on damaged files fail only
+with their typed errors, and the command line on mutated arguments and files
+exits with a documented code."""
 
 import contextlib
 import io
@@ -22,6 +23,7 @@ from nsbl import ledger as L
 from nsbl.checkpoint import MAGIC, CorruptCheckpoint, read_checkpoint, write_checkpoint
 from nsbl.harness import Scenario, canonical_json
 from nsbl.ledger import ExponentParams
+from nsbl.norms import sorted_quantile
 from nsbl.solver import SolverConfig, Trajectory, make_initial
 from nsbl.spectral import TorusGrid
 
@@ -52,6 +54,26 @@ def degenerate_coeff(kind, amplitude, mode):
             idx = tuple(sign * c % n for c in mode)
             coeff[(slice(None),) + idx] += amplitude / 2 * e
     return coeff
+
+
+@settings(max_examples=200)
+@given(nt=st.integers(1, 6), cells=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["spread", "ties", "constant", "zero_rows"]))
+def test_sorted_quantile_is_numpys(nt, cells, seed, kind):
+    # the audit's k_fit: np.quantile of a non-negative stack, bit for bit,
+    # selected from its sorted rows; random q reach both forms of the lerp
+    rng = np.random.default_rng(seed)
+    stack = 10.0 ** rng.uniform(-3, 3, (nt, cells))
+    if kind == "ties":
+        stack = np.floor(stack)
+    elif kind == "constant":
+        stack[:] = stack[0, 0]
+    elif kind == "zero_rows":
+        stack[rng.random(nt) < 0.5] = 0.0
+    rows = np.sort(stack, axis=1)
+    for q in [0.0, 0.9, 1.0, *rng.random(20)]:
+        want = np.quantile(stack, q)
+        assert np.float64(sorted_quantile(rows, q)).tobytes() == want.tobytes(), q
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
