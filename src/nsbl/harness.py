@@ -9,6 +9,7 @@ and are referenced by content hash.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -477,12 +478,27 @@ def load_suite(path) -> dict:
     return d
 
 
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # not glibc
+    _MALLOC_TRIM = None
+
+
+def _release_freed_memory() -> None:
+    """Hand the pages of freed heap chunks back to the OS (glibc only), so
+    what one suite member freed does not stay resident while the next runs."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 def _run_member(scenario: Scenario, out_root, constants):
     manifest_path = simulate(scenario, out_root)
+    _release_freed_memory()
     manifest = load_manifest(manifest_path)
     if manifest.get("instability"):
         return {"name": scenario.name, "instability": manifest["instability"]}
     report, _, _ = audit_manifest(manifest_path, constants=constants)
+    _release_freed_memory()
     return {"name": scenario.name, "report": report}
 
 

@@ -24,6 +24,7 @@ that carry band modes.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -60,6 +61,17 @@ LENGTH_RANGE = (1e-30, 1e30)
 # many chunks.  The pool starts its threads on first use, not on import.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = ThreadPoolExecutor(CPUS, thread_name_prefix="nsbl-snapshots")
+
+# At most one malloc arena per usable CPU, not glibc's eight: nsbl never
+# has more than CPUS threads busy at once, so more arenas add no speed.
+# They only each keep what their threads freed, and new threads (a suite's
+# workers) would take whichever arena is free, so a suite's peak memory
+# would depend on which member ran in which thread.  M_ARENA_MAX is -8 in
+# glibc; elsewhere there is no mallopt and nothing to do.
+try:
+    ctypes.CDLL(None).mallopt(-8, CPUS)
+except (AttributeError, OSError, TypeError):
+    pass
 
 
 def over_snapshots(fn, nt: int) -> list:

@@ -1,14 +1,20 @@
+import ctypes
+import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsbl
 from nsbl.spectral import (
     NotDivergenceFree,
     ScalarField,
+    CPUS,
     ShapeMismatch,
     SpectralVelocity,
     TorusGrid,
@@ -283,3 +289,49 @@ class TestOverSnapshots:
             sys.setswitchinterval(interval)
         assert got == [1000.0 * i for i in range(64)]
         assert slots.tolist() == [float(i) for i in range(64)]
+
+
+# Run in a fresh interpreter: CPUS + 2 threads each hold arrays at the same
+# time, then the number of malloc arenas glibc reports is printed.
+ARENA_PROBE = """
+import ctypes, sys, threading
+import numpy as np
+from nsbl.spectral import CPUS
+libc = ctypes.CDLL(None)
+libc.fopen.restype = ctypes.c_void_p
+libc.fclose.argtypes = [ctypes.c_void_p]
+libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+barrier = threading.Barrier(CPUS + 2)
+def work():
+    held = [np.ones(100 + i) for i in range(50)]
+    barrier.wait()
+    return len(held)
+threads = [threading.Thread(target=work) for _ in range(CPUS + 2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+fh = libc.fopen(sys.argv[1].encode(), b"w")
+libc.malloc_info(0, fh)
+libc.fclose(fh)
+print(open(sys.argv[1]).read().count("<heap nr="))
+"""
+
+
+def _glibc() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "malloc_info")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="malloc arenas are glibc's")
+def test_at_most_one_malloc_arena_per_cpu(tmp_path):
+    # glibc's default of 8 per CPU would let every new thread take an arena
+    # of its own, each keeping what that thread freed
+    src = str(Path(nsbl.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", ARENA_PROBE, str(tmp_path / "info.xml")],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert 1 <= int(out.stdout) <= CPUS
