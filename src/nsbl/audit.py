@@ -30,7 +30,7 @@ from .norms import (
     spacetime_norm,
 )
 from .solver import Trajectory
-from .spectral import cz_pressure, over_snapshots
+from .spectral import NotDivergenceFree, cz_pressure, over_snapshots
 
 __all__ = [
     "DegenerateField",
@@ -87,17 +87,29 @@ class BadExponents(ValueError):
 @dataclass(frozen=True, eq=False)
 class SnapshotView:
     """A stack formed one snapshot at a time, ``view[i] = op(base[i])``; the
-    norms take it as an (nt, n, n, n) array, and only snapshots in use exist."""
+    norms take it as an (nt, n, n, n) array, and only snapshots in use exist.
+    The norms read each snapshot's max from ``maxima``."""
 
     name: str
     base: object
     op: Callable
+    maxima: np.ndarray
 
     def __len__(self) -> int:
         return len(self.base)
 
     def __getitem__(self, i: int) -> np.ndarray:
         return self.op(self.base[i])
+
+    def derive(self, name: str, op: Callable) -> "SnapshotView":
+        """The view ``op(self[i])``.  op is elementwise and non-decreasing on
+        non-negative values (a square, a division by a positive constant),
+        so its maxima are exactly op of these maxima."""
+        return SnapshotView(name, self, op, op(self.maxima))
+
+
+def _same(x):
+    return x
 
 
 @dataclass(eq=False)
@@ -232,10 +244,11 @@ class AuditReport:
 class FieldStats:
     """One trajectory's audit quantities, each computed once.
 
-    Holds |u| / m_sigma (the trajectory's own magnitude stack when m_sigma
-    is 1, else a view of it), the scaled psi for each r, and the space-time
-    norms and log-weighted integrals of these, memoized per (kind, quantity
-    name, exponent).
+    Holds |u| and |u| / m_sigma as views of the trajectory's magnitude
+    stack (the same view when m_sigma is 1), the scaled psi for each r, the
+    pressure ratios of each tuple of exponents s, and the space-time norms
+    and log-weighted integrals of these, memoized per (kind, quantity name,
+    exponent).
     Every check that takes a trajectory also takes a FieldStats, whose
     m_sigma then stands in for the ``m_sigma`` argument; run_audit builds one
     per trajectory and passes it to every check.
@@ -245,6 +258,7 @@ class FieldStats:
     m_sigma: float = 1.0
 
     _psi: dict = field(default_factory=dict, repr=False)
+    _pressure: dict = field(default_factory=dict, repr=False)
     _memo: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -255,16 +269,20 @@ class FieldStats:
     def times(self) -> list[float]:
         return self.traj.times
 
-    def magnitudes(self):
-        """|u| / m_sigma for every snapshot: the trajectory's |u| stack when
-        m_sigma is 1, else a view dividing one snapshot at a time."""
-        mags = self.traj.magnitudes()
-        if self.m_sigma == 1.0:
-            return mags
-        return SnapshotView("|u|/m_sigma", mags, lambda x: x / self.m_sigma)
+    @cached_property
+    def unscaled(self) -> SnapshotView:
+        """|u|: the trajectory's stack as it is, with its recorded sups."""
+        return SnapshotView("|u|", self.traj.magnitudes(), _same, self.traj.sups())
 
-    def norm(self, stack, ell: float) -> float:
-        """spacetime_norm of the trajectory's |u| stack or of a named view."""
+    def magnitudes(self) -> SnapshotView:
+        """|u| / m_sigma for every snapshot: ``unscaled`` when m_sigma is 1,
+        else a view dividing one snapshot at a time."""
+        if self.m_sigma == 1.0:
+            return self.unscaled
+        return self.unscaled.derive("|u|/m_sigma", lambda x: x / self.m_sigma)
+
+    def norm(self, stack: SnapshotView, ell: float) -> float:
+        """spacetime_norm of a named view."""
         return self._once("norm", spacetime_norm, stack, ell)
 
     def log_integrals(self, p: float) -> tuple[float, float, int]:
@@ -278,11 +296,17 @@ class FieldStats:
             self._psi[r] = build_scaled_psi(self, r)
         return self._psi[r]
 
+    def pressure_rows(self, s_values: tuple) -> list:
+        """``_velocity_pass`` rows at these exponents, unless run_audit's are here."""
+        if s_values not in self._pressure:
+            self._pressure[s_values] = _velocity_pass(self.traj, s_values, self.m_sigma)[1]
+        return self._pressure[s_values]
+
     def _once(self, kind, fn, stack, exponent):
         # functions arrive through the module namespace, so patched or
         # wrapped versions are the ones called; views are short-lived, so
         # the key holds a quantity's name, never an object id
-        key = (kind, getattr(stack, "name", "|u|"), exponent)
+        key = (kind, stack.name, exponent)
         if key not in self._memo:
             self._memo[key] = fn(stack, exponent, self.grid, self.times)
         return self._memo[key]
@@ -304,7 +328,7 @@ def build_scaled_psi(traj: Trajectory | FieldStats, r: float, m_sigma: float = 1
     if len(times) == 0:
         raise DegenerateField("empty trajectory")
     mags = stats.magnitudes()
-    a_r = spacetime_norm(SnapshotView(f"psi r={r!r}", mags, lambda x: x**2), r, grid, times)
+    a_r = spacetime_norm(mags.derive(f"psi r={r!r}", lambda x: x**2), r, grid, times)
     if a_r == 0.0:
         raise DegenerateField("identically zero field")
 
@@ -314,7 +338,7 @@ def build_scaled_psi(traj: Trajectory | FieldStats, r: float, m_sigma: float = 1
         g /= a_r
         return g
 
-    psi_tilde = SnapshotView(f"psi_tilde r={r!r}", mags, tilde)
+    psi_tilde = mags.derive(f"psi_tilde r={r!r}", tilde)
     check = spacetime_norm(psi_tilde, r, grid, times)
     if not abs(check - 1.0) <= 1e-6:
         raise DegenerateField(f"normalization drifted: {check}")
@@ -487,9 +511,8 @@ def check_energy(traj: Trajectory | FieldStats) -> CheckRecord:
         abs(e + d - e0) / e0 for e, d in zip(energies, traj.dissipation)
     )
     lz = (traj.grid.dim + 2) / traj.grid.dim
-    mags = traj.magnitudes()
-    u0_l2 = space_norm(mags[0], 2.0, traj.grid)
-    st_norm = stats.norm(mags, 2 * lz)
+    u0_l2 = space_norm(traj.magnitudes()[0], 2.0, traj.grid)
+    st_norm = stats.norm(stats.unscaled, 2 * lz)
     fitted = st_norm / u0_l2
     ok = residual <= ENERGY_RESIDUAL_TOL
     return CheckRecord(
@@ -499,31 +522,73 @@ def check_energy(traj: Trajectory | FieldStats) -> CheckRecord:
     )
 
 
+def _audited(x: float) -> bool:
+    lo, hi = AMPLITUDE_RANGE
+    return lo <= x <= hi
+
+
+def _velocity_pass(traj: Trajectory, s_values: tuple, m_sigma: float = 1.0,
+                   sigma=0) -> tuple[float, list]:
+    """The audit's one velocity per snapshot (``Trajectory.over_velocities``)
+    gives |u| and its sup to the trajectory and the pressure to check_pressure.
+
+    At sigma != 0, m_sigma is (sup |u0|)^sigma, known from snapshot 0 before
+    any pressure is solved.  Returns m_sigma and per snapshot the ratios
+    ||p||_s / (M^2 ||u/M||_2s^2) at each s; None where no pressure is solved
+    (an s not above 1, or m_sigma or a nonzero sup outside AMPLITUDE_RANGE);
+    or its NotDivergenceFree, raised by check_pressure after run_audit's
+    amplitude guards.
+    """
+    grid, coeffs = traj.grid, traj.coeffs
+    first = None
+    if sigma != 0:
+        def first(sup0):
+            nonlocal m_sigma
+            m_sigma = _m_sigma(float(sup0), sigma)
+
+    def ratios(i, u, mag, sup):
+        if not (all(s > 1 for s in s_values) and _audited(m_sigma)
+                and (sup == 0.0 or _audited(sup))):
+            return None
+        coeff = coeffs[i]
+        if m_sigma != 1.0:
+            coeff, mag = coeff / m_sigma, mag / m_sigma
+            u /= m_sigma
+        dens = [m_sigma**2 * space_norm(mag, 2 * s, grid) ** 2 for s in s_values]
+        if not any(dens):
+            return [0.0 for _ in s_values]
+        try:
+            p = cz_pressure(coeff, u, grid, m_sigma)
+        except NotDivergenceFree as exc:
+            return exc
+        return [space_norm(p.values, s, grid) / den if den else 0.0
+                for s, den in zip(s_values, dens)]
+
+    rows = traj.over_velocities(ratios, first)
+    return m_sigma, rows
+
+
 def check_pressure(traj: Trajectory | FieldStats, s_values,
                    m_sigma: float = 1.0) -> list[CheckRecord]:
     """Per-snapshot ratios ||p||_s / (M^2 ||u||_{2s}^2), one record per s;
     the max over snapshots is c_s.
 
-    One pass over the snapshots: the pressure does not depend on s, so each
-    snapshot gets one pressure solve, measured at every s.
+    The ratios come from ``_velocity_pass``, run_audit's or one of its own:
+    the pressure does not depend on s, so each snapshot gets one pressure
+    solve, measured at every s.
     """
     s_values = tuple(float(s) for s in s_values)
     for s in s_values:
         if not s > 1:
             raise BadExponents(f"need s > 1, got {s}")
     stats = _field_stats(traj, m_sigma)
-    m_sigma, grid = stats.m_sigma, stats.grid
-    mags, coeffs = stats.magnitudes(), stats.traj.coeffs
-
-    def snapshot_ratios(i):
-        dens = [m_sigma**2 * space_norm(mags[i], 2 * s, grid) ** 2 for s in s_values]
-        if not any(dens):
-            return [0.0 for _ in s_values]
-        p = cz_pressure(coeffs[i] / m_sigma, grid, m_sigma)
-        return [space_norm(p.values, s, grid) / den if den else 0.0
-                for s, den in zip(s_values, dens)]
-
-    per_snapshot = over_snapshots(snapshot_ratios, len(mags))
+    per_snapshot = stats.pressure_rows(s_values)
+    for i, row in enumerate(per_snapshot):
+        if isinstance(row, NotDivergenceFree):
+            raise row
+        if row is None:
+            raise DegenerateField(f"snapshot {i}: sup |u| = {stats.traj.sups()[i]:.3g} or "
+                                  f"M_sigma = {stats.m_sigma:.3g} is outside the audited range")
     ratios = [[row[k] for row in per_snapshot] for k in range(len(s_values))]
     return [
         CheckRecord(f"pressure_s{s:g}", max(r, default=0.0), 1.0, max(r, default=0.0),
@@ -638,9 +703,9 @@ def calibrate_final_constant(
 
 
 def _final_bound_pieces(traj: Trajectory, params: ExponentParams):
-    mags = traj.magnitudes()
-    v0max = float(mags[0].max())
-    v0_l2 = space_norm(mags[0], 2.0, traj.grid)
+    sups = traj.sups()
+    v0max = float(sups[0])
+    v0_l2 = space_norm(traj.magnitudes()[0], 2.0, traj.grid)
     try:
         d0 = float(params.delta0)
         n_exp = (params.N - 2) * d0 / 2
@@ -648,7 +713,7 @@ def _final_bound_pieces(traj: Trajectory, params: ExponentParams):
     except OverflowError as exc:
         raise BadExponents(f"delta0 = {params.delta0} takes the final bound's bracket "
                            f"beyond float range") from exc
-    vmax = float(mags.max())
+    vmax = float(sups.max())
     return v0max, bracket, vmax
 
 
@@ -686,6 +751,14 @@ def dichotomy_branch(traj: Trajectory | FieldStats, params: ExponentParams,
 # ---------------------------------------------------------------------------
 
 
+def _m_sigma(v0max: float, sigma) -> float:
+    """M_sigma = (sup |u0|)^sigma, 1 for the zero field, inf beyond float64."""
+    try:
+        return v0max ** float(sigma) if v0max > 0 else 1.0
+    except OverflowError:
+        return math.inf
+
+
 def run_audit(
     traj: Trajectory,
     params: ExponentParams,
@@ -710,21 +783,19 @@ def run_audit(
     r = spec.effective_r(params)
     if len(traj) == 0:
         raise DegenerateField("empty trajectory")
-    mags = traj.magnitudes()
-    vmax = float(mags.max())
+    s_values = tuple(float(s) for s in spec.s_values)
+    m_sigma, rows = _velocity_pass(traj, s_values, sigma=params.sigma)
+    sups = traj.sups()
+    vmax = float(sups.max())
     lo, hi = AMPLITUDE_RANGE
-    if vmax != 0.0 and not lo <= vmax <= hi:
+    if vmax != 0.0 and not _audited(vmax):
         raise DegenerateField(f"sup |u| = {vmax:.3g} is outside the audited range [{lo:g}, {hi:g}]")
-    v0max = float(mags[0].max())
-    try:
-        m_sigma = v0max ** float(params.sigma) if v0max > 0 else 1.0
-    except OverflowError:
-        m_sigma = math.inf
-    if not lo <= m_sigma <= hi:
+    v0max = float(sups[0])
+    if not _audited(m_sigma):
         raise BadExponents(f"sigma = {params.sigma} takes M_sigma = (sup |u0|)^sigma outside "
                            f"the audited range [{lo:g}, {hi:g}]")
 
-    stats = FieldStats(traj, m_sigma)
+    stats = FieldStats(traj, m_sigma, _pressure={s_values: rows})
 
     checks: list[CheckRecord] = []
     checks.append(check_energy(stats))

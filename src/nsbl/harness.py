@@ -455,6 +455,7 @@ def audit_manifest(
     traj = trajectory_from_manifest(manifest, manifest_path.parent)
     report = run_audit(traj, params, spec, constants=constants, run_id=scenario.name)
     json_path, csv_path = write_report(report, manifest_path.parent)
+    _release_freed_memory()
     return report, json_path, csv_path
 
 
@@ -486,7 +487,8 @@ except (AttributeError, OSError, TypeError):  # not glibc
 
 def _release_freed_memory() -> None:
     """Hand the pages of freed heap chunks back to the OS (glibc only), so
-    what one suite member freed does not stay resident while the next runs."""
+    what one simulation or audit freed does not stay resident while the next
+    runs."""
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
 
@@ -498,7 +500,6 @@ def _run_member(scenario: Scenario, out_root, constants):
     if manifest.get("instability"):
         return {"name": scenario.name, "instability": manifest["instability"]}
     report, _, _ = audit_manifest(manifest_path, constants=constants)
-    _release_freed_memory()
     return {"name": scenario.name, "report": report}
 
 

@@ -65,7 +65,10 @@ def space_norm(values: np.ndarray, ell: float, grid: TorusGrid) -> float:
     m = float(a.max())
     if m == 0.0:
         return 0.0
-    s = np.sum((a / m) ** ell) * grid.cell_volume
+    # the one temporary, scaled and powered in place
+    a /= m
+    a **= ell
+    s = np.sum(a) * grid.cell_volume
     return float(m * s ** (1.0 / ell))
 
 
@@ -77,16 +80,26 @@ def _snapshots(stack):
     return a[None] if a.ndim == 3 else a
 
 
+def _maxima(stack):
+    """Each snapshot's max |f|: the stack's own ``maxima`` when it carries
+    them (the audit's views do), else one pass over the snapshots."""
+    maxima = getattr(stack, "maxima", None)
+    if maxima is None:
+        maxima = over_snapshots(lambda i: np.abs(stack[i]).max(), len(stack))
+    return maxima
+
+
 def spacetime_norm(stack, ell: float, grid: TorusGrid, times) -> float:
     """Space-time norm over stored snapshots with trapezoidal time weights.
 
-    Each snapshot's max |f| and its sum of (|f|/m)^ell are computed on
-    their own (``over_snapshots``); the max and the time sum over the
-    snapshots are taken here, in snapshot order.
+    Each snapshot's sum of (|f|/m)^ell is computed on its own
+    (``over_snapshots``), with m the max of the snapshots' maxima
+    (``_maxima``); the time sum over the snapshots is taken here, in
+    snapshot order.
     """
     _check_exponent(ell)
     a = _snapshots(stack)
-    m = float(np.max(over_snapshots(lambda i: np.abs(a[i]).max(), len(a))))
+    m = float(np.max(_maxima(a)))
     if ell == INF:
         return m
     w = time_weights(times)
@@ -169,26 +182,23 @@ def power_log_integrals(
     """
     a = _snapshots(stack)
     w = time_weights(times)
-
-    def clamped_max(i):
-        g = np.abs(a[i])
-        return np.count_nonzero(g < LOG_CLAMP), np.maximum(g, LOG_CLAMP, out=g).max()
-
-    counts, maxes = zip(*over_snapshots(clamped_max, len(a)))
-    clamped = sum(counts)
-    m = float(np.max(maxes))
+    # the max of the clamped values, from the snapshots' maxima
+    m = max(float(np.max(_maxima(a))), LOG_CLAMP)
 
     def sums(i):
         # one snapshot's temporaries: |f|/m (clamped) and its p-th power
         g = np.abs(a[i])
+        clamped = np.count_nonzero(g < LOG_CLAMP)
         np.maximum(g, LOG_CLAMP, out=g)
         g /= m
         gp = g**p
         np.log(g, out=g)
         g *= gp
-        return np.sum(gp), np.sum(g)
+        return clamped, np.sum(gp), np.sum(g)
 
-    s0, s1 = np.array(over_snapshots(sums, len(a))).T
+    per_t = over_snapshots(sums, len(a))
+    clamped = sum(row[0] for row in per_t)
+    s0, s1 = np.array([row[1:] for row in per_t]).T
     j0 = float(np.dot(w, s0 * grid.cell_volume))
     j1 = float(np.dot(w, s1 * grid.cell_volume))
     log_m = math.log(m)

@@ -108,6 +108,7 @@ class Trajectory:
     dissipation: list[float]
 
     _magnitudes: np.ndarray | None = field(default=None, repr=False)
+    _sups: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         shape = (3,) + self.grid.band.shape
@@ -125,24 +126,47 @@ class Trajectory:
         return SpectralVelocity(band.expand(self.coeffs[i]), self.grid, self.times[i])
 
     def magnitudes(self) -> np.ndarray:
-        """|u| on the grid for every snapshot, shape (nt, n, n, n); cached.
-
-        Each snapshot's velocity comes from one pruned inverse transform of
-        its band and lives only until its |u| is written; the snapshots are
-        shared out with ``over_snapshots``.
-        """
+        """|u| on the grid for every snapshot, shape (nt, n, n, n); cached."""
         if self._magnitudes is None:
-            band = self.grid.band
-            mags = np.empty((len(self.coeffs),) + (self.grid.npts,) * 3)
-
-            def fill(i):
-                u = band.inverse(self.coeffs[i])
-                np.square(u, out=u)
-                np.sqrt(u[0] + u[1] + u[2], out=mags[i])
-
-            over_snapshots(fill, len(self.coeffs))
-            self._magnitudes = mags
+            self.over_velocities(lambda i, u, mag, sup: None)
         return self._magnitudes
+
+    def sups(self) -> np.ndarray:
+        """max |u| of each snapshot, shape (nt,); cached with ``magnitudes``."""
+        self.magnitudes()
+        return self._sups
+
+    def over_velocities(self, fn, first=None) -> list:
+        """[fn(i, u, mag, sup) for every snapshot i], each band inverted once.
+
+        u is snapshot i's velocity (fn may overwrite it), mag its
+        |u| = sqrt((u0² + u1²) + u2²) in the cached magnitude stack and sup
+        the max of mag.  The fn calls run through ``over_snapshots``; with
+        ``first``, snapshot 0's velocity is formed before them, on the
+        calling thread, and ``first(sup0)`` runs before any fn call.
+        """
+        band, nt = self.grid.band, len(self.coeffs)
+        mags, sups = np.empty((nt,) + (self.grid.npts,) * 3), np.empty(nt)
+
+        def velocity(i):
+            u = band.inverse(self.coeffs[i])
+            mag, sq = mags[i], np.empty_like(mags[i])
+            np.square(u[0], out=mag)
+            mag += np.square(u[1], out=sq)
+            mag += np.square(u[2], out=sq)
+            np.sqrt(mag, out=mag)
+            sups[i] = mag.max()
+            return u
+
+        # snapshot 0's velocity, held only until its fn call
+        held = [velocity(0)] if first is not None and nt else []
+        if held:
+            first(sups[0])
+        out = over_snapshots(
+            lambda i: fn(i, held.pop() if i == 0 and held else velocity(i), mags[i], sups[i]),
+            nt)
+        self._magnitudes, self._sups = mags, sups
+        return out
 
 
 def _nonlinear(coeff: np.ndarray, band: SpectralBand) -> np.ndarray:

@@ -15,8 +15,9 @@ half spectrum, (..., 2c+1, 2c+1, c+1) with c = n//3: 3.6 times fewer
 entries than the half spectrum and 6.8 times fewer than the full layout at
 n = 32.
 The solver steps it, trajectories hold it, NSBL2 checkpoints store it and
-the audit reads it: ``cz_pressure`` takes band coefficients, and |u| comes
-from the band's ``inverse``.  ``SpectralBand.compact`` takes a full or half
+the audit reads it: each snapshot's velocity comes from one ``inverse`` of
+its band, and |u| and ``cz_pressure`` (which checks the band's divergence)
+both take that velocity.  ``SpectralBand.compact`` takes a full or half
 layout to the band, ``expand`` takes the band back to the full layout with
 zeros outside, and its ``forward`` and ``inverse`` transform only the lines
 that carry band modes.
@@ -351,24 +352,30 @@ def divergence_max(coeff: np.ndarray, k: np.ndarray) -> float:
     return float(np.max(np.abs(div)))
 
 
-def cz_pressure(coeff: np.ndarray, grid: TorusGrid, m_sigma: float = 1.0) -> ScalarField:
+def cz_pressure(coeff: np.ndarray, velocity: np.ndarray, grid: TorusGrid,
+                m_sigma: float = 1.0) -> ScalarField:
     """Pressure from the velocity through the exact multiplier k_i k_j/|k|^2.
 
     Solves -lap(p) = m_sigma^2 d_i d_j (u_j u_i) spectrally; the zero mode of
     p is fixed to 0.  ``coeff`` holds the velocity's 2/3-rule band, shape
-    (3, *grid.band.shape), as trajectories store it; the quadratic
-    products and p are dealiased to the same band.
+    (3, *grid.band.shape), as trajectories store it, and its divergence is
+    checked; ``velocity`` is the same field on the grid, shape (3, n, n, n),
+    ``grid.band.inverse(coeff)`` up to roundoff, which the caller has
+    already formed.  The quadratic products and p are dealiased to the band.
     """
     band = grid.band
     if coeff.shape != (3,) + band.shape:
         raise ShapeMismatch(f"velocity band has shape {coeff.shape}, "
                             f"not the 2/3-rule band's {(3,) + band.shape}")
+    if velocity.shape != (3,) + (grid.npts,) * 3:
+        raise ShapeMismatch(f"velocity has shape {velocity.shape}, "
+                            f"not {(3,) + (grid.npts,) * 3}")
     # measured on the integer mode numbers m = k / (2 pi / L), so the
     # verdict does not depend on the box length (the factor is 1 at L = 2 pi)
     div = divergence_max(coeff, band.wavenumbers) / (TWO_PI / grid.length)
     if div > DIV_TOL * max(1.0, np.sqrt(band.sum_squares(coeff))):
         raise NotDivergenceFree(f"divergence {div:.3e} exceeds tolerance")
-    w = quadratic_products(band.inverse(coeff), band)
+    w = quadratic_products(velocity, band)
     k = band.wavenumbers
     p_hat = np.zeros(band.shape, dtype=np.complex128)
     for p, (i, j) in enumerate(PAIRS):

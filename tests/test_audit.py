@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,6 +20,7 @@ from nsbl.solver import SolverConfig, Trajectory, make_initial, run
 from nsbl.spectral import (
     NotDivergenceFree,
     ShapeMismatch,
+    SpectralBand,
     SpectralVelocity,
     TorusGrid,
     cz_pressure,
@@ -239,7 +241,8 @@ class TestPressureCheck:
     def test_beltrami_matches_direct(self, beltrami_traj):
         rec = A.check_pressure(beltrami_traj, (2.0,))[0]
         v = beltrami_traj.velocity(0)
-        p = cz_pressure(beltrami_traj.coeffs[0], v.grid)
+        c = beltrami_traj.coeffs[0]
+        p = cz_pressure(c, v.grid.band.inverse(c), v.grid)
         direct = space_norm(p.values, 2.0, v.grid) / space_norm(v.magnitude(), 4.0, v.grid) ** 2
         assert rec.extra["ratios"][0] == pytest.approx(direct, abs=1e-8)
 
@@ -262,7 +265,7 @@ def pressure_oracle(traj, s, m_sigma=1.0):
         if den == 0.0:
             ratios.append(0.0)
             continue
-        p = cz_pressure(u, grid, m_sigma)
+        p = cz_pressure(u, uu, grid, m_sigma)
         ratios.append(space_norm(p.values, s, grid) / den)
     return ratios
 
@@ -290,9 +293,9 @@ class TestOnePassPressure:
     def test_one_pressure_solve_per_snapshot(self, random_traj, monkeypatch):
         calls = []
 
-        def counting(coeff, grid, m_sigma=1.0):
+        def counting(coeff, velocity, grid, m_sigma=1.0):
             calls.append(coeff)
-            return cz_pressure(coeff, grid, m_sigma)
+            return cz_pressure(coeff, velocity, grid, m_sigma)
 
         monkeypatch.setattr(A, "cz_pressure", counting)
         A.run_audit(random_traj, PARAMS, A.AuditSpec(s_values=self.S_VALUES))
@@ -341,6 +344,66 @@ class TestOnePassAudit:
         A.run_audit(random_traj, params, A.AuditSpec())
         assert len(seen) == len(set(seen))
         assert logs == [2 * float(PARAMS.r)]
+
+    def test_one_velocity_per_snapshot(self, random_traj, snapshot_workers, monkeypatch):
+        # each band is inverted once for the velocity, which gives |u| and
+        # the pressure, and once more for the pressure field
+        snapshot_workers(1)
+        calls = []
+        inverse = SpectralBand.inverse
+
+        def counting(band, coeff):
+            calls.append(coeff.shape)
+            return inverse(band, coeff)
+
+        monkeypatch.setattr(SpectralBand, "inverse", counting)
+        A.run_audit(copy_trajectory(random_traj), PARAMS,
+                    A.AuditSpec(s_values=(1.5, 2.0, 3.0, 4.0)))
+        assert calls.count((3,) + random_traj.grid.band.shape) == len(random_traj)
+        assert len(calls) == 2 * len(random_traj)
+
+    def test_views_formed_once_per_power_sum(self, random_traj, snapshot_workers, monkeypatch):
+        # sigma = 1/2, so |u|/m_sigma is a view too: a finite-exponent norm
+        # and the log integrals form each snapshot of their view once, no
+        # view is formed to take a maximum, and outside the norms and the
+        # threshold and ladders (which read the sorted scaled field) no view
+        # is formed at all: the pressure pass divides its own |u|
+        snapshot_workers(1)
+        formed, outside, depth = Counter(), Counter(), [0]
+        getitem = A.SnapshotView.__getitem__
+
+        def counting(view, i):
+            formed[view.name, i] += 1
+            if not depth[0]:
+                outside[view.name, i] += 1
+            return getitem(view, i)
+
+        def inside(fn, passes=None):
+            def call(f, exponent, *rest, **kw):
+                before = formed.copy()
+                depth[0] += 1
+                try:
+                    out = fn(f, exponent, *rest, **kw)
+                finally:
+                    depth[0] -= 1
+                name = getattr(f, "name", None)
+                if passes is not None and name is not None:
+                    got = [formed[name, i] - before[name, i] for i in range(len(f))]
+                    assert got == [passes(exponent)] * len(f), (name, exponent, got)
+                return out
+            return call
+
+        monkeypatch.setattr(A.SnapshotView, "__getitem__", counting)
+        monkeypatch.setattr(A, "spacetime_norm",
+                            inside(spacetime_norm, lambda ell: 0 if ell == math.inf else 1))
+        monkeypatch.setattr(A, "power_log_integrals", inside(power_log_integrals, lambda p: 1))
+        monkeypatch.setattr(A, "estimate_threshold", inside(A.estimate_threshold))
+        monkeypatch.setattr(A, "build_ladder", inside(A.build_ladder))
+        rep = A.run_audit(copy_trajectory(random_traj), PARAMS.with_sigma(F(1, 2), 0),
+                          A.AuditSpec(s_values=(1.5, 2.0, 3.0, 4.0)))
+        assert rep.environment["m_sigma"] != 1.0
+        assert formed["|u|/m_sigma", 0] > 0
+        assert not outside
 
     def test_undealiased_run_refused(self, grid):
         # snapshots that keep the whole half spectrum, as an undealiased run
