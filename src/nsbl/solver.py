@@ -143,13 +143,20 @@ class Trajectory:
         |u| = sqrt((u0² + u1²) + u2²) in the cached magnitude stack and sup
         the max of mag.  The fn calls run through ``over_snapshots``; with
         ``first``, snapshot 0's velocity is formed before them, on the
-        calling thread, and ``first(sup0)`` runs before any fn call.
+        calling thread, and ``first(sup0)`` runs before any fn call.  Once
+        the stack is cached, the pass reads it and forms no |u| again.
         """
         band, nt = self.grid.band, len(self.coeffs)
-        mags, sups = np.empty((nt,) + (self.grid.npts,) * 3), np.empty(nt)
+        cached = self._magnitudes is not None
+        if cached:
+            mags, sups = self._magnitudes, self._sups
+        else:
+            mags, sups = np.empty((nt,) + (self.grid.npts,) * 3), np.empty(nt)
 
         def velocity(i):
             u = band.inverse(self.coeffs[i])
+            if cached:
+                return u
             mag, sq = mags[i], np.empty_like(mags[i])
             np.square(u[0], out=mag)
             mag += np.square(u[1], out=sq)
@@ -171,7 +178,7 @@ class Trajectory:
 
 def _nonlinear(coeff: np.ndarray, band: SpectralBand) -> np.ndarray:
     """-P[d_j (u_j u_i)] evaluated pseudo-spectrally on band coefficients."""
-    w = quadratic_products(band.inverse(coeff), band)
+    w = quadratic_products(coeff, band)
     k = band.wavenumbers
     # row i of k_j hat(u_i u_j), with w stacked in PAIRS order
     div = np.stack([
@@ -195,9 +202,8 @@ def nonlinear_term(v: SpectralVelocity) -> SpectralVelocity:
 
 def _dissipation_rate(coeff: np.ndarray, band: SpectralBand, nu: float) -> float:
     """nu |grad u|^2 integrated over the box, from band coefficients."""
-    weighted = band.weights * band.k_squared
     power = coeff.real**2 + coeff.imag**2
-    return nu * band.volume * float(np.sum(weighted * power))
+    return nu * band.volume * float(np.sum(band.weighted_k_squared * power))
 
 
 def _integrating_factors(band: SpectralBand, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:

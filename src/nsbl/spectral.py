@@ -21,6 +21,13 @@ both take that velocity.  ``SpectralBand.compact`` takes a full or half
 layout to the band, ``expand`` takes the band back to the full layout with
 zeros outside, and its ``forward`` and ``inverse`` transform only the lines
 that carry band modes.
+
+Threads.  ``over_snapshots`` splits an audit's per-snapshot passes, and
+``quadratic_products`` (the solver's nonlinear term and the pressure) its
+x-slabs, into one contiguous chunk per usable CPU on one pool.  From any
+thread but the main one (a suite's workers, a snapshot chunk) both run
+inline, so threads never nest.  The chunks compute per-snapshot values or
+whole 1-D transform lines, so no result depends on the CPU count.
 """
 
 from __future__ import annotations
@@ -58,8 +65,9 @@ DIV_TOL = 1e-12
 LENGTH_RANGE = (1e-30, 1e30)
 
 
-# CPUs this process may run on: an audit splits its snapshots into this
-# many chunks.  The pool starts its threads on first use, not on import.
+# CPUs this process may run on: an audit splits its snapshots, and the
+# quadratic kernel its x-slabs, into this many chunks.  The pool starts
+# its threads on first use, not on import.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = ThreadPoolExecutor(CPUS, thread_name_prefix="nsbl-snapshots")
 
@@ -75,28 +83,35 @@ except (AttributeError, OSError, TypeError):
     pass
 
 
-def over_snapshots(fn, nt: int) -> list:
-    """[fn(i) for i in range(nt)], with range(nt) cut into contiguous
-    chunks, one per usable CPU, each run in order on the module's pool.
+def _over_chunks(fn, n: int) -> list:
+    """[fn(chunk) for each chunk], range(n) cut into contiguous chunks, one
+    per usable CPU, each run on the module's pool while the caller waits.
 
-    Called from any thread but the main one (a suite's workers, say), it
-    runs inline, so threads never nest.  ``fn`` computes one snapshot's
-    values only; sums and maxima over the snapshots stay with the caller,
-    in snapshot order, so results do not depend on the CPU count.  Every
-    chunk ends before an error is raised, and the error raised is the one
-    of the first snapshot that failed.
+    Called from any thread but the main one (a suite's workers, or a chunk
+    of an outer fan-out), it runs fn(range(n)) inline, so threads never
+    nest.  Every chunk ends before an error is raised, and the error raised
+    is the one of the first chunk that failed.
     """
-    bounds = [nt * k // CPUS for k in range(CPUS + 1)]
+    bounds = [n * k // CPUS for k in range(CPUS + 1)]
     chunks = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-
-    def run(chunk):
-        return [fn(i) for i in chunk]
-
     if len(chunks) < 2 or threading.current_thread() is not threading.main_thread():
-        return run(range(nt))
-    futures = [_POOL.submit(run, chunk) for chunk in chunks]
+        return [fn(range(n))]
+    futures = [_POOL.submit(fn, chunk) for chunk in chunks]
     wait(futures)
-    return [value for f in futures for value in f.result()]
+    return [f.result() for f in futures]
+
+
+def over_snapshots(fn, nt: int) -> list:
+    """[fn(i) for i in range(nt)], run in snapshot order within each chunk
+    of ``_over_chunks``.
+
+    ``fn`` computes one snapshot's values only; sums and maxima over the
+    snapshots stay with the caller, in snapshot order, so results do not
+    depend on the CPU count.  The error raised is the one of the first
+    snapshot that failed.
+    """
+    return [value for chunk in _over_chunks(lambda c: [fn(i) for i in c], nt)
+            for value in chunk]
 
 
 class ShapeMismatch(ValueError):
@@ -235,6 +250,8 @@ class SpectralBand:
         # mirror, so it counts twice
         self.weights = np.ones(self.planes)
         self.weights[1:] = 2.0
+        # the weights of |c|^2 in the dissipation sum
+        self.weighted_k_squared = self.weights * self.k_squared
 
     def compact(self, coeff: np.ndarray) -> np.ndarray:
         """The band entries of full- or half-layout data, as a copy."""
@@ -263,21 +280,40 @@ class SpectralBand:
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Band coefficients of one real field (n, n, n): rfft along z, keep
         the band planes, fft along y, keep the band rows, fft along x."""
-        w = np.fft.rfft(values, axis=-1, norm="forward")[..., : self.planes]
-        w = np.fft.fft(w, axis=-2, norm="forward")[:, self.rows]
-        return np.fft.fft(w, axis=-3, norm="forward")[self.rows]
+        return self._forward_x(self._forward_zy(values))
 
     def inverse(self, band: np.ndarray) -> np.ndarray:
         """Real-space data of band coefficients (..., *shape): zero-pad x and
         ifft, zero-pad y and ifft, then irfft along z."""
-        n = self.npts
-        lead = band.shape[:-3]
-        w = np.zeros(lead + (n,) + self.shape[1:], dtype=np.complex128)
+        w = np.zeros(band.shape[:-3] + (self.npts,) + self.shape[1:], dtype=np.complex128)
+        return self._inverse_yz(self._inverse_x(band, w))
+
+    # each transform in two stages, so that the y- and z-stages can run on
+    # x-slabs; a stage transforms in place wherever the shape allows
+
+    def _forward_zy(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Real (..., m, n, n) to (..., m, 2c+1, c+1), into ``out`` if given
+        (mode "clip" writes there directly; the rows are always in range)."""
+        w = np.fft.rfft(values, axis=-1, norm="forward")[..., : self.planes]
+        np.fft.fft(w, axis=-2, norm="forward", out=w)
+        return np.take(w, self.rows, axis=-2, out=out, mode="clip")
+
+    def _forward_x(self, w: np.ndarray) -> np.ndarray:
+        """The band rows of the fft along x of (..., n, 2c+1, c+1), taken in w."""
+        np.fft.fft(w, axis=-3, norm="forward", out=w)
+        return w[..., self.rows, :, :]
+
+    def _inverse_x(self, band: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Band data (..., *shape) into the band rows of w (zero elsewhere), ifft'd along x."""
         w[..., self.rows, :, :] = band
-        w = np.fft.ifft(w, axis=-3, norm="forward")
-        padded = np.zeros(lead + (n, n, self.planes), dtype=np.complex128)
+        return np.fft.ifft(w, axis=-3, norm="forward", out=w)
+
+    def _inverse_yz(self, w: np.ndarray) -> np.ndarray:
+        """(..., m, 2c+1, c+1) to real (..., m, n, n)."""
+        n = self.npts
+        padded = np.zeros(w.shape[:-2] + (n, self.planes), dtype=np.complex128)
         padded[..., self.rows, :] = w
-        padded = np.fft.ifft(padded, axis=-2, norm="forward")
+        np.fft.ifft(padded, axis=-2, norm="forward", out=padded)
         return np.fft.irfft(padded, n=n, axis=-1, norm="forward")
 
 
@@ -285,18 +321,36 @@ class SpectralBand:
 PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def quadratic_products(u: np.ndarray, band: SpectralBand) -> np.ndarray:
+def quadratic_products(coeff: np.ndarray, band: SpectralBand,
+                       velocity: np.ndarray | None = None) -> np.ndarray:
     """hat(u_i u_j) for the six ``PAIRS`` on the band, shape (6, *band.shape).
 
-    ``u`` is the real velocity, shape (3, n, n, n).  Each product is formed
-    and transformed on its own, so only one real-space product is alive.
+    ``coeff`` holds the velocity's band coefficients; a caller that has
+    formed ``velocity = band.inverse(coeff)`` already passes it too.  After
+    the x-stage of the inverse, ``_over_chunks`` shares out x-slabs; each
+    slab forms its velocity, then each product in turn, and transforms the
+    product along z and y.  The x-stage of the forward transforms comes
+    last.  Every 1-D line is one that ``band.inverse`` or ``band.forward``
+    transforms, so no result depends on the number of slabs.
     """
-    w = np.empty((len(PAIRS),) + band.shape, dtype=np.complex128)
-    prod = np.empty(u.shape[1:])
-    for p, (i, j) in enumerate(PAIRS):
-        np.multiply(u[i], u[j], out=prod)
-        w[p] = band.forward(prod)
-    return w
+    n = band.npts
+    out = np.empty((len(PAIRS), n) + band.shape[1:], dtype=np.complex128)
+    if velocity is None:
+        # the x-stage of the inverse, in the rows that the products take
+        # later: a slab reads its rows of it before it writes any product
+        out[:3] = 0
+        band._inverse_x(coeff, out[:3])
+
+    def slab(xs):
+        x = slice(xs.start, xs.stop)
+        u = band._inverse_yz(out[:3, x]) if velocity is None else velocity[:, x]
+        prod = np.empty(u.shape[1:])
+        for p, (i, j) in enumerate(PAIRS):
+            np.multiply(u[i], u[j], out=prod)
+            band._forward_zy(prod, out[p, x])
+
+    _over_chunks(slab, n)
+    return band._forward_x(out)
 
 
 @dataclass(eq=False)
@@ -375,7 +429,7 @@ def cz_pressure(coeff: np.ndarray, velocity: np.ndarray, grid: TorusGrid,
     div = divergence_max(coeff, band.wavenumbers) / (TWO_PI / grid.length)
     if div > DIV_TOL * max(1.0, np.sqrt(band.sum_squares(coeff))):
         raise NotDivergenceFree(f"divergence {div:.3e} exceeds tolerance")
-    w = quadratic_products(velocity, band)
+    w = quadratic_products(coeff, band, velocity)
     k = band.wavenumbers
     p_hat = np.zeros(band.shape, dtype=np.complex128)
     for p, (i, j) in enumerate(PAIRS):

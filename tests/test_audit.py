@@ -290,6 +290,15 @@ class TestOnePassPressure:
             for got, want in zip(rec.extra["ratios"], oracle, strict=True):
                 assert abs(got - want) <= 1e-12 * want
 
+    def test_cached_magnitudes_are_reused(self, random_traj):
+        # |u| first, then the pressure check on the bare trajectory: its
+        # pass reads the cached stack and builds no second one
+        mags, sups = random_traj.magnitudes(), random_traj.sups()
+        before = (mags.tobytes(), sups.tobytes())
+        A.check_pressure(random_traj, self.S_VALUES)
+        assert random_traj.magnitudes() is mags and random_traj.sups() is sups
+        assert (mags.tobytes(), sups.tobytes()) == before
+
     def test_one_pressure_solve_per_snapshot(self, random_traj, monkeypatch):
         calls = []
 

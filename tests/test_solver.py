@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from nsbl import solver
 from nsbl.audit import check_energy
 from nsbl.norms import space_norm
 from nsbl.spectral import SpectralVelocity, TorusGrid, transform_forward
@@ -255,3 +258,39 @@ class TestRun:
         for a, b in zip(t1.coeffs, t2.coeffs):
             assert np.array_equal(a, b)
 
+
+
+class TestSlabKernel:
+    def test_run_bit_identical_for_any_worker_count_and_thread(self, snapshot_workers):
+        # x = 32 rows in 1, 2 and 3 slabs (3 does not divide 32), and inline
+        # in a thread that is not the main one
+        g = TorusGrid(32)
+        v = make_initial("random_spectrum", g, seed=4, amplitude=2.0, kmax=8)
+        cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=8e-3, snapshot_stride=2)
+        runs = []
+        for workers in (1, 2, 3):
+            snapshot_workers(workers)
+            runs.append(run(v, cfg))
+        with ThreadPoolExecutor(1) as outer:
+            runs.append(outer.submit(run, v, cfg).result(timeout=120))
+        want = runs[0]
+        for got in runs[1:]:
+            assert [c.tobytes() for c in got.coeffs] == [c.tobytes() for c in want.coeffs]
+            assert np.array(got.dissipation).tobytes() == np.array(want.dissipation).tobytes()
+
+    @pytest.mark.parametrize("scheme", ["rk4", "rk2"])
+    def test_dissipation_pinned_to_per_call_weights(self, grid, monkeypatch, scheme):
+        # the weights band.weights * band.k_squared, built once per band,
+        # give the dissipation the old per-call product gave, bit for bit
+        def per_call(coeff, band, nu):
+            weighted = band.weights * band.k_squared
+            power = coeff.real**2 + coeff.imag**2
+            return nu * band.volume * float(np.sum(weighted * power))
+
+        v = make_initial("random_spectrum", grid, seed=3, amplitude=1.0, kmax=4)
+        cfg = SolverConfig(viscosity=0.7, dt=5e-3, t_final=0.05, snapshot_stride=2, scheme=scheme)
+        got = run(v, cfg)
+        monkeypatch.setattr(solver, "_dissipation_rate", per_call)
+        want = run(v, cfg)
+        assert np.array(got.dissipation).tobytes() == np.array(want.dissipation).tobytes()
+        assert [c.tobytes() for c in got.coeffs] == [c.tobytes() for c in want.coeffs]

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import nsbl
+from nsbl import spectral
 from nsbl.spectral import (
+    PAIRS,
     NotDivergenceFree,
     ScalarField,
     CPUS,
@@ -22,6 +24,7 @@ from nsbl.spectral import (
     cz_pressure,
     divergence_max,
     over_snapshots,
+    quadratic_products,
     transform_forward,
     transform_inverse,
 )
@@ -298,6 +301,64 @@ class TestOverSnapshots:
             sys.setswitchinterval(interval)
         assert got == [1000.0 * i for i in range(64)]
         assert slots.tolist() == [float(i) for i in range(64)]
+
+
+def pool_submits(monkeypatch):
+    """The threads that submit work to ``spectral._POOL``, in order."""
+    submits = []
+    pool = spectral._POOL
+    submit = pool.submit
+
+    def counting(fn, *args):
+        submits.append(threading.current_thread())
+        return submit(fn, *args)
+
+    monkeypatch.setattr(pool, "submit", counting)
+    return submits
+
+
+class TestQuadraticKernel:
+    @staticmethod
+    def band_field(n):
+        """Random band coefficients of a real field on an n^3 grid."""
+        g = TorusGrid(n)
+        values = np.random.default_rng(n).normal(size=(3, n, n, n))
+        return g, g.band.compact(transform_forward(values, g))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_matches_per_field_rfftn_oracle(self, snapshot_workers, workers, n):
+        # 16, 32 with 3 workers: slabs of unequal width
+        snapshot_workers(workers)
+        g, coeff = self.band_field(n)
+        band = g.band
+        u = band.inverse(coeff)
+        want = np.stack([band.compact(np.fft.rfftn(u[i] * u[j], norm="forward"))
+                         for i, j in PAIRS])
+        assert np.array_equal(quadratic_products(coeff, band), want)
+        assert np.array_equal(quadratic_products(coeff, band, u), want)
+
+    def test_one_slab_per_cpu_from_the_main_thread(self, snapshot_workers, monkeypatch):
+        snapshot_workers(3)
+        submits = pool_submits(monkeypatch)
+        g, coeff = self.band_field(16)
+        quadratic_products(coeff, g.band)
+        assert submits == [threading.main_thread()] * 3
+
+    def test_cz_pressure_in_a_snapshot_worker_submits_nothing(self, snapshot_workers,
+                                                              monkeypatch):
+        # the audit solves the pressure inside over_snapshots' workers: the
+        # kernel runs inline there, so only the snapshot chunks are submitted
+        snapshot_workers(2)
+        grid = TorusGrid(16)
+        coeffs = [grid.band.compact(make_initial("random_spectrum", grid, seed=s,
+                                                 amplitude=1.0, kmax=4).coeff)
+                  for s in range(4)]
+        want = [band_pressure(c, grid).values for c in coeffs]
+        submits = pool_submits(monkeypatch)
+        got = over_snapshots(lambda i: band_pressure(coeffs[i], grid).values, len(coeffs))
+        assert submits == [threading.main_thread()] * 2
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 # Run in a fresh interpreter: CPUS + 2 threads each hold arrays at the same
