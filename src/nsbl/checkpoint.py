@@ -46,10 +46,15 @@ def write_band(path, grid: TorusGrid, coeff: np.ndarray, t: float) -> str:
     header = MAGIC + ENDIAN_TAG + _HEADER.pack(
         grid.dim, grid.npts, grid.length, t, coeff.shape[0], grid.npts // 3
     )
-    payload = coeff.astype("<c16").tobytes()
-    blob = header + _CRC.pack(zlib.crc32(payload, zlib.crc32(header))) + payload
-    Path(path).write_bytes(blob)
-    return hashlib.sha256(blob).hexdigest()
+    # a copy only if coeff is not little-endian C order already
+    payload = memoryview(np.ascontiguousarray(coeff, dtype="<c16")).cast("B")
+    crc = _CRC.pack(zlib.crc32(payload, zlib.crc32(header)))
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for piece in (header, crc, payload):
+            f.write(piece)
+            digest.update(piece)
+    return digest.hexdigest()
 
 
 def write_checkpoint(path, v: SpectralVelocity) -> str:

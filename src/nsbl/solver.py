@@ -13,7 +13,10 @@ scheme's order instead of the snapshot quadrature's.
 The stepper works on the kept band of the half spectrum (see
 ``spectral.SpectralBand``), and a trajectory stores its snapshots as that
 band; ``step``, ``nonlinear_term`` and ``Trajectory.velocity`` take and
-give the full layout, and ``Trajectory.magnitudes`` reads the band.
+give the full layout, and ``Trajectory.magnitudes`` reads the band.  A run
+allocates its stage arrays and the quadratic kernel's buffers once
+(``_Workspace``), so each step allocates only its new state.  Initial data
+is drawn on the band too.
 """
 
 from __future__ import annotations
@@ -23,16 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (
+    ProductBuffers,
     ShapeMismatch,
     SpectralBand,
     SpectralVelocity,
     TorusGrid,
     _project,
-    _project_coeff,
     over_snapshots,
     quadratic_products,
     transform_forward,
-    transform_inverse,
 )
 
 __all__ = [
@@ -176,17 +178,63 @@ class Trajectory:
         return out
 
 
-def _nonlinear(coeff: np.ndarray, band: SpectralBand) -> np.ndarray:
-    """-P[d_j (u_j u_i)] evaluated pseudo-spectrally on band coefficients."""
-    w = quadratic_products(coeff, band)
-    k = band.wavenumbers
+class _Workspace:
+    """The arrays a run reuses on every step, so that a step allocates only
+    its new state; the stages' only given a config and the first state.
+
+    numpy casts a real array to complex each time it multiplies complex
+    data; k, 1/|k|^2 and the integrating factors (with dt and 2 times
+    exp(-nu k^2 dt/2)) are cast here once, to the same values.
+    """
+
+    def __init__(self, band: SpectralBand, cfg: SolverConfig | None = None,
+                 first: np.ndarray | None = None):
+        shape = (3,) + band.shape
+        self.wavenumbers = band.wavenumbers.astype(np.complex128)
+        self.inv_k_squared = band.inv_k_squared.astype(np.complex128)
+        self.products = ProductBuffers(band)
+        # _project's scratch; the second array is _nonlinear's too
+        self.projection = np.empty((2,) + band.shape, dtype=np.complex128)
+        self._power = {}
+        if cfg is None:
+            return
+        e_half = np.exp(-cfg.viscosity * band.k_squared * cfg.dt / 2)
+        self.e_half = e_half.astype(np.complex128)
+        self.e_full = (e_half * e_half).astype(np.complex128)
+        self.dt_e_half = (cfg.dt * e_half).astype(np.complex128)
+        self.two_e_half = (2 * e_half).astype(np.complex128)
+        self.slopes = np.empty((3,) + shape, dtype=np.complex128)
+        self.scratch = np.empty(shape, dtype=np.complex128)
+        # Stage b, stage c and each new state are sums e * coeff + x.  numpy
+        # adds such a sum into its temporary product e * coeff, which has
+        # coeff's memory order (band.compact's, for the first state), once
+        # that holds 256 KiB; below that it allocates the sum in C order.
+        # The dissipation sums run in memory order, so the stage buffer, and
+        # with it every state after the first, is made by such a sum here.
+        self.stage = e_half * first + np.zeros(shape, dtype=np.complex128)
+
+    def power_like(self, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two real arrays of coeff's shape and memory order, made once per order."""
+        key = coeff.strides
+        if key not in self._power:
+            self._power[key] = (np.empty_like(coeff, dtype=np.float64),
+                                np.empty_like(coeff, dtype=np.float64))
+        return self._power[key]
+
+
+def _nonlinear(coeff: np.ndarray, band: SpectralBand, work: _Workspace,
+               out: np.ndarray) -> np.ndarray:
+    """-P[d_j (u_j u_i)] evaluated pseudo-spectrally on band coefficients,
+    into ``out``."""
+    w = quadratic_products(coeff, band, buffers=work.products)
+    k, tmp = work.wavenumbers, work.projection[1]
     # row i of k_j hat(u_i u_j), with w stacked in PAIRS order
-    div = np.stack([
-        k[0] * w[0] + k[1] * w[1] + k[2] * w[2],
-        k[0] * w[1] + k[1] * w[3] + k[2] * w[4],
-        k[0] * w[2] + k[1] * w[4] + k[2] * w[5],
-    ])
-    return -1j * _project(div, k, band.inv_k_squared)
+    for row, (a, b, c) in zip(out, ((0, 1, 2), (1, 3, 4), (2, 4, 5))):
+        np.multiply(k[0], w[a], out=row)
+        row += np.multiply(k[1], w[b], out=tmp)
+        row += np.multiply(k[2], w[c], out=tmp)
+    _project(out, k, work.inv_k_squared, work.projection)
+    return np.multiply(-1j, out, out=out)
 
 
 def nonlinear_term(v: SpectralVelocity) -> SpectralVelocity:
@@ -196,44 +244,76 @@ def nonlinear_term(v: SpectralVelocity) -> SpectralVelocity:
     drops them from its initial data.
     """
     band = v.grid.band
-    out = _nonlinear(band.compact(v.coeff), band)
+    out = np.empty((3,) + band.shape, dtype=np.complex128)
+    _nonlinear(band.compact(v.coeff), band, _Workspace(band), out)
     return SpectralVelocity(band.expand(out), v.grid, v.t)
 
 
-def _dissipation_rate(coeff: np.ndarray, band: SpectralBand, nu: float) -> float:
-    """nu |grad u|^2 integrated over the box, from band coefficients."""
-    power = coeff.real**2 + coeff.imag**2
-    return nu * band.volume * float(np.sum(band.weighted_k_squared * power))
+def _dissipation_rate(coeff: np.ndarray, band: SpectralBand, nu: float,
+                      power: tuple[np.ndarray, np.ndarray]) -> float:
+    """nu |grad u|^2 integrated over the box, from band coefficients.
+
+    ``power`` is two real arrays of coeff's shape and memory order
+    (``_Workspace.power_like``): the sum runs in memory order.
+    """
+    sq, scratch = power
+    np.square(coeff.real, out=sq)
+    sq += np.square(coeff.imag, out=scratch)
+    np.multiply(band.weighted_k_squared, sq, out=sq)
+    return nu * band.volume * float(np.sum(sq))
 
 
-def _integrating_factors(band: SpectralBand, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-nu k^2 dt/2) and exp(-nu k^2 dt) on the band."""
-    e_half = np.exp(-cfg.viscosity * band.k_squared * cfg.dt / 2)
-    return e_half, e_half * e_half
+def _step_fields(coeff, band, cfg, t, work):
+    """One time step of band coefficients; returns (new_coeff, dissipation_increment).
 
-
-def _step_fields(coeff, band, cfg, t, factors):
-    """One time step of band coefficients; returns (new_coeff, dissipation_increment)."""
+    The stages are formed in ``work``'s arrays by the operations of the
+    formulas in the comments, in their order; new_coeff is a new array in
+    the memory order of ``work.stage``.
+    """
     nu, dt = cfg.viscosity, cfg.dt
-    e_half, e_full = factors
-    nl = lambda c: _nonlinear(c, band)
-    diss = lambda c: _dissipation_rate(c, band, nu)
+    e_half, e_full = work.e_half, work.e_full
+    k1, k2, k3 = work.slopes
+    stage, scratch = work.stage, work.scratch
+    nl = lambda c, out: _nonlinear(c, band, work, out)
+    diss = lambda c: _dissipation_rate(c, band, nu, work.power_like(c))
+    new = np.empty_like(stage)
 
-    k1 = nl(coeff)
+    nl(coeff, k1)
+    # a (rk2: mid) = e_half * (coeff + (dt / 2) * k1), in C order
+    np.multiply(dt / 2, k1, out=scratch)
+    np.add(coeff, scratch, out=scratch)
+    np.multiply(e_half, scratch, out=scratch)
+    diss_a = diss(scratch)
+    nl(scratch, k2)
     if cfg.scheme == "rk2":
-        mid = e_half * (coeff + (dt / 2) * k1)
-        new = e_full * coeff + dt * e_half * nl(mid)
-        dd = dt * diss(mid)
+        # new = e_full * coeff + dt * e_half * k2
+        np.multiply(e_full, coeff, out=new)
+        new += np.multiply(work.dt_e_half, k2, out=scratch)
+        dd = dt * diss_a
     else:
-        a = e_half * (coeff + (dt / 2) * k1)
-        k2 = nl(a)
-        b = e_half * coeff + (dt / 2) * k2
-        k3 = nl(b)
-        c = e_full * coeff + dt * e_half * k3
-        k4 = nl(c)
-        new = e_full * coeff + (dt / 6) * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
-        dd = (dt / 6) * (diss(coeff) + 2 * diss(a) + 2 * diss(b) + diss(c))
-    if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > BLOWUP_LIMIT:
+        diss_0 = diss(coeff)
+        # b = e_half * coeff + (dt / 2) * k2
+        np.multiply(e_half, coeff, out=stage)
+        stage += np.multiply(dt / 2, k2, out=scratch)
+        diss_b = diss(stage)
+        nl(stage, k3)
+        # c = e_full * coeff + dt * e_half * k3
+        np.multiply(e_full, coeff, out=stage)
+        stage += np.multiply(work.dt_e_half, k3, out=scratch)
+        diss_c = diss(stage)
+        # new = e_full * coeff + (dt / 6) * (e_full * k1 + 2 * e_half * (k2 + k3) + k4),
+        # with k4 in k3's array once k2 + k3 is formed
+        k2 += k3
+        k4 = nl(stage, k3)
+        np.multiply(e_full, k1, out=scratch)
+        scratch += np.multiply(work.two_e_half, k2, out=k2)
+        scratch += k4
+        np.multiply(dt / 6, scratch, out=scratch)
+        np.multiply(e_full, coeff, out=new)
+        new += scratch
+        dd = (dt / 6) * (diss_0 + 2 * diss_a + 2 * diss_b + diss_c)
+    # NaN and inf both fail the comparison
+    if not np.max(np.abs(new, out=work.power_like(new)[0])) <= BLOWUP_LIMIT:
         raise Instability(t + dt)
     return new, dd
 
@@ -249,8 +329,8 @@ def step(v: SpectralVelocity, cfg: SolverConfig) -> SpectralVelocity:
     if cfg.scheme not in ("rk4", "rk2"):
         raise BadSpec(f"unknown scheme {cfg.scheme!r}")
     band = v.grid.band
-    new, _ = _step_fields(band.compact(v.coeff), band, cfg, v.t,
-                          _integrating_factors(band, cfg))
+    coeff = band.compact(v.coeff)
+    new, _ = _step_fields(coeff, band, cfg, v.t, _Workspace(band, cfg, coeff))
     return SpectralVelocity(band.expand(new), v.grid, v.t + cfg.dt)
 
 
@@ -269,10 +349,10 @@ def run(v0: SpectralVelocity, cfg: SolverConfig) -> Trajectory:
     coeffs = [state]
     dissipation = [0.0]
     acc = 0.0
-    factors = _integrating_factors(band, cfg)
+    work = _Workspace(band, cfg, state)
     for n in range(n_steps):
         t = n * cfg.dt
-        state, dd = _step_fields(state, band, cfg, t, factors)
+        state, dd = _step_fields(state, band, cfg, t, work)
         acc += dd
         if (n + 1) % cfg.snapshot_stride == 0 or n + 1 == n_steps:
             times.append((n + 1) * cfg.dt)
@@ -309,47 +389,47 @@ def _taylor_green(grid: TorusGrid, amplitude: float) -> np.ndarray:
     return transform_forward(u, grid)
 
 
-def _half_space_modes(kmax: int) -> list[tuple[int, int, int]]:
-    """Canonical representatives of conjugate mode pairs with 0 < |m| <= kmax."""
-    modes = []
-    for mx in range(-kmax, kmax + 1):
-        for my in range(-kmax, kmax + 1):
-            for mz in range(-kmax, kmax + 1):
-                m = (mx, my, mz)
-                if m == (0, 0, 0) or mx * mx + my * my + mz * mz > kmax * kmax:
-                    continue
-                if m > tuple(-c for c in m):
-                    modes.append(m)
-    modes.sort()
-    return modes
+def _half_space_modes(kmax: int) -> np.ndarray:
+    """Canonical representatives of conjugate mode pairs with 0 < |m| <= kmax,
+    shape (M, 3), in lexicographic order: the modes whose first nonzero
+    entry is positive."""
+    m = np.arange(-kmax, kmax + 1)
+    mx, my, mz = (a.ravel() for a in np.meshgrid(m, m, m, indexing="ij"))
+    canonical = (mx > 0) | ((mx == 0) & ((my > 0) | ((my == 0) & (mz > 0))))
+    keep = canonical & (mx * mx + my * my + mz * mz <= kmax * kmax)
+    return np.stack([mx[keep], my[keep], mz[keep]], axis=1)
 
 
-def _random_spectrum(grid: TorusGrid, seed: int, amplitude: float, kmax: int) -> np.ndarray:
-    """Gaussian low-mode field with a fixed radial profile.
+def _random_spectrum(band: SpectralBand, seed: int, amplitude: float, kmax: int) -> np.ndarray:
+    """Band coefficients of a Gaussian low-mode field with a fixed radial profile.
 
     The modes populated and the draw order do not depend on the grid size,
-    so different resolutions sample the same band-limited field.
+    so different resolutions sample the same band-limited field.  Each mode
+    and its conjugate go into the band where their k_z >= 0.
     """
-    if 3 * kmax > grid.npts:
-        raise BadSpec(f"kmax = {kmax} does not fit the dealias band of n = {grid.npts}")
+    if 3 * kmax > band.npts:
+        raise BadSpec(f"kmax = {kmax} does not fit the dealias band of n = {band.npts}")
     rng = np.random.default_rng(seed)
-    n = grid.npts
-    coeff = np.zeros((3, n, n, n), dtype=np.complex128)
+    modes = _half_space_modes(kmax)
+    draws = rng.normal(size=(len(modes), 6))
+    mag2 = modes[:, 0] ** 2 + modes[:, 1] ** 2 + modes[:, 2] ** 2
     k0 = max(kmax / 2.5, 1.0)
-    for m in _half_space_modes(kmax):
-        draws = rng.normal(size=6)
-        mag2 = m[0] ** 2 + m[1] ** 2 + m[2] ** 2
-        profile = mag2**2 * np.exp(-2.0 * mag2 / k0**2)
-        amp = np.sqrt(profile)
-        vec = amp * (draws[0::2] + 1j * draws[1::2])
-        idx = tuple(c % n for c in m)
-        cidx = tuple(-c % n for c in m)
-        for comp in range(3):
-            coeff[(comp,) + idx] = vec[comp]
-            coeff[(comp,) + cidx] = np.conj(vec[comp])
-    coeff = _project_coeff(coeff, grid)
+    profile = mag2**2 * np.exp(-2.0 * mag2 / k0**2)
+    vec = np.sqrt(profile)[:, None] * (draws[:, 0::2] + 1j * draws[:, 1::2])
+    modes = np.concatenate([modes, -modes])
+    vec = np.concatenate([vec, np.conj(vec)])
+    upper = modes[:, 2] >= 0
+    # mode number m sits at band row m mod (2c+1)
+    ix, iy, iz = (modes[upper] % (band.shape[0], band.shape[1], band.planes)).T
+    coeff = np.zeros((3,) + band.shape, dtype=np.complex128)
+    coeff[:, ix, iy, iz] = vec[upper].T
+    coeff = _project(coeff, band.wavenumbers, band.inv_k_squared)
     coeff[:, 0, 0, 0] = 0.0
-    sup = float(np.max(np.sqrt(np.sum(transform_inverse(coeff, grid) ** 2, axis=0))))
+    # sqrt((u0² + u1²) + u2²), each u from the complex ifftn of the full layout
+    sq = np.zeros((band.npts,) * 3)
+    for c in coeff:
+        sq += np.fft.ifftn(band.expand(c), norm="forward").real ** 2
+    sup = float(np.max(np.sqrt(sq)))
     if sup > 0:
         coeff *= amplitude / sup
     return coeff
@@ -369,15 +449,15 @@ def make_initial(
     The coefficients are exactly the expansion of their band, so a run and
     its checkpoints hold this very field.
     """
+    band = grid.band
     if kind == "beltrami":
-        coeff = _beltrami(grid, amplitude)
+        coeff = band.compact(_beltrami(grid, amplitude))
     elif kind == "taylor_green":
-        coeff = _taylor_green(grid, amplitude)
+        coeff = band.compact(_taylor_green(grid, amplitude))
     elif kind == "random_spectrum":
-        coeff = _random_spectrum(grid, seed, amplitude, kmax)
+        coeff = _random_spectrum(band, seed, amplitude, kmax)
     else:
         raise BadSpec(f"unknown initial data kind {kind!r}")
-    band = grid.band
-    coeff = _project(band.compact(coeff), band.wavenumbers, band.inv_k_squared)
+    coeff = _project(coeff, band.wavenumbers, band.inv_k_squared)
     coeff[:, 0, 0, 0] = 0.0
     return SpectralVelocity(band.expand(coeff), grid, 0.0)

@@ -27,7 +27,9 @@ Threads.  ``over_snapshots`` splits an audit's per-snapshot passes, and
 x-slabs, into one contiguous chunk per usable CPU on one pool.  From any
 thread but the main one (a suite's workers, a snapshot chunk) both run
 inline, so threads never nest.  The chunks compute per-snapshot values or
-whole 1-D transform lines, so no result depends on the CPU count.
+whole 1-D transform lines, so no result depends on the CPU count.  A run
+passes the kernel one set of ``ProductBuffers`` for all its steps; the
+pressure, solved on many threads at once, allocates its own per call.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "transform_forward",
     "transform_inverse",
     "SpectralBand",
+    "ProductBuffers",
     "quadratic_products",
     "divergence_max",
     "cz_pressure",
@@ -291,38 +294,84 @@ class SpectralBand:
     # each transform in two stages, so that the y- and z-stages can run on
     # x-slabs; a stage transforms in place wherever the shape allows
 
-    def _forward_zy(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Real (..., m, n, n) to (..., m, 2c+1, c+1), into ``out`` if given
-        (mode "clip" writes there directly; the rows are always in range)."""
-        w = np.fft.rfft(values, axis=-1, norm="forward")[..., : self.planes]
-        np.fft.fft(w, axis=-2, norm="forward", out=w)
-        return np.take(w, self.rows, axis=-2, out=out, mode="clip")
+    def _take_rows(self, w: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The band rows of w along ``axis``, the first c+1 and the last c,
+        copied into ``out`` if given (``np.take`` would copy a strided w
+        first)."""
+        c = self.cut
+        if out is None:
+            shape = list(w.shape)
+            shape[axis] = 2 * c + 1
+            out = np.empty(shape, dtype=w.dtype)
+        src, dst = np.moveaxis(w, axis, 0), np.moveaxis(out, axis, 0)
+        dst[: c + 1] = src[: c + 1]
+        dst[c + 1 :] = src[self.npts - c :]
+        return out
 
-    def _forward_x(self, w: np.ndarray) -> np.ndarray:
-        """The band rows of the fft along x of (..., n, 2c+1, c+1), taken in w."""
+    def _forward_zy(self, values: np.ndarray, out: np.ndarray | None = None,
+                    spectrum: np.ndarray | None = None) -> np.ndarray:
+        """Real (..., m, n, n) to (..., m, 2c+1, c+1), into ``out`` if given,
+        with the rfft along z into ``spectrum`` (..., m, n, n//2+1) if given."""
+        w = np.fft.rfft(values, axis=-1, norm="forward", out=spectrum)[..., : self.planes]
+        np.fft.fft(w, axis=-2, norm="forward", out=w)
+        return self._take_rows(w, -2, out)
+
+    def _forward_x(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The band rows of the fft along x of (..., n, 2c+1, c+1), taken in
+        w, into ``out`` if given."""
         np.fft.fft(w, axis=-3, norm="forward", out=w)
-        return w[..., self.rows, :, :]
+        return self._take_rows(w, -3, out)
 
     def _inverse_x(self, band: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Band data (..., *shape) into the band rows of w (zero elsewhere), ifft'd along x."""
         w[..., self.rows, :, :] = band
         return np.fft.ifft(w, axis=-3, norm="forward", out=w)
 
-    def _inverse_yz(self, w: np.ndarray) -> np.ndarray:
-        """(..., m, 2c+1, c+1) to real (..., m, n, n)."""
+    def _inverse_yz(self, w: np.ndarray, padded: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """(..., m, 2c+1, c+1) to real (..., m, n, n), into ``out`` if given.
+
+        A ``padded`` buffer (..., m, n, c+1) from an earlier call has its
+        rows outside the band zeroed again: the y-ifft filled them.
+        """
         n = self.npts
-        padded = np.zeros(w.shape[:-2] + (n, self.planes), dtype=np.complex128)
+        if padded is None:
+            padded = np.zeros(w.shape[:-2] + (n, self.planes), dtype=np.complex128)
+        else:
+            padded[..., self.cut + 1 : n - self.cut, :] = 0
         padded[..., self.rows, :] = w
         np.fft.ifft(padded, axis=-2, norm="forward", out=padded)
-        return np.fft.irfft(padded, n=n, axis=-1, norm="forward")
+        return np.fft.irfft(padded, n=n, axis=-1, norm="forward", out=out)
 
 
 # the six index pairs i <= j of the symmetric tensor u_i u_j, in stacking order
 PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
+class ProductBuffers:
+    """The arrays of a ``quadratic_products`` call on a band, for every later
+    call on the same band and thread to reuse; each slab takes its x-rows.
+
+    ``stages`` (6, n, 2c+1, c+1) holds the x-stage of the velocity and
+    then the products between their x- and y-stages; ``padded`` and
+    ``velocity`` the velocity's y-padding and grid values; ``product`` and
+    ``spectrum`` one product's grid values and rfft along z; ``out`` the
+    products' band, the return value.
+    """
+
+    def __init__(self, band: SpectralBand):
+        n, rows, planes = band.npts, band.shape[0], band.planes
+        self.stages = np.empty((len(PAIRS), n, rows, planes), dtype=np.complex128)
+        self.padded = np.zeros((3, n, n, planes), dtype=np.complex128)
+        self.velocity = np.empty((3, n, n, n))
+        self.product = np.empty((n, n, n))
+        self.spectrum = np.empty((n, n, n // 2 + 1), dtype=np.complex128)
+        self.out = np.empty((len(PAIRS),) + band.shape, dtype=np.complex128)
+
+
 def quadratic_products(coeff: np.ndarray, band: SpectralBand,
-                       velocity: np.ndarray | None = None) -> np.ndarray:
+                       velocity: np.ndarray | None = None,
+                       buffers: ProductBuffers | None = None) -> np.ndarray:
     """hat(u_i u_j) for the six ``PAIRS`` on the band, shape (6, *band.shape).
 
     ``coeff`` holds the velocity's band coefficients; a caller that has
@@ -332,25 +381,33 @@ def quadratic_products(coeff: np.ndarray, band: SpectralBand,
     product along z and y.  The x-stage of the forward transforms comes
     last.  Every 1-D line is one that ``band.inverse`` or ``band.forward``
     transforms, so no result depends on the number of slabs.
+
+    With ``buffers`` the call writes into them and returns ``buffers.out``.
+    Without, it allocates each array only where it needs it, as the
+    pressure does, on many threads at once: arrays held for the whole call
+    raised an audit's peak memory.
     """
-    n = band.npts
-    out = np.empty((len(PAIRS), n) + band.shape[1:], dtype=np.complex128)
+    n, b = band.npts, buffers
+    stages = b.stages if b else np.empty((len(PAIRS), n) + band.shape[1:], dtype=np.complex128)
     if velocity is None:
         # the x-stage of the inverse, in the rows that the products take
         # later: a slab reads its rows of it before it writes any product
-        out[:3] = 0
-        band._inverse_x(coeff, out[:3])
+        stages[:3, band.cut + 1 : n - band.cut] = 0
+        band._inverse_x(coeff, stages[:3])
 
     def slab(xs):
         x = slice(xs.start, xs.stop)
-        u = band._inverse_yz(out[:3, x]) if velocity is None else velocity[:, x]
-        prod = np.empty(u.shape[1:])
+        if velocity is None:
+            u = band._inverse_yz(stages[:3, x], b and b.padded[:, x], b and b.velocity[:, x])
+        else:
+            u = velocity[:, x]
+        prod = b.product[x] if b else np.empty(u.shape[1:])
         for p, (i, j) in enumerate(PAIRS):
             np.multiply(u[i], u[j], out=prod)
-            band._forward_zy(prod, out[p, x])
+            band._forward_zy(prod, stages[p, x], b and b.spectrum[x])
 
     _over_chunks(slab, n)
-    return band._forward_x(out)
+    return band._forward_x(stages, b and b.out)
 
 
 @dataclass(eq=False)
@@ -389,14 +446,21 @@ class ScalarField:
             raise ValueError("scalar field contains non-finite entries")
 
 
-def _project(coeff: np.ndarray, k: np.ndarray, inv_k_squared: np.ndarray) -> np.ndarray:
-    kdotv = k[0] * coeff[0] + k[1] * coeff[1] + k[2] * coeff[2]
-    kdotv = kdotv * inv_k_squared
-    return coeff - k * kdotv[None]
-
-
-def _project_coeff(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return _project(coeff, grid.wavenumbers, grid.inv_k_squared)
+def _project(coeff: np.ndarray, k: np.ndarray, inv_k_squared: np.ndarray,
+             scratch: np.ndarray | None = None) -> np.ndarray:
+    """The Leray projection coeff - k (k . coeff)/|k|^2, in place; ``scratch``
+    holds two complex arrays of one component's shape, allocated if not
+    given."""
+    if scratch is None:
+        scratch = np.empty((2,) + coeff.shape[1:], dtype=np.complex128)
+    kdotv, tmp = scratch
+    np.multiply(k[0], coeff[0], out=kdotv)
+    kdotv += np.multiply(k[1], coeff[1], out=tmp)
+    kdotv += np.multiply(k[2], coeff[2], out=tmp)
+    kdotv *= inv_k_squared
+    for c, ki in zip(coeff, k):
+        c -= np.multiply(ki, kdotv, out=tmp)
+    return coeff
 
 
 def divergence_max(coeff: np.ndarray, k: np.ndarray) -> float:

@@ -199,3 +199,29 @@ def test_payload_size_checked_before_the_band_is_built(tmp_path, monkeypatch):
     path.write_bytes(nsbl2_blob(4096, 4096 // 3, b""))
     with pytest.raises(CorruptCheckpoint, match="payload"):
         read_checkpoint(path)
+
+
+def one_blob_write_band(path, grid, coeff, t):
+    """write_band as one bytes object: payload, header and CRC joined, then
+    written and hashed."""
+    header = b"NSBL2<" + struct.pack("<IIddII", grid.dim, grid.npts, grid.length, t,
+                                     coeff.shape[0], grid.npts // 3)
+    payload = coeff.astype("<c16").tobytes()
+    blob = header + struct.pack("<I", zlib.crc32(payload, zlib.crc32(header))) + payload
+    path.write_bytes(blob)
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("n", [16, 24, 48])
+def test_write_band_matches_the_one_blob_encoder(tmp_path, n):
+    # a C-order band, and the same band in read_band's (row, row, comp,
+    # plane) memory order, as a run's first state and a read trajectory
+    # hold it
+    coeff, v = band_field(n, seed=n)
+    want = one_blob_write_band(tmp_path / "want.nsbl", v.grid, coeff, 0.25)
+    _, transposed = read_band(tmp_path / "want.nsbl", v.grid)
+    assert not transposed.flags.c_contiguous
+    for band in (coeff, transposed):
+        path = tmp_path / "got.nsbl"
+        assert write_band(path, v.grid, band, 0.25) == want
+        assert path.read_bytes() == (tmp_path / "want.nsbl").read_bytes()

@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from nsbl import solver
 from nsbl.audit import check_energy
 from nsbl.norms import space_norm
-from nsbl.spectral import SpectralVelocity, TorusGrid, transform_forward
+from nsbl.spectral import (
+    SpectralVelocity,
+    TorusGrid,
+    quadratic_products,
+    transform_forward,
+    transform_inverse,
+)
 from nsbl.solver import (
     BadSpec,
     Instability,
@@ -30,6 +37,50 @@ def coeff_norm(v):
 def l2_norm(v):
     """Spatial L2 norm of a full-layout field, from its coefficients."""
     return float(np.sqrt(v.grid.volume * np.sum(np.abs(v.coeff) ** 2)))
+
+
+def loop_half_space_modes(kmax):
+    """The canonical mode of each conjugate pair, by a loop over the cube."""
+    modes = []
+    for mx in range(-kmax, kmax + 1):
+        for my in range(-kmax, kmax + 1):
+            for mz in range(-kmax, kmax + 1):
+                m = (mx, my, mz)
+                if m == (0, 0, 0) or mx * mx + my * my + mz * mz > kmax * kmax:
+                    continue
+                if m > tuple(-c for c in m):
+                    modes.append(m)
+    modes.sort()
+    return modes
+
+
+def full_layout_random_spectrum(grid, seed, amplitude, kmax):
+    """make_initial("random_spectrum", ...) built in the full (3, n, n, n)
+    layout: one draw per mode, the projection and the sup on the full
+    layout, then the band's projection."""
+    rng = np.random.default_rng(seed)
+    n = grid.npts
+    coeff = np.zeros((3, n, n, n), dtype=np.complex128)
+    k0 = max(kmax / 2.5, 1.0)
+    for m in loop_half_space_modes(kmax):
+        draws = rng.normal(size=6)
+        mag2 = m[0] ** 2 + m[1] ** 2 + m[2] ** 2
+        amp = np.sqrt(mag2**2 * np.exp(-2.0 * mag2 / k0**2))
+        vec = amp * (draws[0::2] + 1j * draws[1::2])
+        for comp in range(3):
+            coeff[(comp,) + tuple(c % n for c in m)] = vec[comp]
+            coeff[(comp,) + tuple(-c % n for c in m)] = np.conj(vec[comp])
+    k, inv_k2 = grid.wavenumbers, grid.inv_k_squared
+    project = lambda c, k, inv: c - k * ((k[0] * c[0] + k[1] * c[1] + k[2] * c[2]) * inv)[None]
+    coeff = project(coeff, k, inv_k2)
+    coeff[:, 0, 0, 0] = 0.0
+    sup = float(np.max(np.sqrt(np.sum(transform_inverse(coeff, grid) ** 2, axis=0))))
+    if sup > 0:
+        coeff *= amplitude / sup
+    band = grid.band
+    coeff = project(band.compact(coeff), band.wavenumbers, band.inv_k_squared)
+    coeff[:, 0, 0, 0] = 0.0
+    return band.expand(coeff)
 
 
 class TestConfig:
@@ -82,6 +133,29 @@ class TestInitialData:
     def test_kmax_must_fit(self, grid):
         with pytest.raises(BadSpec):
             make_initial("random_spectrum", grid, kmax=8)
+
+    @pytest.mark.parametrize("kmax", range(1, 9))
+    def test_half_space_modes_match_the_loop(self, kmax):
+        modes = solver._half_space_modes(kmax)
+        assert modes.shape[1] == 3
+        assert [tuple(m) for m in modes.tolist()] == loop_half_space_modes(kmax)
+
+    @pytest.mark.parametrize("n", [16, 24, 32, 48])
+    def test_random_spectrum_matches_the_full_layout_oracle(self, n):
+        for seed in range(10):
+            for kmax in (1, 2, 5, 8):
+                if 3 * kmax > n:
+                    continue
+                want = full_layout_random_spectrum(TorusGrid(n), seed, 1.5, kmax)
+                got = make_initial("random_spectrum", TorusGrid(n), seed=seed, amplitude=1.5,
+                                   kmax=kmax).coeff
+                assert got.tobytes() == want.tobytes(), (seed, kmax)
+                assert got.strides == want.strides
+
+    def test_random_spectrum_builds_no_full_layout_operators(self):
+        g = TorusGrid(24)
+        make_initial("random_spectrum", g, seed=2, amplitude=1.0, kmax=8)
+        assert not {"wavenumbers", "k_squared", "inv_k_squared"} & set(g.__dict__)
 
     def test_grid_independence(self):
         # same seed and kmax on different grids sample the same continuum
@@ -260,29 +334,38 @@ class TestRun:
 
 
 
+def runs_on_any_worker_count_and_thread(set_workers, n, scheme):
+    """Runs of one field in 1, 2 and 3 slabs, then inline in a thread that
+    is not the main one."""
+    v = make_initial("random_spectrum", TorusGrid(n), seed=4, amplitude=2.0, kmax=8)
+    cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=8e-3, snapshot_stride=2, scheme=scheme)
+    runs = []
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        runs.append(run(v, cfg))
+    with ThreadPoolExecutor(1) as outer:
+        runs.append(outer.submit(run, v, cfg).result(timeout=120))
+    want = runs[0]
+    for got in runs[1:]:
+        assert [c.tobytes() for c in got.coeffs] == [c.tobytes() for c in want.coeffs]
+        assert np.array(got.dissipation).tobytes() == np.array(want.dissipation).tobytes()
+
+
 class TestSlabKernel:
     def test_run_bit_identical_for_any_worker_count_and_thread(self, snapshot_workers):
-        # x = 32 rows in 1, 2 and 3 slabs (3 does not divide 32), and inline
-        # in a thread that is not the main one
-        g = TorusGrid(32)
-        v = make_initial("random_spectrum", g, seed=4, amplitude=2.0, kmax=8)
-        cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=8e-3, snapshot_stride=2)
-        runs = []
-        for workers in (1, 2, 3):
-            snapshot_workers(workers)
-            runs.append(run(v, cfg))
-        with ThreadPoolExecutor(1) as outer:
-            runs.append(outer.submit(run, v, cfg).result(timeout=120))
-        want = runs[0]
-        for got in runs[1:]:
-            assert [c.tobytes() for c in got.coeffs] == [c.tobytes() for c in want.coeffs]
-            assert np.array(got.dissipation).tobytes() == np.array(want.dissipation).tobytes()
+        # x = 32 rows in 1, 2 and 3 slabs (3 does not divide 32)
+        runs_on_any_worker_count_and_thread(snapshot_workers, 32, "rk4")
+
+    @pytest.mark.parametrize("n, scheme", [(24, "rk4"), (24, "rk2"), (32, "rk2"),
+                                           (48, "rk4"), (48, "rk2")])
+    def test_run_bit_identical_on_other_grids_and_rk2(self, snapshot_workers, n, scheme):
+        runs_on_any_worker_count_and_thread(snapshot_workers, n, scheme)
 
     @pytest.mark.parametrize("scheme", ["rk4", "rk2"])
     def test_dissipation_pinned_to_per_call_weights(self, grid, monkeypatch, scheme):
         # the weights band.weights * band.k_squared, built once per band,
         # give the dissipation the old per-call product gave, bit for bit
-        def per_call(coeff, band, nu):
+        def per_call(coeff, band, nu, power):
             weighted = band.weights * band.k_squared
             power = coeff.real**2 + coeff.imag**2
             return nu * band.volume * float(np.sum(weighted * power))
@@ -294,3 +377,86 @@ class TestSlabKernel:
         want = run(v, cfg)
         assert np.array(got.dissipation).tobytes() == np.array(want.dissipation).tobytes()
         assert [c.tobytes() for c in got.coeffs] == [c.tobytes() for c in want.coeffs]
+
+
+def per_call_run(v, cfg):
+    """(states, dissipation) of ``run`` by its formulas with a new array for
+    every stage and temporary, as numpy evaluates them."""
+    band, nu, dt = v.grid.band, cfg.viscosity, cfg.dt
+    k, inv_k2 = band.wavenumbers, band.inv_k_squared
+    e_half = np.exp(-nu * band.k_squared * dt / 2)
+    e_full = e_half * e_half
+
+    def nl(c):
+        w = quadratic_products(c, band)
+        div = np.stack([
+            k[0] * w[0] + k[1] * w[1] + k[2] * w[2],
+            k[0] * w[1] + k[1] * w[3] + k[2] * w[4],
+            k[0] * w[2] + k[1] * w[4] + k[2] * w[5],
+        ])
+        kdotv = (k[0] * div[0] + k[1] * div[1] + k[2] * div[2]) * inv_k2
+        return -1j * (div - k * kdotv[None])
+
+    def diss(c):
+        power = c.real**2 + c.imag**2
+        return nu * band.volume * float(np.sum(band.weighted_k_squared * power))
+
+    coeff = band.compact(v.coeff)
+    states, acc, dissipation = [coeff], 0.0, [0.0]
+    for _ in range(cfg.validate(v.grid)):
+        k1 = nl(coeff)
+        if cfg.scheme == "rk2":
+            mid = e_half * (coeff + (dt / 2) * k1)
+            new = e_full * coeff + dt * e_half * nl(mid)
+            dd = dt * diss(mid)
+        else:
+            a = e_half * (coeff + (dt / 2) * k1)
+            k2 = nl(a)
+            b = e_half * coeff + (dt / 2) * k2
+            k3 = nl(b)
+            c = e_full * coeff + dt * e_half * k3
+            k4 = nl(c)
+            new = e_full * coeff + (dt / 6) * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
+            dd = (dt / 6) * (diss(coeff) + 2 * diss(a) + 2 * diss(b) + diss(c))
+        coeff = new
+        acc += dd
+        states.append(coeff)
+        dissipation.append(acc)
+    return states, dissipation
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("scheme", ["rk4", "rk2"])
+    @pytest.mark.parametrize("n", [24, 32, 48])
+    def test_run_matches_per_call_temporaries(self, n, scheme):
+        # states bit for bit and in the same memory order, and dissipation
+        # bit for bit: its sums run in memory order
+        v = make_initial("random_spectrum", TorusGrid(n), seed=6, amplitude=2.0, kmax=8)
+        cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=6e-3, snapshot_stride=1,
+                           scheme=scheme)
+        traj = run(v, cfg)
+        states, dissipation = per_call_run(v, cfg)
+        assert [c.tobytes() for c in traj.coeffs] == [c.tobytes() for c in states]
+        assert [c.strides for c in traj.coeffs] == [c.strides for c in states]
+        assert np.array(traj.dissipation).tobytes() == np.array(dissipation).tobytes()
+
+    def test_steps_after_the_first_allocate_only_their_states(self, monkeypatch):
+        v = make_initial("random_spectrum", TorusGrid(32), seed=2, amplitude=2.0, kmax=8)
+        cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=12e-3, snapshot_stride=1)
+        step_fields, states = solver._step_fields, []
+
+        def traced(*args):
+            if len(states) == 1:
+                tracemalloc.start()
+            new, dd = step_fields(*args)
+            states.append(new)
+            return new, dd
+
+        monkeypatch.setattr(solver, "_step_fields", traced)
+        try:
+            run(v, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # every state is kept as a snapshot; beyond them only small objects
+        assert peak <= (len(states) - 1) * states[0].nbytes + 64 * 1024

@@ -15,12 +15,13 @@ from nsbl import spectral
 from nsbl.spectral import (
     PAIRS,
     NotDivergenceFree,
+    ProductBuffers,
     ScalarField,
     CPUS,
     ShapeMismatch,
     SpectralVelocity,
     TorusGrid,
-    _project_coeff,
+    _project,
     cz_pressure,
     divergence_max,
     over_snapshots,
@@ -95,34 +96,40 @@ class TestTransforms:
             transform_forward(np.zeros((16, 16, 16)), grid)
 
 
+def project_full(coeff, grid):
+    """The projection of a copy of coeff on the full layout, with the
+    grid's operators."""
+    return _project(np.array(coeff, dtype=complex), grid.wavenumbers, grid.inv_k_squared)
+
+
 class TestLerayProjection:
     """The projection onto divergence-free fields, on the full layout."""
 
     def test_divergence_free_unchanged(self, grid):
         v = make_initial("beltrami", grid)
-        assert np.abs(_project_coeff(v.coeff, grid) - v.coeff).max() < 1e-14
+        assert np.abs(project_full(v.coeff, grid) - v.coeff).max() < 1e-14
 
     def test_gradient_killed(self, grid):
         rng = np.random.default_rng(2)
         phi = transform_forward(rng.normal(size=(32, 32, 32)), grid)
         k = grid.wavenumbers
         gradient = 1j * k * phi[None]
-        out = _project_coeff(gradient, grid)
+        out = project_full(gradient, grid)
         assert np.abs(out).max() < 1e-12 * np.abs(gradient).max()
 
     def test_idempotent(self, grid):
         rng = np.random.default_rng(3)
         c = rng.normal(size=(3, 32, 32, 32)) + 1j * rng.normal(size=(3, 32, 32, 32))
-        once = _project_coeff(c, grid)
-        twice = _project_coeff(once, grid)
+        once = project_full(c, grid)
+        twice = project_full(once, grid)
         assert np.abs(twice - once).max() <= 1e-14
 
     def test_self_adjoint(self, grid):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(3, 32, 32, 32)) + 1j * rng.normal(size=(3, 32, 32, 32))
         b = rng.normal(size=(3, 32, 32, 32)) + 1j * rng.normal(size=(3, 32, 32, 32))
-        pa = _project_coeff(a, grid)
-        pb = _project_coeff(b, grid)
+        pa = project_full(a, grid)
+        pb = project_full(b, grid)
         ip1 = np.sum(pa * np.conj(b))
         ip2 = np.sum(a * np.conj(pb))
         assert abs(ip1 - ip2) <= 1e-12 * max(1.0, abs(ip1))
@@ -130,7 +137,7 @@ class TestLerayProjection:
     def test_projected_divergence(self, grid):
         rng = np.random.default_rng(6)
         c = rng.normal(size=(3, 32, 32, 32)) + 1j * rng.normal(size=(3, 32, 32, 32))
-        out = _project_coeff(c, grid)
+        out = project_full(c, grid)
         norm = np.sqrt(np.sum(np.abs(out) ** 2))
         assert divergence_max(out, grid.wavenumbers) <= 1e-12 * norm
 
@@ -337,6 +344,10 @@ class TestQuadraticKernel:
                          for i, j in PAIRS])
         assert np.array_equal(quadratic_products(coeff, band), want)
         assert np.array_equal(quadratic_products(coeff, band, u), want)
+        # kept buffers, twice: the second call starts from the first's
+        buffers = ProductBuffers(band)
+        for _ in range(2):
+            assert np.array_equal(quadratic_products(coeff, band, buffers=buffers), want)
 
     def test_one_slab_per_cpu_from_the_main_thread(self, snapshot_workers, monkeypatch):
         snapshot_workers(3)
