@@ -561,7 +561,7 @@ def _velocity_pass(traj: Trajectory, s_values: tuple, m_sigma: float = 1.0,
             p = cz_pressure(coeff, u, grid, m_sigma)
         except NotDivergenceFree as exc:
             return exc
-        return [space_norm(p.values, s, grid) / den if den else 0.0
+        return [space_norm(p, s, grid) / den if den else 0.0
                 for s, den in zip(s_values, dens)]
 
     rows = traj.over_velocities(ratios, first)

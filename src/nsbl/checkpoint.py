@@ -5,12 +5,12 @@ header (dimension, points per axis, box length, time, component count, the
 2/3-rule band's cut ``n//3``) and a CRC-32 of every other byte of the file,
 followed by the band coefficients (ncomp, 2*cut+1, 2*cut+1, cut+1) of
 ``spectral.SpectralBand`` as little-endian complex128 in C order.
-``write_band`` and ``read_band`` take and give the band as it is stored;
-``write_checkpoint`` and ``read_checkpoint`` take and give the full
-layout.  Files are referenced by their sha256 content hash; the CRC
-catches damage without it.  Every malformed file
-raises ``CorruptCheckpoint``; NSBL1 files (full layout, no CRC) are no
-longer read.
+``write_band`` writes a velocity's band; ``read_band`` reads it into a
+known grid, and ``read_checkpoint`` into the grid its header names, as a
+``SpectralVelocity``.  Files are referenced by their sha256 content hash;
+the CRC catches damage without it.  Every malformed file raises
+``CorruptCheckpoint``; NSBL1 files (full layout, no CRC) are no longer
+read.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import ShapeMismatch, SpectralVelocity, TorusGrid
+from .spectral import ShapeMismatch, SpectralBand, SpectralVelocity, TorusGrid
 
-__all__ = ["CorruptCheckpoint", "write_band", "write_checkpoint", "read_band", "read_checkpoint"]
+__all__ = ["CorruptCheckpoint", "write_band", "read_band", "read_checkpoint"]
 
 MAGIC = b"NSBL2"
 ENDIAN_TAG = b"<"
@@ -42,7 +42,13 @@ class CorruptCheckpoint(ValueError):
 
 def write_band(path, grid: TorusGrid, coeff: np.ndarray, t: float) -> str:
     """Write the band coefficients ``coeff`` of ``grid.band``, at time t, as
-    they are; return the file's sha256 hex digest."""
+    they are; return the file's sha256 hex digest.  Raises ShapeMismatch,
+    and writes nothing, unless coeff is a velocity's band,
+    (3, *grid.band.shape)."""
+    shape = (3,) + grid.band.shape
+    if coeff.shape != shape:
+        raise ShapeMismatch(f"{path}: coefficients have shape {coeff.shape}, "
+                            f"not the 2/3-rule band's {shape}")
     header = MAGIC + ENDIAN_TAG + _HEADER.pack(
         grid.dim, grid.npts, grid.length, t, coeff.shape[0], grid.npts // 3
     )
@@ -55,17 +61,6 @@ def write_band(path, grid: TorusGrid, coeff: np.ndarray, t: float) -> str:
             f.write(piece)
             digest.update(piece)
     return digest.hexdigest()
-
-
-def write_checkpoint(path, v: SpectralVelocity) -> str:
-    """Write the field's band and return the file's sha256 hex digest;
-    raises ShapeMismatch if the field has modes outside the band, so no
-    mode is dropped silently."""
-    band = v.grid.band
-    coeff = band.compact(v.coeff)
-    if not np.array_equal(band.expand(coeff), v.coeff):
-        raise ShapeMismatch(f"{path}: field is not the real field of its band")
-    return write_band(path, v.grid, coeff, v.t)
 
 
 def _header(path, blob: bytes, expect_sha: str | None) -> tuple:
@@ -109,34 +104,34 @@ def _payload(path, blob: bytes, npts: int, ncomp: int, cut: int) -> np.ndarray:
                                                                          cut + 1)
 
 
-def read_band(path, grid: TorusGrid, expect_sha: str | None = None) -> tuple[float, np.ndarray]:
-    """(t, band coefficients) of an NSBL2 file written on ``grid``, with no
-    full-layout round trip.
-
-    The coefficients come in the memory layout ``SpectralBand.compact``
-    gives (component axis inside the two row axes).  Sums over a band run
-    in memory order, so an audit adds up a read trajectory's energies
-    exactly as it did when each file was expanded and compacted.
-    """
+def _read(path, expect_sha: str | None, grid: TorusGrid | None = None) -> tuple:
+    """(grid, t, band coefficients in ``SpectralBand.compact_order``) of an
+    NSBL2 file; the grid its header names unless ``grid`` is given, which
+    the header must then match."""
     blob = Path(path).read_bytes()
     dim, npts, length, t, ncomp, cut = _header(path, blob, expect_sha)
-    if (dim, npts, length) != (grid.dim, grid.npts, grid.length):
+    if grid is None:
+        try:
+            grid = TorusGrid(npts, length, dim)
+        except ShapeMismatch as exc:
+            raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from exc
+    elif (dim, npts, length) != (grid.dim, grid.npts, grid.length):
         raise CorruptCheckpoint(f"{path}: grid {npts}^{dim} of side {length!r} does not match "
                                 f"the run's {grid.npts}^{grid.dim} of side {grid.length!r}")
-    stored = _payload(path, blob, npts, ncomp, cut)
-    ncomp, rows, _, planes = stored.shape
-    coeff = np.empty((rows, rows, ncomp, planes), dtype=np.complex128).transpose(2, 0, 1, 3)
-    coeff[...] = stored
-    return t, coeff
+    return grid, t, SpectralBand.compact_order(_payload(path, blob, npts, ncomp, cut))
+
+
+def read_band(path, grid: TorusGrid, expect_sha: str | None = None) -> tuple[float, np.ndarray]:
+    """(t, band coefficients) of an NSBL2 file written on ``grid``.
+
+    The coefficients come in ``SpectralBand.compact_order``, as a run's
+    first state does.  Sums over a band run in memory order, so an audit
+    adds up a read trajectory's energies as it always has.
+    """
+    return _read(path, expect_sha, grid)[1:]
 
 
 def read_checkpoint(path, expect_sha: str | None = None) -> SpectralVelocity:
-    """The field of an NSBL2 file, in the full layout."""
-    blob = Path(path).read_bytes()
-    dim, npts, length, t, ncomp, cut = _header(path, blob, expect_sha)
-    try:
-        grid = TorusGrid(npts, length, dim)
-    except ShapeMismatch as exc:
-        raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from exc
-    coeff = _payload(path, blob, npts, ncomp, cut)
-    return SpectralVelocity(grid.band.expand(coeff), grid, t)
+    """The field of an NSBL2 file, on the grid its header names."""
+    grid, t, coeff = _read(path, expect_sha)
+    return SpectralVelocity(coeff, grid, t)

@@ -10,13 +10,13 @@ The viscous dissipation integral is accumulated inside the stepper with the
 same Runge-Kutta weights, which keeps the energy-identity residual at the
 scheme's order instead of the snapshot quadrature's.
 
-The stepper works on the kept band of the half spectrum (see
-``spectral.SpectralBand``), and a trajectory stores its snapshots as that
-band; ``step``, ``nonlinear_term`` and ``Trajectory.velocity`` take and
-give the full layout, and ``Trajectory.magnitudes`` reads the band.  A run
-allocates its stage arrays and the quadratic kernel's buffers once
-(``_Workspace``), so each step allocates only its new state.  Initial data
-is drawn on the band too.
+Everything here is band coefficients of the 2/3-rule band (see
+``spectral.SpectralBand``): the initial data ``make_initial`` draws, the
+states ``step`` and ``run`` advance, the tendency ``nonlinear_term`` gives
+and the snapshots a ``Trajectory`` holds; ``Trajectory.magnitudes`` reads
+|u| off the bands.  A run allocates its stage arrays and the quadratic
+kernel's buffers once (``_Workspace``), so each step allocates only its
+new state.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .spectral import (
     _project,
     over_snapshots,
     quadratic_products,
-    transform_forward,
 )
 
 __all__ = [
@@ -98,9 +97,8 @@ class SolverConfig:
 class Trajectory:
     """Snapshots of one run plus the step-resolved dissipation integral.
 
-    ``coeffs`` holds each snapshot as band coefficients of ``grid.band``;
-    ``velocity`` expands one to the full layout on demand, and
-    ``magnitudes`` reads the bands directly.
+    ``coeffs`` holds each snapshot as band coefficients of ``grid.band``,
+    and ``magnitudes`` reads the bands directly.
     """
 
     grid: TorusGrid
@@ -121,11 +119,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-    def velocity(self, i: int) -> SpectralVelocity:
-        """Snapshot i in the full layout."""
-        band = self.grid.band
-        return SpectralVelocity(band.expand(self.coeffs[i]), self.grid, self.times[i])
 
     def magnitudes(self) -> np.ndarray:
         """|u| on the grid for every snapshot, shape (nt, n, n, n); cached."""
@@ -207,7 +200,7 @@ class _Workspace:
         self.scratch = np.empty(shape, dtype=np.complex128)
         # Stage b, stage c and each new state are sums e * coeff + x.  numpy
         # adds such a sum into its temporary product e * coeff, which has
-        # coeff's memory order (band.compact's, for the first state), once
+        # coeff's memory order (compact_order's, for a run's first state), once
         # that holds 256 KiB; below that it allocates the sum in C order.
         # The dissipation sums run in memory order, so the stage buffer, and
         # with it every state after the first, is made by such a sum here.
@@ -238,15 +231,10 @@ def _nonlinear(coeff: np.ndarray, band: SpectralBand, work: _Workspace,
 
 
 def nonlinear_term(v: SpectralVelocity) -> SpectralVelocity:
-    """Projected advection tendency -P[div(u x u)] as a velocity-shaped field.
-
-    Modes of ``v`` outside the 2/3-rule band are dropped first, as ``run``
-    drops them from its initial data.
-    """
+    """Projected advection tendency -P[div(u x u)] as a velocity-shaped field."""
     band = v.grid.band
     out = np.empty((3,) + band.shape, dtype=np.complex128)
-    _nonlinear(band.compact(v.coeff), band, _Workspace(band), out)
-    return SpectralVelocity(band.expand(out), v.grid, v.t)
+    return SpectralVelocity(_nonlinear(v.coeff, band, _Workspace(band), out), v.grid, v.t)
 
 
 def _dissipation_rate(coeff: np.ndarray, band: SpectralBand, nu: float,
@@ -319,32 +307,28 @@ def _step_fields(coeff, band, cfg, t, work):
 
 
 def step(v: SpectralVelocity, cfg: SolverConfig) -> SpectralVelocity:
-    """Advance one dt.  Output stays divergence-free and band-limited.
-
-    Modes of ``v`` outside the 2/3-rule band are dropped first, as ``run``
-    drops them from its initial data.
-    """
+    """Advance one dt.  Output stays divergence-free."""
     if cfg.dt <= 0 or cfg.viscosity <= 0:
         raise BadSpec("dt and viscosity must be positive")
     if cfg.scheme not in ("rk4", "rk2"):
         raise BadSpec(f"unknown scheme {cfg.scheme!r}")
     band = v.grid.band
-    coeff = band.compact(v.coeff)
-    new, _ = _step_fields(coeff, band, cfg, v.t, _Workspace(band, cfg, coeff))
-    return SpectralVelocity(band.expand(new), v.grid, v.t + cfg.dt)
+    new, _ = _step_fields(v.coeff, band, cfg, v.t, _Workspace(band, cfg, v.coeff))
+    return SpectralVelocity(new, v.grid, v.t + cfg.dt)
 
 
 def run(v0: SpectralVelocity, cfg: SolverConfig) -> Trajectory:
     """Integrate from v0 to t_final, snapshotting every ``snapshot_stride`` steps.
 
-    The first and last states are always snapshotted; the first is the band
-    of v0.  Snapshots are the band states as they are.  Instability
-    surfaces as an exception carrying the failing time.
+    The first and last states are always snapshotted; the first is a copy
+    of v0's band in ``SpectralBand.compact_order``, the others are the
+    states as they are.  Instability surfaces as an exception carrying the
+    failing time.
     """
     grid = v0.grid
     n_steps = cfg.validate(grid)
     band = grid.band
-    state = band.compact(v0.coeff)
+    state = band.compact_order(v0.coeff)
     times = [0.0]
     coeffs = [state]
     dissipation = [0.0]
@@ -371,22 +355,24 @@ def _beltrami(grid: TorusGrid, amplitude: float) -> np.ndarray:
     term is a pure gradient and each mode decays like exp(-nu t)."""
     x, y, z = grid.mesh()
     a = amplitude
-    u = np.stack([
+    return np.stack([
         a * np.sin(z) + a * np.cos(y),
         a * np.sin(x) + a * np.cos(z),
         a * np.sin(y) + a * np.cos(x),
     ])
-    return transform_forward(u, grid)
 
 
 def _taylor_green(grid: TorusGrid, amplitude: float) -> np.ndarray:
     x, y, z = grid.mesh()
-    u = np.stack([
+    return np.stack([
         amplitude * np.sin(x) * np.cos(y) * np.cos(z),
         -amplitude * np.cos(x) * np.sin(y) * np.cos(z),
         np.zeros_like(x),
     ])
-    return transform_forward(u, grid)
+
+
+# the analytic kinds, as velocities on the grid
+_ANALYTIC = {"beltrami": _beltrami, "taylor_green": _taylor_green}
 
 
 def _half_space_modes(kmax: int) -> np.ndarray:
@@ -445,19 +431,17 @@ def make_initial(
     """Divergence-free, real, mean-zero initial data on the 2/3-rule band.
 
     ``random_spectrum`` is normalized so the initial sup norm equals
-    ``amplitude``; the analytic kinds use ``amplitude`` as their coefficient.
-    The coefficients are exactly the expansion of their band, so a run and
-    its checkpoints hold this very field.
+    ``amplitude``; the analytic kinds use ``amplitude`` as their coefficient
+    and keep the band of their full forward transform.
     """
     band = grid.band
-    if kind == "beltrami":
-        coeff = band.compact(_beltrami(grid, amplitude))
-    elif kind == "taylor_green":
-        coeff = band.compact(_taylor_green(grid, amplitude))
+    if kind in _ANALYTIC:
+        u = _ANALYTIC[kind](grid, amplitude)
+        coeff = band.compact(np.fft.fftn(u, axes=(-3, -2, -1), norm="forward"))
     elif kind == "random_spectrum":
         coeff = _random_spectrum(band, seed, amplitude, kmax)
     else:
         raise BadSpec(f"unknown initial data kind {kind!r}")
     coeff = _project(coeff, band.wavenumbers, band.inv_k_squared)
     coeff[:, 0, 0, 0] = 0.0
-    return SpectralVelocity(band.expand(coeff), grid, 0.0)
+    return SpectralVelocity(coeff, grid, 0.0)

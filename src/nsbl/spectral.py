@@ -5,22 +5,18 @@ on the torus the singular-integral pressure operator is the exact multiplier
 k_i k_j / |k|^2, and decay at infinity becomes periodicity.  Coefficients are
 forward-normalized, so the zero mode of a field is its mean value.
 
-Layouts.  Public fields (``SpectralVelocity``, ``Trajectory.velocity``,
-what ``read_checkpoint`` returns) use the full (..., n, n, n) layout.  The
-real-FFT half spectrum (..., n, n, n//2+1) is the k_z >= 0 half that
-``numpy.fft.rfftn`` returns; it fixes a real field through the conjugate
-symmetry c(-k) = conj(c(k)).  Everything a run computes and stores is the
-band (``SpectralBand``): the modes the 2/3 rule keeps, cut out of the
-half spectrum, (..., 2c+1, 2c+1, c+1) with c = n//3: 3.6 times fewer
-entries than the half spectrum and 6.8 times fewer than the full layout at
-n = 32.
-The solver steps it, trajectories hold it, NSBL2 checkpoints store it and
-the audit reads it: each snapshot's velocity comes from one ``inverse`` of
-its band, and |u| and ``cz_pressure`` (which checks the band's divergence)
-both take that velocity.  ``SpectralBand.compact`` takes a full or half
-layout to the band, ``expand`` takes the band back to the full layout with
-zeros outside, and its ``forward`` and ``inverse`` transform only the lines
-that carry band modes.
+Layouts.  Every field is its band (``SpectralBand``): the modes the 2/3
+rule keeps, cut out of the k_z >= 0 half spectrum that ``numpy.fft.rfftn``
+returns, (..., 2c+1, 2c+1, c+1) with c = n//3; the conjugate symmetry
+c(-k) = conj(c(k)) fixes the rest of a real field.  At n = 32 that is 3.6
+times fewer entries than the half spectrum and 6.8 times fewer than the
+full (..., n, n, n) layout.  Initial data, ``SpectralVelocity``, the
+solver's states, trajectories and NSBL2 checkpoints hold it; each audited
+snapshot's velocity comes from one ``inverse`` of its band, and |u| and
+``cz_pressure`` (which checks the band's divergence) both take it.  The
+band's transforms compute only the lines that carry band modes;
+``compact`` and ``expand`` go to and from the full layout for initial
+data only.
 
 Threads.  ``over_snapshots`` splits an audit's per-snapshot passes, and
 ``quadratic_products`` (the solver's nonlinear term and the pressure) its
@@ -48,9 +44,6 @@ __all__ = [
     "NotDivergenceFree",
     "TorusGrid",
     "SpectralVelocity",
-    "ScalarField",
-    "transform_forward",
-    "transform_inverse",
     "SpectralBand",
     "ProductBuffers",
     "quadratic_products",
@@ -152,28 +145,6 @@ class TorusGrid:
         """Integer mode numbers along one axis, FFT layout."""
         return np.rint(np.fft.fftfreq(self.npts) * self.npts).astype(np.int64)
 
-    @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """Scaled wavevectors, shape (3, n, n, n)."""
-        scale = TWO_PI / self.length
-        m = self.freqs.astype(np.float64)
-        kx, ky, kz = np.meshgrid(m, m, m, indexing="ij")
-        return scale * np.stack([kx, ky, kz])
-
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        k = self.wavenumbers
-        return k[0] ** 2 + k[1] ** 2 + k[2] ** 2
-
-    @cached_property
-    def inv_k_squared(self) -> np.ndarray:
-        """1/|k|^2 with the zero mode mapped to 0 (callers treat it separately)."""
-        k2 = self.k_squared.copy()
-        k2[0, 0, 0] = 1.0
-        out = 1.0 / k2
-        out[0, 0, 0] = 0.0
-        return out
-
     @property
     def band(self) -> "SpectralBand":
         """The modes a run on this grid keeps (2/3 rule); built on first use."""
@@ -198,20 +169,6 @@ class TorusGrid:
         return np.meshgrid(x, x, x, indexing="ij")
 
 
-def transform_forward(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Real-space data to forward-normalized coefficients (mean sits in mode 0)."""
-    values = np.asarray(values)
-    if values.shape[-3:] != (grid.npts,) * 3:
-        raise ShapeMismatch(f"data shape {values.shape} does not match grid {grid.npts}^3")
-    return np.fft.fftn(values, axes=(-3, -2, -1), norm="forward")
-
-
-def transform_inverse(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    if coeff.shape[-3:] != (grid.npts,) * 3:
-        raise ShapeMismatch(f"coefficient shape {coeff.shape} does not match grid {grid.npts}^3")
-    return np.fft.ifftn(coeff, axes=(-3, -2, -1), norm="forward").real
-
-
 class SpectralBand:
     """The modes a run keeps, as a compact block of the half spectrum.
 
@@ -219,9 +176,9 @@ class SpectralBand:
     (..., 2c+1, 2c+1, c+1) with c = n//3: the kept k_x and k_y indices
     ``rows`` in FFT order (0..c, n-c..n-1) and the k_z planes 0..c.
 
-    The operators are the full-layout ones at the kept indices.  The
-    transforms skip the lines that only carry modes outside the band; every
-    line they do compute is the line ``rfftn`` or ``irfftn`` would compute.
+    The transforms skip the lines that only carry modes outside the band;
+    every line they do compute is the line ``rfftn`` or ``irfftn`` would
+    compute.
 
     The band holds no reference to its grid, which caches it: a cycle
     would keep both alive until the cyclic garbage collector runs.
@@ -238,8 +195,7 @@ class SpectralBand:
         self.mirror_rows = -self.rows % n
         self.planes = cut + 1
         self.shape = (self.rows.size, self.rows.size, self.planes)
-        # the grid's operators at the kept indices, built from one axis
-        # without the grid's full-layout arrays (same values, bit for bit)
+        # k, |k|^2 and 1/|k|^2 at the kept indices, built from one axis
         k = TWO_PI / grid.length * grid.freqs.astype(np.float64)
         self.wavenumbers = np.stack(np.meshgrid(k[self.rows], k[self.rows], k[: self.planes],
                                                 indexing="ij"))
@@ -259,6 +215,17 @@ class SpectralBand:
     def compact(self, coeff: np.ndarray) -> np.ndarray:
         """The band entries of full- or half-layout data, as a copy."""
         return coeff[..., self.rows[:, None], self.rows, : self.planes]
+
+    @staticmethod
+    def compact_order(band: np.ndarray) -> np.ndarray:
+        """A copy of band data (ncomp, rows, rows, planes) in ``compact``'s
+        memory order, the component axis inside the two row axes: that of a
+        run's first state and of every band read from a checkpoint.  Band
+        sums run in memory order, so this order fixes their last digits."""
+        ncomp, rows, _, planes = band.shape
+        out = np.empty((rows, rows, ncomp, planes), dtype=np.complex128).transpose(2, 0, 1, 3)
+        out[...] = band
+        return out
 
     def expand(self, band: np.ndarray) -> np.ndarray:
         """Full-layout coefficients of band data, zero outside the band.
@@ -412,38 +379,26 @@ def quadratic_products(coeff: np.ndarray, band: SpectralBand,
 
 @dataclass(eq=False)
 class SpectralVelocity:
-    """Velocity field as forward-normalized Fourier coefficients, shape (3, n, n, n)."""
+    """Velocity field as band coefficients of ``grid.band``, shape
+    (3, *grid.band.shape)."""
 
     coeff: np.ndarray
     grid: TorusGrid
     t: float = 0.0
 
     def __post_init__(self):
-        if self.coeff.shape != (3,) + (self.grid.npts,) * 3:
-            raise ShapeMismatch(f"velocity coefficients have shape {self.coeff.shape}")
+        shape = (3,) + self.grid.band.shape
+        if self.coeff.shape != shape:
+            raise ShapeMismatch(f"velocity coefficients have shape {self.coeff.shape}, "
+                                f"not the 2/3-rule band's {shape}")
 
     def components(self) -> np.ndarray:
         """Physical velocity components, shape (3, n, n, n)."""
-        return transform_inverse(self.coeff, self.grid)
+        return self.grid.band.inverse(self.coeff)
 
     def magnitude(self) -> np.ndarray:
         u = self.components()
         return np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
-
-    def divergence_max(self) -> float:
-        return divergence_max(self.coeff, self.grid.wavenumbers)
-
-
-@dataclass(eq=False)
-class ScalarField:
-    values: np.ndarray
-    grid: TorusGrid
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.npts,) * 3:
-            raise ShapeMismatch(f"scalar field has shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("scalar field contains non-finite entries")
 
 
 def _project(coeff: np.ndarray, k: np.ndarray, inv_k_squared: np.ndarray,
@@ -464,14 +419,13 @@ def _project(coeff: np.ndarray, k: np.ndarray, inv_k_squared: np.ndarray,
 
 
 def divergence_max(coeff: np.ndarray, k: np.ndarray) -> float:
-    """max |k . c| over coefficients ``coeff`` at wavevectors ``k``, in
-    either layout."""
+    """max |k . c| over coefficients ``coeff`` at wavevectors ``k``."""
     div = k[0] * coeff[0] + k[1] * coeff[1] + k[2] * coeff[2]
     return float(np.max(np.abs(div)))
 
 
 def cz_pressure(coeff: np.ndarray, velocity: np.ndarray, grid: TorusGrid,
-                m_sigma: float = 1.0) -> ScalarField:
+                m_sigma: float = 1.0) -> np.ndarray:
     """Pressure from the velocity through the exact multiplier k_i k_j/|k|^2.
 
     Solves -lap(p) = m_sigma^2 d_i d_j (u_j u_i) spectrally; the zero mode of
@@ -480,6 +434,8 @@ def cz_pressure(coeff: np.ndarray, velocity: np.ndarray, grid: TorusGrid,
     checked; ``velocity`` is the same field on the grid, shape (3, n, n, n),
     ``grid.band.inverse(coeff)`` up to roundoff, which the caller has
     already formed.  The quadratic products and p are dealiased to the band.
+    Returns p on the grid, shape (n, n, n); non-finite entries raise
+    ValueError.
     """
     band = grid.band
     if coeff.shape != (3,) + band.shape:
@@ -501,4 +457,7 @@ def cz_pressure(coeff: np.ndarray, velocity: np.ndarray, grid: TorusGrid,
         p_hat -= factor * k[i] * k[j] * w[p]
     p_hat *= (m_sigma**2) * band.inv_k_squared
     p_hat[0, 0, 0] = 0.0
-    return ScalarField(band.inverse(p_hat), grid)
+    p = band.inverse(p_hat)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("pressure contains non-finite entries")
+    return p

@@ -228,8 +228,8 @@ class TestEnergy:
         want = max(abs(e + d - energies[0]) / energies[0]
                    for e, d in zip(energies, random_traj.dissipation))
         assert A.check_energy(random_traj).lhs == want
-        full = [0.5 * random_traj.grid.volume * np.sum(np.abs(random_traj.velocity(i).coeff) ** 2)
-                for i in range(len(random_traj))]
+        full = [0.5 * random_traj.grid.volume * np.sum(np.abs(band.expand(c)) ** 2)
+                for c in random_traj.coeffs]
         assert energies == pytest.approx(full, rel=1e-14, abs=0)
 
 
@@ -240,10 +240,9 @@ class TestPressureCheck:
 
     def test_beltrami_matches_direct(self, beltrami_traj):
         rec = A.check_pressure(beltrami_traj, (2.0,))[0]
-        v = beltrami_traj.velocity(0)
-        c = beltrami_traj.coeffs[0]
-        p = cz_pressure(c, v.grid.band.inverse(c), v.grid)
-        direct = space_norm(p.values, 2.0, v.grid) / space_norm(v.magnitude(), 4.0, v.grid) ** 2
+        v = SpectralVelocity(beltrami_traj.coeffs[0], beltrami_traj.grid)
+        p = cz_pressure(v.coeff, v.components(), v.grid)
+        direct = space_norm(p, 2.0, v.grid) / space_norm(v.magnitude(), 4.0, v.grid) ** 2
         assert rec.extra["ratios"][0] == pytest.approx(direct, abs=1e-8)
 
     def test_bad_exponent(self, beltrami_traj):
@@ -266,7 +265,7 @@ def pressure_oracle(traj, s, m_sigma=1.0):
             ratios.append(0.0)
             continue
         p = cz_pressure(u, uu, grid, m_sigma)
-        ratios.append(space_norm(p.values, s, grid) / den)
+        ratios.append(space_norm(p, s, grid) / den)
     return ratios
 
 
@@ -418,7 +417,7 @@ class TestOnePassAudit:
         # snapshots that keep the whole half spectrum, as an undealiased run
         # would store them, make no trajectory, so they never reach the audit
         v0 = make_initial("random_spectrum", grid, seed=2, amplitude=1.0, kmax=4)
-        half = v0.coeff[..., : grid.npts // 2 + 1]
+        half = grid.band.expand(v0.coeff)[..., : grid.npts // 2 + 1]
         cfg = SolverConfig(dt=1e-3, t_final=0.0, snapshot_stride=1)
         with pytest.raises(ShapeMismatch, match="band"):
             Trajectory(grid, cfg, [0.0], [half], [0.0])

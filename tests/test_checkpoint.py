@@ -10,7 +10,6 @@ from nsbl.checkpoint import (
     read_band,
     read_checkpoint,
     write_band,
-    write_checkpoint,
 )
 from nsbl.spectral import ShapeMismatch, SpectralVelocity, TorusGrid
 from nsbl.solver import make_initial
@@ -24,10 +23,15 @@ def field():
     return make_initial("random_spectrum", TorusGrid(16), seed=4, amplitude=1.0, kmax=4)
 
 
+def write_velocity(path, v):
+    """Write a velocity's band and time."""
+    return write_band(path, v.grid, v.coeff, v.t)
+
+
 def test_round_trip_bit_exact(tmp_path, field):
     path = tmp_path / "f.nsbl"
     field.t = 0.375
-    sha = write_checkpoint(path, field)
+    sha = write_velocity(path, field)
     back = read_checkpoint(path, expect_sha=sha)
     assert back.t == field.t
     assert back.grid.npts == 16
@@ -38,14 +42,14 @@ def test_round_trip_bit_exact(tmp_path, field):
 
 def test_hash_mismatch(tmp_path, field):
     path = tmp_path / "f.nsbl"
-    write_checkpoint(path, field)
+    write_velocity(path, field)
     with pytest.raises(CorruptCheckpoint):
         read_checkpoint(path, expect_sha="0" * 64)
 
 
 def test_corrupted_payload(tmp_path, field):
     path = tmp_path / "f.nsbl"
-    write_checkpoint(path, field)
+    write_velocity(path, field)
     blob = bytearray(path.read_bytes())
     blob = blob[:-7]
     path.write_bytes(bytes(blob))
@@ -55,7 +59,7 @@ def test_corrupted_payload(tmp_path, field):
 
 def test_bad_magic(tmp_path, field):
     path = tmp_path / "f.nsbl"
-    write_checkpoint(path, field)
+    write_velocity(path, field)
     blob = bytearray(path.read_bytes())
     blob[:5] = b"WRONG"
     path.write_bytes(bytes(blob))
@@ -65,18 +69,18 @@ def test_bad_magic(tmp_path, field):
 
 def test_deterministic_bytes(tmp_path, field):
     p1, p2 = tmp_path / "a.nsbl", tmp_path / "b.nsbl"
-    s1 = write_checkpoint(p1, field)
-    s2 = write_checkpoint(p2, field)
+    s1 = write_velocity(p1, field)
+    s2 = write_velocity(p2, field)
     assert s1 == s2
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def band_field(n, seed=0):
-    """Arbitrary band data of a grid and the full-layout field it expands to."""
+    """Arbitrary band data of a grid, and a velocity holding it."""
     band = TorusGrid(n).band
     rng = np.random.default_rng(seed)
     coeff = rng.normal(size=(3,) + band.shape) + 1j * rng.normal(size=(3,) + band.shape)
-    return coeff, SpectralVelocity(band.expand(coeff), TorusGrid(n), 0.125)
+    return coeff, SpectralVelocity(coeff, TorusGrid(n), 0.125)
 
 
 def nsbl2_blob(npts, cut, payload):
@@ -89,34 +93,33 @@ def nsbl2_blob(npts, cut, payload):
 def test_band_round_trip_bit_exact(tmp_path, n):
     coeff, v = band_field(n)
     path = tmp_path / "b.nsbl"
-    sha = write_checkpoint(path, v)
+    sha = write_velocity(path, v)
     # the payload is the band itself, after the fixed header
     assert len(path.read_bytes()) == HEADER_BYTES + coeff.nbytes
     back = read_checkpoint(path, expect_sha=sha)
-    assert np.array_equal(back.coeff, v.coeff)
-    assert v.grid.band.compact(back.coeff).tobytes() == coeff.tobytes()
+    assert back.coeff.tobytes() == coeff.tobytes()
     assert back.t == 0.125
 
 
 @pytest.mark.parametrize("n", [16, 24])
 def test_band_io_is_the_full_layout_io(tmp_path, n):
-    # the same bytes as write_checkpoint, and the band back as compact
-    # gives it, in its memory layout too (audit sums run in memory order)
+    # the band back as compact gives it from the full layout, in its memory
+    # layout too (audit sums run in memory order), from either reader
     coeff, v = band_field(n)
-    sha = write_checkpoint(tmp_path / "full.nsbl", v)
-    assert write_band(tmp_path / "band.nsbl", v.grid, coeff, v.t) == sha
-    assert (tmp_path / "band.nsbl").read_bytes() == (tmp_path / "full.nsbl").read_bytes()
+    sha = write_band(tmp_path / "band.nsbl", v.grid, coeff, v.t)
     t, back = read_band(tmp_path / "band.nsbl", TorusGrid(n), expect_sha=sha)
-    want = v.grid.band.compact(read_checkpoint(tmp_path / "full.nsbl").coeff)
+    want = v.grid.band.compact(v.grid.band.expand(coeff))
     assert t == 0.125
     assert np.array_equal(back, coeff) and np.array_equal(back, want)
     assert back.strides == want.strides
+    read = read_checkpoint(tmp_path / "band.nsbl", expect_sha=sha)
+    assert np.array_equal(read.coeff, want) and read.coeff.strides == want.strides
 
 
 def test_read_band_refuses_what_read_checkpoint_refuses(tmp_path, field):
     grid = TorusGrid(16)
     path = tmp_path / "f.nsbl"
-    sha = write_checkpoint(path, field)
+    sha = write_velocity(path, field)
     good = path.read_bytes()
     cases = {
         "sha256": (good, "0" * 64),
@@ -142,19 +145,14 @@ def test_read_band_refuses_what_read_checkpoint_refuses(tmp_path, field):
 
 
 def test_write_refuses_modes_outside_the_band(tmp_path):
-    _, v = band_field(16)
-    # a real mode pair at |m_x| = 6 > 16//3
-    wide = SpectralVelocity(v.coeff.copy(), v.grid)
-    wide.coeff[1, 6, 0, 0] = wide.coeff[1, -6, 0, 0] = 0.5
-    with pytest.raises(ShapeMismatch):
-        write_checkpoint(tmp_path / "w.nsbl", wide)
-    assert not (tmp_path / "w.nsbl").exists()
-    # inside the band, but not the real field of it: the mirror is not conj
-    skew = SpectralVelocity(v.coeff.copy(), v.grid)
-    skew.coeff[0, 1, 2, -3] += 1e-14
-    with pytest.raises(ShapeMismatch):
-        write_checkpoint(tmp_path / "w.nsbl", skew)
-    assert not (tmp_path / "w.nsbl").exists()
+    # a full layout, a half spectrum, two components and another grid's
+    # band all make a file read_band would call corrupt; none is written
+    coeff, v = band_field(16)
+    full = v.grid.band.expand(coeff)
+    for bad in (full, full[..., :9], coeff[:2], band_field(24)[0]):
+        with pytest.raises(ShapeMismatch, match=r"2/3-rule band's \(3, 11, 11, 6\)"):
+            write_band(tmp_path / "w.nsbl", v.grid, bad, 0.0)
+        assert not (tmp_path / "w.nsbl").exists()
 
 
 def test_band_mismatch_raises(tmp_path):
@@ -180,7 +178,7 @@ def test_nsbl1_is_no_longer_read(tmp_path, field):
 def test_crc_catches_flips_without_the_hash(tmp_path, field, offset):
     # box length, time, component count, the CRC itself, the payload
     path = tmp_path / "f.nsbl"
-    write_checkpoint(path, field)
+    write_velocity(path, field)
     blob = bytearray(path.read_bytes())
     blob[offset] ^= 0x01
     path.write_bytes(bytes(blob))

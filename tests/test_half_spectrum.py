@@ -1,7 +1,8 @@
 """The band solver kernels against two generations of reference algorithms.
 
 The full-layout oracles are the complex full-spectrum algorithms the solver
-and ``cz_pressure`` used first; their arithmetic order differs, so results
+and ``cz_pressure`` used first, on the full (3, n, n, n) layout that
+``SpectralBand.expand`` gives; their arithmetic order differs, so results
 agree to roundoff.  The half-spectrum oracles are the real-FFT algorithms
 that ran over the whole half spectrum (n, n, n//2+1) before the state
 shrank to the kept band: every band entry is computed by the same
@@ -11,18 +12,41 @@ operations, so results agree bit for bit.
 import numpy as np
 import pytest
 
-from nsbl.checkpoint import write_checkpoint
+from nsbl.checkpoint import write_band
 from nsbl.solver import SolverConfig, make_initial, nonlinear_term, run, step
 from nsbl.spectral import (
     PAIRS,
     SpectralVelocity,
     TorusGrid,
     cz_pressure,
-    transform_forward,
-    transform_inverse,
 )
 
 RTOL = 1e-13
+
+
+def transform_forward(values):
+    """Full-layout forward-normalized coefficients of real-space data."""
+    return np.fft.fftn(values, axes=(-3, -2, -1), norm="forward")
+
+
+def transform_inverse(coeff):
+    """Real-space data of full-layout coefficients."""
+    return np.fft.ifftn(coeff, axes=(-3, -2, -1), norm="forward").real
+
+
+class FullOps:
+    """The full-layout operators k (3, n, n, n), |k|^2 and 1/|k|^2 (zero
+    mode 0), built as the grid built them before the band was the only
+    layout."""
+
+    def __init__(self, grid):
+        m = 2 * np.pi / grid.length * grid.freqs.astype(np.float64)
+        self.k = np.stack(np.meshgrid(m, m, m, indexing="ij"))
+        self.k2 = self.k[0] ** 2 + self.k[1] ** 2 + self.k[2] ** 2
+        k2 = self.k2.copy()
+        k2[0, 0, 0] = 1.0
+        self.inv_k2 = 1.0 / k2
+        self.inv_k2[0, 0, 0] = 0.0
 
 
 def full_spectrum(half):
@@ -40,49 +64,44 @@ def two_thirds_mask(grid):
     return keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
 
 
-def in_band(c, grid):
-    """c is exactly the expansion of its band: nothing outside it, and every
-    mirrored entry the conjugate of its band entry."""
-    band = grid.band
-    return np.array_equal(band.expand(band.compact(c)), c)
-
-
 def oracle_project(coeff, grid):
-    k = grid.wavenumbers
-    kdotv = (k[0] * coeff[0] + k[1] * coeff[1] + k[2] * coeff[2]) * grid.inv_k_squared
+    ops = FullOps(grid)
+    k = ops.k
+    kdotv = (k[0] * coeff[0] + k[1] * coeff[1] + k[2] * coeff[2]) * ops.inv_k2
     return coeff - k * kdotv[None]
 
 
 def oracle_nonlinear(coeff, grid):
-    u = transform_inverse(coeff, grid)
-    k = grid.wavenumbers
+    u = transform_inverse(coeff)
+    k = FullOps(grid).k
     out = np.zeros_like(coeff)
     for i in range(3):
         for j in range(i, 3):
-            w = transform_forward(u[i] * u[j], grid) * two_thirds_mask(grid)
+            w = transform_forward(u[i] * u[j]) * two_thirds_mask(grid)
             out[i] -= 1j * k[j] * w
             if i != j:
                 out[j] -= 1j * k[i] * w
     return oracle_project(out, grid)
 
 
-def oracle_cz_pressure(v, m_sigma):
-    grid = v.grid
-    u = v.components()
-    k = grid.wavenumbers
+def oracle_cz_pressure(coeff, grid, m_sigma):
+    """The pressure of full-layout coefficients."""
+    u = transform_inverse(coeff)
+    ops = FullOps(grid)
+    k = ops.k
     p_hat = np.zeros((grid.npts,) * 3, dtype=np.complex128)
     for i in range(3):
         for j in range(i, 3):
-            w = transform_forward(u[i] * u[j], grid) * two_thirds_mask(grid)
+            w = transform_forward(u[i] * u[j]) * two_thirds_mask(grid)
             factor = 1.0 if i == j else 2.0
-            p_hat -= factor * (m_sigma**2) * k[i] * k[j] * grid.inv_k_squared * w
+            p_hat -= factor * (m_sigma**2) * k[i] * k[j] * ops.inv_k2 * w
     p_hat[0, 0, 0] = 0.0
-    return transform_inverse(p_hat, grid)
+    return transform_inverse(p_hat)
 
 
 def oracle_rk4_step(coeff, grid, cfg):
     nu, dt = cfg.viscosity, cfg.dt
-    e_half = np.exp(-nu * grid.k_squared * dt / 2)
+    e_half = np.exp(-nu * FullOps(grid).k2 * dt / 2)
     e_full = e_half * e_half
     nl = lambda c: oracle_nonlinear(c, grid)
     k1 = nl(coeff)
@@ -100,10 +119,11 @@ class HalfOps:
 
     def __init__(self, grid):
         m = grid.npts // 2 + 1
+        full = FullOps(grid)
         self.grid = grid
-        self.k = grid.wavenumbers[..., :m]
-        self.k2 = grid.k_squared[..., :m]
-        self.inv_k2 = grid.inv_k_squared[..., :m]
+        self.k = full.k[..., :m]
+        self.k2 = full.k2[..., :m]
+        self.inv_k2 = full.inv_k2[..., :m]
         self.mask = two_thirds_mask(grid)[..., :m]
         self.weights = np.full(m, 2.0)
         self.weights[0] = self.weights[-1] = 1.0
@@ -150,7 +170,7 @@ def half_oracle_step(half, ops, cfg):
 
 def half_oracle_cz_pressure(v, m_sigma):
     ops = HalfOps(v.grid)
-    w = ops.products(ops.inverse(v.coeff[..., : v.grid.npts // 2 + 1]))
+    w = ops.products(ops.inverse(half_spectrum(v)))
     p_hat = np.zeros(w.shape[1:], dtype=np.complex128)
     for p, (i, j) in enumerate(PAIRS):
         factor = 1.0 if i == j else 2.0
@@ -160,16 +180,24 @@ def half_oracle_cz_pressure(v, m_sigma):
     return ops.inverse(p_hat)
 
 
+def full_layout(v):
+    return v.grid.band.expand(v.coeff)
+
+
+def half_spectrum(v):
+    """The first n//2+1 k_z planes of the full layout."""
+    return full_layout(v)[..., : v.grid.npts // 2 + 1]
+
+
 def band_pressure(v, m_sigma=1.0):
-    """cz_pressure of a full-layout field through its band, with the
-    velocity from the band's inverse, as the audit forms it."""
-    c = v.grid.band.compact(v.coeff)
-    return cz_pressure(c, v.grid.band.inverse(c), v.grid, m_sigma)
+    """cz_pressure of a velocity, with the velocity on the grid from the
+    band's inverse, as the audit forms it."""
+    return cz_pressure(v.coeff, v.grid.band.inverse(v.coeff), v.grid, m_sigma)
 
 
-def coeff_l2_norm(v):
-    """Spatial L2 norm of a full-layout field, from its coefficients."""
-    return float(np.sqrt(v.grid.volume * np.sum(np.abs(v.coeff) ** 2)))
+def coeff_l2_norm(grid, coeff):
+    """Spatial L2 norm of a field, from its full-layout coefficients."""
+    return float(np.sqrt(grid.volume * np.sum(np.abs(grid.band.expand(coeff)) ** 2)))
 
 
 def rel_err(got, want):
@@ -182,16 +210,6 @@ def field(n, seed=3):
     return make_initial("random_spectrum", TorusGrid(n), seed=seed, amplitude=2.0, kmax=n // 3)
 
 
-def wide_field(n, seed=3):
-    """``field(n)`` plus a divergence-free part outside the 2/3-rule band."""
-    v = field(n, seed)
-    g = v.grid
-    noise = np.random.default_rng(seed).normal(size=(3, n, n, n))
-    outside = transform_forward(noise, g) * ~two_thirds_mask(g)
-    wide = v.coeff + 0.1 * oracle_project(outside, g)
-    return SpectralVelocity(wide, g)
-
-
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_half_operators_are_full_layout_slices(n):
     # the 2/3-rule band: kept indices 0..c, n-c..n-1 in FFT order, k_z planes 0..c
@@ -202,9 +220,10 @@ def test_half_operators_are_full_layout_slices(n):
     assert band.rows.tolist() == list(range(c + 1)) + list(range(n - c, n))
     assert band.shape == (2 * c + 1, 2 * c + 1, c + 1)
     keep = np.ix_(band.rows, band.rows, range(c + 1))
-    assert np.array_equal(band.wavenumbers, g.wavenumbers[(slice(None),) + keep])
-    assert np.array_equal(band.k_squared, g.k_squared[keep])
-    assert np.array_equal(band.inv_k_squared, g.inv_k_squared[keep])
+    full = FullOps(g)
+    assert np.array_equal(band.wavenumbers, full.k[(slice(None),) + keep])
+    assert np.array_equal(band.k_squared, full.k2[keep])
+    assert np.array_equal(band.inv_k_squared, full.inv_k2[keep])
     assert two_thirds_mask(g)[keep].all()
     assert two_thirds_mask(g).sum() == (2 * c + 1) ** 3
     assert band.weights.tolist() == [1.0] + [2.0] * c
@@ -218,7 +237,7 @@ def test_pruned_transforms_match_rfftn_and_irfftn(n):
     values = np.random.default_rng(n).normal(size=(n, n, n))
     want = np.fft.rfftn(values, axes=(-3, -2, -1), norm="forward") * ops.mask
     assert np.array_equal(band.forward(values), band.compact(want))
-    coeff = band.compact(transform_forward(np.stack([values, -values, 2 * values]), g))
+    coeff = band.compact(transform_forward(np.stack([values, -values, 2 * values])))
     padded = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
     padded[(slice(None),) + np.ix_(band.rows, band.rows, range(band.planes))] = coeff
     assert np.array_equal(band.inverse(coeff), ops.inverse(padded))
@@ -243,42 +262,45 @@ def test_expand_scatter_matches_mirrored_half_spectrum(n):
 
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_nonlinear_matches_full_oracle(n):
+    # compared in the full layout, where the oracle's modes outside the
+    # band are zero too
     v = field(n)
-    got = nonlinear_term(v).coeff
-    assert rel_err(got, oracle_nonlinear(v.coeff, v.grid)) <= RTOL
-    assert in_band(got, v.grid)
+    got = v.grid.band.expand(nonlinear_term(v).coeff)
+    assert rel_err(got, oracle_nonlinear(full_layout(v), v.grid)) <= RTOL
 
 
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_cz_pressure_matches_full_oracle(n):
     v = field(n)
-    got = band_pressure(v, m_sigma=1.7).values
-    assert rel_err(got, oracle_cz_pressure(v, 1.7)) <= RTOL
+    got = band_pressure(v, m_sigma=1.7)
+    assert rel_err(got, oracle_cz_pressure(full_layout(v), v.grid, 1.7)) <= RTOL
 
 
 @pytest.mark.parametrize("n", [16, 24])
 def test_step_matches_full_oracle(n):
     v = field(n)
     cfg = SolverConfig(viscosity=1.0, dt=2e-3)
-    got = step(v, cfg)
-    assert rel_err(got.coeff, oracle_rk4_step(v.coeff, v.grid, cfg)) <= RTOL
-    assert in_band(got.coeff, v.grid)
+    got = v.grid.band.expand(step(v, cfg).coeff)
+    assert rel_err(got, oracle_rk4_step(full_layout(v), v.grid, cfg)) <= RTOL
 
 
 def test_run_snapshots_hermitian():
+    # every snapshot is the band of a real field: the full ifftn of its
+    # expansion is real to roundoff
     v = field(16, seed=5)
     traj = run(v, SolverConfig(viscosity=1.0, dt=2e-3, t_final=0.02, snapshot_stride=3))
-    for i in range(len(traj)):
-        assert in_band(traj.velocity(i).coeff, v.grid)
+    for c in traj.coeffs:
+        u = np.fft.ifftn(v.grid.band.expand(c), axes=(-3, -2, -1), norm="forward")
+        assert np.abs(u.imag).max() <= RTOL * np.abs(u.real).max()
 
 
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_band_kernels_match_half_spectrum_oracle(n):
     v = field(n)
-    want = half_oracle_nonlinear(v.coeff[..., : n // 2 + 1], HalfOps(v.grid))
-    assert np.array_equal(nonlinear_term(v).coeff, full_spectrum(want))
+    want = half_oracle_nonlinear(half_spectrum(v), HalfOps(v.grid))
+    assert np.array_equal(nonlinear_term(v).coeff, v.grid.band.compact(want))
     for u in (v, field(n, seed=n)):
-        got = band_pressure(u, m_sigma=1.7).values
+        got = band_pressure(u, m_sigma=1.7)
         assert np.array_equal(got, half_oracle_cz_pressure(u, 1.7))
 
 
@@ -289,12 +311,14 @@ def test_band_velocity_matches_irfftn_of_half_spectrum(n):
     v = field(n)
     traj = run(v, SolverConfig(viscosity=1.0, dt=2e-3, t_final=2e-3, snapshot_stride=1))
     band = v.grid.band
-    for i in range(len(traj)):
-        full = traj.velocity(i)
-        u = band.inverse(traj.coeffs[i])
-        assert np.array_equal(u, HalfOps(v.grid).inverse(full.coeff[..., : n // 2 + 1]))
+    for i, c in enumerate(traj.coeffs):
+        full = band.expand(c)
+        u = band.inverse(c)
+        assert np.array_equal(u, HalfOps(v.grid).inverse(full[..., : n // 2 + 1]))
         assert np.array_equal(traj.magnitudes()[i], np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2))
-        assert np.abs(traj.magnitudes()[i] - full.magnitude()).max() <= 1e-14
+        uf = transform_inverse(full)
+        full_magnitude = np.sqrt(uf[0] ** 2 + uf[1] ** 2 + uf[2] ** 2)
+        assert np.abs(traj.magnitudes()[i] - full_magnitude).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [16, 24, 48])
@@ -305,28 +329,17 @@ def test_band_run_matches_half_spectrum_oracle(n, tmp_path):
     cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=6e-3, snapshot_stride=1)
     traj = run(v, cfg)
     ops = HalfOps(v.grid)
-    half, acc = v.coeff[..., : n // 2 + 1], 0.0
+    band = v.grid.band
+    half, acc = half_spectrum(v), 0.0
     for i in range(1, len(traj)):
         half, dd = half_oracle_step(half, ops, cfg)
         acc += dd
-        want = SpectralVelocity(full_spectrum(half), v.grid, traj.times[i])
-        assert np.array_equal(traj.velocity(i).coeff, want.coeff)
-        sha_want = write_checkpoint(tmp_path / f"want{i}", want)
-        sha_got = write_checkpoint(tmp_path / f"got{i}", traj.velocity(i))
+        want = band.compact(half)
+        assert np.array_equal(band.expand(traj.coeffs[i]), full_spectrum(half))
+        sha_want = write_band(tmp_path / f"want{i}", v.grid, want, traj.times[i])
+        sha_got = write_band(tmp_path / f"got{i}", v.grid, traj.coeffs[i], traj.times[i])
         assert sha_got == sha_want
         assert traj.dissipation[i] == pytest.approx(acc, rel=1e-15, abs=0)
-
-
-@pytest.mark.parametrize("n", [16, 24])
-def test_out_of_band_input_is_dropped(n):
-    # step and nonlinear_term see only the band, as run does: modes outside
-    # it do not leak through the linear term
-    wide = wide_field(n)
-    masked = SpectralVelocity(wide.coeff * two_thirds_mask(wide.grid), wide.grid)
-    cfg = SolverConfig(viscosity=1.0, dt=2e-3)
-    assert np.array_equal(step(wide, cfg).coeff, step(masked, cfg).coeff)
-    assert np.array_equal(nonlinear_term(wide).coeff, nonlinear_term(masked).coeff)
-    assert np.abs(step(wide, cfg).coeff * ~two_thirds_mask(wide.grid)).max() == 0.0
 
 
 @pytest.mark.parametrize("plane,mode", [
@@ -343,13 +356,13 @@ def test_dissipation_weights_per_plane(plane, mode):
     x = g.mesh()
     phase = sum(m * xi for m, xi in zip(mode, x))
     u = np.stack([np.cos(phase), np.zeros_like(phase), np.zeros_like(phase)])
-    v0 = SpectralVelocity(transform_forward(u, g), g)
+    v0 = SpectralVelocity(g.band.compact(transform_forward(u)), g)
     nu, t_final = 0.5, 0.01
     cfg = SolverConfig(viscosity=nu, dt=1e-3, t_final=t_final, snapshot_stride=5)
     traj = run(v0, cfg)
     k2 = float(sum(m * m for m in mode))
-    e0 = 0.5 * coeff_l2_norm(v0) ** 2
+    e0 = 0.5 * coeff_l2_norm(g, v0.coeff) ** 2
     decay = np.exp(-2 * nu * k2 * t_final)
-    e_final = 0.5 * coeff_l2_norm(traj.velocity(len(traj) - 1)) ** 2
+    e_final = 0.5 * coeff_l2_norm(g, traj.coeffs[-1]) ** 2
     assert e_final == pytest.approx(e0 * decay, rel=1e-12)
     assert traj.dissipation[-1] == pytest.approx(e0 * (1 - decay), rel=1e-6), plane

@@ -43,7 +43,8 @@ def test_bad_exponent(grid):
 def test_parseval_l2(grid):
     v = make_initial("random_spectrum", grid, seed=1, amplitude=1.0, kmax=4)
     phys = space_norm(v.magnitude(), 2.0, grid)
-    spec = float(np.sqrt(grid.volume * np.sum(np.abs(v.coeff) ** 2)))
+    # summed over the full layout
+    spec = float(np.sqrt(grid.volume * np.sum(np.abs(grid.band.expand(v.coeff)) ** 2)))
     assert abs(phys - spec) <= 1e-10 * spec
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from nsbl import audit as A
 from nsbl import cli
 from nsbl import ledger as L
-from nsbl.checkpoint import MAGIC, CorruptCheckpoint, read_checkpoint, write_checkpoint
+from nsbl.checkpoint import MAGIC, CorruptCheckpoint, read_checkpoint, write_band
 from nsbl.harness import Scenario, canonical_json
 from nsbl.ledger import ExponentParams
 from nsbl.norms import sorted_quantile
@@ -107,7 +107,7 @@ def test_audit_on_degenerate_fields(kind, amplitude, mode, snapshots, sigma, s_v
 def test_truncated_checkpoint(tmp_path_factory, cut):
     path = tmp_path_factory.mktemp("trunc") / "c.nsbl"
     v = make_initial("random_spectrum", GRID, seed=1, amplitude=1.0, kmax=2)
-    sha = write_checkpoint(path, v)
+    sha = write_band(path, GRID, v.coeff, v.t)
     data = path.read_bytes()
     path.write_bytes(data[: cut % len(data)])
     for expect in (None, sha):
@@ -128,7 +128,7 @@ STRUCTURAL = [range(0, len(MAGIC) + 1),
 def test_bit_flipped_checkpoint(tmp_path_factory, position, bit, structural):
     path = tmp_path_factory.mktemp("flip") / "c.nsbl"
     v = make_initial("random_spectrum", GRID, seed=1, amplitude=1.0, kmax=2)
-    sha = write_checkpoint(path, v)
+    sha = write_band(path, GRID, v.coeff, v.t)
     data = bytearray(path.read_bytes())
     if structural:
         offsets = [i for r in STRUCTURAL for i in r]
@@ -181,8 +181,7 @@ def test_sigma_solve_substitutes_back(N, sigma0, s3, theta):
 
 THRESHOLD_TRAJ = Trajectory(
     GRID, SolverConfig(dt=0.01, t_final=0.01, snapshot_stride=1), [0.0, 0.01],
-    [GRID.band.compact(make_initial("random_spectrum", GRID, seed=2, amplitude=1.0,
-                                      kmax=2).coeff)] * 2,
+    [make_initial("random_spectrum", GRID, seed=2, amplitude=1.0, kmax=2).coeff] * 2,
     [0.0, 0.0])
 exponents = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-12, 12))
 

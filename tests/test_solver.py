@@ -6,13 +6,14 @@ import pytest
 
 from nsbl import solver
 from nsbl.audit import check_energy
+from nsbl.harness import Scenario, load_manifest, simulate, trajectory_from_manifest
 from nsbl.norms import space_norm
 from nsbl.spectral import (
+    SpectralBand,
     SpectralVelocity,
     TorusGrid,
+    divergence_max,
     quadratic_products,
-    transform_forward,
-    transform_inverse,
 )
 from nsbl.solver import (
     BadSpec,
@@ -31,12 +32,28 @@ def grid():
 
 
 def coeff_norm(v):
-    return float(np.sqrt(np.sum(np.abs(v.coeff) ** 2)))
+    """The 2-norm of the field's full-layout coefficients (test oracle)."""
+    return float(np.sqrt(np.sum(np.abs(v.grid.band.expand(v.coeff)) ** 2)))
 
 
-def l2_norm(v):
-    """Spatial L2 norm of a full-layout field, from its coefficients."""
-    return float(np.sqrt(v.grid.volume * np.sum(np.abs(v.coeff) ** 2)))
+def l2_norm(grid, coeff):
+    """Spatial L2 norm of a field, from its full-layout coefficients."""
+    return float(np.sqrt(grid.volume * np.sum(np.abs(grid.band.expand(coeff)) ** 2)))
+
+
+def div_max(v):
+    return divergence_max(v.coeff, v.grid.band.wavenumbers)
+
+
+def full_wavenumbers(grid):
+    """k (3, n, n, n) and 1/|k|^2 (zero mode 0) in the full layout (test oracle)."""
+    m = 2 * np.pi / grid.length * grid.freqs.astype(np.float64)
+    k = np.stack(np.meshgrid(m, m, m, indexing="ij"))
+    k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    k2[0, 0, 0] = 1.0
+    inv_k2 = 1.0 / k2
+    inv_k2[0, 0, 0] = 0.0
+    return k, inv_k2
 
 
 def loop_half_space_modes(kmax):
@@ -57,7 +74,7 @@ def loop_half_space_modes(kmax):
 def full_layout_random_spectrum(grid, seed, amplitude, kmax):
     """make_initial("random_spectrum", ...) built in the full (3, n, n, n)
     layout: one draw per mode, the projection and the sup on the full
-    layout, then the band's projection."""
+    layout, then the band's projection; returns the band."""
     rng = np.random.default_rng(seed)
     n = grid.npts
     coeff = np.zeros((3, n, n, n), dtype=np.complex128)
@@ -70,15 +87,36 @@ def full_layout_random_spectrum(grid, seed, amplitude, kmax):
         for comp in range(3):
             coeff[(comp,) + tuple(c % n for c in m)] = vec[comp]
             coeff[(comp,) + tuple(-c % n for c in m)] = np.conj(vec[comp])
-    k, inv_k2 = grid.wavenumbers, grid.inv_k_squared
+    k, inv_k2 = full_wavenumbers(grid)
     project = lambda c, k, inv: c - k * ((k[0] * c[0] + k[1] * c[1] + k[2] * c[2]) * inv)[None]
     coeff = project(coeff, k, inv_k2)
     coeff[:, 0, 0, 0] = 0.0
-    sup = float(np.max(np.sqrt(np.sum(transform_inverse(coeff, grid) ** 2, axis=0))))
+    u = np.fft.ifftn(coeff, axes=(-3, -2, -1), norm="forward").real
+    sup = float(np.max(np.sqrt(np.sum(u**2, axis=0))))
     if sup > 0:
         coeff *= amplitude / sup
     band = grid.band
     coeff = project(band.compact(coeff), band.wavenumbers, band.inv_k_squared)
+    coeff[:, 0, 0, 0] = 0.0
+    return coeff
+
+
+def full_layout_analytic(kind, grid, amplitude):
+    """make_initial's band of an analytic kind, built as before the band was
+    the public layout: the full fftn of the grid values, its band projected,
+    and that band expanded."""
+    x, y, z = grid.mesh()
+    a = amplitude
+    if kind == "beltrami":
+        u = np.stack([a * np.sin(z) + a * np.cos(y), a * np.sin(x) + a * np.cos(z),
+                      a * np.sin(y) + a * np.cos(x)])
+    else:
+        u = np.stack([a * np.sin(x) * np.cos(y) * np.cos(z),
+                      -a * np.cos(x) * np.sin(y) * np.cos(z), np.zeros_like(x)])
+    band = grid.band
+    coeff = band.compact(np.fft.fftn(u, axes=(-3, -2, -1), norm="forward"))
+    k, inv_k2 = band.wavenumbers, band.inv_k_squared
+    coeff -= k * ((k[0] * coeff[0] + k[1] * coeff[1] + k[2] * coeff[2]) * inv_k2)[None]
     coeff[:, 0, 0, 0] = 0.0
     return band.expand(coeff)
 
@@ -110,10 +148,9 @@ class TestInitialData:
     @pytest.mark.parametrize("kind", ["beltrami", "taylor_green", "random_spectrum"])
     def test_divergence_free_real_mean_zero(self, grid, kind):
         v = make_initial(kind, grid, seed=1, amplitude=1.0, kmax=4)
-        assert v.divergence_max() <= 1e-12 * max(1.0, coeff_norm(v))
-        band = grid.band
-        assert np.array_equal(band.expand(band.compact(v.coeff)), v.coeff)
-        u = np.fft.ifftn(v.coeff, axes=(1, 2, 3), norm="forward")
+        assert div_max(v) <= 1e-12 * max(1.0, coeff_norm(v))
+        assert v.coeff.shape == (3,) + grid.band.shape
+        u = np.fft.ifftn(grid.band.expand(v.coeff), axes=(1, 2, 3), norm="forward")
         assert np.abs(u.imag).max() <= 1e-13
         assert np.abs(v.coeff[:, 0, 0, 0]).max() == 0.0
 
@@ -150,12 +187,20 @@ class TestInitialData:
                 got = make_initial("random_spectrum", TorusGrid(n), seed=seed, amplitude=1.5,
                                    kmax=kmax).coeff
                 assert got.tobytes() == want.tobytes(), (seed, kmax)
-                assert got.strides == want.strides
+
+    @pytest.mark.parametrize("kind", ["beltrami", "taylor_green"])
+    @pytest.mark.parametrize("n", [16, 24, 48])
+    def test_analytic_kinds_match_the_full_layout_oracle(self, n, kind):
+        grid = TorusGrid(n)
+        want = grid.band.compact(full_layout_analytic(kind, grid, 1.5))
+        got = make_initial(kind, grid, amplitude=1.5).coeff
+        assert got.tobytes() == want.tobytes()
 
     def test_random_spectrum_builds_no_full_layout_operators(self):
+        # the grid has no full-layout operators left to build
         g = TorusGrid(24)
         make_initial("random_spectrum", g, seed=2, amplitude=1.0, kmax=8)
-        assert not {"wavenumbers", "k_squared", "inv_k_squared"} & set(g.__dict__)
+        assert not any(hasattr(g, name) for name in ("wavenumbers", "k_squared", "inv_k_squared"))
 
     def test_grid_independence(self):
         # same seed and kmax on different grids sample the same continuum
@@ -163,8 +208,9 @@ class TestInitialData:
         # cancels in every scale-invariant ratio
         va = make_initial("random_spectrum", TorusGrid(24), seed=5, amplitude=1.0, kmax=4)
         vb = make_initial("random_spectrum", TorusGrid(32), seed=5, amplitude=1.0, kmax=4)
-        ca = va.coeff[:, 2, 1, -1]
-        cb = vb.coeff[:, 2, 1, -1]
+        # the mode (-2, -1, 1), the band's half of the pair at (2, 1, -1)
+        ca = va.coeff[:, -2, -1, 1]
+        cb = vb.coeff[:, -2, -1, 1]
         ratios = ca / cb
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
         assert abs(ratios[0].imag) < 1e-12
@@ -173,7 +219,7 @@ class TestInitialData:
 
 class TestNonlinearTerm:
     def test_zero(self, grid):
-        v = SpectralVelocity(np.zeros((3, 16, 16, 16), dtype=complex), grid)
+        v = SpectralVelocity(np.zeros((3,) + grid.band.shape, dtype=complex), grid)
         assert np.abs(nonlinear_term(v).coeff).max() == 0.0
 
     def test_beltrami_pure_gradient(self):
@@ -183,14 +229,16 @@ class TestNonlinearTerm:
         assert np.abs(out.coeff).max() <= 1e-10 * coeff_norm(v) ** 2
 
     def test_single_mode_support(self, grid):
-        # one conjugate mode pair at k0: the tendency lives on {0, +-2 k0}
-        c = np.zeros((3, 16, 16, 16), dtype=complex)
+        # one conjugate mode pair at k0: the tendency lives on {0, +-2 k0};
+        # band row -m holds the mode -m
+        rows = grid.band.shape[0]
+        c = np.zeros((3,) + grid.band.shape, dtype=complex)
         c[1, 1, 0, 0] = 0.5
         c[1, -1, 0, 0] = 0.5
         v = SpectralVelocity(c, grid)
         out = nonlinear_term(v).coeff
         hot = np.argwhere(np.abs(out) > 1e-14 * max(1.0, np.abs(out).max()))
-        allowed = {(0, 0, 0), (2, 0, 0), (16 - 2, 0, 0)}
+        allowed = {(0, 0, 0), (2, 0, 0), (rows - 2, 0, 0)}
         assert {tuple(ix[1:]) for ix in hot} <= allowed
 
 
@@ -208,23 +256,23 @@ def test_band_is_alias_free(n):
     # of two band modes (|m_i| <= 2c < 3n/2 - c) aliases onto a kept mode
     c, big = n // 3, 3 * n // 2
     rng = np.random.default_rng(n)
-    coarse = TorusGrid(n)
-    band = coarse.band
-    coeff = band.expand(band.compact(transform_forward(rng.normal(size=(3, n, n, n)), coarse)))
-    modes = np.arange(-c, c + 1)
-    fine = np.zeros((3, big, big, big), dtype=complex)
-    fine[np.ix_(range(3), modes % big, modes % big, modes % big)] = (
-        coeff[np.ix_(range(3), modes % n, modes % n, modes % n)])
-    got = nonlinear_term(SpectralVelocity(coeff, coarse)).coeff
-    want = nonlinear_term(SpectralVelocity(fine, TorusGrid(big))).coeff
-    got = got[np.ix_(range(3), modes % n, modes % n, modes % n)]
-    want = want[np.ix_(range(3), modes % big, modes % big, modes % big)]
+    coarse, fine_grid = TorusGrid(n), TorusGrid(big)
+    values = rng.normal(size=(3, n, n, n))
+    coeff = coarse.band.compact(np.fft.fftn(values, axes=(-3, -2, -1), norm="forward"))
+    # the kept modes at their band indices on either grid: row m mod rows,
+    # k_z planes 0..c
+    modes, planes = np.arange(-c, c + 1), np.arange(c + 1)
+    at = lambda g: np.ix_(range(3), modes % g.band.shape[0], modes % g.band.shape[0], planes)
+    fine = np.zeros((3,) + fine_grid.band.shape, dtype=complex)
+    fine[at(fine_grid)] = coeff[at(coarse)]
+    got = nonlinear_term(SpectralVelocity(coeff, coarse)).coeff[at(coarse)]
+    want = nonlinear_term(SpectralVelocity(fine, fine_grid)).coeff[at(fine_grid)]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestStep:
     def test_zero_fixed_point(self, grid):
-        v = SpectralVelocity(np.zeros((3, 16, 16, 16), dtype=complex), grid)
+        v = SpectralVelocity(np.zeros((3,) + grid.band.shape, dtype=complex), grid)
         out = step(v, SolverConfig(dt=1e-2))
         assert np.abs(out.coeff).max() == 0.0
 
@@ -241,10 +289,10 @@ class TestStep:
     def test_energy_never_increases(self, grid):
         v = make_initial("random_spectrum", grid, seed=7, amplitude=1.0, kmax=4)
         cfg = SolverConfig(viscosity=1.0, dt=1e-3)
-        e = l2_norm(v) ** 2
+        e = l2_norm(grid, v.coeff) ** 2
         for _ in range(20):
             v = step(v, cfg)
-            e_next = l2_norm(v) ** 2
+            e_next = l2_norm(grid, v.coeff) ** 2
             assert e_next <= e * (1 + 1e-8)
             e = e_next
 
@@ -253,9 +301,11 @@ class TestStep:
         cfg = SolverConfig(viscosity=1.0, dt=1e-3)
         for _ in range(10):
             v = step(v, cfg)
-        assert v.divergence_max() <= 1e-12 * max(1.0, coeff_norm(v))
-        band = grid.band
-        assert np.array_equal(band.expand(band.compact(v.coeff)), v.coeff)
+        assert div_max(v) <= 1e-12 * max(1.0, coeff_norm(v))
+        assert v.coeff.shape == (3,) + grid.band.shape
+        # still a real field: its k_z = 0 plane is conjugate-symmetric
+        u = np.fft.ifftn(grid.band.expand(v.coeff), axes=(1, 2, 3), norm="forward")
+        assert np.abs(u.imag).max() <= 1e-13
 
     def test_blowup_flagged(self, grid):
         v = make_initial("random_spectrum", grid, seed=9, amplitude=200.0, kmax=4)
@@ -273,22 +323,22 @@ class TestRun:
         traj = run(v, SolverConfig(dt=1e-3, t_final=0.0))
         assert len(traj) == 1
         assert traj.times == [0.0]
-        assert np.array_equal(traj.coeffs[0], grid.band.compact(v.coeff))
-        assert np.array_equal(traj.velocity(0).coeff, v.coeff)
+        assert np.array_equal(traj.coeffs[0], v.coeff)
+        assert not np.shares_memory(traj.coeffs[0], v.coeff)
 
     def test_beltrami_decay_short(self):
         g = TorusGrid(32)
         v = make_initial("beltrami", g, amplitude=1.0)
         cfg = SolverConfig(viscosity=1.0, dt=1e-3, t_final=0.1, snapshot_stride=25)
         traj = run(v, cfg)
-        final = traj.velocity(len(traj) - 1)
+        final = SpectralVelocity(traj.coeffs[-1], g, traj.times[-1])
         decay = np.exp(-0.1)
         lz = 5.0 / 3.0
         for ell in (2.0, 2 * lz, np.inf):
             ratio = space_norm(final.magnitude(), ell, g) / space_norm(v.magnitude(), ell, g)
             assert ratio == pytest.approx(decay, rel=1e-6), f"norm {ell}"
-        for i in range(len(traj)):
-            assert traj.velocity(i).divergence_max() <= 1e-10
+        for c in traj.coeffs:
+            assert divergence_max(c, g.band.wavenumbers) <= 1e-10
 
     def test_snapshots_include_first_and_last(self, grid):
         v = make_initial("random_spectrum", grid, seed=1, amplitude=0.5, kmax=4)
@@ -302,9 +352,9 @@ class TestRun:
         def residual(dt):
             cfg = SolverConfig(viscosity=1.0, dt=dt, t_final=0.2, snapshot_stride=5)
             traj = run(v0, cfg)
-            e0 = 0.5 * l2_norm(traj.velocity(0)) ** 2
+            e0 = 0.5 * l2_norm(grid, traj.coeffs[0]) ** 2
             return max(
-                abs(0.5 * l2_norm(traj.velocity(i)) ** 2 + traj.dissipation[i] - e0)
+                abs(0.5 * l2_norm(grid, traj.coeffs[i]) ** 2 + traj.dissipation[i] - e0)
                 / e0
                 for i in range(len(traj))
             )
@@ -401,7 +451,8 @@ def per_call_run(v, cfg):
         power = c.real**2 + c.imag**2
         return nu * band.volume * float(np.sum(band.weighted_k_squared * power))
 
-    coeff = band.compact(v.coeff)
+    # the first state in compact's memory order, as run takes it
+    coeff = band.compact(band.expand(v.coeff))
     states, acc, dissipation = [coeff], 0.0, [0.0]
     for _ in range(cfg.validate(v.grid)):
         k1 = nl(coeff)
@@ -460,3 +511,52 @@ class TestWorkspace:
             tracemalloc.stop()
         # every state is kept as a snapshot; beyond them only small objects
         assert peak <= (len(states) - 1) * states[0].nbytes + 64 * 1024
+
+
+@pytest.fixture(scope="module")
+def run_and_reload(request, tmp_path_factory):
+    """One run held in memory, and the same run simulated to checkpoints
+    and read back; 24^3 and 32^3 states lie below numpy's 256 KiB
+    temporary-elision threshold, 48^3 states above it."""
+    n = request.param
+    cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=0.02, snapshot_stride=2)
+    initial = {"kind": "random_spectrum", "seed": 3, "amplitude": 2.0, "kmax": 7}
+    scenario = Scenario(name=f"order{n}", grid_npts=n, solver=cfg, initial=initial)
+    grid = scenario.grid()
+    traj = run(make_initial("random_spectrum", grid, seed=3, amplitude=2.0, kmax=7), cfg)
+    manifest = simulate(scenario, tmp_path_factory.mktemp(f"order{n}"))
+    return traj, trajectory_from_manifest(load_manifest(manifest), manifest.parent)
+
+
+class TestMemoryOrder:
+    """Band sums run in memory order, so the order of every band that a run
+    or a checkpoint read gives is pinned here."""
+
+    @pytest.mark.parametrize("run_and_reload", [24, 32, 48], indirect=True)
+    def test_states_and_reads_in_their_pinned_order(self, run_and_reload):
+        traj, back = run_and_reload
+        band = traj.grid.band
+        n = traj.grid.npts
+        compact = band.compact(np.zeros((3, n, n, n), dtype=complex)).strides
+        c_order = np.zeros((3,) + band.shape, dtype=complex).strides
+        assert traj.coeffs[0].strides == compact
+        # a later state is e * coeff + x, which numpy adds into its temporary
+        # e * coeff, in compact's order, only once that holds 256 KiB; a
+        # smaller sum is a new array in C order
+        later = compact if traj.coeffs[0].nbytes >= 256 * 1024 else c_order
+        assert [c.strides for c in traj.coeffs[1:]] == [later] * (len(traj) - 1)
+        assert [c.strides for c in back.coeffs] == [compact] * len(back)
+        assert SpectralBand.compact_order(traj.coeffs[-1]).strides == compact
+        assert [c.tobytes() for c in back.coeffs] == [c.tobytes() for c in traj.coeffs]
+        assert back.dissipation == traj.dissipation
+
+    @pytest.mark.parametrize("run_and_reload", [
+        pytest.param(24, marks=pytest.mark.xfail(strict=True, reason=(
+            "below n = 34 a run's later states are in C order and a read's in compact's "
+            "order; their energy sums differ in the last digits"))),
+        32,
+        48,
+    ], indirect=True)
+    def test_check_energy_same_in_memory_and_reloaded(self, run_and_reload):
+        traj, back = run_and_reload
+        assert check_energy(traj).as_dict() == check_energy(back).as_dict()

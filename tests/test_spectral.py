@@ -16,7 +16,6 @@ from nsbl.spectral import (
     PAIRS,
     NotDivergenceFree,
     ProductBuffers,
-    ScalarField,
     CPUS,
     ShapeMismatch,
     SpectralVelocity,
@@ -26,8 +25,6 @@ from nsbl.spectral import (
     divergence_max,
     over_snapshots,
     quadratic_products,
-    transform_forward,
-    transform_inverse,
 )
 from nsbl.norms import space_norm
 from nsbl.solver import make_initial
@@ -36,6 +33,19 @@ from nsbl.solver import make_initial
 @pytest.fixture(scope="module")
 def grid():
     return TorusGrid(32)
+
+
+def fftn(values):
+    """Forward-normalized coefficients of real-space data in the full
+    (..., n, n, n) layout: a test oracle."""
+    return np.fft.fftn(values, axes=(-3, -2, -1), norm="forward")
+
+
+def band_limited(n, seed):
+    """Random real-space data on an n^3 grid with only band modes: the
+    band's inverse of the band of noise."""
+    band = TorusGrid(n).band
+    return band.inverse(band.forward(np.random.default_rng(seed).normal(size=(n, n, n))))
 
 
 class TestGrid:
@@ -63,83 +73,96 @@ class TestGrid:
 
 
 class TestTransforms:
+    """The band's pruned transforms; ``test_half_spectrum`` holds them to
+    ``rfftn`` and ``irfftn`` bit for bit."""
+
     def test_constant_field_dc_only(self, grid):
-        c = transform_forward(np.full((32, 32, 32), 2.5), grid)
+        c = grid.band.forward(np.full((32, 32, 32), 2.5))
         assert c[0, 0, 0] == pytest.approx(2.5)
         c[0, 0, 0] = 0
         assert np.abs(c).max() < 1e-13
 
     def test_cosine_pair(self, grid):
+        # band row -1 is the mode m_x = -1
         x, _, _ = grid.mesh()
-        c = transform_forward(np.cos(2 * np.pi * x / grid.length), grid)
+        c = grid.band.forward(np.cos(2 * np.pi * x / grid.length))
         assert abs(c[1, 0, 0] - 0.5) < 1e-13
         assert abs(c[-1, 0, 0] - 0.5) < 1e-13
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_round_trip(self, n):
-        g = TorusGrid(n)
-        rng = np.random.default_rng(n)
-        f = rng.normal(size=(n, n, n))
-        back = transform_inverse(transform_forward(f, g), g)
+        band = TorusGrid(n).band
+        f = band_limited(n, n)
+        back = band.inverse(band.forward(f))
         assert np.abs(back - f).max() <= 1e-12 * np.abs(f).max()
 
     def test_parseval(self, grid):
-        rng = np.random.default_rng(5)
-        f = rng.normal(size=(32, 32, 32))
-        c = transform_forward(f, grid)
+        f = band_limited(32, 5)
         phys = np.sum(f**2) / 32**3
-        spec = np.sum(np.abs(c) ** 2)
+        spec = grid.band.sum_squares(grid.band.forward(f))
         assert abs(phys - spec) <= 1e-12 * phys
 
-    def test_shape_mismatch(self, grid):
-        with pytest.raises(ShapeMismatch):
-            transform_forward(np.zeros((16, 16, 16)), grid)
+
+class TestSpectralVelocity:
+    def test_rejects_full_layout(self, grid):
+        # the band's shape is named, so the message says what to pass
+        for shape in [(3, 32, 32, 32), (3, 16, 16, 16), (2,) + grid.band.shape]:
+            with pytest.raises(ShapeMismatch, match=r"2/3-rule band's \(3, 21, 21, 11\)"):
+                SpectralVelocity(np.zeros(shape, dtype=complex), grid)
+
+    def test_components_are_the_band_inverse(self, grid):
+        v = make_initial("random_spectrum", grid, seed=1, amplitude=1.0, kmax=4)
+        u = grid.band.inverse(v.coeff)
+        assert np.array_equal(v.components(), u)
+        assert np.array_equal(v.magnitude(), np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2))
 
 
-def project_full(coeff, grid):
-    """The projection of a copy of coeff on the full layout, with the
-    grid's operators."""
-    return _project(np.array(coeff, dtype=complex), grid.wavenumbers, grid.inv_k_squared)
+def project_band(coeff, grid):
+    """The projection of a copy of band coefficients, with the band's
+    operators."""
+    band = grid.band
+    return _project(np.array(coeff, dtype=complex), band.wavenumbers, band.inv_k_squared)
+
+
+def random_band(grid, seed):
+    """Arbitrary complex data of the band's shape (3, *grid.band.shape)."""
+    rng = np.random.default_rng(seed)
+    shape = (3,) + grid.band.shape
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 class TestLerayProjection:
-    """The projection onto divergence-free fields, on the full layout."""
+    """The projection onto divergence-free fields, on the band."""
 
     def test_divergence_free_unchanged(self, grid):
         v = make_initial("beltrami", grid)
-        assert np.abs(project_full(v.coeff, grid) - v.coeff).max() < 1e-14
+        assert np.abs(project_band(v.coeff, grid) - v.coeff).max() < 1e-14
 
     def test_gradient_killed(self, grid):
         rng = np.random.default_rng(2)
-        phi = transform_forward(rng.normal(size=(32, 32, 32)), grid)
-        k = grid.wavenumbers
+        phi = grid.band.forward(rng.normal(size=(32, 32, 32)))
+        k = grid.band.wavenumbers
         gradient = 1j * k * phi[None]
-        out = project_full(gradient, grid)
+        out = project_band(gradient, grid)
         assert np.abs(out).max() < 1e-12 * np.abs(gradient).max()
 
     def test_idempotent(self, grid):
-        rng = np.random.default_rng(3)
-        c = rng.normal(size=(3, 32, 32, 32)) + 1j * rng.normal(size=(3, 32, 32, 32))
-        once = project_full(c, grid)
-        twice = project_full(once, grid)
+        once = project_band(random_band(grid, 3), grid)
+        twice = project_band(once, grid)
         assert np.abs(twice - once).max() <= 1e-14
 
     def test_self_adjoint(self, grid):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(3, 32, 32, 32)) + 1j * rng.normal(size=(3, 32, 32, 32))
-        b = rng.normal(size=(3, 32, 32, 32)) + 1j * rng.normal(size=(3, 32, 32, 32))
-        pa = project_full(a, grid)
-        pb = project_full(b, grid)
+        a, b = random_band(grid, 4), random_band(grid, 40)
+        pa = project_band(a, grid)
+        pb = project_band(b, grid)
         ip1 = np.sum(pa * np.conj(b))
         ip2 = np.sum(a * np.conj(pb))
         assert abs(ip1 - ip2) <= 1e-12 * max(1.0, abs(ip1))
 
     def test_projected_divergence(self, grid):
-        rng = np.random.default_rng(6)
-        c = rng.normal(size=(3, 32, 32, 32)) + 1j * rng.normal(size=(3, 32, 32, 32))
-        out = project_full(c, grid)
+        out = project_band(random_band(grid, 6), grid)
         norm = np.sqrt(np.sum(np.abs(out) ** 2))
-        assert divergence_max(out, grid.wavenumbers) <= 1e-12 * norm
+        assert divergence_max(out, grid.band.wavenumbers) <= 1e-12 * norm
 
 
 def band_pressure(c, grid, m_sigma=1.0):
@@ -149,43 +172,39 @@ def band_pressure(c, grid, m_sigma=1.0):
 
 
 def pressure(v, m_sigma=1.0):
-    """cz_pressure of a full-layout field, through its band."""
-    return band_pressure(v.grid.band.compact(v.coeff), v.grid, m_sigma)
+    """cz_pressure of a velocity."""
+    return band_pressure(v.coeff, v.grid, m_sigma)
 
 
 class TestPressure:
     def test_zero_velocity(self, grid):
         p = band_pressure(np.zeros((3,) + grid.band.shape, dtype=complex), grid)
-        assert np.all(p.values == 0)
+        assert np.all(p == 0)
 
     def test_beltrami_closed_form(self, grid):
         v = make_initial("beltrami", grid, amplitude=1.0)
         p = pressure(v, m_sigma=1.0)
         u2 = v.magnitude() ** 2
         closed = -(u2 / 2 - u2.mean() / 2)
-        assert np.abs(p.values - closed).max() <= 1e-8
+        assert np.abs(p - closed).max() <= 1e-8
 
     def test_zero_mean_mode(self, grid):
         # the operator zeroes the mean mode by construction; going back
         # through physical space only leaves transform roundoff
         v = make_initial("random_spectrum", grid, seed=9, amplitude=2.0)
         p = pressure(v)
-        c = transform_forward(p.values, grid)
-        assert abs(c[0, 0, 0]) <= 1e-15 * np.abs(p.values).max()
+        c = fftn(p)
+        assert abs(c[0, 0, 0]) <= 1e-15 * np.abs(p).max()
 
     def test_not_divergence_free_rejected(self, grid):
-        rng = np.random.default_rng(7)
-        c = rng.normal(size=(3, 32, 32, 32)) + 1j * rng.normal(size=(3, 32, 32, 32))
         with pytest.raises(NotDivergenceFree):
-            pressure(SpectralVelocity(c, grid))
+            pressure(SpectralVelocity(random_band(grid, 7), grid))
 
     @pytest.mark.parametrize("plane", [0, 1, 10])
     def test_band_divergence_checked_on_every_plane(self, grid, plane):
         # a gradient mode u_x ~ cos(x + z k_z) on an otherwise solenoidal
         # band: the k_z = 0 plane, an interior plane and the last kept plane
-        band = grid.band
-        v = make_initial("random_spectrum", grid, seed=5, amplitude=1.0)
-        c = band.compact(v.coeff)
+        c = make_initial("random_spectrum", grid, seed=5, amplitude=1.0).coeff
         band_pressure(c, grid)
         c[0, 1, 0, plane] += 1e-6
         with pytest.raises(NotDivergenceFree):
@@ -196,8 +215,7 @@ class TestPressure:
         # k . c is measured in integer mode numbers: a solenoidal field
         # passes and a gradient mode u_x = 2e-6 cos(x) is refused on any box
         g = TorusGrid(16, length)
-        c = g.band.compact(make_initial("random_spectrum", g, seed=3, amplitude=1.0,
-                                        kmax=4).coeff)
+        c = make_initial("random_spectrum", g, seed=3, amplitude=1.0, kmax=4).coeff
         band_pressure(c, g)
         c[0, 1, 0, 0] += 1e-6
         c[0, -1, 0, 0] += 1e-6
@@ -205,12 +223,21 @@ class TestPressure:
             band_pressure(c, g)
 
     def test_full_layout_rejected(self, grid):
-        v = make_initial("beltrami", grid, amplitude=1.0)
+        c = make_initial("beltrami", grid, amplitude=1.0).coeff
+        full = grid.band.expand(c)
         with pytest.raises(ShapeMismatch):
-            cz_pressure(v.coeff, v.components(), grid)
-        c = grid.band.compact(v.coeff)
+            cz_pressure(full, np.fft.ifftn(full, axes=(1, 2, 3), norm="forward").real, grid)
         with pytest.raises(ShapeMismatch):
             cz_pressure(c, grid.band.inverse(c)[:2], grid)
+
+    def test_non_finite_pressure_rejected(self, grid):
+        # a NaN in the velocity the caller formed reaches every product
+        c = make_initial("beltrami", grid, amplitude=1.0).coeff
+        u = grid.band.inverse(c)
+        cz_pressure(c, u, grid)
+        u[0, 3, 4, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            cz_pressure(c, u, grid)
 
     def test_rescaling_invariance(self, grid):
         # both sides of the bound scale like amplitude^2
@@ -234,18 +261,9 @@ class TestPressure:
 
 def _pressure_ratio(v, s):
     p = pressure(v)
-    num = space_norm(p.values, s, v.grid)
+    num = space_norm(p, s, v.grid)
     den = space_norm(v.magnitude(), 2 * s, v.grid) ** 2
     return num / den
-
-
-def test_scalar_field_validation(grid):
-    with pytest.raises(ShapeMismatch):
-        ScalarField(np.zeros((16, 16, 16)), grid)
-    bad = np.zeros((32, 32, 32))
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
-        ScalarField(bad, grid)
 
 
 class TestOverSnapshots:
@@ -330,7 +348,7 @@ class TestQuadraticKernel:
         """Random band coefficients of a real field on an n^3 grid."""
         g = TorusGrid(n)
         values = np.random.default_rng(n).normal(size=(3, n, n, n))
-        return g, g.band.compact(transform_forward(values, g))
+        return g, g.band.compact(fftn(values))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [16, 24, 32])
@@ -362,12 +380,11 @@ class TestQuadraticKernel:
         # kernel runs inline there, so only the snapshot chunks are submitted
         snapshot_workers(2)
         grid = TorusGrid(16)
-        coeffs = [grid.band.compact(make_initial("random_spectrum", grid, seed=s,
-                                                 amplitude=1.0, kmax=4).coeff)
+        coeffs = [make_initial("random_spectrum", grid, seed=s, amplitude=1.0, kmax=4).coeff
                   for s in range(4)]
-        want = [band_pressure(c, grid).values for c in coeffs]
+        want = [band_pressure(c, grid) for c in coeffs]
         submits = pool_submits(monkeypatch)
-        got = over_snapshots(lambda i: band_pressure(coeffs[i], grid).values, len(coeffs))
+        got = over_snapshots(lambda i: band_pressure(coeffs[i], grid), len(coeffs))
         assert submits == [threading.main_thread()] * 2
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
