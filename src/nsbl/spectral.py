@@ -20,20 +20,25 @@ data only.
 
 Threads.  ``over_snapshots`` splits an audit's per-snapshot passes, and
 ``quadratic_products`` (the solver's nonlinear term and the pressure) its
-x-slabs, into one contiguous chunk per usable CPU on one pool.  From any
-thread but the main one (a suite's workers, a snapshot chunk) both run
-inline, so threads never nest.  The chunks compute per-snapshot values or
-whole 1-D transform lines, so no result depends on the CPU count.  A run
-passes the kernel one set of ``ProductBuffers`` for all its steps; the
-pressure, solved on many threads at once, allocates its own per call.
+x-slabs, into one contiguous chunk per usable CPU on one team of threads,
+each parked on a raw lock until the main thread hands it a chunk; the
+team starts on first use, never on import.  From any thread but the main
+one (a suite's workers, a snapshot chunk) both run inline, so threads
+never nest.  The chunks compute per-snapshot values or whole 1-D
+transform lines, so no result depends on the CPU count.  Every numpy call
+releases and retakes the GIL, so the kernel batches: a slab walks
+x-blocks that fit in L2 and transforms the six products of a block in one
+call per stage.  A run passes the kernel one set of ``ProductBuffers`` for
+all its steps; the pressure, solved on many threads at once, allocates
+its own per call.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,10 +67,8 @@ LENGTH_RANGE = (1e-30, 1e30)
 
 
 # CPUs this process may run on: an audit splits its snapshots, and the
-# quadratic kernel its x-slabs, into this many chunks.  The pool starts
-# its threads on first use, not on import.
+# quadratic kernel its x-slabs, into this many chunks.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_POOL = ThreadPoolExecutor(CPUS, thread_name_prefix="nsbl-snapshots")
 
 # At most one malloc arena per usable CPU, not glibc's eight: nsbl never
 # has more than CPUS threads busy at once, so more arenas add no speed.
@@ -79,22 +82,102 @@ except (AttributeError, OSError, TypeError):
     pass
 
 
-def _over_chunks(fn, n: int) -> list:
-    """[fn(chunk) for each chunk], range(n) cut into contiguous chunks, one
-    per usable CPU, each run on the module's pool while the caller waits.
+class _Team:
+    """``size`` persistent threads, each parked on a raw lock of its own.
 
-    Called from any thread but the main one (a suite's workers, or a chunk
-    of an outer fan-out), it runs fn(range(n)) inline, so threads never
-    nest.  Every chunk ends before an error is raised, and the error raised
-    is the one of the first chunk that failed.
+    ``run`` hands chunk k to thread k by releasing that thread's lock and
+    then takes one done-lock per chunk: two lock hand-offs per chunk, where
+    a pool's futures cost a condition variable and a queue each.  Only one
+    thread at a time may call ``run``; ``_over_chunks`` calls it from the
+    main thread only.
     """
+
+    def __init__(self, size: int):
+        self._go = [threading.Lock() for _ in range(size)]
+        self._done = [threading.Lock() for _ in range(size)]
+        # (fn, chunk) handed to each thread, then (ok, value) back; None to stop
+        self._slots: list = [None] * size
+        for lock in self._go + self._done:
+            lock.acquire()
+        self._threads = [threading.Thread(target=self._serve, args=(k,), daemon=True,
+                                          name=f"nsbl-team-{k}") for k in range(size)]
+        for t in self._threads:
+            t.start()
+
+    def _serve(self, k: int):
+        go, done, slots = self._go[k], self._done[k], self._slots
+        while True:
+            go.acquire()
+            work = slots[k]
+            if work is None:
+                return
+            try:
+                slots[k] = (True, work[0](work[1]))
+            except BaseException as exc:  # handed back to the caller
+                slots[k] = (False, exc)
+            # a parked thread holds no reference to the chunk's function,
+            # which may hold a whole audit's arrays
+            del work
+            done.release()
+
+    def _start(self, k: int, fn, chunk):
+        self._slots[k] = (fn, chunk)
+        self._go[k].release()
+
+    def run(self, fn, chunks: list) -> list:
+        """[fn(chunk) for chunk in chunks], chunk k on thread k; every chunk
+        ends before the first failed chunk's error, in chunk order, is raised."""
+        for k, chunk in enumerate(chunks):
+            self._start(k, fn, chunk)
+        waited = 0
+        try:
+            for done in self._done[: len(chunks)]:
+                done.acquire()
+                waited += 1
+        finally:
+            # interrupted (say by Ctrl-C): the threads still finish their chunks
+            for done in self._done[waited : len(chunks)]:
+                done.acquire()
+        outcomes, self._slots[: len(chunks)] = self._slots[: len(chunks)], [None] * len(chunks)
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+        return [value for _, value in outcomes]
+
+    def close(self):
+        """Let every parked thread end; the team takes no more chunks."""
+        for go in self._go:
+            go.release()
+
+
+# the team of ``_over_chunks``, started on first use, never on import
+_TEAM: _Team | None = None
+
+
+def _chunks(n: int) -> list:
+    """range(n) as ``_over_chunks`` cuts it on the calling thread: one
+    contiguous chunk per usable CPU on the main thread, one chunk on any
+    other, so threads never nest."""
+    if threading.current_thread() is not threading.main_thread():
+        return [range(n)]
     bounds = [n * k // CPUS for k in range(CPUS + 1)]
-    chunks = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    if len(chunks) < 2 or threading.current_thread() is not threading.main_thread():
-        return [fn(range(n))]
-    futures = [_POOL.submit(fn, chunk) for chunk in chunks]
-    wait(futures)
-    return [f.result() for f in futures]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b] or [range(n)]
+
+
+def _over_chunks(fn, n: int) -> list:
+    """[fn(chunk) for chunk in _chunks(n)], each chunk run on a thread of the
+    module's team while the caller waits; a single chunk runs inline.
+
+    Every chunk ends before an error is raised, and the error raised is the
+    one of the first chunk that failed.
+    """
+    global _TEAM
+    chunks = _chunks(n)
+    if len(chunks) < 2:
+        return [fn(chunks[0])]
+    if _TEAM is None:
+        _TEAM = _Team(CPUS)
+    return _TEAM.run(fn, chunks)
 
 
 def over_snapshots(fn, nt: int) -> list:
@@ -315,25 +398,55 @@ class SpectralBand:
 PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
+# x-blocks of at most this many grid cells, sized to a core's L2 cache: 16
+# x-planes at 32^3, 7 at 48^3
+BLOCK_CELLS = 16384
+
+
+def _block_width(n: int) -> int:
+    return max(1, BLOCK_CELLS // (n * n))
+
+
+def _prefix(flat: np.ndarray | None, *shape: int) -> np.ndarray | None:
+    """The first prod(shape) entries of a 1-D array as an array of that
+    shape, contiguous for any block width; None for None."""
+    return None if flat is None else flat[: math.prod(shape)].reshape(shape)
+
+
 class ProductBuffers:
     """The arrays of a ``quadratic_products`` call on a band, for every later
-    call on the same band and thread to reuse; each slab takes its x-rows.
+    call on the same band and thread to reuse.
 
     ``stages`` (6, n, 2c+1, c+1) holds the x-stage of the velocity and
-    then the products between their x- and y-stages; ``padded`` and
-    ``velocity`` the velocity's y-padding and grid values; ``product`` and
-    ``spectrum`` one product's grid values and rfft along z; ``out`` the
-    products' band, the return value.
+    then the products between their x- and y-stages, and ``out`` the
+    products' band, the return value; each slab takes its x-rows of both.
+    Each slab also has one block of its own: the six products' grid values
+    and their rfft along z for one x-block, so their size does not grow
+    with the grid.  The block's velocity lives in the last three product
+    rows and its y-padding in the rfft's memory, each overwritten only once
+    it is used.
     """
 
     def __init__(self, band: SpectralBand):
-        n, rows, planes = band.npts, band.shape[0], band.planes
-        self.stages = np.empty((len(PAIRS), n, rows, planes), dtype=np.complex128)
-        self.padded = np.zeros((3, n, n, planes), dtype=np.complex128)
-        self.velocity = np.empty((3, n, n, n))
-        self.product = np.empty((n, n, n))
-        self.spectrum = np.empty((n, n, n // 2 + 1), dtype=np.complex128)
+        n = self.npts = band.npts
+        self.stages = np.empty((len(PAIRS), n) + band.shape[1:], dtype=np.complex128)
         self.out = np.empty((len(PAIRS),) + band.shape, dtype=np.complex128)
+        # the blocks of the slabs this thread will use, made with the rest:
+        # made inside the slabs, on the team's threads, they left the main
+        # heap fragmented after a run, and a later peak 5 MB higher
+        self._blocks: dict[int, tuple] = {}
+        for xs in _chunks(n):
+            self.block(xs, min(_block_width(n), len(xs)))
+
+    def block(self, xs: range, width: int) -> tuple:
+        """Flat (products, spectra) for blocks of up to ``width`` x-planes of
+        the slab ``xs``, kept by its start."""
+        n = self.npts
+        size = len(PAIRS) * width * n * n
+        if xs.start not in self._blocks or self._blocks[xs.start][0].size < size:
+            self._blocks[xs.start] = (np.empty(size), np.empty(
+                len(PAIRS) * width * n * (n // 2 + 1), dtype=np.complex128))
+        return self._blocks[xs.start]
 
 
 def quadratic_products(coeff: np.ndarray, band: SpectralBand,
@@ -343,35 +456,55 @@ def quadratic_products(coeff: np.ndarray, band: SpectralBand,
 
     ``coeff`` holds the velocity's band coefficients; a caller that has
     formed ``velocity = band.inverse(coeff)`` already passes it too.  After
-    the x-stage of the inverse, ``_over_chunks`` shares out x-slabs; each
-    slab forms its velocity, then each product in turn, and transforms the
-    product along z and y.  The x-stage of the forward transforms comes
-    last.  Every 1-D line is one that ``band.inverse`` or ``band.forward``
-    transforms, so no result depends on the number of slabs.
+    the x-stage of the inverse, ``_over_chunks`` shares out x-slabs.  A slab
+    walks x-blocks of at most ``BLOCK_CELLS`` grid cells; each block forms
+    its velocity in one y/z inverse of the three components, the six
+    products in four multiplies, and transforms all six along z and y at
+    once: 12 numpy calls a block, each one releasing the GIL, where a slab
+    took 34 one field at a time.  The x-stage of the forward transforms
+    comes last.  Every 1-D line is one that ``band.inverse`` or
+    ``band.forward`` transforms, so no result depends on the number of
+    slabs or blocks.
 
     With ``buffers`` the call writes into them and returns ``buffers.out``.
     Without, it allocates each array only where it needs it, as the
     pressure does, on many threads at once: arrays held for the whole call
-    raised an audit's peak memory.
+    raised an audit's peak memory.  Its blocks are narrower for the same
+    reason.
     """
-    n, b = band.npts, buffers
+    n, b, planes = band.npts, buffers, band.planes
     stages = b.stages if b else np.empty((len(PAIRS), n) + band.shape[1:], dtype=np.complex128)
     if velocity is None:
         # the x-stage of the inverse, in the rows that the products take
-        # later: a slab reads its rows of it before it writes any product
+        # later: a block reads its rows of it before it writes any product
         stages[:3, band.cut + 1 : n - band.cut] = 0
         band._inverse_x(coeff, stages[:3])
+    width = _block_width(n)
+    if not b:
+        # the pressure, solved on many threads at once, takes at most n//6
+        # x-planes a block: its six products then hold no more than one
+        # product of the whole grid, so an audit's peak memory does not grow
+        width = max(1, min(width, n // len(PAIRS)))
 
     def slab(xs):
-        x = slice(xs.start, xs.stop)
-        if velocity is None:
-            u = band._inverse_yz(stages[:3, x], b and b.padded[:, x], b and b.velocity[:, x])
-        else:
-            u = velocity[:, x]
-        prod = b.product[x] if b else np.empty(u.shape[1:])
-        for p, (i, j) in enumerate(PAIRS):
-            np.multiply(u[i], u[j], out=prod)
-            band._forward_zy(prod, stages[p, x], b and b.spectrum[x])
+        m = min(width, len(xs))
+        prod, spectrum = b.block(xs, m) if b else (np.empty(len(PAIRS) * m * n * n), None)
+        for x0 in range(xs.start, xs.stop, m):
+            x = slice(x0, min(x0 + m, xs.stop))
+            k = x.stop - x0
+            p = _prefix(prod, len(PAIRS), k, n, n)
+            if velocity is None:
+                u = band._inverse_yz(stages[:3, x], _prefix(spectrum, 3, k, n, planes), p[3:])
+            else:
+                u = velocity[:, x]
+            # in PAIRS order, each product row written once the velocity
+            # component it may hold is used: u0 u0, u0 u1, u0 u2 from one
+            # broadcast, then u1 u1 over u0, u1 u2 over u1, u2 u2 over u2
+            np.multiply(u[0], u, out=p[:3])
+            np.multiply(u[1], u[1], out=p[3])
+            np.multiply(u[1], u[2], out=p[4])
+            np.multiply(u[2], u[2], out=p[5])
+            band._forward_zy(p, stages[:, x], _prefix(spectrum, len(PAIRS), k, n, n // 2 + 1))
 
     _over_chunks(slab, n)
     return band._forward_x(stages, b and b.out)

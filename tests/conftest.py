@@ -1,5 +1,3 @@
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 from hypothesis import settings
 
@@ -14,14 +12,18 @@ settings.load_profile("nsbl")
 @pytest.fixture
 def snapshot_workers(monkeypatch):
     """``set_workers(n)`` makes ``over_snapshots`` split the snapshots into
-    n chunks on a pool of n threads, as on a machine with n usable CPUs."""
-    pools = []
+    n chunks on a team of n threads, as on a machine with n usable CPUs.
+    Every team it starts is closed after the test."""
+    teams = []
 
     def set_workers(n):
-        pools.append(ThreadPoolExecutor(n))
+        teams.append(spectral._Team(n))
         monkeypatch.setattr(spectral, "CPUS", n)
-        monkeypatch.setattr(spectral, "_POOL", pools[-1])
+        monkeypatch.setattr(spectral, "_TEAM", teams[-1])
 
     yield set_workers
-    for pool in pools:
-        pool.shutdown()
+    for team in teams:
+        team.close()
+        for thread in team._threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()

@@ -309,6 +309,25 @@ class TestOverSnapshots:
             over_snapshots(fn, 6)
         assert sorted(ended) == [0, 1, 2, 3, 4, 5]
 
+    def test_team_after_a_failed_chunk(self, snapshot_workers):
+        # chunks [0, 1), [1, 2), [2, 3): the first and last fail, the
+        # first chunk's error is raised once the slow middle one has ended,
+        # and the same team then runs the next fan-out
+        snapshot_workers(3)
+        ended = []
+
+        def fn(i):
+            if i == 1:
+                time.sleep(0.05)
+            ended.append(i)
+            if i != 1:
+                raise KeyError(i)
+
+        with pytest.raises(KeyError) as err:
+            over_snapshots(fn, 3)
+        assert err.value.args == (0,) and sorted(ended) == [0, 1, 2]
+        assert over_snapshots(lambda i: -i, 3) == [0, -1, -2]
+
     def test_many_workers_fast_switching(self, snapshot_workers):
         # more threads than CPUs, switching every microsecond: every snapshot
         # is computed once, into its own slot, and comes back in order
@@ -328,18 +347,18 @@ class TestOverSnapshots:
         assert slots.tolist() == [float(i) for i in range(64)]
 
 
-def pool_submits(monkeypatch):
-    """The threads that submit work to ``spectral._POOL``, in order."""
-    submits = []
-    pool = spectral._POOL
-    submit = pool.submit
+def team_handoffs(monkeypatch):
+    """The threads that hand chunks to ``spectral._TEAM``, one entry a chunk, in order."""
+    handoffs = []
+    team = spectral._TEAM
+    start = team._start
 
-    def counting(fn, *args):
-        submits.append(threading.current_thread())
-        return submit(fn, *args)
+    def counting(k, fn, chunk):
+        handoffs.append(threading.current_thread())
+        return start(k, fn, chunk)
 
-    monkeypatch.setattr(pool, "submit", counting)
-    return submits
+    monkeypatch.setattr(team, "_start", counting)
+    return handoffs
 
 
 class TestQuadraticKernel:
@@ -351,9 +370,11 @@ class TestQuadraticKernel:
         return g, g.band.compact(fftn(values))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("n", [16, 24, 32])
+    @pytest.mark.parametrize("n", [16, 24, 32, 48])
     def test_matches_per_field_rfftn_oracle(self, snapshot_workers, workers, n):
-        # 16, 32 with 3 workers: slabs of unequal width
+        # 16, 32 with 3 workers: slabs of unequal width; 48: blocks of 7
+        # x-planes, so slabs of 48, 24 and 16 planes each end in a shorter
+        # block, on both the buffered and the velocity-given (pressure) path
         snapshot_workers(workers)
         g, coeff = self.band_field(n)
         band = g.band
@@ -366,27 +387,42 @@ class TestQuadraticKernel:
         buffers = ProductBuffers(band)
         for _ in range(2):
             assert np.array_equal(quadratic_products(coeff, band, buffers=buffers), want)
+        # the same buffers off the main thread: one slab, its block as wide
+        # as the grid allows, not as the first slab was
+        with ThreadPoolExecutor(1) as outer:
+            got = outer.submit(quadratic_products, coeff, band, buffers=buffers).result()
+        assert np.array_equal(got, want)
 
     def test_one_slab_per_cpu_from_the_main_thread(self, snapshot_workers, monkeypatch):
         snapshot_workers(3)
-        submits = pool_submits(monkeypatch)
+        handoffs = team_handoffs(monkeypatch)
         g, coeff = self.band_field(16)
         quadratic_products(coeff, g.band)
-        assert submits == [threading.main_thread()] * 3
+        assert handoffs == [threading.main_thread()] * 3
 
     def test_cz_pressure_in_a_snapshot_worker_submits_nothing(self, snapshot_workers,
                                                               monkeypatch):
         # the audit solves the pressure inside over_snapshots' workers: the
-        # kernel runs inline there, so only the snapshot chunks are submitted
+        # kernel runs inline there, so only the snapshot chunks are handed out
         snapshot_workers(2)
         grid = TorusGrid(16)
         coeffs = [make_initial("random_spectrum", grid, seed=s, amplitude=1.0, kmax=4).coeff
                   for s in range(4)]
         want = [band_pressure(c, grid) for c in coeffs]
-        submits = pool_submits(monkeypatch)
+        handoffs = team_handoffs(monkeypatch)
         got = over_snapshots(lambda i: band_pressure(coeffs[i], grid), len(coeffs))
-        assert submits == [threading.main_thread()] * 2
+        assert handoffs == [threading.main_thread()] * 2
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_import_starts_no_thread():
+    # the team starts on first use: a process may still fork after import
+    src = str(Path(nsbl.__file__).resolve().parent.parent)
+    probe = "import threading, nsbl.cli; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1"
 
 
 # Run in a fresh interpreter: CPUS + 2 threads each hold arrays at the same
