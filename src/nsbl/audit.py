@@ -249,9 +249,9 @@ class FieldStats:
     pressure ratios of each tuple of exponents s, and the space-time norms
     and log-weighted integrals of these, memoized per (kind, quantity name,
     exponent).
-    Every check that takes a trajectory also takes a FieldStats, whose
-    m_sigma then stands in for the ``m_sigma`` argument; run_audit builds one
-    per trajectory and passes it to every check.
+    Every check that takes a trajectory also takes a FieldStats, which is
+    where its m_sigma comes from (a bare trajectory means m_sigma = 1);
+    run_audit builds one per trajectory and passes it to every check.
     """
 
     traj: Trajectory
@@ -312,18 +312,18 @@ class FieldStats:
         return self._memo[key]
 
 
-def _field_stats(traj, m_sigma: float = 1.0) -> FieldStats:
-    """The memo itself, or a fresh one for a bare trajectory."""
+def _field_stats(traj) -> FieldStats:
+    """The memo itself, or a fresh one, at m_sigma = 1, for a bare trajectory."""
     if isinstance(traj, FieldStats):
         return traj
-    return FieldStats(traj, m_sigma)
+    return FieldStats(traj)
 
 
-def build_scaled_psi(traj: Trajectory | FieldStats, r: float, m_sigma: float = 1.0) -> ScaledPsi:
+def build_scaled_psi(traj: Trajectory | FieldStats, r: float) -> ScaledPsi:
     """psi = |u|^2 normalized by its space-time r-norm."""
     if not r > 1:
         raise BadExponents(f"need r > 1, got {r}")
-    stats = _field_stats(traj, m_sigma)
+    stats = _field_stats(traj)
     grid, times = stats.grid, stats.times
     if len(times) == 0:
         raise DegenerateField("empty trajectory")
@@ -367,7 +367,6 @@ def estimate_threshold(
     traj: Trajectory | FieldStats,
     params: ExponentParams,
     ell: float,
-    m_sigma: float = 1.0,
 ) -> float:
     """Threshold guaranteed to dominate the normalized field per the
     estimate chain, assembled from measured norms with generic constants
@@ -377,7 +376,7 @@ def estimate_threshold(
                          float(params.alpha), float(params.b))
     if not ell > r:
         raise BadExponents(f"need ell > r, got ell = {ell}, r = {r}")
-    stats = _field_stats(traj, m_sigma)
+    stats = _field_stats(traj)
     m_sigma = stats.m_sigma
     mags = stats.magnitudes()
     u2q = stats.norm(mags, 2 * q)
@@ -443,7 +442,6 @@ def check_recursion(
     sp: ScaledPsi,
     traj: Trajectory | FieldStats,
     params: ExponentParams,
-    m_sigma: float = 1.0,
     dominating_ladder: Optional[LevelSetLadder] = None,
 ) -> CheckRecord:
     """Fit the smallest c with y_{n+1} <= c 4^n M^2 ||u||_{2q}^4/(k A_r) y_n^(1+a).
@@ -454,7 +452,7 @@ def check_recursion(
     """
     a = float(params.alpha)
     q = float(params.q)
-    stats = _field_stats(traj, m_sigma)
+    stats = _field_stats(traj)
     m_sigma = stats.m_sigma
     u2q = stats.norm(stats.magnitudes(), 2 * q)
     try:
@@ -568,8 +566,7 @@ def _velocity_pass(traj: Trajectory, s_values: tuple, m_sigma: float = 1.0,
     return m_sigma, rows
 
 
-def check_pressure(traj: Trajectory | FieldStats, s_values,
-                   m_sigma: float = 1.0) -> list[CheckRecord]:
+def check_pressure(traj: Trajectory | FieldStats, s_values) -> list[CheckRecord]:
     """Per-snapshot ratios ||p||_s / (M^2 ||u||_{2s}^2), one record per s;
     the max over snapshots is c_s.
 
@@ -581,7 +578,7 @@ def check_pressure(traj: Trajectory | FieldStats, s_values,
     for s in s_values:
         if not s > 1:
             raise BadExponents(f"need s > 1, got {s}")
-    stats = _field_stats(traj, m_sigma)
+    stats = _field_stats(traj)
     per_snapshot = stats.pressure_rows(s_values)
     for i, row in enumerate(per_snapshot):
         if isinstance(row, NotDivergenceFree):
@@ -597,10 +594,9 @@ def check_pressure(traj: Trajectory | FieldStats, s_values,
     ]
 
 
-def check_interpolation(traj: Trajectory | FieldStats, ell: float, r: float,
-                        m_sigma: float = 1.0) -> CheckRecord:
+def check_interpolation(traj: Trajectory | FieldStats, ell: float, r: float) -> CheckRecord:
     """Interpolation bound against the sup norm plus the unit-norm chain."""
-    stats = _field_stats(traj, m_sigma)
+    stats = _field_stats(traj)
     lz = (stats.grid.dim + 2) / stats.grid.dim
     if not (math.isfinite(ell) and ell > r >= lz):
         raise BadExponents(f"need inf > ell > r >= {lz:g}, got ell = {ell}, r = {r}")
@@ -627,7 +623,6 @@ def log_norm_limit(
     traj: Trajectory | FieldStats,
     r: float,
     params: Optional[ExponentParams] = None,
-    m_sigma: float = 1.0,
 ) -> CheckRecord:
     """Compare the norm-ratio limit against its closed form as ell -> r.
 
@@ -637,7 +632,7 @@ def log_norm_limit(
     # the limit is sampled at ell = r + 1e-4 and above, which must differ from r
     if not 1 < r < r + 1e-4:
         raise BadExponents(f"need r > 1 and r + 1e-4 != r in float64, got {r}")
-    stats = _field_stats(traj, m_sigma)
+    stats = _field_stats(traj)
     f = stats.magnitudes()
     base = stats.norm(f, 2 * r)
     if base == 0.0:
@@ -737,12 +732,11 @@ def check_final_bound(
     )
 
 
-def dichotomy_branch(traj: Trajectory | FieldStats, params: ExponentParams,
-                     m_sigma: float = 1.0) -> int:
+def dichotomy_branch(traj: Trajectory | FieldStats, params: ExponentParams) -> int:
     """Which side of the log-moment dichotomy this run falls on (1 or 2)."""
     r = float(params.r)
     A = float((params.q + params.B) / params.q)
-    log_i0, mean_log, _ = _field_stats(traj, m_sigma).log_integrals(2 * r)
+    log_i0, mean_log, _ = _field_stats(traj).log_integrals(2 * r)
     return 1 if mean_log >= (A / (2 * r)) * log_i0 else 2
 
 

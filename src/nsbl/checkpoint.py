@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import ShapeMismatch, SpectralBand, SpectralVelocity, TorusGrid
+from .spectral import ShapeMismatch, SpectralVelocity, TorusGrid
 
 __all__ = ["CorruptCheckpoint", "write_band", "read_band", "read_checkpoint"]
 
@@ -105,7 +105,7 @@ def _payload(path, blob: bytes, npts: int, ncomp: int, cut: int) -> np.ndarray:
 
 
 def _read(path, expect_sha: str | None, grid: TorusGrid | None = None) -> tuple:
-    """(grid, t, band coefficients in ``SpectralBand.compact_order``) of an
+    """(grid, t, band coefficients as a writable C-order array) of an
     NSBL2 file; the grid its header names unless ``grid`` is given, which
     the header must then match."""
     blob = Path(path).read_bytes()
@@ -118,16 +118,12 @@ def _read(path, expect_sha: str | None, grid: TorusGrid | None = None) -> tuple:
     elif (dim, npts, length) != (grid.dim, grid.npts, grid.length):
         raise CorruptCheckpoint(f"{path}: grid {npts}^{dim} of side {length!r} does not match "
                                 f"the run's {grid.npts}^{grid.dim} of side {grid.length!r}")
-    return grid, t, SpectralBand.compact_order(_payload(path, blob, npts, ncomp, cut))
+    return grid, t, _payload(path, blob, npts, ncomp, cut).copy()
 
 
 def read_band(path, grid: TorusGrid, expect_sha: str | None = None) -> tuple[float, np.ndarray]:
-    """(t, band coefficients) of an NSBL2 file written on ``grid``.
-
-    The coefficients come in ``SpectralBand.compact_order``, as a run's
-    first state does.  Sums over a band run in memory order, so an audit
-    adds up a read trajectory's energies as it always has.
-    """
+    """(t, band coefficients) of an NSBL2 file written on ``grid``; the
+    coefficients are a writable C-order array, as a run's states are."""
     return _read(path, expect_sha, grid)[1:]
 
 

@@ -157,6 +157,9 @@ def _audit_spec(d: dict) -> AuditSpec:
     ells = None if a.get("ell_values") is None else _numbers(a, "ell_values", None, "audit")
     if ells == ():
         raise BadScenario("audit.ell_values must be null or a non-empty list")
+    s_values = _numbers(a, "s_values", (2.0, 3.0), "audit")
+    if s_values == ():
+        raise BadScenario("audit.s_values must be a non-empty list")
     n_max = _integer(a, "n_max", 40, "audit")
     # the ladder's levels k - k / 2^(n+1) need 2^(n_max+1) inside float64
     if not 0 <= n_max <= 1022:
@@ -164,7 +167,7 @@ def _audit_spec(d: dict) -> AuditSpec:
     return AuditSpec(
         r=_optional_number(a, "r", "audit"),
         q=_optional_number(a, "q", "audit"),
-        s_values=_numbers(a, "s_values", (2.0, 3.0), "audit"),
+        s_values=s_values,
         ell_values=ells,
         n_max=n_max,
         calibration=_flag(a, "calibration", False, "audit"),
@@ -638,20 +641,15 @@ def _aggregate(results, errors, cal_name) -> dict:
     drift = {}
     resolutions = sorted(per_resolution, key=int)
     if len(resolutions) > 1:
-        base = resolutions[0]
         for key in constants:
-            per_res_med = {
-                res: float(np.median(per_resolution[res].get(key, [np.nan])))
-                for res in resolutions
-            }
-            base_val = per_res_med[base]
+            # only the resolutions where some member has this constant
+            per_res_med = {res: float(np.median(per_resolution[res][key]))
+                           for res in resolutions if key in per_resolution[res]}
+            base_val = next(iter(per_res_med.values()))
             drift[key] = {
                 "per_resolution_median": per_res_med,
                 "max_rel_drift": float(
-                    max(
-                        abs(per_res_med[r] - base_val) / abs(base_val)
-                        for r in resolutions
-                    )
+                    max(abs(med - base_val) / abs(base_val) for med in per_res_med.values())
                 ) if base_val else 0.0,
             }
 

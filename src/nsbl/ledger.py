@@ -338,7 +338,7 @@ class KInterval:
         return K > self.lower and self.upper.cmp(K) > 0
 
 
-def k_interval(N: int, B: Rat, digits: int = 7) -> KInterval:
+def k_interval(N: int, B: Rat) -> KInterval:
     """Admissible interval for K; the sup is (2B + sqrt(4B(B-(N-1)lz)))/(2B)."""
     B = _frac(B)
     lz = lambda_z(N)

@@ -173,22 +173,20 @@ class Trajectory:
 
 class _Workspace:
     """The arrays a run reuses on every step, so that a step allocates only
-    its new state; the stages' only given a config and the first state.
+    its new state; the stages' only given a config.
 
     numpy casts a real array to complex each time it multiplies complex
     data; k, 1/|k|^2 and the integrating factors (with dt and 2 times
     exp(-nu k^2 dt/2)) are cast here once, to the same values.
     """
 
-    def __init__(self, band: SpectralBand, cfg: SolverConfig | None = None,
-                 first: np.ndarray | None = None):
+    def __init__(self, band: SpectralBand, cfg: SolverConfig | None = None):
         shape = (3,) + band.shape
         self.wavenumbers = band.wavenumbers.astype(np.complex128)
         self.inv_k_squared = band.inv_k_squared.astype(np.complex128)
         self.products = ProductBuffers(band)
         # _project's scratch; the second array is _nonlinear's too
         self.projection = np.empty((2,) + band.shape, dtype=np.complex128)
-        self._power = {}
         if cfg is None:
             return
         e_half = np.exp(-cfg.viscosity * band.k_squared * cfg.dt / 2)
@@ -198,21 +196,10 @@ class _Workspace:
         self.two_e_half = (2 * e_half).astype(np.complex128)
         self.slopes = np.empty((3,) + shape, dtype=np.complex128)
         self.scratch = np.empty(shape, dtype=np.complex128)
-        # Stage b, stage c and each new state are sums e * coeff + x.  numpy
-        # adds such a sum into its temporary product e * coeff, which has
-        # coeff's memory order (compact_order's, for a run's first state), once
-        # that holds 256 KiB; below that it allocates the sum in C order.
-        # The dissipation sums run in memory order, so the stage buffer, and
-        # with it every state after the first, is made by such a sum here.
-        self.stage = e_half * first + np.zeros(shape, dtype=np.complex128)
-
-    def power_like(self, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Two real arrays of coeff's shape and memory order, made once per order."""
-        key = coeff.strides
-        if key not in self._power:
-            self._power[key] = (np.empty_like(coeff, dtype=np.float64),
-                                np.empty_like(coeff, dtype=np.float64))
-        return self._power[key]
+        self.stage = np.empty(shape, dtype=np.complex128)
+        # |c|^2 and its scratch, in C order: band sums run in this order
+        # whatever the order of the coefficients
+        self.power = (np.empty(shape), np.empty(shape))
 
 
 def _nonlinear(coeff: np.ndarray, band: SpectralBand, work: _Workspace,
@@ -241,8 +228,9 @@ def _dissipation_rate(coeff: np.ndarray, band: SpectralBand, nu: float,
                       power: tuple[np.ndarray, np.ndarray]) -> float:
     """nu |grad u|^2 integrated over the box, from band coefficients.
 
-    ``power`` is two real arrays of coeff's shape and memory order
-    (``_Workspace.power_like``): the sum runs in memory order.
+    ``power`` is two C-order real arrays of coeff's shape
+    (``_Workspace.power``), so the sum runs in C order whatever coeff's
+    memory order.
     """
     sq, scratch = power
     np.square(coeff.real, out=sq)
@@ -256,18 +244,18 @@ def _step_fields(coeff, band, cfg, t, work):
 
     The stages are formed in ``work``'s arrays by the operations of the
     formulas in the comments, in their order; new_coeff is a new array in
-    the memory order of ``work.stage``.
+    C order.
     """
     nu, dt = cfg.viscosity, cfg.dt
     e_half, e_full = work.e_half, work.e_full
     k1, k2, k3 = work.slopes
     stage, scratch = work.stage, work.scratch
     nl = lambda c, out: _nonlinear(c, band, work, out)
-    diss = lambda c: _dissipation_rate(c, band, nu, work.power_like(c))
+    diss = lambda c: _dissipation_rate(c, band, nu, work.power)
     new = np.empty_like(stage)
 
     nl(coeff, k1)
-    # a (rk2: mid) = e_half * (coeff + (dt / 2) * k1), in C order
+    # a (rk2: mid) = e_half * (coeff + (dt / 2) * k1)
     np.multiply(dt / 2, k1, out=scratch)
     np.add(coeff, scratch, out=scratch)
     np.multiply(e_half, scratch, out=scratch)
@@ -301,7 +289,7 @@ def _step_fields(coeff, band, cfg, t, work):
         new += scratch
         dd = (dt / 6) * (diss_0 + 2 * diss_a + 2 * diss_b + diss_c)
     # NaN and inf both fail the comparison
-    if not np.max(np.abs(new, out=work.power_like(new)[0])) <= BLOWUP_LIMIT:
+    if not np.max(np.abs(new, out=work.power[0])) <= BLOWUP_LIMIT:
         raise Instability(t + dt)
     return new, dd
 
@@ -313,7 +301,7 @@ def step(v: SpectralVelocity, cfg: SolverConfig) -> SpectralVelocity:
     if cfg.scheme not in ("rk4", "rk2"):
         raise BadSpec(f"unknown scheme {cfg.scheme!r}")
     band = v.grid.band
-    new, _ = _step_fields(v.coeff, band, cfg, v.t, _Workspace(band, cfg, v.coeff))
+    new, _ = _step_fields(v.coeff, band, cfg, v.t, _Workspace(band, cfg))
     return SpectralVelocity(new, v.grid, v.t + cfg.dt)
 
 
@@ -321,19 +309,18 @@ def run(v0: SpectralVelocity, cfg: SolverConfig) -> Trajectory:
     """Integrate from v0 to t_final, snapshotting every ``snapshot_stride`` steps.
 
     The first and last states are always snapshotted; the first is a copy
-    of v0's band in ``SpectralBand.compact_order``, the others are the
-    states as they are.  Instability surfaces as an exception carrying the
-    failing time.
+    of v0's band.  Every snapshot is in C order.  Instability surfaces as
+    an exception carrying the failing time.
     """
     grid = v0.grid
     n_steps = cfg.validate(grid)
     band = grid.band
-    state = band.compact_order(v0.coeff)
+    state = v0.coeff.copy()
     times = [0.0]
     coeffs = [state]
     dissipation = [0.0]
     acc = 0.0
-    work = _Workspace(band, cfg, state)
+    work = _Workspace(band, cfg)
     for n in range(n_steps):
         t = n * cfg.dt
         state, dd = _step_fields(state, band, cfg, t, work)

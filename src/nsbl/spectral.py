@@ -299,17 +299,6 @@ class SpectralBand:
         """The band entries of full- or half-layout data, as a copy."""
         return coeff[..., self.rows[:, None], self.rows, : self.planes]
 
-    @staticmethod
-    def compact_order(band: np.ndarray) -> np.ndarray:
-        """A copy of band data (ncomp, rows, rows, planes) in ``compact``'s
-        memory order, the component axis inside the two row axes: that of a
-        run's first state and of every band read from a checkpoint.  Band
-        sums run in memory order, so this order fixes their last digits."""
-        ncomp, rows, _, planes = band.shape
-        out = np.empty((rows, rows, ncomp, planes), dtype=np.complex128).transpose(2, 0, 1, 3)
-        out[...] = band
-        return out
-
     def expand(self, band: np.ndarray) -> np.ndarray:
         """Full-layout coefficients of band data, zero outside the band.
 
@@ -327,7 +316,10 @@ class SpectralBand:
 
     def sum_squares(self, band: np.ndarray) -> float:
         """The sum of |c|^2 over the full layout, taken on the band: a k_z
-        plane 1..c counts for its mirror too."""
+        plane 1..c counts for its mirror too.  It runs on a C-order copy
+        unless band is in C order, so its bits do not depend on the
+        band's memory order."""
+        band = np.ascontiguousarray(band)
         return float(np.sum(self.weights * (band.real**2 + band.imag**2)))
 
     def forward(self, values: np.ndarray) -> np.ndarray:

@@ -283,7 +283,7 @@ class TestOnePassPressure:
     def test_matches_oracle_scaled(self, random_traj):
         # sigma = 1/2: |u|/m is taken from the cached stack, not re-transformed
         m_sigma = float(random_traj.magnitudes()[0].max()) ** 0.5
-        recs = A.check_pressure(random_traj, self.S_VALUES, m_sigma)
+        recs = A.check_pressure(A.FieldStats(random_traj, m_sigma), self.S_VALUES)
         for rec, s in zip(recs, self.S_VALUES):
             oracle = pressure_oracle(random_traj, s, m_sigma)
             for got, want in zip(rec.extra["ratios"], oracle, strict=True):

@@ -103,17 +103,18 @@ def test_band_round_trip_bit_exact(tmp_path, n):
 
 @pytest.mark.parametrize("n", [16, 24])
 def test_band_io_is_the_full_layout_io(tmp_path, n):
-    # the band back as compact gives it from the full layout, in its memory
-    # layout too (audit sums run in memory order), from either reader
+    # the band back as compact gives it from the full layout, as a
+    # writable C-order array, from either reader
     coeff, v = band_field(n)
     sha = write_band(tmp_path / "band.nsbl", v.grid, coeff, v.t)
     t, back = read_band(tmp_path / "band.nsbl", TorusGrid(n), expect_sha=sha)
     want = v.grid.band.compact(v.grid.band.expand(coeff))
     assert t == 0.125
     assert np.array_equal(back, coeff) and np.array_equal(back, want)
-    assert back.strides == want.strides
+    assert back.flags.c_contiguous and back.flags.writeable
     read = read_checkpoint(tmp_path / "band.nsbl", expect_sha=sha)
-    assert np.array_equal(read.coeff, want) and read.coeff.strides == want.strides
+    assert np.array_equal(read.coeff, want)
+    assert read.coeff.flags.c_contiguous and read.coeff.flags.writeable
 
 
 def test_read_band_refuses_what_read_checkpoint_refuses(tmp_path, field):
@@ -212,12 +213,13 @@ def one_blob_write_band(path, grid, coeff, t):
 
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_write_band_matches_the_one_blob_encoder(tmp_path, n):
-    # a C-order band, and the same band in read_band's (row, row, comp,
-    # plane) memory order, as a run's first state and a read trajectory
-    # hold it
+    # a C-order band, and the same band in (row, row, comp, plane) memory
+    # order, as ``SpectralBand.compact`` lays it out
     coeff, v = band_field(n, seed=n)
     want = one_blob_write_band(tmp_path / "want.nsbl", v.grid, coeff, 0.25)
-    _, transposed = read_band(tmp_path / "want.nsbl", v.grid)
+    rows, planes = coeff.shape[1], coeff.shape[3]
+    transposed = np.empty((rows, rows, 3, planes), dtype=complex).transpose(2, 0, 1, 3)
+    transposed[...] = coeff
     assert not transposed.flags.c_contiguous
     for band in (coeff, transposed):
         path = tmp_path / "got.nsbl"

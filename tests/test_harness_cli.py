@@ -111,7 +111,7 @@ class TestScenario:
         ("audit", "ell_values", [float("nan")]),
         ("solver", "scheme", 5), ("initial", "kind", ["beltrami"]),
         (None, "name", 7), ("audit", "n_max", -1), ("audit", "n_max", 1023),
-        ("audit", "ell_values", []),
+        ("audit", "ell_values", []), ("audit", "s_values", []),
     ])
     def test_wrong_number_or_string_rejected(self, section, key, bad):
         # float() and str() would coerce these silently: "0.002" and True
@@ -286,15 +286,43 @@ class TestSuite:
         assert drift["c_pressure_s2"]["max_rel_drift"] < 0.5
 
     def test_drift_base_is_the_coarsest_grid(self):
-        # 16 < 128 as grid sizes, though '128' < '16' as strings
-        def result(name, npts, c_energy):
-            rec = A.CheckRecord("energy", 0.0, 0.0, c_energy, True, 0.0)
-            return {"name": name, "report": A.AuditReport(name, [rec], {}, {"grid_npts": npts})}
+        # 16 < 128 as grid sizes, though '128' < '16' as strings; for a
+        # constant the 16^3 member lacks, the base is the coarsest grid
+        # that has it
+        def result(name, npts, constants):
+            recs = [A.CheckRecord(cid, 0.0, 0.0, c, True, 0.0) for cid, c in constants.items()]
+            return {"name": name, "report": A.AuditReport(name, recs, {}, {"grid_npts": npts})}
 
-        agg = _aggregate([result("hi", 128, 3.0), result("lo", 16, 2.0)], [], "lo")
+        agg = _aggregate([result("hi", 128, {"energy": 3.0, "pressure_s3": 3.0}),
+                          result("lo", 16, {"energy": 2.0}),
+                          result("mid", 32, {"energy": 2.0, "pressure_s3": 2.0})], [], "lo")
         drift = agg["per_resolution_drift"]["c_energy"]
-        assert drift["per_resolution_median"] == {"16": 2.0, "128": 3.0}
+        assert drift["per_resolution_median"] == {"16": 2.0, "32": 2.0, "128": 3.0}
         assert drift["max_rel_drift"] == 0.5
+        drift = agg["per_resolution_drift"]["c_pressure_s3"]
+        assert drift["per_resolution_median"] == {"32": 2.0, "128": 3.0}
+        assert drift["max_rel_drift"] == 0.5
+
+    def test_aggregate_is_strict_json_when_a_resolution_lacks_a_constant(self, tmp_path):
+        # no 24^3 member measures s = 3: that resolution has no median of
+        # c_pressure_s3 and takes no part in its drift
+        members = [quick_scenario(f"lo{k}", kind="random_spectrum", seed=k).to_dict()
+                   for k in range(2)]
+        members[0]["audit"]["s_values"] = members[1]["audit"]["s_values"] = [2.0, 3.0]
+        hi = quick_scenario("hi", kind="random_spectrum", seed=0, npts=24).to_dict()
+        hi["audit"]["s_values"] = [2.0]
+        suite = {"format": "nsbl-suite/1", "name": "gap", "calibration": "lo0",
+                 "scenarios": members + [hi]}
+        run_suite(suite, tmp_path, workers=1)
+
+        def refuse(name):
+            raise ValueError(f"aggregate.json holds {name}")
+
+        agg = json.loads((tmp_path / "aggregate.json").read_text(), parse_constant=refuse)
+        drift = agg["per_resolution_drift"]
+        assert set(drift["c_pressure_s2"]["per_resolution_median"]) == {"16", "24"}
+        assert set(drift["c_pressure_s3"]["per_resolution_median"]) == {"16"}
+        assert drift["c_pressure_s3"]["max_rel_drift"] == 0.0
 
     def test_calibrated_constant_shared(self, tmp_path):
         members = [quick_scenario(f"m{k}", kind="random_spectrum", seed=k).to_dict()

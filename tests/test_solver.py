@@ -9,7 +9,6 @@ from nsbl.audit import check_energy
 from nsbl.harness import Scenario, load_manifest, simulate, trajectory_from_manifest
 from nsbl.norms import space_norm
 from nsbl.spectral import (
-    SpectralBand,
     SpectralVelocity,
     TorusGrid,
     divergence_max,
@@ -451,8 +450,8 @@ def per_call_run(v, cfg):
         power = c.real**2 + c.imag**2
         return nu * band.volume * float(np.sum(band.weighted_k_squared * power))
 
-    # the first state in compact's memory order, as run takes it
-    coeff = band.compact(band.expand(v.coeff))
+    # the first state a C-order copy, as run takes it
+    coeff = v.coeff.copy()
     states, acc, dissipation = [coeff], 0.0, [0.0]
     for _ in range(cfg.validate(v.grid)):
         k1 = nl(coeff)
@@ -480,15 +479,13 @@ class TestWorkspace:
     @pytest.mark.parametrize("scheme", ["rk4", "rk2"])
     @pytest.mark.parametrize("n", [24, 32, 48])
     def test_run_matches_per_call_temporaries(self, n, scheme):
-        # states bit for bit and in the same memory order, and dissipation
-        # bit for bit: its sums run in memory order
+        # states and dissipation bit for bit
         v = make_initial("random_spectrum", TorusGrid(n), seed=6, amplitude=2.0, kmax=8)
         cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=6e-3, snapshot_stride=1,
                            scheme=scheme)
         traj = run(v, cfg)
         states, dissipation = per_call_run(v, cfg)
         assert [c.tobytes() for c in traj.coeffs] == [c.tobytes() for c in states]
-        assert [c.strides for c in traj.coeffs] == [c.strides for c in states]
         assert np.array(traj.dissipation).tobytes() == np.array(dissipation).tobytes()
 
     def test_steps_after_the_first_allocate_only_their_states(self, monkeypatch):
@@ -528,35 +525,45 @@ def run_and_reload(request, tmp_path_factory):
     return traj, trajectory_from_manifest(load_manifest(manifest), manifest.parent)
 
 
+def transposed_copy(band):
+    """A copy of band data (ncomp, rows, rows, planes) with the component
+    axis inside the two row axes in memory, as ``SpectralBand.compact``
+    lays out its result."""
+    ncomp, rows, _, planes = band.shape
+    out = np.empty((rows, rows, ncomp, planes), dtype=band.dtype).transpose(2, 0, 1, 3)
+    out[...] = band
+    return out
+
+
 class TestMemoryOrder:
-    """Band sums run in memory order, so the order of every band that a run
-    or a checkpoint read gives is pinned here."""
+    """A run's states and every band read back are in C order, and the band
+    sums give the same bits whatever the memory order of their input."""
 
     @pytest.mark.parametrize("run_and_reload", [24, 32, 48], indirect=True)
     def test_states_and_reads_in_their_pinned_order(self, run_and_reload):
         traj, back = run_and_reload
-        band = traj.grid.band
-        n = traj.grid.npts
-        compact = band.compact(np.zeros((3, n, n, n), dtype=complex)).strides
-        c_order = np.zeros((3,) + band.shape, dtype=complex).strides
-        assert traj.coeffs[0].strides == compact
-        # a later state is e * coeff + x, which numpy adds into its temporary
-        # e * coeff, in compact's order, only once that holds 256 KiB; a
-        # smaller sum is a new array in C order
-        later = compact if traj.coeffs[0].nbytes >= 256 * 1024 else c_order
-        assert [c.strides for c in traj.coeffs[1:]] == [later] * (len(traj) - 1)
-        assert [c.strides for c in back.coeffs] == [compact] * len(back)
-        assert SpectralBand.compact_order(traj.coeffs[-1]).strides == compact
+        assert all(c.flags.c_contiguous for c in traj.coeffs)
+        assert all(c.flags.c_contiguous and c.flags.writeable for c in back.coeffs)
         assert [c.tobytes() for c in back.coeffs] == [c.tobytes() for c in traj.coeffs]
         assert back.dissipation == traj.dissipation
 
-    @pytest.mark.parametrize("run_and_reload", [
-        pytest.param(24, marks=pytest.mark.xfail(strict=True, reason=(
-            "below n = 34 a run's later states are in C order and a read's in compact's "
-            "order; their energy sums differ in the last digits"))),
-        32,
-        48,
-    ], indirect=True)
+    @pytest.mark.parametrize("run_and_reload", [24, 32, 48], indirect=True)
     def test_check_energy_same_in_memory_and_reloaded(self, run_and_reload):
         traj, back = run_and_reload
         assert check_energy(traj).as_dict() == check_energy(back).as_dict()
+
+    @pytest.mark.parametrize("n", [24, 32, 48])
+    def test_band_sums_ignore_memory_order(self, n):
+        grid = TorusGrid(n)
+        band = grid.band
+        cfg = SolverConfig(viscosity=0.7, dt=2e-3, t_final=2e-3)
+        power = solver._Workspace(band, cfg).power
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            coeff = (rng.normal(size=(3,) + band.shape)
+                     + 1j * rng.normal(size=(3,) + band.shape))
+            copies = (coeff, transposed_copy(coeff), np.asfortranarray(coeff))
+            assert not copies[1].flags.c_contiguous and not copies[2].flags.c_contiguous
+            sums = {band.sum_squares(c) for c in copies}
+            rates = {solver._dissipation_rate(c, band, cfg.viscosity, power) for c in copies}
+            assert len(sums) == 1 and len(rates) == 1
