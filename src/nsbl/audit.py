@@ -299,7 +299,7 @@ class FieldStats:
     def pressure_rows(self, s_values: tuple) -> list:
         """``_velocity_pass`` rows at these exponents, unless run_audit's are here."""
         if s_values not in self._pressure:
-            self._pressure[s_values] = _velocity_pass(self.traj, s_values, self.m_sigma)[1]
+            self._pressure[s_values] = _velocity_pass(self.traj, s_values)
         return self._pressure[s_values]
 
     def _once(self, kind, fn, stack, exponent):
@@ -525,49 +525,37 @@ def _audited(x: float) -> bool:
     return lo <= x <= hi
 
 
-def _velocity_pass(traj: Trajectory, s_values: tuple, m_sigma: float = 1.0,
-                   sigma=0) -> tuple[float, list]:
+def _velocity_pass(traj: Trajectory, s_values: tuple) -> list:
     """The audit's one velocity per snapshot (``Trajectory.over_velocities``)
     gives |u| and its sup to the trajectory and the pressure to check_pressure.
 
-    At sigma != 0, m_sigma is (sup |u0|)^sigma, known from snapshot 0 before
-    any pressure is solved.  Returns m_sigma and per snapshot the ratios
-    ||p||_s / (M^2 ||u/M||_2s^2) at each s; None where no pressure is solved
-    (an s not above 1, or m_sigma or a nonzero sup outside AMPLITUDE_RANGE);
-    or its NotDivergenceFree, raised by check_pressure after run_audit's
-    amplitude guards.
+    Returns per snapshot the ratios ||p||_s / ||u||_2s^2 at each s of the
+    band as stored: the pressure bound is homogeneous of degree 2, so they
+    are the same at every scale M_sigma.  None where no pressure is solved
+    (an s not above 1, or a nonzero sup outside AMPLITUDE_RANGE); or its
+    NotDivergenceFree, raised by check_pressure after run_audit's amplitude
+    guards.
     """
     grid, coeffs = traj.grid, traj.coeffs
-    first = None
-    if sigma != 0:
-        def first(sup0):
-            nonlocal m_sigma
-            m_sigma = _m_sigma(float(sup0), sigma)
 
     def ratios(i, u, mag, sup):
-        if not (all(s > 1 for s in s_values) and _audited(m_sigma)
-                and (sup == 0.0 or _audited(sup))):
+        if not (all(s > 1 for s in s_values) and (sup == 0.0 or _audited(sup))):
             return None
-        coeff = coeffs[i]
-        if m_sigma != 1.0:
-            coeff, mag = coeff / m_sigma, mag / m_sigma
-            u /= m_sigma
-        dens = [m_sigma**2 * space_norm(mag, 2 * s, grid) ** 2 for s in s_values]
+        dens = [space_norm(mag, 2 * s, grid) ** 2 for s in s_values]
         if not any(dens):
             return [0.0 for _ in s_values]
         try:
-            p = cz_pressure(coeff, u, grid, m_sigma)
+            p = cz_pressure(coeffs[i], u, grid)
         except NotDivergenceFree as exc:
             return exc
         return [space_norm(p, s, grid) / den if den else 0.0
                 for s, den in zip(s_values, dens)]
 
-    rows = traj.over_velocities(ratios, first)
-    return m_sigma, rows
+    return traj.over_velocities(ratios)
 
 
 def check_pressure(traj: Trajectory | FieldStats, s_values) -> list[CheckRecord]:
-    """Per-snapshot ratios ||p||_s / (M^2 ||u||_{2s}^2), one record per s;
+    """Per-snapshot ratios ||p||_s / ||u||_{2s}^2, one record per s;
     the max over snapshots is c_s.
 
     The ratios come from ``_velocity_pass``, run_audit's or one of its own:
@@ -584,8 +572,8 @@ def check_pressure(traj: Trajectory | FieldStats, s_values) -> list[CheckRecord]
         if isinstance(row, NotDivergenceFree):
             raise row
         if row is None:
-            raise DegenerateField(f"snapshot {i}: sup |u| = {stats.traj.sups()[i]:.3g} or "
-                                  f"M_sigma = {stats.m_sigma:.3g} is outside the audited range")
+            raise DegenerateField(f"snapshot {i}: sup |u| = {stats.traj.sups()[i]:.3g} "
+                                  "is outside the audited range")
     ratios = [[row[k] for row in per_snapshot] for k in range(len(s_values))]
     return [
         CheckRecord(f"pressure_s{s:g}", max(r, default=0.0), 1.0, max(r, default=0.0),
@@ -712,16 +700,9 @@ def _final_bound_pieces(traj: Trajectory, params: ExponentParams):
     return v0max, bracket, vmax
 
 
-def check_final_bound(
-    traj: Trajectory,
-    params: ExponentParams,
-    c: float,
-    delta0=None,
-) -> CheckRecord:
+def check_final_bound(traj: Trajectory, params: ExponentParams, c: float) -> CheckRecord:
     """Sup-norm bound in terms of the initial data; a violation is reported
     as a falsification candidate, never raised."""
-    if delta0 is not None:
-        params = params.with_sigma(params.sigma, delta0)
     v0max, bracket, vmax = _final_bound_pieces(traj, params)
     rhs = c * v0max * bracket
     ok = vmax <= rhs
@@ -778,13 +759,14 @@ def run_audit(
     if len(traj) == 0:
         raise DegenerateField("empty trajectory")
     s_values = tuple(float(s) for s in spec.s_values)
-    m_sigma, rows = _velocity_pass(traj, s_values, sigma=params.sigma)
+    rows = _velocity_pass(traj, s_values)
     sups = traj.sups()
     vmax = float(sups.max())
     lo, hi = AMPLITUDE_RANGE
     if vmax != 0.0 and not _audited(vmax):
         raise DegenerateField(f"sup |u| = {vmax:.3g} is outside the audited range [{lo:g}, {hi:g}]")
     v0max = float(sups[0])
+    m_sigma = _m_sigma(v0max, params.sigma)
     if not _audited(m_sigma):
         raise BadExponents(f"sigma = {params.sigma} takes M_sigma = (sup |u0|)^sigma outside "
                            f"the audited range [{lo:g}, {hi:g}]")

@@ -2,13 +2,13 @@
 
 Layout (NSBL2): magic ``NSBL2``, one endianness tag byte, then a fixed
 header (dimension, points per axis, box length, time, component count, the
-2/3-rule band's cut ``n//3``) and a CRC-32 of every other byte of the file,
-followed by the band coefficients (ncomp, 2*cut+1, 2*cut+1, cut+1) of
-``spectral.SpectralBand`` as little-endian complex128 in C order.
-``write_band`` writes a velocity's band; ``read_band`` reads it into a
-known grid, and ``read_checkpoint`` into the grid its header names, as a
-``SpectralVelocity``.  Files are referenced by their sha256 content hash;
-the CRC catches damage without it.  Every malformed file raises
+2/3-rule band's cut ``spectral.band_cut(n)``) and a CRC-32 of every other
+byte of the file, followed by the band coefficients (ncomp, 2*cut+1,
+2*cut+1, cut+1) of ``spectral.SpectralBand`` as little-endian complex128 in
+C order.  ``write_band`` writes a velocity's band; ``read_band`` reads it
+into a known grid, and ``read_checkpoint`` into the grid its header names,
+as a ``SpectralVelocity``.  Files are referenced by their sha256 content
+hash; the CRC catches damage without it.  Every malformed file raises
 ``CorruptCheckpoint``; NSBL1 files (full layout, no CRC) are no longer
 read.
 """
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import ShapeMismatch, SpectralVelocity, TorusGrid
+from .spectral import ShapeMismatch, SpectralVelocity, TorusGrid, band_cut
 
 __all__ = ["CorruptCheckpoint", "write_band", "read_band", "read_checkpoint"]
 
@@ -50,7 +50,7 @@ def write_band(path, grid: TorusGrid, coeff: np.ndarray, t: float) -> str:
         raise ShapeMismatch(f"{path}: coefficients have shape {coeff.shape}, "
                             f"not the 2/3-rule band's {shape}")
     header = MAGIC + ENDIAN_TAG + _HEADER.pack(
-        grid.dim, grid.npts, grid.length, t, coeff.shape[0], grid.npts // 3
+        grid.dim, grid.npts, grid.length, t, coeff.shape[0], grid.band.cut
     )
     # a copy only if coeff is not little-endian C order already
     payload = memoryview(np.ascontiguousarray(coeff, dtype="<c16")).cast("B")
@@ -89,8 +89,8 @@ def _header(path, blob: bytes, expect_sha: str | None) -> tuple:
 def _payload(path, blob: bytes, npts: int, ncomp: int, cut: int) -> np.ndarray:
     """The band coefficients of a file whose header passed ``_header``, as
     a read-only view of its bytes."""
-    if cut != npts // 3:
-        raise CorruptCheckpoint(f"{path}: band cut {cut} is not the 2/3-rule cut {npts // 3}")
+    if cut != band_cut(npts):
+        raise CorruptCheckpoint(f"{path}: band cut {cut} is not the 2/3-rule cut {band_cut(npts)}")
     if ncomp != 3:
         raise CorruptCheckpoint(f"{path}: malformed header: {ncomp} velocity components, not 3")
     # the payload size is checked before any band operator is built
@@ -110,14 +110,17 @@ def _read(path, expect_sha: str | None, grid: TorusGrid | None = None) -> tuple:
     the header must then match."""
     blob = Path(path).read_bytes()
     dim, npts, length, t, ncomp, cut = _header(path, blob, expect_sha)
+    if dim != TorusGrid.dim:
+        raise CorruptCheckpoint(f"{path}: malformed header: a {dim}-dimensional grid, "
+                                f"not {TorusGrid.dim}")
     if grid is None:
         try:
-            grid = TorusGrid(npts, length, dim)
+            grid = TorusGrid(npts, length)
         except ShapeMismatch as exc:
             raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from exc
-    elif (dim, npts, length) != (grid.dim, grid.npts, grid.length):
-        raise CorruptCheckpoint(f"{path}: grid {npts}^{dim} of side {length!r} does not match "
-                                f"the run's {grid.npts}^{grid.dim} of side {grid.length!r}")
+    elif (npts, length) != (grid.npts, grid.length):
+        raise CorruptCheckpoint(f"{path}: grid {npts}^3 of side {length!r} does not match "
+                                f"the run's {grid.npts}^3 of side {grid.length!r}")
     return grid, t, _payload(path, blob, npts, ncomp, cut).copy()
 
 

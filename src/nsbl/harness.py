@@ -17,7 +17,7 @@ import numbers
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -203,26 +203,11 @@ class Scenario:
             "format": "nsbl-scenario/1",
             "name": self.name,
             "grid": {"npts": self.grid_npts, "length": self.grid_length},
-            "solver": {
-                "viscosity": self.solver.viscosity,
-                "dt": self.solver.dt,
-                "t_final": self.solver.t_final,
-                "snapshot_stride": self.solver.snapshot_stride,
-                # runs keep the 2/3-rule band only; the key stays so the
-                # nsbl-scenario/1 bytes and scenario_hash do not change
-                "dealias": True,
-                "scheme": self.solver.scheme,
-            },
+            # runs keep the 2/3-rule band only; "dealias" stays so the
+            # nsbl-scenario/1 bytes and scenario_hash do not change
+            "solver": {**asdict(self.solver), "dealias": True},
             "initial": dict(self.initial),
-            "audit": {
-                "r": self.audit.r,
-                "q": self.audit.q,
-                "s_values": list(self.audit.s_values),
-                "ell_values": None if self.audit.ell_values is None
-                else list(self.audit.ell_values),
-                "n_max": self.audit.n_max,
-                "calibration": self.audit.calibration,
-            },
+            "audit": asdict(self.audit),
             "ledger": dict(self.ledger),
         }
 

@@ -131,14 +131,11 @@ class Trajectory:
         self.magnitudes()
         return self._sups
 
-    def over_velocities(self, fn, first=None) -> list:
+    def over_velocities(self, fn) -> list:
         """[fn(i, u, mag, sup) for every snapshot i], each band inverted once.
 
-        u is snapshot i's velocity (fn may overwrite it), mag its
-        |u| = sqrt((u0² + u1²) + u2²) in the cached magnitude stack and sup
-        the max of mag.  The fn calls run through ``over_snapshots``; with
-        ``first``, snapshot 0's velocity is formed before them, on the
-        calling thread, and ``first(sup0)`` runs before any fn call.  Once
+        u is snapshot i's velocity, mag its |u| = sqrt((u0² + u1²) + u2²)
+        in the cached magnitude stack and sup the max of mag.  The fn calls run through ``over_snapshots``.  Once
         the stack is cached, the pass reads it and forms no |u| again.
         """
         band, nt = self.grid.band, len(self.coeffs)
@@ -160,13 +157,7 @@ class Trajectory:
             sups[i] = mag.max()
             return u
 
-        # snapshot 0's velocity, held only until its fn call
-        held = [velocity(0)] if first is not None and nt else []
-        if held:
-            first(sups[0])
-        out = over_snapshots(
-            lambda i: fn(i, held.pop() if i == 0 and held else velocity(i), mags[i], sups[i]),
-            nt)
+        out = over_snapshots(lambda i: fn(i, velocity(i), mags[i], sups[i]), nt)
         self._magnitudes, self._sups = mags, sups
         return out
 
@@ -380,7 +371,7 @@ def _random_spectrum(band: SpectralBand, seed: int, amplitude: float, kmax: int)
     so different resolutions sample the same band-limited field.  Each mode
     and its conjugate go into the band where their k_z >= 0.
     """
-    if 3 * kmax > band.npts:
+    if kmax > band.cut:
         raise BadSpec(f"kmax = {kmax} does not fit the dealias band of n = {band.npts}")
     rng = np.random.default_rng(seed)
     modes = _half_space_modes(kmax)

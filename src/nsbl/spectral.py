@@ -7,16 +7,15 @@ forward-normalized, so the zero mode of a field is its mean value.
 
 Layouts.  Every field is its band (``SpectralBand``): the modes the 2/3
 rule keeps, cut out of the k_z >= 0 half spectrum that ``numpy.fft.rfftn``
-returns, (..., 2c+1, 2c+1, c+1) with c = n//3; the conjugate symmetry
-c(-k) = conj(c(k)) fixes the rest of a real field.  At n = 32 that is 3.6
-times fewer entries than the half spectrum and 6.8 times fewer than the
-full (..., n, n, n) layout.  Initial data, ``SpectralVelocity``, the
+returns, (..., 2c+1, 2c+1, c+1) with c = ``band_cut(n)``; the conjugate
+symmetry c(-k) = conj(c(k)) fixes the rest of a real field.  At n = 32 that
+is 3.6 times fewer entries than the half spectrum and 6.8 times fewer than
+the full (..., n, n, n) layout.  Initial data, ``SpectralVelocity``, the
 solver's states, trajectories and NSBL2 checkpoints hold it; each audited
 snapshot's velocity comes from one ``inverse`` of its band, and |u| and
 ``cz_pressure`` (which checks the band's divergence) both take it.  The
-band's transforms compute only the lines that carry band modes;
-``compact`` and ``expand`` go to and from the full layout for initial
-data only.
+band's transforms compute only the lines that carry band modes; ``compact``
+and ``expand`` go to and from the full layout for initial data only.
 
 Threads.  ``over_snapshots`` splits an audit's per-snapshot passes, and
 ``quadratic_products`` (the solver's nonlinear term and the pressure) its
@@ -41,6 +40,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "TorusGrid",
     "SpectralVelocity",
     "SpectralBand",
+    "band_cut",
     "ProductBuffers",
     "quadratic_products",
     "divergence_max",
@@ -209,14 +210,12 @@ class TorusGrid:
     power-of-two and 48-point grids, so any even npts >= 8 is allowed.
     """
 
+    dim: ClassVar[int] = 3
     npts: int
     length: float = TWO_PI
-    dim: int = 3
     _band: "SpectralBand | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim != 3:
-            raise ShapeMismatch(f"only dim=3 grids are implemented, got {self.dim}")
         if self.npts < 8 or self.npts % 2:
             raise ShapeMismatch(f"npts must be even and >= 8, got {self.npts}")
         lo, hi = LENGTH_RANGE
@@ -252,11 +251,16 @@ class TorusGrid:
         return np.meshgrid(x, x, x, indexing="ij")
 
 
+def band_cut(n: int) -> int:
+    """The largest |m_i| the band of an n-point grid keeps (2/3 rule)."""
+    return n // 3
+
+
 class SpectralBand:
     """The modes a run keeps, as a compact block of the half spectrum.
 
-    These are the modes with every |m_i| <= n//3 (2/3 rule), stored as
-    (..., 2c+1, 2c+1, c+1) with c = n//3: the kept k_x and k_y indices
+    These are the modes with every |m_i| <= c = ``band_cut(n)`` (2/3 rule),
+    stored as (..., 2c+1, 2c+1, c+1): the kept k_x and k_y indices
     ``rows`` in FFT order (0..c, n-c..n-1) and the k_z planes 0..c.
 
     The transforms skip the lines that only carry modes outside the band;
@@ -269,7 +273,7 @@ class SpectralBand:
 
     def __init__(self, grid: TorusGrid):
         n = grid.npts
-        cut = n // 3
+        cut = band_cut(n)
         self.npts = n
         self.volume = grid.volume
         self.cut = cut
@@ -549,11 +553,10 @@ def divergence_max(coeff: np.ndarray, k: np.ndarray) -> float:
     return float(np.max(np.abs(div)))
 
 
-def cz_pressure(coeff: np.ndarray, velocity: np.ndarray, grid: TorusGrid,
-                m_sigma: float = 1.0) -> np.ndarray:
+def cz_pressure(coeff: np.ndarray, velocity: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Pressure from the velocity through the exact multiplier k_i k_j/|k|^2.
 
-    Solves -lap(p) = m_sigma^2 d_i d_j (u_j u_i) spectrally; the zero mode of
+    Solves -lap(p) = d_i d_j (u_j u_i) spectrally; the zero mode of
     p is fixed to 0.  ``coeff`` holds the velocity's 2/3-rule band, shape
     (3, *grid.band.shape), as trajectories store it, and its divergence is
     checked; ``velocity`` is the same field on the grid, shape (3, n, n, n),
@@ -580,7 +583,7 @@ def cz_pressure(coeff: np.ndarray, velocity: np.ndarray, grid: TorusGrid,
     for p, (i, j) in enumerate(PAIRS):
         factor = 1.0 if i == j else 2.0
         p_hat -= factor * k[i] * k[j] * w[p]
-    p_hat *= (m_sigma**2) * band.inv_k_squared
+    p_hat *= band.inv_k_squared
     p_hat[0, 0, 0] = 0.0
     p = band.inverse(p_hat)
     if not np.all(np.isfinite(p)):

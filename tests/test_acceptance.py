@@ -226,10 +226,10 @@ def test_criterion_06_energy_identity():
 # ---------------------------------------------------------------------------
 
 
-def band_pressure(v, m_sigma=1.0):
+def band_pressure(v):
     """cz_pressure of a velocity, with the velocity on the grid from the
     band's inverse, as the audit forms it."""
-    return cz_pressure(v.coeff, v.grid.band.inverse(v.coeff), v.grid, m_sigma)
+    return cz_pressure(v.coeff, v.grid.band.inverse(v.coeff), v.grid)
 
 
 def _pressure_cs(npts, s, seeds):

@@ -253,7 +253,9 @@ class TestPressureCheck:
 def pressure_oracle(traj, s, m_sigma=1.0):
     """Per-snapshot ratios of the pressure check as it ran before the
     one-pass audit: one pressure solve and one |u| per snapshot and s, with
-    |u| from the band's inverse transform as the audit takes it."""
+    |u| from the band's inverse transform as the audit takes it, and the
+    ratio ||p||_s / (M^2 ||u/M||_2s^2) of the scaled field u/M, whose
+    pressure is M^2 p(u/M)."""
     grid = traj.grid
     ratios = []
     for i in range(len(traj)):
@@ -264,7 +266,7 @@ def pressure_oracle(traj, s, m_sigma=1.0):
         if den == 0.0:
             ratios.append(0.0)
             continue
-        p = cz_pressure(u, uu, grid, m_sigma)
+        p = m_sigma**2 * cz_pressure(u, uu, grid)
         ratios.append(space_norm(p, s, grid) / den)
     return ratios
 
@@ -281,7 +283,8 @@ class TestOnePassPressure:
             assert rec.fitted_constant == max(rec.extra["ratios"])
 
     def test_matches_oracle_scaled(self, random_traj):
-        # sigma = 1/2: |u|/m is taken from the cached stack, not re-transformed
+        # sigma = 1/2: the audit solves the stored band's pressure; the bound
+        # is homogeneous of degree 2, so the scaled ratios agree to roundoff
         m_sigma = float(random_traj.magnitudes()[0].max()) ** 0.5
         recs = A.check_pressure(A.FieldStats(random_traj, m_sigma), self.S_VALUES)
         for rec, s in zip(recs, self.S_VALUES):
@@ -298,17 +301,18 @@ class TestOnePassPressure:
         assert random_traj.magnitudes() is mags and random_traj.sups() is sups
         assert (mags.tobytes(), sups.tobytes()) == before
 
-    def test_one_pressure_solve_per_snapshot(self, random_traj, monkeypatch):
+    @pytest.mark.parametrize("sigma", [0, F(1, 2)], ids=["0", "0.5"])
+    def test_one_pressure_solve_per_snapshot(self, random_traj, monkeypatch, sigma):
         calls = []
 
-        def counting(coeff, velocity, grid, m_sigma=1.0):
+        def counting(coeff, *args):
             calls.append(coeff)
-            return cz_pressure(coeff, velocity, grid, m_sigma)
+            return cz_pressure(coeff, *args)
 
         monkeypatch.setattr(A, "cz_pressure", counting)
-        A.run_audit(random_traj, PARAMS, A.AuditSpec(s_values=self.S_VALUES))
-        # sigma = 0, so m_sigma = 1 and each call gets its snapshot's band as
-        # it is; the snapshots run on several threads, so in no fixed order
+        A.run_audit(random_traj, PARAMS.with_sigma(sigma, 0), A.AuditSpec(s_values=self.S_VALUES))
+        # at every sigma each call gets its snapshot's band as it is stored;
+        # the snapshots run on several threads, so in no fixed order
         assert len(calls) == len(random_traj)
         solved = [next(i for i, want in enumerate(random_traj.coeffs) if np.array_equal(got, want))
                   for got in calls]

@@ -84,7 +84,7 @@ def oracle_nonlinear(coeff, grid):
     return oracle_project(out, grid)
 
 
-def oracle_cz_pressure(coeff, grid, m_sigma):
+def oracle_cz_pressure(coeff, grid):
     """The pressure of full-layout coefficients."""
     u = transform_inverse(coeff)
     ops = FullOps(grid)
@@ -94,7 +94,7 @@ def oracle_cz_pressure(coeff, grid, m_sigma):
         for j in range(i, 3):
             w = transform_forward(u[i] * u[j]) * two_thirds_mask(grid)
             factor = 1.0 if i == j else 2.0
-            p_hat -= factor * (m_sigma**2) * k[i] * k[j] * ops.inv_k2 * w
+            p_hat -= factor * k[i] * k[j] * ops.inv_k2 * w
     p_hat[0, 0, 0] = 0.0
     return transform_inverse(p_hat)
 
@@ -168,14 +168,14 @@ def half_oracle_step(half, ops, cfg):
     return new, (dt / 6) * (diss(half) + 2 * diss(a) + 2 * diss(b) + diss(c))
 
 
-def half_oracle_cz_pressure(v, m_sigma):
+def half_oracle_cz_pressure(v):
     ops = HalfOps(v.grid)
     w = ops.products(ops.inverse(half_spectrum(v)))
     p_hat = np.zeros(w.shape[1:], dtype=np.complex128)
     for p, (i, j) in enumerate(PAIRS):
         factor = 1.0 if i == j else 2.0
         p_hat -= factor * ops.k[i] * ops.k[j] * w[p]
-    p_hat *= (m_sigma**2) * ops.inv_k2
+    p_hat *= ops.inv_k2
     p_hat[0, 0, 0] = 0.0
     return ops.inverse(p_hat)
 
@@ -189,10 +189,10 @@ def half_spectrum(v):
     return full_layout(v)[..., : v.grid.npts // 2 + 1]
 
 
-def band_pressure(v, m_sigma=1.0):
+def band_pressure(v):
     """cz_pressure of a velocity, with the velocity on the grid from the
     band's inverse, as the audit forms it."""
-    return cz_pressure(v.coeff, v.grid.band.inverse(v.coeff), v.grid, m_sigma)
+    return cz_pressure(v.coeff, v.grid.band.inverse(v.coeff), v.grid)
 
 
 def coeff_l2_norm(grid, coeff):
@@ -272,8 +272,8 @@ def test_nonlinear_matches_full_oracle(n):
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_cz_pressure_matches_full_oracle(n):
     v = field(n)
-    got = band_pressure(v, m_sigma=1.7)
-    assert rel_err(got, oracle_cz_pressure(full_layout(v), v.grid, 1.7)) <= RTOL
+    got = band_pressure(v)
+    assert rel_err(got, oracle_cz_pressure(full_layout(v), v.grid)) <= RTOL
 
 
 @pytest.mark.parametrize("n", [16, 24])
@@ -300,8 +300,8 @@ def test_band_kernels_match_half_spectrum_oracle(n):
     want = half_oracle_nonlinear(half_spectrum(v), HalfOps(v.grid))
     assert np.array_equal(nonlinear_term(v).coeff, v.grid.band.compact(want))
     for u in (v, field(n, seed=n)):
-        got = band_pressure(u, m_sigma=1.7)
-        assert np.array_equal(got, half_oracle_cz_pressure(u, 1.7))
+        got = band_pressure(u)
+        assert np.array_equal(got, half_oracle_cz_pressure(u))
 
 
 @pytest.mark.parametrize("n", [16, 24, 48])

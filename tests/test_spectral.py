@@ -165,15 +165,15 @@ class TestLerayProjection:
         assert divergence_max(out, grid.band.wavenumbers) <= 1e-12 * norm
 
 
-def band_pressure(c, grid, m_sigma=1.0):
+def band_pressure(c, grid):
     """cz_pressure of band coefficients, with the velocity from the band's
     inverse, as the audit forms it."""
-    return cz_pressure(c, grid.band.inverse(c), grid, m_sigma)
+    return cz_pressure(c, grid.band.inverse(c), grid)
 
 
-def pressure(v, m_sigma=1.0):
+def pressure(v):
     """cz_pressure of a velocity."""
-    return band_pressure(v.coeff, v.grid, m_sigma)
+    return band_pressure(v.coeff, v.grid)
 
 
 class TestPressure:
@@ -183,7 +183,7 @@ class TestPressure:
 
     def test_beltrami_closed_form(self, grid):
         v = make_initial("beltrami", grid, amplitude=1.0)
-        p = pressure(v, m_sigma=1.0)
+        p = pressure(v)
         u2 = v.magnitude() ** 2
         closed = -(u2 / 2 - u2.mean() / 2)
         assert np.abs(p - closed).max() <= 1e-8
