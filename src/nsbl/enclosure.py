@@ -161,7 +161,3 @@ class SqrtAffine:
     def bounds(self, digits: int = 7) -> tuple[Fraction, Fraction]:
         lo, hi = root_bounds(self.radicand, 2, digits)
         return (self.offset + lo) / self.scale, (self.offset + hi) / self.scale
-
-    def __float__(self) -> float:
-        lo, hi = self.bounds(17)
-        return float((lo + hi) / 2)

@@ -384,9 +384,10 @@ def _check_manifest(d) -> None:
 def trajectory_from_manifest(manifest: dict, base_dir) -> Trajectory:
     """Rebuild the trajectory, verifying every checkpoint hash and band.
 
-    Each file's band is read as stored into the scenario's grid; the reads
-    are shared out with ``over_snapshots``, and the first bad file in
-    manifest order is the one reported.
+    Each file's band is read as stored into the scenario's grid, and its
+    time must be the manifest's; the reads are shared out with
+    ``over_snapshots``, and the first bad file in manifest order is the one
+    reported.
     """
     base = Path(base_dir)
     scenario = Scenario.from_dict(manifest["scenario"])
@@ -394,7 +395,12 @@ def trajectory_from_manifest(manifest: dict, base_dir) -> Trajectory:
     entries = manifest["checkpoints"]
 
     def read(i):
-        return read_band(base / entries[i]["path"], grid, expect_sha=entries[i]["sha256"])[1]
+        path, t = base / entries[i]["path"], entries[i]["t"]
+        stored, coeff = read_band(path, grid, expect_sha=entries[i]["sha256"])
+        # both times are written from the same float
+        if stored != t:
+            raise CorruptCheckpoint(f"{path}: time {stored!r} is not the manifest's {t!r}")
+        return coeff
 
     coeffs = over_snapshots(read, len(entries))
     return Trajectory(grid, scenario.solver, [e["t"] for e in entries], coeffs,
@@ -498,6 +504,8 @@ def run_suite(suite: dict, out_root, workers: int = 1) -> dict:
     per-check margin statistics, fitted-constant stability, per-resolution
     drift, and the falsification list.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     scenarios = [Scenario.from_dict(d) for d in suite["scenarios"]]
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
@@ -514,19 +522,19 @@ def run_suite(suite: dict, out_root, workers: int = 1) -> dict:
 
     cal_scenario = next(s for s in scenarios if s.name == cal_name)
     cal_scenario.audit.calibration = True
-    results, errors = [], []
+    results, errors, constants = [], [], None
     try:
         cal_result = _run_member(cal_scenario, out_root, None)
     except Exception as exc:  # calibration failure poisons nothing else
         errors.append({"name": cal_name, "error": f"{type(exc).__name__}: {exc}"})
-        cal_result = None
-    constants = None
-    if cal_result and "report" in cal_result:
+    else:
+        # a calibration member that blew up is listed with the instabilities
         results.append(cal_result)
-        constants = {
-            k: v for k, v in cal_result["report"].constants.items()
-            if not k.endswith("_self_calibrated")
-        }
+        if "report" in cal_result:
+            constants = {
+                k: v for k, v in cal_result["report"].constants.items()
+                if not k.endswith("_self_calibrated")
+            }
 
     rest = [s for s in scenarios if s.name != cal_name]
 
@@ -585,7 +593,7 @@ def _aggregate(results, errors, cal_name) -> dict:
             continue
         report: AuditReport = res["report"]
         npts = report.environment["grid_npts"]
-        if not calibrated:
+        if res["name"] == cal_name:
             calibrated = {
                 k: float(v) for k, v in report.constants.items()
                 if not k.endswith("_self_calibrated")

@@ -14,7 +14,7 @@ compared exactly by squaring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -22,7 +22,6 @@ from .enclosure import SqrtAffine, pow_bounds, round_down, round_up
 
 __all__ = [
     "DomainError",
-    "DegenerateCoefficient",
     "SearchExhausted",
     "ConstraintReport",
     "ExponentParams",
@@ -44,9 +43,7 @@ __all__ = [
     "r_feasible",
     "constraint_suite",
     "diagnostics",
-    "feasible",
     "select_parameters",
-    "sigma_solve",
     "recursion_limit",
     "recursion_limit_bounds",
 ]
@@ -56,10 +53,6 @@ Rat = Union[int, str, Fraction]
 
 class DomainError(ValueError):
     """A quantity was requested outside its domain of definition."""
-
-
-class DegenerateCoefficient(ValueError):
-    """The scaling-exponent equation has a vanishing leading coefficient."""
 
 
 class SearchExhausted(RuntimeError):
@@ -233,8 +226,8 @@ class ExponentParams:
 
     Every derived field is reproducible from (N, q, B, K, delta, j, r)
     alone; ``beta1`` is evaluated at the reference interpolation index 2r.
-    ``sigma`` and ``delta0`` default to 0 (unscaled) until a scaling solve
-    supplies them.
+    ``sigma`` and ``delta0`` default to 0 (unscaled); a scenario's ledger
+    gives them as they are, and nothing here solves for them.
     """
 
     N: int
@@ -295,9 +288,6 @@ class ExponentParams:
         j = q / 2 if j is None else _frac(j)
         r = K * q if r is None else _frac(r)
         return cls(N, q, B, K, _frac(delta), j, r, _frac(sigma), delta0=_frac(delta0))
-
-    def with_sigma(self, sigma: Rat, delta0: Rat) -> "ExponentParams":
-        return replace(self, sigma=_frac(sigma), delta0=_frac(delta0))
 
     def as_dict(self) -> dict:
         out = {
@@ -576,10 +566,6 @@ def diagnostics(params: ExponentParams) -> list[ConstraintReport]:
     ]
 
 
-def feasible(params: ExponentParams) -> bool:
-    return all(rep.satisfied for rep in constraint_suite(params))
-
-
 # ---------------------------------------------------------------------------
 # deterministic parameter selection
 # ---------------------------------------------------------------------------
@@ -636,27 +622,6 @@ def select_parameters(
         f"no certified tuple for N={N} with q <= {q_ceiling}; "
         f"last failures: {last_failures}"
     )
-
-
-# ---------------------------------------------------------------------------
-# scaling exponent
-# ---------------------------------------------------------------------------
-
-
-def sigma_solve(
-    params: ExponentParams, sigma0: Rat, s3: Rat, theta: Rat
-) -> tuple[Fraction, Fraction]:
-    """Solve the scale-invariance equation for (sigma, delta0)."""
-    sigma0, s3, theta = _frac(sigma0), _frac(s3), _frac(theta)
-    if sigma0 <= 0 or s3 <= 0:
-        raise DomainError("need sigma0 > 0 and s3 > 0")
-    if not 0 < theta < 1:
-        raise DomainError(f"need theta in (0,1), got {theta}")
-    coeff = sigma0 / theta - s3 / theta + 1
-    if coeff == 0:
-        raise DegenerateCoefficient("sigma0/theta - s3/theta + 1 vanishes")
-    sigma = (1 + (params.N - 2) * s3 / (2 * theta)) / coeff
-    return sigma, s3 / theta
 
 
 # ---------------------------------------------------------------------------

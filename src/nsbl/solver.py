@@ -389,11 +389,9 @@ def _random_spectrum(band: SpectralBand, seed: int, amplitude: float, kmax: int)
     coeff[:, ix, iy, iz] = vec[upper].T
     coeff = _project(coeff, band.wavenumbers, band.inv_k_squared)
     coeff[:, 0, 0, 0] = 0.0
-    # sqrt((u0² + u1²) + u2²), each u from the complex ifftn of the full layout
-    sq = np.zeros((band.npts,) * 3)
-    for c in coeff:
-        sq += np.fft.ifftn(band.expand(c), norm="forward").real ** 2
-    sup = float(np.max(np.sqrt(sq)))
+    # |u| as the audit forms it
+    u = band.inverse(coeff)
+    sup = float(np.max(np.sqrt((u[0] ** 2 + u[1] ** 2) + u[2] ** 2)))
     if sup > 0:
         coeff *= amplitude / sup
     return coeff
@@ -410,12 +408,11 @@ def make_initial(
 
     ``random_spectrum`` is normalized so the initial sup norm equals
     ``amplitude``; the analytic kinds use ``amplitude`` as their coefficient
-    and keep the band of their full forward transform.
+    and keep the band transform of their grid values.
     """
     band = grid.band
     if kind in _ANALYTIC:
-        u = _ANALYTIC[kind](grid, amplitude)
-        coeff = band.compact(np.fft.fftn(u, axes=(-3, -2, -1), norm="forward"))
+        coeff = band.forward(_ANALYTIC[kind](grid, amplitude))
     elif kind == "random_spectrum":
         coeff = _random_spectrum(band, seed, amplitude, kmax)
     else:

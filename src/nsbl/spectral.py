@@ -14,8 +14,8 @@ the full (..., n, n, n) layout.  Initial data, ``SpectralVelocity``, the
 solver's states, trajectories and NSBL2 checkpoints hold it; each audited
 snapshot's velocity comes from one ``inverse`` of its band, and |u| and
 ``cz_pressure`` (which checks the band's divergence) both take it.  The
-band's transforms compute only the lines that carry band modes; ``compact``
-and ``expand`` go to and from the full layout for initial data only.
+band's transforms compute only the lines that carry band modes, and
+nothing in the package forms the full layout.
 
 Threads.  ``over_snapshots`` splits an audit's per-snapshot passes, and
 ``quadratic_products`` (the solver's nonlinear term and the pressure) its
@@ -278,8 +278,6 @@ class SpectralBand:
         self.volume = grid.volume
         self.cut = cut
         self.rows = np.flatnonzero(np.abs(grid.freqs) <= cut)
-        # the row of -k for each row of k
-        self.mirror_rows = -self.rows % n
         self.planes = cut + 1
         self.shape = (self.rows.size, self.rows.size, self.planes)
         # k, |k|^2 and 1/|k|^2 at the kept indices, built from one axis
@@ -299,25 +297,6 @@ class SpectralBand:
         # the weights of |c|^2 in the dissipation sum
         self.weighted_k_squared = self.weights * self.k_squared
 
-    def compact(self, coeff: np.ndarray) -> np.ndarray:
-        """The band entries of full- or half-layout data, as a copy."""
-        return coeff[..., self.rows[:, None], self.rows, : self.planes]
-
-    def expand(self, band: np.ndarray) -> np.ndarray:
-        """Full-layout coefficients of band data, zero outside the band.
-
-        The band goes in as it is; each k_z plane 1..c goes in once more,
-        conjugated, at the negated indices, c(-k) = conj(c(k)).  The k_z = 0
-        plane is its own mirror and goes in once.
-        """
-        n, c = self.npts, self.cut
-        full = np.zeros(band.shape[:-3] + (n, n, n), dtype=np.complex128)
-        full[..., self.rows[:, None], self.rows, : self.planes] = band
-        full[..., self.mirror_rows[:, None], self.mirror_rows, n - c :] = np.conj(
-            band[..., c:0:-1]
-        )
-        return full
-
     def sum_squares(self, band: np.ndarray) -> float:
         """The sum of |c|^2 over the full layout, taken on the band: a k_z
         plane 1..c counts for its mirror too.  It runs on a C-order copy
@@ -327,7 +306,7 @@ class SpectralBand:
         return float(np.sum(self.weights * (band.real**2 + band.imag**2)))
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """Band coefficients of one real field (n, n, n): rfft along z, keep
+        """Band coefficients of real fields (..., n, n, n): rfft along z, keep
         the band planes, fft along y, keep the band rows, fft along x."""
         return self._forward_x(self._forward_zy(values))
 

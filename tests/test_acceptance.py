@@ -15,6 +15,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from band_oracle import compact, expand
 from nsbl import audit as audit_mod
 from nsbl import ledger as L
 from nsbl.harness import Scenario, load_manifest, run_suite, simulate, trajectory_from_manifest
@@ -200,7 +201,7 @@ def _energy_residual(v0, dt, t_final):
 
     def energy(coeff):
         # summed over the full layout
-        return 0.5 * grid.volume * float(np.sum(np.abs(grid.band.expand(coeff)) ** 2))
+        return 0.5 * grid.volume * float(np.sum(np.abs(expand(grid.band, coeff)) ** 2))
 
     cfg = SolverConfig(viscosity=1.0, dt=dt, t_final=t_final,
                        snapshot_stride=max(1, round(t_final / dt) // 5))
@@ -281,7 +282,7 @@ def test_criterion_08_interpolation_and_log_limit():
     coeff = np.zeros((3, 16, 16, 16), dtype=complex)
     coeff[0, 0, 0, 0] = 2.0
     cfg = SolverConfig(dt=0.5, t_final=1.0, snapshot_stride=1)
-    const_traj = Trajectory(g16, cfg, [0.0, 0.5, 1.0], [g16.band.compact(coeff)] * 3,
+    const_traj = Trajectory(g16, cfg, [0.0, 0.5, 1.0], [compact(g16.band, coeff)] * 3,
                             [0.0] * 3)
     r = 3.0
     rec_const = audit_mod.log_norm_limit(const_traj, r)

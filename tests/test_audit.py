@@ -1,11 +1,13 @@
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from band_oracle import compact, expand
 from nsbl import audit as A
 from nsbl import cli
 from nsbl.harness import Scenario, canonical_json, simulate
@@ -55,7 +57,7 @@ def constant_trajectory(grid, value=2.0, times=(0.0, 0.5, 1.0)):
     coeff[0, 0, 0, 0] = value
     cfg = SolverConfig(dt=times[1] - times[0] if len(times) > 1 else 1e-3,
                        t_final=times[-1], snapshot_stride=1)
-    return Trajectory(grid, cfg, list(times), [grid.band.compact(coeff) for _ in times],
+    return Trajectory(grid, cfg, list(times), [compact(grid.band, coeff) for _ in times],
                       [0.0 for _ in times])
 
 
@@ -77,7 +79,7 @@ def psi_tilde_oracle(sp, traj):
 def zero_trajectory(grid):
     coeff = np.zeros((3, grid.npts, grid.npts, grid.npts), dtype=complex)
     cfg = SolverConfig(dt=1e-3, t_final=0.0, snapshot_stride=1)
-    return Trajectory(grid, cfg, [0.0], [grid.band.compact(coeff)], [0.0])
+    return Trajectory(grid, cfg, [0.0], [compact(grid.band, coeff)], [0.0])
 
 
 class TestScaledPsi:
@@ -228,7 +230,7 @@ class TestEnergy:
         want = max(abs(e + d - energies[0]) / energies[0]
                    for e, d in zip(energies, random_traj.dissipation))
         assert A.check_energy(random_traj).lhs == want
-        full = [0.5 * random_traj.grid.volume * np.sum(np.abs(band.expand(c)) ** 2)
+        full = [0.5 * random_traj.grid.volume * np.sum(np.abs(expand(band, c)) ** 2)
                 for c in random_traj.coeffs]
         assert energies == pytest.approx(full, rel=1e-14, abs=0)
 
@@ -310,7 +312,7 @@ class TestOnePassPressure:
             return cz_pressure(coeff, *args)
 
         monkeypatch.setattr(A, "cz_pressure", counting)
-        A.run_audit(random_traj, PARAMS.with_sigma(sigma, 0), A.AuditSpec(s_values=self.S_VALUES))
+        A.run_audit(random_traj, replace(PARAMS, sigma=F(sigma)), A.AuditSpec(s_values=self.S_VALUES))
         # at every sigma each call gets its snapshot's band as it is stored;
         # the snapshots run on several threads, so in no fixed order
         assert len(calls) == len(random_traj)
@@ -334,7 +336,7 @@ class TestOnePassAudit:
 
     def test_each_norm_computed_once_scaled(self, random_traj, monkeypatch):
         # sigma = 1/2: |u| / m_sigma is a view too
-        self.assert_each_norm_once(random_traj, PARAMS.with_sigma(F(1, 2), 0), monkeypatch)
+        self.assert_each_norm_once(random_traj, replace(PARAMS, sigma=F(1, 2)), monkeypatch)
 
     @staticmethod
     def assert_each_norm_once(random_traj, params, monkeypatch):
@@ -411,7 +413,7 @@ class TestOnePassAudit:
         monkeypatch.setattr(A, "power_log_integrals", inside(power_log_integrals, lambda p: 1))
         monkeypatch.setattr(A, "estimate_threshold", inside(A.estimate_threshold))
         monkeypatch.setattr(A, "build_ladder", inside(A.build_ladder))
-        rep = A.run_audit(copy_trajectory(random_traj), PARAMS.with_sigma(F(1, 2), 0),
+        rep = A.run_audit(copy_trajectory(random_traj), replace(PARAMS, sigma=F(1, 2)),
                           A.AuditSpec(s_values=(1.5, 2.0, 3.0, 4.0)))
         assert rep.environment["m_sigma"] != 1.0
         assert formed["|u|/m_sigma", 0] > 0
@@ -421,7 +423,7 @@ class TestOnePassAudit:
         # snapshots that keep the whole half spectrum, as an undealiased run
         # would store them, make no trajectory, so they never reach the audit
         v0 = make_initial("random_spectrum", grid, seed=2, amplitude=1.0, kmax=4)
-        half = grid.band.expand(v0.coeff)[..., : grid.npts // 2 + 1]
+        half = expand(grid.band, v0.coeff)[..., : grid.npts // 2 + 1]
         cfg = SolverConfig(dt=1e-3, t_final=0.0, snapshot_stride=1)
         with pytest.raises(ShapeMismatch, match="band"):
             Trajectory(grid, cfg, [0.0], [half], [0.0])
@@ -441,7 +443,7 @@ class TestOnePassAudit:
         def report(traj, params):
             return canonical_json(A.run_audit(traj, params, A.AuditSpec()).as_dict())
 
-        scaled = PARAMS.with_sigma(F(1, 2), 0)
+        scaled = replace(PARAMS, sigma=F(1, 2))
         for params in (PARAMS, scaled):
             alone_r = report(copy_trajectory(random_traj), params)
             alone_b = report(copy_trajectory(beltrami_traj), params)
@@ -465,7 +467,7 @@ class TestAuditMemory:
         spec = A.AuditSpec(s_values=(1.5, 2.0, 3.0, 4.0))
         # the grid's own caches are built once, outside the measured audits
         A.run_audit(copy_trajectory(traj), PARAMS, spec)
-        for params in (PARAMS, PARAMS.with_sigma(F(1, 2), 0)):
+        for params in (PARAMS, replace(PARAMS, sigma=F(1, 2))):
             tracemalloc.start()
             try:
                 A.run_audit(copy_trajectory(traj), params, spec)
@@ -540,7 +542,7 @@ class TestFinalBound:
         # v -> 2 v(2x) with the box halved and time compressed 4x: both
         # sides of the bound scale together, the ratio of ratios is 1
         lam = 2.0
-        params = PARAMS.with_sigma(PARAMS.sigma, F(2))
+        params = replace(PARAMS, delta0=F(2))
         g1 = TorusGrid(24, length=2 * np.pi)
         v1 = make_initial("random_spectrum", g1, seed=3, amplitude=1.0, kmax=4)
         t1 = run(v1, SolverConfig(viscosity=1.0, dt=4e-3, t_final=0.2, snapshot_stride=10))
@@ -604,7 +606,7 @@ class TestSnapshotFanOut:
             snapshot_workers(workers)
             reports[workers] = [
                 canonical_json(A.run_audit(copy_trajectory(random_traj), params, spec).as_dict())
-                for params in (PARAMS, PARAMS.with_sigma(F(1, 2), 0))
+                for params in (PARAMS, replace(PARAMS, sigma=F(1, 2)))
             ]
         assert reports[1] == reports[2] == reports[3]
         assert reports[1][0] != reports[1][1]

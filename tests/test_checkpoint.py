@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from band_oracle import compact, expand
 from nsbl.checkpoint import (
     CorruptCheckpoint,
     read_band,
@@ -108,7 +109,7 @@ def test_band_io_is_the_full_layout_io(tmp_path, n):
     coeff, v = band_field(n)
     sha = write_band(tmp_path / "band.nsbl", v.grid, coeff, v.t)
     t, back = read_band(tmp_path / "band.nsbl", TorusGrid(n), expect_sha=sha)
-    want = v.grid.band.compact(v.grid.band.expand(coeff))
+    want = compact(v.grid.band, expand(v.grid.band, coeff))
     assert t == 0.125
     assert np.array_equal(back, coeff) and np.array_equal(back, want)
     assert back.flags.c_contiguous and back.flags.writeable
@@ -149,7 +150,7 @@ def test_write_refuses_modes_outside_the_band(tmp_path):
     # a full layout, a half spectrum, two components and another grid's
     # band all make a file read_band would call corrupt; none is written
     coeff, v = band_field(16)
-    full = v.grid.band.expand(coeff)
+    full = expand(v.grid.band, coeff)
     for bad in (full, full[..., :9], coeff[:2], band_field(24)[0]):
         with pytest.raises(ShapeMismatch, match=r"2/3-rule band's \(3, 11, 11, 6\)"):
             write_band(tmp_path / "w.nsbl", v.grid, bad, 0.0)
@@ -214,7 +215,7 @@ def one_blob_write_band(path, grid, coeff, t):
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_write_band_matches_the_one_blob_encoder(tmp_path, n):
     # a C-order band, and the same band in (row, row, comp, plane) memory
-    # order, as ``SpectralBand.compact`` lays it out
+    # order, as ``band_oracle.compact`` lays it out
     coeff, v = band_field(n, seed=n)
     want = one_blob_write_band(tmp_path / "want.nsbl", v.grid, coeff, 0.25)
     rows, planes = coeff.shape[1], coeff.shape[3]

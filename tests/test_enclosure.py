@@ -66,7 +66,7 @@ def test_sqrt_affine_cmp_and_bounds():
     assert v.cmp(F(19, 10)) < 0
     lo, hi = v.bounds(7)
     assert hi - lo <= F(1, 10**6)
-    assert abs(float(v) - 1.8164966) < 1e-6
+    assert abs(float(lo) - 1.8164966) < 1e-6
 
 
 def test_sqrt_affine_rational_case():

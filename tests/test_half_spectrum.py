@@ -2,7 +2,7 @@
 
 The full-layout oracles are the complex full-spectrum algorithms the solver
 and ``cz_pressure`` used first, on the full (3, n, n, n) layout that
-``SpectralBand.expand`` gives; their arithmetic order differs, so results
+``band_oracle.expand`` gives; their arithmetic order differs, so results
 agree to roundoff.  The half-spectrum oracles are the real-FFT algorithms
 that ran over the whole half spectrum (n, n, n//2+1) before the state
 shrank to the kept band: every band entry is computed by the same
@@ -12,6 +12,7 @@ operations, so results agree bit for bit.
 import numpy as np
 import pytest
 
+from band_oracle import compact, expand
 from nsbl.checkpoint import write_band
 from nsbl.solver import SolverConfig, make_initial, nonlinear_term, run, step
 from nsbl.spectral import (
@@ -51,7 +52,7 @@ class FullOps:
 
 def full_spectrum(half):
     """Full layout of a half spectrum by conjugate mirroring, c(-k) = conj(c(k)):
-    the algorithm ``SpectralBand.expand`` used before it scattered directly."""
+    the algorithm ``band_oracle.expand`` used before it scattered directly."""
     n = half.shape[-3]
     # entries k_z = n/2-1 .. 1 at (-k_x, -k_y), for the full layout's k_z = n/2+1 .. n-1
     mirrored = np.roll(half[..., ::-1, ::-1, n // 2 - 1 : 0 : -1], 1, axis=(-3, -2))
@@ -181,7 +182,7 @@ def half_oracle_cz_pressure(v):
 
 
 def full_layout(v):
-    return v.grid.band.expand(v.coeff)
+    return expand(v.grid.band, v.coeff)
 
 
 def half_spectrum(v):
@@ -197,7 +198,7 @@ def band_pressure(v):
 
 def coeff_l2_norm(grid, coeff):
     """Spatial L2 norm of a field, from its full-layout coefficients."""
-    return float(np.sqrt(grid.volume * np.sum(np.abs(grid.band.expand(coeff)) ** 2)))
+    return float(np.sqrt(grid.volume * np.sum(np.abs(expand(grid.band, coeff)) ** 2)))
 
 
 def rel_err(got, want):
@@ -236,12 +237,12 @@ def test_pruned_transforms_match_rfftn_and_irfftn(n):
     ops = HalfOps(g)
     values = np.random.default_rng(n).normal(size=(n, n, n))
     want = np.fft.rfftn(values, axes=(-3, -2, -1), norm="forward") * ops.mask
-    assert np.array_equal(band.forward(values), band.compact(want))
-    coeff = band.compact(transform_forward(np.stack([values, -values, 2 * values])))
+    assert np.array_equal(band.forward(values), compact(band, want))
+    coeff = compact(band, transform_forward(np.stack([values, -values, 2 * values])))
     padded = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
     padded[(slice(None),) + np.ix_(band.rows, band.rows, range(band.planes))] = coeff
     assert np.array_equal(band.inverse(coeff), ops.inverse(padded))
-    assert np.array_equal(band.expand(coeff), full_spectrum(padded))
+    assert np.array_equal(expand(band, coeff), full_spectrum(padded))
 
 
 @pytest.mark.parametrize("n", [16, 24, 48])
@@ -253,11 +254,11 @@ def test_expand_scatter_matches_mirrored_half_spectrum(n):
     coeff = rng.normal(size=(3,) + band.shape) + 1j * rng.normal(size=(3,) + band.shape)
     padded = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
     padded[(slice(None),) + np.ix_(band.rows, band.rows, range(band.planes))] = coeff
-    got, want = band.expand(coeff), full_spectrum(padded)
+    got, want = expand(band, coeff), full_spectrum(padded)
     # bit for bit once signed zeros are made equal: the mirrored path
     # conjugates the zeros outside the band to -0j
     assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
-    assert np.array_equal(band.compact(got), coeff)
+    assert np.array_equal(compact(band, got), coeff)
 
 
 @pytest.mark.parametrize("n", [16, 24, 48])
@@ -265,7 +266,7 @@ def test_nonlinear_matches_full_oracle(n):
     # compared in the full layout, where the oracle's modes outside the
     # band are zero too
     v = field(n)
-    got = v.grid.band.expand(nonlinear_term(v).coeff)
+    got = expand(v.grid.band, nonlinear_term(v).coeff)
     assert rel_err(got, oracle_nonlinear(full_layout(v), v.grid)) <= RTOL
 
 
@@ -280,7 +281,7 @@ def test_cz_pressure_matches_full_oracle(n):
 def test_step_matches_full_oracle(n):
     v = field(n)
     cfg = SolverConfig(viscosity=1.0, dt=2e-3)
-    got = v.grid.band.expand(step(v, cfg).coeff)
+    got = expand(v.grid.band, step(v, cfg).coeff)
     assert rel_err(got, oracle_rk4_step(full_layout(v), v.grid, cfg)) <= RTOL
 
 
@@ -290,7 +291,7 @@ def test_run_snapshots_hermitian():
     v = field(16, seed=5)
     traj = run(v, SolverConfig(viscosity=1.0, dt=2e-3, t_final=0.02, snapshot_stride=3))
     for c in traj.coeffs:
-        u = np.fft.ifftn(v.grid.band.expand(c), axes=(-3, -2, -1), norm="forward")
+        u = np.fft.ifftn(expand(v.grid.band, c), axes=(-3, -2, -1), norm="forward")
         assert np.abs(u.imag).max() <= RTOL * np.abs(u.real).max()
 
 
@@ -298,7 +299,7 @@ def test_run_snapshots_hermitian():
 def test_band_kernels_match_half_spectrum_oracle(n):
     v = field(n)
     want = half_oracle_nonlinear(half_spectrum(v), HalfOps(v.grid))
-    assert np.array_equal(nonlinear_term(v).coeff, v.grid.band.compact(want))
+    assert np.array_equal(nonlinear_term(v).coeff, compact(v.grid.band, want))
     for u in (v, field(n, seed=n)):
         got = band_pressure(u)
         assert np.array_equal(got, half_oracle_cz_pressure(u))
@@ -312,7 +313,7 @@ def test_band_velocity_matches_irfftn_of_half_spectrum(n):
     traj = run(v, SolverConfig(viscosity=1.0, dt=2e-3, t_final=2e-3, snapshot_stride=1))
     band = v.grid.band
     for i, c in enumerate(traj.coeffs):
-        full = band.expand(c)
+        full = expand(band, c)
         u = band.inverse(c)
         assert np.array_equal(u, HalfOps(v.grid).inverse(full[..., : n // 2 + 1]))
         assert np.array_equal(traj.magnitudes()[i], np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2))
@@ -334,8 +335,8 @@ def test_band_run_matches_half_spectrum_oracle(n, tmp_path):
     for i in range(1, len(traj)):
         half, dd = half_oracle_step(half, ops, cfg)
         acc += dd
-        want = band.compact(half)
-        assert np.array_equal(band.expand(traj.coeffs[i]), full_spectrum(half))
+        want = compact(band, half)
+        assert np.array_equal(expand(band, traj.coeffs[i]), full_spectrum(half))
         sha_want = write_band(tmp_path / f"want{i}", v.grid, want, traj.times[i])
         sha_got = write_band(tmp_path / f"got{i}", v.grid, traj.coeffs[i], traj.times[i])
         assert sha_got == sha_want
@@ -356,7 +357,7 @@ def test_dissipation_weights_per_plane(plane, mode):
     x = g.mesh()
     phase = sum(m * xi for m, xi in zip(mode, x))
     u = np.stack([np.cos(phase), np.zeros_like(phase), np.zeros_like(phase)])
-    v0 = SpectralVelocity(g.band.compact(transform_forward(u)), g)
+    v0 = SpectralVelocity(compact(g.band, transform_forward(u)), g)
     nu, t_final = 0.5, 0.01
     cfg = SolverConfig(viscosity=nu, dt=1e-3, t_final=t_final, snapshot_stride=5)
     traj = run(v0, cfg)

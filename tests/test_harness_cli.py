@@ -17,6 +17,7 @@ from nsbl.harness import (
     _aggregate,
     audit_manifest,
     canonical_json,
+    certificate_dict,
     load_manifest,
     run_suite,
     scenario_hash,
@@ -34,6 +35,16 @@ def quick_scenario(name, kind="beltrami", seed=0, amplitude=1.0, npts=16,
         grid_npts=npts,
         solver=SolverConfig(viscosity=1.0, dt=dt, t_final=t_final, snapshot_stride=stride),
         initial={"kind": kind, "seed": seed, "amplitude": amplitude, "kmax": kmax},
+    )
+
+
+def blowup_scenario(name="bad"):
+    """A 16^3 run that blows up in its first steps."""
+    return Scenario(
+        name=name,
+        grid_npts=16,
+        solver=SolverConfig(viscosity=1e-4, dt=0.5, t_final=25.0, snapshot_stride=10),
+        initial={"kind": "random_spectrum", "seed": 1, "amplitude": 500.0, "kmax": 4},
     )
 
 
@@ -63,10 +74,8 @@ class TestScenario:
         assert Scenario.load(p).to_dict() == sc.to_dict()
 
     def test_default_ledger_params_feasible(self):
-        from nsbl.ledger import feasible
-
         sc = quick_scenario("c")
-        assert feasible(sc.exponent_params())
+        assert certificate_dict(sc.exponent_params())["feasible"]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -260,17 +269,28 @@ class TestSuite:
 
     def test_member_error_does_not_abort(self, tmp_path):
         good = quick_scenario("good", kind="random_spectrum", seed=1)
-        bad = Scenario(
-            name="bad",
-            grid_npts=16,
-            solver=SolverConfig(viscosity=1e-4, dt=0.5, t_final=25.0, snapshot_stride=10),
-            initial={"kind": "random_spectrum", "seed": 1, "amplitude": 500.0, "kmax": 4},
-        )
         suite = {"format": "nsbl-suite/1", "name": "s2", "calibration": "good",
-                 "scenarios": [good.to_dict(), bad.to_dict()]}
+                 "scenarios": [good.to_dict(), blowup_scenario().to_dict()]}
         agg = run_suite(suite, tmp_path, workers=1)
         assert agg["runs_completed"] >= 1
         assert len(agg["instabilities"]) == 1
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_calibration_blowup_is_an_instability(self, tmp_path, workers):
+        # the held-out members calibrate themselves, and none of their
+        # constants stands in for the calibration's
+        members = [blowup_scenario().to_dict()] + [
+            quick_scenario(f"held{k}", kind="random_spectrum", seed=k).to_dict() for k in range(2)]
+        sp = tmp_path / "suite.json"
+        sp.write_text(json.dumps({"format": "nsbl-suite/1", "name": "calblow",
+                                  "calibration": "bad", "scenarios": members}))
+        assert cli.main(["suite", str(sp), "--out-dir", str(tmp_path / "out"),
+                         "--workers", workers]) == 3
+        agg = json.loads((tmp_path / "out" / "aggregate.json").read_text())
+        assert agg["runs_completed"] == 3
+        assert [item["name"] for item in agg["instabilities"]] == ["bad"]
+        assert agg["errors"] == []
+        assert agg["calibrated_constants"] == {}
 
     def test_mixed_resolution_drift_reported(self, tmp_path):
         members = [
@@ -520,6 +540,23 @@ class TestCli:
         assert cli.main(["audit", str(path)]) == 4
         assert "malformed manifest" in capsys.readouterr().err
 
+    def test_audit_times_contradicting_checkpoints_exit_4(self, tmp_path, capsys):
+        # the checkpoints hold t = 0, 0.004, 0.008; the manifest says 0, 10, 20
+        sc = quick_scenario("times", t_final=8e-3, stride=2)
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(sc.to_dict()))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
+        path = tmp_path / "times" / "manifest.json"
+        manifest = load_manifest(path)
+        for i, entry in enumerate(manifest["checkpoints"]):
+            entry["t"] = 10.0 * i
+        path.write_bytes(canonical_json(manifest))
+        capsys.readouterr()
+        assert cli.main(["audit", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "checkpoint_0001.nsbl: time 0.004 is not the manifest's 10.0" in err
+        assert not (tmp_path / "times" / "report.json").exists()
+
     def test_audit_undealiased_run_exit_1(self, tmp_path, capsys):
         # a manifest whose scenario asks for an undealiased run is refused
         # when the scenario is parsed, before any checkpoint is read
@@ -700,6 +737,17 @@ class TestCli:
         target = tmp_path / "afile"
         target.write_text("x")
         assert cli.main(["exponents", "--out-dir", str(target)]) == 4
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_suite_workers_below_1_exit_1(self, tmp_path, capsys, workers):
+        sp = tmp_path / "suite.json"
+        sp.write_text(json.dumps({"format": "nsbl-suite/1",
+                                  "scenarios": [quick_scenario("w").to_dict()]}))
+        capsys.readouterr()
+        assert cli.main(["suite", str(sp), "--out-dir", str(tmp_path / "out"),
+                         "--workers", workers]) == 1
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_suite_cli(self, tmp_path):
         members = [quick_scenario(f"s{k}", kind="random_spectrum", seed=k).to_dict()

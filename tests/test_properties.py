@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import struct
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from band_oracle import compact
 from nsbl import audit as A
 from nsbl import cli
 from nsbl import ledger as L
@@ -90,10 +92,10 @@ def test_audit_on_degenerate_fields(kind, amplitude, mode, snapshots, sigma, s_v
     coeff = degenerate_coeff(kind, amplitude, mode)
     times = [0.01 * i for i in range(snapshots)]
     cfg = SolverConfig(dt=0.01, t_final=times[-1], snapshot_stride=1)
-    traj = Trajectory(GRID, cfg, times, [GRID.band.compact(coeff)] * snapshots,
+    traj = Trajectory(GRID, cfg, times, [compact(GRID.band, coeff)] * snapshots,
                       [0.0] * snapshots)
     try:
-        report = A.run_audit(traj, PARAMS.with_sigma(sigma, 0),
+        report = A.run_audit(traj, replace(PARAMS, sigma=sigma),
                              A.AuditSpec(s_values=tuple(s_values)))
     except TYPED as exc:
         event(type(exc).__name__)
@@ -164,19 +166,6 @@ def test_ledger_identities_exact(N, excess, j, share, delta):
     m1, m2 = L.big_m_forms(N, q, j_in)
     assert m1 == m2
     assert L.m_delta(N, q, delta) == L.big_m(N, q, delta * (N + 2))
-
-
-@settings(max_examples=100)
-@given(N=dims, sigma0=scales, s3=scales, theta=unit_open)
-def test_sigma_solve_substitutes_back(N, sigma0, s3, theta):
-    p = ExponentParams.derive(N, 2 * (N + 2), 10, F(6, 5))
-    try:
-        sigma, delta0 = L.sigma_solve(p, sigma0, s3, theta)
-    except L.DegenerateCoefficient:
-        assert sigma0 / theta - s3 / theta + 1 == 0
-        return
-    assert sigma * (sigma0 / theta - s3 / theta + 1) - 1 == (N - 2) * s3 / (2 * theta)
-    assert delta0 == s3 / theta
 
 
 THRESHOLD_TRAJ = Trajectory(

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from band_oracle import compact, expand
 from nsbl import solver
 from nsbl.audit import check_energy
 from nsbl.harness import Scenario, load_manifest, simulate, trajectory_from_manifest
@@ -32,12 +33,12 @@ def grid():
 
 def coeff_norm(v):
     """The 2-norm of the field's full-layout coefficients (test oracle)."""
-    return float(np.sqrt(np.sum(np.abs(v.grid.band.expand(v.coeff)) ** 2)))
+    return float(np.sqrt(np.sum(np.abs(expand(v.grid.band, v.coeff)) ** 2)))
 
 
 def l2_norm(grid, coeff):
     """Spatial L2 norm of a field, from its full-layout coefficients."""
-    return float(np.sqrt(grid.volume * np.sum(np.abs(grid.band.expand(coeff)) ** 2)))
+    return float(np.sqrt(grid.volume * np.sum(np.abs(expand(grid.band, coeff)) ** 2)))
 
 
 def div_max(v):
@@ -72,8 +73,9 @@ def loop_half_space_modes(kmax):
 
 def full_layout_random_spectrum(grid, seed, amplitude, kmax):
     """make_initial("random_spectrum", ...) built in the full (3, n, n, n)
-    layout: one draw per mode, the projection and the sup on the full
-    layout, then the band's projection; returns the band."""
+    layout: one draw per mode and the projection on the full layout, the
+    sup from ``band.inverse`` of its band, then the band's projection;
+    returns the band."""
     rng = np.random.default_rng(seed)
     n = grid.npts
     coeff = np.zeros((3, n, n, n), dtype=np.complex128)
@@ -90,20 +92,19 @@ def full_layout_random_spectrum(grid, seed, amplitude, kmax):
     project = lambda c, k, inv: c - k * ((k[0] * c[0] + k[1] * c[1] + k[2] * c[2]) * inv)[None]
     coeff = project(coeff, k, inv_k2)
     coeff[:, 0, 0, 0] = 0.0
-    u = np.fft.ifftn(coeff, axes=(-3, -2, -1), norm="forward").real
+    band = grid.band
+    u = band.inverse(compact(band, coeff))
     sup = float(np.max(np.sqrt(np.sum(u**2, axis=0))))
     if sup > 0:
         coeff *= amplitude / sup
-    band = grid.band
-    coeff = project(band.compact(coeff), band.wavenumbers, band.inv_k_squared)
+    coeff = project(compact(band, coeff), band.wavenumbers, band.inv_k_squared)
     coeff[:, 0, 0, 0] = 0.0
     return coeff
 
 
-def full_layout_analytic(kind, grid, amplitude):
-    """make_initial's band of an analytic kind, built as before the band was
-    the public layout: the full fftn of the grid values, its band projected,
-    and that band expanded."""
+def analytic_oracle(kind, grid, amplitude):
+    """make_initial's band of an analytic kind: the band of ``rfftn`` of
+    the grid values, projected."""
     x, y, z = grid.mesh()
     a = amplitude
     if kind == "beltrami":
@@ -113,11 +114,11 @@ def full_layout_analytic(kind, grid, amplitude):
         u = np.stack([a * np.sin(x) * np.cos(y) * np.cos(z),
                       -a * np.cos(x) * np.sin(y) * np.cos(z), np.zeros_like(x)])
     band = grid.band
-    coeff = band.compact(np.fft.fftn(u, axes=(-3, -2, -1), norm="forward"))
+    coeff = compact(band, np.fft.rfftn(u, axes=(-3, -2, -1), norm="forward"))
     k, inv_k2 = band.wavenumbers, band.inv_k_squared
     coeff -= k * ((k[0] * coeff[0] + k[1] * coeff[1] + k[2] * coeff[2]) * inv_k2)[None]
     coeff[:, 0, 0, 0] = 0.0
-    return band.expand(coeff)
+    return coeff
 
 
 class TestConfig:
@@ -149,7 +150,7 @@ class TestInitialData:
         v = make_initial(kind, grid, seed=1, amplitude=1.0, kmax=4)
         assert div_max(v) <= 1e-12 * max(1.0, coeff_norm(v))
         assert v.coeff.shape == (3,) + grid.band.shape
-        u = np.fft.ifftn(grid.band.expand(v.coeff), axes=(1, 2, 3), norm="forward")
+        u = np.fft.ifftn(expand(grid.band, v.coeff), axes=(1, 2, 3), norm="forward")
         assert np.abs(u.imag).max() <= 1e-13
         assert np.abs(v.coeff[:, 0, 0, 0]).max() == 0.0
 
@@ -191,7 +192,7 @@ class TestInitialData:
     @pytest.mark.parametrize("n", [16, 24, 48])
     def test_analytic_kinds_match_the_full_layout_oracle(self, n, kind):
         grid = TorusGrid(n)
-        want = grid.band.compact(full_layout_analytic(kind, grid, 1.5))
+        want = analytic_oracle(kind, grid, 1.5)
         got = make_initial(kind, grid, amplitude=1.5).coeff
         assert got.tobytes() == want.tobytes()
 
@@ -257,7 +258,7 @@ def test_band_is_alias_free(n):
     rng = np.random.default_rng(n)
     coarse, fine_grid = TorusGrid(n), TorusGrid(big)
     values = rng.normal(size=(3, n, n, n))
-    coeff = coarse.band.compact(np.fft.fftn(values, axes=(-3, -2, -1), norm="forward"))
+    coeff = compact(coarse.band, np.fft.fftn(values, axes=(-3, -2, -1), norm="forward"))
     # the kept modes at their band indices on either grid: row m mod rows,
     # k_z planes 0..c
     modes, planes = np.arange(-c, c + 1), np.arange(c + 1)
@@ -303,7 +304,7 @@ class TestStep:
         assert div_max(v) <= 1e-12 * max(1.0, coeff_norm(v))
         assert v.coeff.shape == (3,) + grid.band.shape
         # still a real field: its k_z = 0 plane is conjugate-symmetric
-        u = np.fft.ifftn(grid.band.expand(v.coeff), axes=(1, 2, 3), norm="forward")
+        u = np.fft.ifftn(expand(grid.band, v.coeff), axes=(1, 2, 3), norm="forward")
         assert np.abs(u.imag).max() <= 1e-13
 
     def test_blowup_flagged(self, grid):
@@ -527,7 +528,7 @@ def run_and_reload(request, tmp_path_factory):
 
 def transposed_copy(band):
     """A copy of band data (ncomp, rows, rows, planes) with the component
-    axis inside the two row axes in memory, as ``SpectralBand.compact``
+    axis inside the two row axes in memory, as ``band_oracle.compact``
     lays out its result."""
     ncomp, rows, _, planes = band.shape
     out = np.empty((rows, rows, ncomp, planes), dtype=band.dtype).transpose(2, 0, 1, 3)
