@@ -54,6 +54,7 @@ __all__ = [
     "check_final_bound",
     "calibrate_final_constant",
     "dichotomy_branch",
+    "constant_key",
     "run_audit",
 ]
 
@@ -192,10 +193,10 @@ def _jsonify(obj):
 
 @dataclass
 class AuditSpec:
-    """Knobs for one audit pass; exponents default to the ledger params."""
+    """Knobs for one audit pass; r defaults to the ledger's, and q is always
+    the ledger's."""
 
     r: Optional[float] = None
-    q: Optional[float] = None
     s_values: tuple = (2.0, 3.0)
     ell_values: Optional[tuple] = None
     n_max: int = 40
@@ -203,9 +204,6 @@ class AuditSpec:
 
     def effective_r(self, params: ExponentParams) -> float:
         return float(params.r) if self.r is None else float(self.r)
-
-    def effective_q(self, params: ExponentParams) -> float:
-        return float(params.q) if self.q is None else float(self.q)
 
     def effective_ells(self, r: float) -> tuple:
         if self.ell_values is None:
@@ -734,6 +732,13 @@ def _m_sigma(v0max: float, sigma) -> float:
         return math.inf
 
 
+def constant_key(check_id: str) -> str | None:
+    """Registry name of a check whose fitted value is a genuine constant."""
+    if check_id in ("energy", "recursion") or check_id.startswith("pressure_"):
+        return f"c_{check_id}"
+    return "c_final" if check_id == "final_bound" else None
+
+
 def run_audit(
     traj: Trajectory,
     params: ExponentParams,
@@ -773,12 +778,7 @@ def run_audit(
 
     stats = FieldStats(traj, m_sigma, _pressure={s_values: rows})
 
-    checks: list[CheckRecord] = []
-    checks.append(check_energy(stats))
-    constants.setdefault("c_energy", checks[-1].fitted_constant)
-    for rec in check_pressure(stats, spec.s_values):
-        checks.append(rec)
-        constants.setdefault(f"c_{rec.check_id}", rec.fitted_constant)
+    checks = [check_energy(stats), *check_pressure(stats, spec.s_values)]
 
     degenerate = v0max == 0.0
     branch = None
@@ -798,16 +798,18 @@ def run_audit(
         # seeds than anything keyed to the sup
         k_fit = 2.0 * sorted_quantile(sp.sorted_tilde, 0.90)
         fit_ladder = build_ladder(sp, k_fit, spec.n_max, enforce_threshold=False)
-        rec = check_recursion(fit_ladder, sp, stats, params,
-                              dominating_ladder=dom_ladder)
-        checks.append(rec)
-        constants.setdefault("c_recursion", rec.fitted_constant)
+        checks.append(check_recursion(fit_ladder, sp, stats, params,
+                                      dominating_ladder=dom_ladder))
         branch = dichotomy_branch(stats, params)
 
     if "c_final" not in constants:
         constants["c_final"] = calibrate_final_constant(traj, params)
         constants["c_final_self_calibrated"] = True
     checks.append(check_final_bound(traj, params, constants["c_final"]))
+    for c in checks:
+        key = constant_key(c.check_id)
+        if key is not None:
+            constants.setdefault(key, c.fitted_constant)
 
     env = {
         "grid_npts": grid.npts,
@@ -815,12 +817,12 @@ def run_audit(
         "dt": traj.config.dt,
         "t_final": traj.config.t_final,
         "viscosity": traj.config.viscosity,
-        "scheme": traj.config.scheme,
+        "scheme": "rk4",
         "snapshots": len(traj),
         "sigma": str(params.sigma),
         "m_sigma": m_sigma,
         "audit_r": r,
-        "audit_q": spec.effective_q(params),
+        "audit_q": float(params.q),
         "dichotomy_branch": branch,
         "viscous_number": traj.config.viscous_number(grid),
     }

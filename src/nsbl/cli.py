@@ -17,6 +17,7 @@ from pathlib import Path
 from .audit import BadExponents
 from .checkpoint import CorruptCheckpoint
 from .harness import (
+    DEFAULT_LEDGER,
     InfeasibleLedger,
     Scenario,
     audit_manifest,
@@ -55,7 +56,7 @@ ERRORS = (
 
 # the keys of an explicit ``--check`` tuple, and the defaults of those it omits
 CHECK_KEYS = ("N", "q", "B", "K", "delta", "j", "r", "sigma")
-CHECK_DEFAULTS = {"q": "10", "B": "10", "K": "6/5", "delta": "1/2"}
+CHECK_DEFAULTS = {key: DEFAULT_LEDGER[key] for key in ("q", "B", "K", "delta")}
 
 
 class UsageError(ValueError):
@@ -146,8 +147,6 @@ def cmd_audit(args) -> int:
     overrides = {}
     if args.r is not None:
         overrides["r"] = args.r
-    if args.q is not None:
-        overrides["q"] = args.q
     if args.s:
         overrides["s_values"] = _parse_floats(args.s)
     if args.l:
@@ -203,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="audit a finished run from its manifest")
     p.add_argument("manifest")
     p.add_argument("--r", type=float, default=None)
-    p.add_argument("--q", type=float, default=None)
     p.add_argument("--s", default=None, help="comma-separated pressure exponents")
     p.add_argument("--l", default=None, help="comma-separated interpolation exponents")
     p.add_argument("--n-max", type=int, default=None, dest="n_max")

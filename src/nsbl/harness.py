@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .audit import AuditReport, AuditSpec, run_audit
+from .audit import AuditReport, AuditSpec, constant_key, run_audit
 from .checkpoint import CorruptCheckpoint, read_band, write_band
 from .ledger import ExponentParams, constraint_suite, diagnostics, parse_exact
 from .solver import Instability, SolverConfig, Trajectory, make_initial, run
@@ -88,15 +88,24 @@ SOLVER_KEYS = ("viscosity", "dt", "t_final", "snapshot_stride", "dealias", "sche
 INITIAL_KEYS = ("kind", "seed", "amplitude", "kmax")
 AUDIT_KEYS = ("r", "q", "s_values", "ell_values", "n_max", "calibration")
 SUITE_KEYS = ("format", "name", "calibration", "scenarios")
+# keys with one allowed value each: runs keep the 2/3-rule band and step by
+# RK4, and an audit's q is the ledger's.  to_dict writes them, so scenario
+# bytes and scenario_hash stay those of the files that still carry them.
+FIXED = {"solver": {"dealias": True, "scheme": "rk4"}, "audit": {"q": None}}
 
 
 def _section(d: dict, allowed, where: str) -> dict:
-    """``d`` itself once it is known to be an object holding only ``allowed`` keys."""
+    """``d`` itself once it is known to be an object holding only ``allowed``
+    keys, with each key of ``FIXED[where]`` it holds at its one value."""
     if not isinstance(d, dict):
         raise BadScenario(f"{where or 'scenario'} must be an object, got {type(d).__name__}")
     for key in d:
         if key not in allowed:
             raise UnknownKey(f"{where}.{key}" if where else key)
+    for key, fixed in FIXED.get(where, {}).items():
+        value = d.get(key, fixed)
+        if type(value) is not type(fixed) or value != fixed:
+            raise BadScenario(f"{where}.{key} must be {json.dumps(fixed)}, got {value!r}")
     return d
 
 
@@ -131,10 +140,6 @@ def _number(d: dict, key: str, default: float, where: str) -> float:
     return float(value)
 
 
-def _optional_number(d: dict, key: str, where: str) -> float | None:
-    return None if d.get(key) is None else _number(d, key, None, where)
-
-
 def _numbers(d: dict, key: str, default, where: str) -> tuple:
     """``d[key]`` (else ``default``) once it is known to be a list of finite numbers."""
     value = d.get(key, default)
@@ -165,8 +170,7 @@ def _audit_spec(d: dict) -> AuditSpec:
     if not 0 <= n_max <= 1022:
         raise BadScenario(f"audit.n_max must be in [0, 1022], got {n_max}")
     return AuditSpec(
-        r=_optional_number(a, "r", "audit"),
-        q=_optional_number(a, "q", "audit"),
+        r=None if a.get("r") is None else _number(a, "r", None, "audit"),
         s_values=s_values,
         ell_values=ells,
         n_max=n_max,
@@ -203,11 +207,9 @@ class Scenario:
             "format": "nsbl-scenario/1",
             "name": self.name,
             "grid": {"npts": self.grid_npts, "length": self.grid_length},
-            # runs keep the 2/3-rule band only; "dealias" stays so the
-            # nsbl-scenario/1 bytes and scenario_hash do not change
-            "solver": {**asdict(self.solver), "dealias": True},
+            "solver": {**asdict(self.solver), **FIXED["solver"]},
             "initial": dict(self.initial),
-            "audit": asdict(self.audit),
+            "audit": {**asdict(self.audit), **FIXED["audit"]},
             "ledger": dict(self.ledger),
         }
 
@@ -219,9 +221,6 @@ class Scenario:
             raise BadScenario(f"unknown scenario format {d.get('format')!r}")
         g = _section(d.get("grid", {}), GRID_KEYS, "grid")
         s = _section(d.get("solver", {}), SOLVER_KEYS, "solver")
-        if s.get("dealias", True) is not True:
-            raise BadScenario(f"solver.dealias must be true (runs keep the 2/3-rule band), "
-                              f"got {s['dealias']!r}")
         initial = dict(_section(d.get("initial", {"kind": "beltrami"}), INITIAL_KEYS, "initial"))
         for key in ("seed", "kmax"):
             if key in initial:
@@ -244,7 +243,6 @@ class Scenario:
                 dt=_number(s, "dt", 1e-3, "solver"),
                 t_final=_number(s, "t_final", 0.5, "solver"),
                 snapshot_stride=_integer(s, "snapshot_stride", 10, "solver"),
-                scheme=_string(s, "scheme", "rk4", "solver"),
             ),
             initial=initial,
             audit=_audit_spec(d.get("audit", {})),
@@ -555,7 +553,7 @@ def run_suite(suite: dict, out_root, workers: int = 1) -> dict:
         else:
             results.append(out)
 
-    aggregate = _aggregate(results, errors, cal_name)
+    aggregate = _aggregate(results, errors, cal_name, constants or {})
     (out_root / "aggregate.json").write_bytes(canonical_json(aggregate))
     with (out_root / "aggregate.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -567,37 +565,19 @@ def run_suite(suite: dict, out_root, workers: int = 1) -> dict:
     return aggregate
 
 
-def _constant_key(check_id: str):
-    """Registry name for checks whose fitted value is a genuine constant."""
-    if check_id == "energy":
-        return "c_energy"
-    if check_id.startswith("pressure_"):
-        return f"c_{check_id}"
-    if check_id == "recursion":
-        return "c_recursion"
-    if check_id == "final_bound":
-        return "c_final"
-    return None
-
-
-def _aggregate(results, errors, cal_name) -> dict:
+def _aggregate(results, errors, cal_name, calibrated: dict) -> dict:
+    """The suite's table; ``calibrated`` holds the constants the members took."""
     per_check: dict = {}
     constants: dict = {}
     per_resolution: dict = {}
     falsifications = []
     instabilities = []
-    calibrated: dict = {}
     for res in results:
         if "instability" in res:
             instabilities.append({"name": res["name"], **res["instability"]})
             continue
         report: AuditReport = res["report"]
         npts = report.environment["grid_npts"]
-        if res["name"] == cal_name:
-            calibrated = {
-                k: float(v) for k, v in report.constants.items()
-                if not k.endswith("_self_calibrated")
-            }
         for c in report.checks:
             row = per_check.setdefault(
                 c.check_id, {"margins": [], "falsifications": 0}
@@ -607,7 +587,7 @@ def _aggregate(results, errors, cal_name) -> dict:
                 row["falsifications"] += 1
                 falsifications.append({"run": res["name"], "check": c.check_id})
             # stability is judged on each run's own fitted constant
-            key = _constant_key(c.check_id)
+            key = constant_key(c.check_id)
             if key is not None:
                 constants.setdefault(key, {}).setdefault("values", []).append(
                     float(c.fitted_constant)
@@ -649,7 +629,7 @@ def _aggregate(results, errors, cal_name) -> dict:
     return {
         "format": "nsbl-aggregate/1",
         "calibration_run": cal_name,
-        "calibrated_constants": calibrated,
+        "calibrated_constants": {k: float(v) for k, v in calibrated.items()},
         "runs_completed": len(results),
         "per_check": per_check,
         "constants": constants,

@@ -1,14 +1,14 @@
 """Time integration of the incompressible flow on the torus.
 
 The viscous term is handled exactly by an integrating factor; the projected
-nonlinear term is advanced by explicit Runge-Kutta stages.  Initial data
-stays band-limited to the 2/3-rule band, so the semi-discrete system
-conserves energy up to viscous dissipation and the discrete energy identity
-is a genuine fourth-order statement for the RK4 scheme.
+nonlinear term is advanced by the four stages of classical RK4, the one
+time scheme.  Initial data stays band-limited to the 2/3-rule band, so the
+semi-discrete system conserves energy up to viscous dissipation and the
+discrete energy identity is a genuine fourth-order statement.
 
 The viscous dissipation integral is accumulated inside the stepper with the
-same Runge-Kutta weights, which keeps the energy-identity residual at the
-scheme's order instead of the snapshot quadrature's.
+same RK4 weights, which keeps the energy-identity residual at the scheme's
+fourth order instead of the snapshot quadrature's.
 
 Everything here is band coefficients of the 2/3-rule band (see
 ``spectral.SpectralBand``): the initial data ``make_initial`` draws, the
@@ -34,6 +34,7 @@ from .spectral import (
     _project,
     over_snapshots,
     quadratic_products,
+    speed,
 )
 
 __all__ = [
@@ -68,7 +69,6 @@ class SolverConfig:
     dt: float = 1e-3
     t_final: float = 0.5
     snapshot_stride: int = 10
-    scheme: str = "rk4"
 
     def validate(self, grid: TorusGrid) -> int:
         """Check the run is well-posed and return the step count."""
@@ -80,8 +80,6 @@ class SolverConfig:
             raise BadSpec(f"t_final must be >= 0, got {self.t_final}")
         if self.snapshot_stride < 1:
             raise BadSpec(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
-        if self.scheme not in ("rk4", "rk2"):
-            raise BadSpec(f"unknown scheme {self.scheme!r}")
         ratio = self.t_final / self.dt
         n_steps = round(ratio)
         if abs(ratio - n_steps) > 64 * np.finfo(float).eps * max(1.0, ratio):
@@ -134,9 +132,10 @@ class Trajectory:
     def over_velocities(self, fn) -> list:
         """[fn(i, u, mag, sup) for every snapshot i], each band inverted once.
 
-        u is snapshot i's velocity, mag its |u| = sqrt((u0² + u1²) + u2²)
-        in the cached magnitude stack and sup the max of mag.  The fn calls run through ``over_snapshots``.  Once
-        the stack is cached, the pass reads it and forms no |u| again.
+        u is snapshot i's velocity, mag its ``speed`` |u| in the cached
+        magnitude stack and sup the max of mag.  The fn calls run through
+        ``over_snapshots``.  Once the stack is cached, the pass reads it and
+        forms no |u| again.
         """
         band, nt = self.grid.band, len(self.coeffs)
         cached = self._magnitudes is not None
@@ -147,14 +146,8 @@ class Trajectory:
 
         def velocity(i):
             u = band.inverse(self.coeffs[i])
-            if cached:
-                return u
-            mag, sq = mags[i], np.empty_like(mags[i])
-            np.square(u[0], out=mag)
-            mag += np.square(u[1], out=sq)
-            mag += np.square(u[2], out=sq)
-            np.sqrt(mag, out=mag)
-            sups[i] = mag.max()
+            if not cached:
+                sups[i] = speed(u, out=mags[i]).max()
             return u
 
         out = over_snapshots(lambda i: fn(i, velocity(i), mags[i], sups[i]), nt)
@@ -246,39 +239,33 @@ def _step_fields(coeff, band, cfg, t, work):
     new = np.empty_like(stage)
 
     nl(coeff, k1)
-    # a (rk2: mid) = e_half * (coeff + (dt / 2) * k1)
+    # a = e_half * (coeff + (dt / 2) * k1)
     np.multiply(dt / 2, k1, out=scratch)
     np.add(coeff, scratch, out=scratch)
     np.multiply(e_half, scratch, out=scratch)
     diss_a = diss(scratch)
     nl(scratch, k2)
-    if cfg.scheme == "rk2":
-        # new = e_full * coeff + dt * e_half * k2
-        np.multiply(e_full, coeff, out=new)
-        new += np.multiply(work.dt_e_half, k2, out=scratch)
-        dd = dt * diss_a
-    else:
-        diss_0 = diss(coeff)
-        # b = e_half * coeff + (dt / 2) * k2
-        np.multiply(e_half, coeff, out=stage)
-        stage += np.multiply(dt / 2, k2, out=scratch)
-        diss_b = diss(stage)
-        nl(stage, k3)
-        # c = e_full * coeff + dt * e_half * k3
-        np.multiply(e_full, coeff, out=stage)
-        stage += np.multiply(work.dt_e_half, k3, out=scratch)
-        diss_c = diss(stage)
-        # new = e_full * coeff + (dt / 6) * (e_full * k1 + 2 * e_half * (k2 + k3) + k4),
-        # with k4 in k3's array once k2 + k3 is formed
-        k2 += k3
-        k4 = nl(stage, k3)
-        np.multiply(e_full, k1, out=scratch)
-        scratch += np.multiply(work.two_e_half, k2, out=k2)
-        scratch += k4
-        np.multiply(dt / 6, scratch, out=scratch)
-        np.multiply(e_full, coeff, out=new)
-        new += scratch
-        dd = (dt / 6) * (diss_0 + 2 * diss_a + 2 * diss_b + diss_c)
+    diss_0 = diss(coeff)
+    # b = e_half * coeff + (dt / 2) * k2
+    np.multiply(e_half, coeff, out=stage)
+    stage += np.multiply(dt / 2, k2, out=scratch)
+    diss_b = diss(stage)
+    nl(stage, k3)
+    # c = e_full * coeff + dt * e_half * k3
+    np.multiply(e_full, coeff, out=stage)
+    stage += np.multiply(work.dt_e_half, k3, out=scratch)
+    diss_c = diss(stage)
+    # new = e_full * coeff + (dt / 6) * (e_full * k1 + 2 * e_half * (k2 + k3) + k4),
+    # with k4 in k3's array once k2 + k3 is formed
+    k2 += k3
+    k4 = nl(stage, k3)
+    np.multiply(e_full, k1, out=scratch)
+    scratch += np.multiply(work.two_e_half, k2, out=k2)
+    scratch += k4
+    np.multiply(dt / 6, scratch, out=scratch)
+    np.multiply(e_full, coeff, out=new)
+    new += scratch
+    dd = (dt / 6) * (diss_0 + 2 * diss_a + 2 * diss_b + diss_c)
     # NaN and inf both fail the comparison
     if not np.max(np.abs(new, out=work.power[0])) <= BLOWUP_LIMIT:
         raise Instability(t + dt)
@@ -289,8 +276,6 @@ def step(v: SpectralVelocity, cfg: SolverConfig) -> SpectralVelocity:
     """Advance one dt.  Output stays divergence-free."""
     if cfg.dt <= 0 or cfg.viscosity <= 0:
         raise BadSpec("dt and viscosity must be positive")
-    if cfg.scheme not in ("rk4", "rk2"):
-        raise BadSpec(f"unknown scheme {cfg.scheme!r}")
     band = v.grid.band
     new, _ = _step_fields(v.coeff, band, cfg, v.t, _Workspace(band, cfg))
     return SpectralVelocity(new, v.grid, v.t + cfg.dt)
@@ -390,8 +375,7 @@ def _random_spectrum(band: SpectralBand, seed: int, amplitude: float, kmax: int)
     coeff = _project(coeff, band.wavenumbers, band.inv_k_squared)
     coeff[:, 0, 0, 0] = 0.0
     # |u| as the audit forms it
-    u = band.inverse(coeff)
-    sup = float(np.max(np.sqrt((u[0] ** 2 + u[1] ** 2) + u[2] ** 2)))
+    sup = float(np.max(speed(band.inverse(coeff))))
     if sup > 0:
         coeff *= amplitude / sup
     return coeff

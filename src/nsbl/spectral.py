@@ -12,10 +12,10 @@ symmetry c(-k) = conj(c(k)) fixes the rest of a real field.  At n = 32 that
 is 3.6 times fewer entries than the half spectrum and 6.8 times fewer than
 the full (..., n, n, n) layout.  Initial data, ``SpectralVelocity``, the
 solver's states, trajectories and NSBL2 checkpoints hold it; each audited
-snapshot's velocity comes from one ``inverse`` of its band, and |u| and
-``cz_pressure`` (which checks the band's divergence) both take it.  The
-band's transforms compute only the lines that carry band modes, and
-nothing in the package forms the full layout.
+snapshot's velocity comes from one ``inverse`` of its band, and |u|
+(``speed``) and ``cz_pressure`` (which checks the band's divergence) both
+take it.  The band's transforms compute only the lines that carry band
+modes, and nothing in the package forms the full layout.
 
 Threads.  ``over_snapshots`` splits an audit's per-snapshot passes, and
 ``quadratic_products`` (the solver's nonlinear term and the pressure) its
@@ -49,6 +49,7 @@ __all__ = [
     "NotDivergenceFree",
     "TorusGrid",
     "SpectralVelocity",
+    "speed",
     "SpectralBand",
     "band_cut",
     "ProductBuffers",
@@ -505,8 +506,19 @@ class SpectralVelocity:
         return self.grid.band.inverse(self.coeff)
 
     def magnitude(self) -> np.ndarray:
-        u = self.components()
-        return np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
+        return speed(self.components())
+
+
+def speed(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|u| = sqrt((u0² + u1²) + u2²) of velocity components u, shape
+    (3, n, n, n), into ``out`` if given.  The initial data's sup, the
+    audit's |u| and ``SpectralVelocity.magnitude`` all take this order of
+    sums, so they agree bit for bit."""
+    mag = np.square(u[0], out=out)
+    sq = np.empty_like(mag)
+    mag += np.square(u[1], out=sq)
+    mag += np.square(u[2], out=sq)
+    return np.sqrt(mag, out=mag)
 
 
 def _project(coeff: np.ndarray, k: np.ndarray, inv_k_squared: np.ndarray,

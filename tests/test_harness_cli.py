@@ -60,7 +60,8 @@ class TestScenario:
         # the runs and manifests written so far
         sc = quick_scenario("pinned", kind="random_spectrum", seed=3)
         d = sc.to_dict()
-        assert d["solver"]["dealias"] is True
+        assert d["solver"]["dealias"] is True and d["solver"]["scheme"] == "rk4"
+        assert d["audit"]["q"] is None
         assert scenario_hash(sc) == (
             "2dd82f86dad5003d42f130888175011b27b2eb179daf9897741e67293d759dc0")
         assert Scenario.from_dict(d) == sc
@@ -153,7 +154,7 @@ class TestScenario:
         d["audit"].update(r=12, q=None, s_values=[2, 3.5], ell_values=[13])
         sc = Scenario.from_dict(d)
         assert sc.grid_length == 6.0 and type(sc.grid_length) is float
-        assert sc.audit.r == 12.0 and sc.audit.q is None
+        assert sc.audit.r == 12.0
         assert sc.audit.s_values == (2.0, 3.5) and sc.audit.ell_values == (13.0,)
 
     def test_integral_numbers_accepted(self):
@@ -315,7 +316,8 @@ class TestSuite:
 
         agg = _aggregate([result("hi", 128, {"energy": 3.0, "pressure_s3": 3.0}),
                           result("lo", 16, {"energy": 2.0}),
-                          result("mid", 32, {"energy": 2.0, "pressure_s3": 2.0})], [], "lo")
+                          result("mid", 32, {"energy": 2.0, "pressure_s3": 2.0})],
+                         [], "lo", {})
         drift = agg["per_resolution_drift"]["c_energy"]
         assert drift["per_resolution_median"] == {"16": 2.0, "32": 2.0, "128": 3.0}
         assert drift["max_rel_drift"] == 0.5
@@ -355,6 +357,25 @@ class TestSuite:
             rep = json.loads((tmp_path / f"m{k}" / "report.json").read_text())
             c_finals.append(float(rep["constants"]["c_final"]))
         assert c_finals[0] == c_finals[1] == c_finals[2]
+
+
+class TestAuditOverrides:
+    """Each ``nsbl audit`` override reaches a check: the report's checks
+    differ from the default audit's."""
+
+    @pytest.fixture(scope="class")
+    def default_run(self, tmp_path_factory):
+        path = simulate(quick_scenario("over", kind="random_spectrum", seed=2),
+                        tmp_path_factory.mktemp("overrides"))
+        assert cli.main(["audit", str(path)]) == 0
+        return path, json.loads((path.parent / "report.json").read_text())["checks"]
+
+    @pytest.mark.parametrize("option", [["--r", "6"], ["--s", "2,4"], ["--l", "14"],
+                                        ["--n-max", "5"]])
+    def test_override_changes_checks(self, default_run, option):
+        path, default = default_run
+        assert cli.main(["audit", str(path), *option]) == 0
+        assert json.loads((path.parent / "report.json").read_text())["checks"] != default
 
 
 class TestCli:
@@ -572,6 +593,53 @@ class TestCli:
         assert cli.main(["audit", str(path)]) == 1
         assert "solver.dealias" in capsys.readouterr().err
         assert not (tmp_path / "undealiased" / "report.json").exists()
+
+    # keys with one allowed value (harness.FIXED), each given another
+    FIXED_CASES = [("solver", "scheme", "rk2"), ("solver", "scheme", "RK4"),
+                   ("solver", "dealias", False), ("audit", "q", 7), ("audit", "q", 10.0)]
+
+    @pytest.mark.parametrize("section,key,value", FIXED_CASES)
+    def test_simulate_fixed_key_exit_1(self, tmp_path, capsys, section, key, value):
+        d = quick_scenario("fixed", t_final=4e-3, stride=1).to_dict()
+        d[section][key] = value
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(d))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "fixed").exists()
+
+    @pytest.mark.parametrize("section,key,value", FIXED_CASES)
+    def test_audit_manifest_with_fixed_key_exit_1(self, tmp_path, capsys, section, key, value):
+        # a manifest written when RK2 and audit.q were options, edited here,
+        # is refused when its scenario is parsed
+        sc = quick_scenario("fixed", t_final=4e-3, stride=1)
+        path = simulate(sc, tmp_path)
+        manifest = load_manifest(path)
+        manifest["scenario"][section][key] = value
+        path.write_bytes(canonical_json(manifest))
+        assert cli.main(["audit", str(path)]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "fixed" / "report.json").exists()
+
+    def test_suite_member_with_fixed_key_exit_1(self, tmp_path, capsys):
+        # refused while the members are parsed, before any of them runs
+        members = [quick_scenario(f"m{i}", t_final=4e-3, stride=1).to_dict() for i in range(2)]
+        members[1]["solver"]["scheme"] = "rk2"
+        suite = tmp_path / "suite.json"
+        suite.write_bytes(canonical_json(
+            {"format": "nsbl-suite/1", "name": "fixed", "scenarios": members}))
+        out = tmp_path / "out"
+        assert cli.main(["suite", str(suite), "--out-dir", str(out)]) == 1
+        assert "solver.scheme" in capsys.readouterr().err
+        assert not (out / "m0").exists()
+
+    def test_audit_has_no_q_option(self, tmp_path, capsys):
+        # an audit's q is the ledger's q
+        sc = quick_scenario("noq", t_final=4e-3, stride=1)
+        path = simulate(sc, tmp_path)
+        assert cli.main(["audit", str(path), "--q", "7"]) == 1
+        assert "--q" in capsys.readouterr().err
+        assert not (tmp_path / "noq" / "report.json").exists()
 
     @pytest.mark.parametrize("r", ["3", "11"])
     def test_audit_r_below_ledger_r(self, tmp_path, r):

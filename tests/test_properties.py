@@ -317,7 +317,6 @@ OPTIONS = {
     "--q-max": ["10", "64", "1000000", "-1", "abc"],
     "--delta": ["1/2", "1/3", "0", "1", "0.25", "abc", "1/0"],
     "--r": ["12", "3", "0.5", "0", "-1", "1099511627776", "1e308", "nan", "inf", "abc"],
-    "--q": ["10", "3", "0", "-2", "1e308", "nan", "abc"],
     "--s": ["2,3", "1.5", "12", "0", "-2", "1e308", "nan", ",", "abc"],
     "--l": ["13", "2", "12", "0", "-1", "1e308", "inf", "abc"],
     "--n-max": ["0", "3", "-5", "2.5", "abc"],
@@ -334,7 +333,7 @@ free_tokens = st.text(max_size=8).filter(lambda t: not t.startswith("-"))
 COMMANDS = {
     "exponents": (None, ["--N", "--q-max", "--delta", "--check", "--out-dir"]),
     "simulate": ("scenario", ["--out-dir"]),
-    "audit": ("manifest", ["--r", "--q", "--s", "--l", "--n-max"]),
+    "audit": ("manifest", ["--r", "--s", "--l", "--n-max"]),
     "suite": ("suite", ["--out-dir", "--workers"]),
 }
 

@@ -7,7 +7,7 @@ import pytest
 from band_oracle import compact, expand
 from nsbl import solver
 from nsbl.audit import check_energy
-from nsbl.harness import Scenario, load_manifest, simulate, trajectory_from_manifest
+from nsbl.harness import BadScenario, Scenario, load_manifest, simulate, trajectory_from_manifest
 from nsbl.norms import space_norm
 from nsbl.spectral import (
     SpectralVelocity,
@@ -131,8 +131,9 @@ class TestConfig:
             SolverConfig(dt=-1e-3).validate(grid)
         with pytest.raises(BadSpec):
             SolverConfig(viscosity=0.0).validate(grid)
-        with pytest.raises(BadSpec):
-            SolverConfig(scheme="euler").validate(grid)
+        # RK4 is the one time scheme; a scenario naming another is refused
+        with pytest.raises(BadScenario, match="solver.scheme"):
+            Scenario.from_dict({"name": "euler", "solver": {"scheme": "euler"}})
 
     def test_step_count(self, grid):
         assert SolverConfig(dt=1e-3, t_final=0.5).validate(grid) == 500
@@ -363,18 +364,6 @@ class TestRun:
         assert coarse / fine >= 8.0
         assert residual(0.005) <= 1e-5
 
-    def test_rk2_is_second_order(self, grid):
-        # criterion 06's field: each halving of dt cuts the energy residual
-        # about 4x (1.48e-3, 3.70e-4, 9.25e-5)
-        v0 = make_initial("random_spectrum", grid, seed=1, amplitude=1.0, kmax=4)
-        residuals = [
-            check_energy(run(v0, SolverConfig(viscosity=1.0, dt=dt, t_final=0.2,
-                                              snapshot_stride=1, scheme="rk2"))).lhs
-            for dt in (0.02, 0.01, 0.005)
-        ]
-        assert residuals[0] / residuals[1] >= 3.5
-        assert residuals[1] / residuals[2] >= 3.5
-
     def test_deterministic(self, grid):
         v = make_initial("random_spectrum", grid, seed=2, amplitude=1.0, kmax=4)
         t1 = run(v, SolverConfig(dt=1e-2, t_final=0.05, snapshot_stride=1))
@@ -384,11 +373,11 @@ class TestRun:
 
 
 
-def runs_on_any_worker_count_and_thread(set_workers, n, scheme):
+def runs_on_any_worker_count_and_thread(set_workers, n):
     """Runs of one field in 1, 2 and 3 slabs, then inline in a thread that
     is not the main one."""
     v = make_initial("random_spectrum", TorusGrid(n), seed=4, amplitude=2.0, kmax=8)
-    cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=8e-3, snapshot_stride=2, scheme=scheme)
+    cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=8e-3, snapshot_stride=2)
     runs = []
     for workers in (1, 2, 3):
         set_workers(workers)
@@ -404,15 +393,16 @@ def runs_on_any_worker_count_and_thread(set_workers, n, scheme):
 class TestSlabKernel:
     def test_run_bit_identical_for_any_worker_count_and_thread(self, snapshot_workers):
         # x = 32 rows in 1, 2 and 3 slabs (3 does not divide 32)
-        runs_on_any_worker_count_and_thread(snapshot_workers, 32, "rk4")
+        runs_on_any_worker_count_and_thread(snapshot_workers, 32)
 
-    @pytest.mark.parametrize("n, scheme", [(24, "rk4"), (24, "rk2"), (32, "rk2"),
-                                           (48, "rk4"), (48, "rk2")])
-    def test_run_bit_identical_on_other_grids_and_rk2(self, snapshot_workers, n, scheme):
-        runs_on_any_worker_count_and_thread(snapshot_workers, n, scheme)
+    # the ids name the time scheme, RK4
+    @pytest.mark.parametrize("n", [24, 48], ids=["24-rk4", "48-rk4"])
+    def test_run_bit_identical_on_other_grids_and_rk2(self, snapshot_workers, n):
+        runs_on_any_worker_count_and_thread(snapshot_workers, n)
 
-    @pytest.mark.parametrize("scheme", ["rk4", "rk2"])
-    def test_dissipation_pinned_to_per_call_weights(self, grid, monkeypatch, scheme):
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(viscosity=0.7, dt=5e-3, t_final=0.05, snapshot_stride=2)], ids=["rk4"])
+    def test_dissipation_pinned_to_per_call_weights(self, grid, monkeypatch, cfg):
         # the weights band.weights * band.k_squared, built once per band,
         # give the dissipation the old per-call product gave, bit for bit
         def per_call(coeff, band, nu, power):
@@ -421,7 +411,6 @@ class TestSlabKernel:
             return nu * band.volume * float(np.sum(weighted * power))
 
         v = make_initial("random_spectrum", grid, seed=3, amplitude=1.0, kmax=4)
-        cfg = SolverConfig(viscosity=0.7, dt=5e-3, t_final=0.05, snapshot_stride=2, scheme=scheme)
         got = run(v, cfg)
         monkeypatch.setattr(solver, "_dissipation_rate", per_call)
         want = run(v, cfg)
@@ -456,19 +445,14 @@ def per_call_run(v, cfg):
     states, acc, dissipation = [coeff], 0.0, [0.0]
     for _ in range(cfg.validate(v.grid)):
         k1 = nl(coeff)
-        if cfg.scheme == "rk2":
-            mid = e_half * (coeff + (dt / 2) * k1)
-            new = e_full * coeff + dt * e_half * nl(mid)
-            dd = dt * diss(mid)
-        else:
-            a = e_half * (coeff + (dt / 2) * k1)
-            k2 = nl(a)
-            b = e_half * coeff + (dt / 2) * k2
-            k3 = nl(b)
-            c = e_full * coeff + dt * e_half * k3
-            k4 = nl(c)
-            new = e_full * coeff + (dt / 6) * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
-            dd = (dt / 6) * (diss(coeff) + 2 * diss(a) + 2 * diss(b) + diss(c))
+        a = e_half * (coeff + (dt / 2) * k1)
+        k2 = nl(a)
+        b = e_half * coeff + (dt / 2) * k2
+        k3 = nl(b)
+        c = e_full * coeff + dt * e_half * k3
+        k4 = nl(c)
+        new = e_full * coeff + (dt / 6) * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
+        dd = (dt / 6) * (diss(coeff) + 2 * diss(a) + 2 * diss(b) + diss(c))
         coeff = new
         acc += dd
         states.append(coeff)
@@ -477,13 +461,11 @@ def per_call_run(v, cfg):
 
 
 class TestWorkspace:
-    @pytest.mark.parametrize("scheme", ["rk4", "rk2"])
-    @pytest.mark.parametrize("n", [24, 32, 48])
-    def test_run_matches_per_call_temporaries(self, n, scheme):
+    @pytest.mark.parametrize("n", [24, 32, 48], ids=["24-rk4", "32-rk4", "48-rk4"])
+    def test_run_matches_per_call_temporaries(self, n):
         # states and dissipation bit for bit
         v = make_initial("random_spectrum", TorusGrid(n), seed=6, amplitude=2.0, kmax=8)
-        cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=6e-3, snapshot_stride=1,
-                           scheme=scheme)
+        cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=6e-3, snapshot_stride=1)
         traj = run(v, cfg)
         states, dissipation = per_call_run(v, cfg)
         assert [c.tobytes() for c in traj.coeffs] == [c.tobytes() for c in states]
