@@ -30,7 +30,7 @@ from .norms import (
     spacetime_norm,
 )
 from .solver import Trajectory
-from .spectral import NotDivergenceFree, cz_pressure, over_snapshots
+from .spectral import NotDivergenceFree, cz_pressure, over_snapshots, speed
 
 __all__ = [
     "DegenerateField",
@@ -238,26 +238,98 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 
 
+def _audited(x: float) -> bool:
+    lo, hi = AMPLITUDE_RANGE
+    return lo <= x <= hi
+
+
+def _m_sigma(v0max: float, sigma) -> float:
+    """M_sigma = (sup |u0|)^sigma, 1 for the zero field, inf beyond float64."""
+    try:
+        return v0max ** float(sigma) if v0max > 0 else 1.0
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(eq=False)
 class FieldStats:
-    """One trajectory's audit quantities, each computed once.
+    """One trajectory's audit quantities, each computed once; every check
+    takes one.
 
-    Holds |u| and |u| / m_sigma as views of the trajectory's magnitude
-    stack (the same view when m_sigma is 1), the scaled psi for each r, the
-    pressure ratios of each tuple of exponents s, and the space-time norms
-    and log-weighted integrals of these, memoized per (kind, quantity name,
-    exponent).
-    Every check that takes a trajectory also takes a FieldStats, which is
-    where its m_sigma comes from (a bare trajectory means m_sigma = 1);
-    run_audit builds one per trajectory and passes it to every check.
+    ``measure`` makes the audit's one velocity pass and builds it: the |u|
+    stack ``mags``, the sup of each snapshot, the pressure ratios at each
+    exponent s and M_sigma.  On top of these it memoizes |u| and
+    |u| / m_sigma as views of the stack (the same view when m_sigma is 1),
+    the scaled psi for each r, and the space-time norms and log-weighted
+    integrals of these, per (kind, quantity name, exponent).
     """
 
     traj: Trajectory
-    m_sigma: float = 1.0
+    s_values: tuple
+    mags: np.ndarray
+    sups: np.ndarray
+    # per s, the ratio ||p||_s / ||u||_2s^2 of each snapshot
+    pressure: tuple
+    m_sigma: float
 
-    _psi: dict = field(default_factory=dict, repr=False)
-    _pressure: dict = field(default_factory=dict, repr=False)
-    _memo: dict = field(default_factory=dict, repr=False)
+    _psi: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def measure(cls, traj: Trajectory, s_values, sigma) -> "FieldStats":
+        """The audit's one pass over the snapshots: each band is inverted
+        once, and the velocity gives the snapshot's |u| (written into the
+        stack), its sup and one pressure solve, measured at every s.
+
+        The pressure is solved on the band as stored: the bound is
+        homogeneous of degree 2, so the ratios are the same at every scale
+        M_sigma = (sup |u0|)^sigma.  An s not above 1 is refused before the
+        pass.  After it come, in this order: a sup outside AMPLITUDE_RANGE,
+        an M_sigma outside it, and the first snapshot in time that is not
+        divergence-free or whose sup is outside the range (it gets no
+        pressure).
+        """
+        if len(traj) == 0:
+            raise DegenerateField("empty trajectory")
+        s_values = tuple(float(s) for s in s_values)
+        for s in s_values:
+            if not s > 1:
+                raise BadExponents(f"need s > 1, got {s}")
+        grid, band, coeffs, nt = traj.grid, traj.grid.band, traj.coeffs, len(traj.coeffs)
+        mags, sups = np.empty((nt,) + (grid.npts,) * 3), np.empty(nt)
+
+        def ratios(i):
+            u = band.inverse(coeffs[i])
+            sup = sups[i] = speed(u, out=mags[i]).max()
+            if not (sup == 0.0 or _audited(sup)):
+                return None
+            dens = [space_norm(mags[i], 2 * s, grid) ** 2 for s in s_values]
+            if not any(dens):
+                return [0.0 for _ in s_values]
+            try:
+                p = cz_pressure(coeffs[i], u, grid)
+            except NotDivergenceFree as exc:
+                return exc
+            return [space_norm(p, s, grid) / den if den else 0.0
+                    for s, den in zip(s_values, dens)]
+
+        rows = over_snapshots(ratios, nt)
+        vmax = float(sups.max())
+        lo, hi = AMPLITUDE_RANGE
+        if vmax != 0.0 and not _audited(vmax):
+            raise DegenerateField(f"sup |u| = {vmax:.3g} is outside the audited range [{lo:g}, {hi:g}]")
+        m_sigma = _m_sigma(float(sups[0]), sigma)
+        if not _audited(m_sigma):
+            raise BadExponents(f"sigma = {sigma} takes M_sigma = (sup |u0|)^sigma outside "
+                               f"the audited range [{lo:g}, {hi:g}]")
+        for i, row in enumerate(rows):
+            if isinstance(row, NotDivergenceFree):
+                raise row
+            if row is None:
+                raise DegenerateField(f"snapshot {i}: sup |u| = {sups[i]:.3g} "
+                                      "is outside the audited range")
+        pressure = tuple([row[k] for row in rows] for k in range(len(s_values)))
+        return cls(traj, s_values, mags, sups, pressure, m_sigma)
 
     @property
     def grid(self):
@@ -269,8 +341,13 @@ class FieldStats:
 
     @cached_property
     def unscaled(self) -> SnapshotView:
-        """|u|: the trajectory's stack as it is, with its recorded sups."""
-        return SnapshotView("|u|", self.traj.magnitudes(), _same, self.traj.sups())
+        """|u|: the stack as it is, with its measured sups."""
+        return SnapshotView("|u|", self.mags, _same, self.sups)
+
+    @cached_property
+    def u0_l2(self) -> float:
+        """||u0||_2 of the stack as measured."""
+        return space_norm(self.mags[0], 2.0, self.grid)
 
     def magnitudes(self) -> SnapshotView:
         """|u| / m_sigma for every snapshot: ``unscaled`` when m_sigma is 1,
@@ -294,12 +371,6 @@ class FieldStats:
             self._psi[r] = build_scaled_psi(self, r)
         return self._psi[r]
 
-    def pressure_rows(self, s_values: tuple) -> list:
-        """``_velocity_pass`` rows at these exponents, unless run_audit's are here."""
-        if s_values not in self._pressure:
-            self._pressure[s_values] = _velocity_pass(self.traj, s_values)
-        return self._pressure[s_values]
-
     def _once(self, kind, fn, stack, exponent):
         # functions arrive through the module namespace, so patched or
         # wrapped versions are the ones called; views are short-lived, so
@@ -310,21 +381,11 @@ class FieldStats:
         return self._memo[key]
 
 
-def _field_stats(traj) -> FieldStats:
-    """The memo itself, or a fresh one, at m_sigma = 1, for a bare trajectory."""
-    if isinstance(traj, FieldStats):
-        return traj
-    return FieldStats(traj)
-
-
-def build_scaled_psi(traj: Trajectory | FieldStats, r: float) -> ScaledPsi:
+def build_scaled_psi(stats: FieldStats, r: float) -> ScaledPsi:
     """psi = |u|^2 normalized by its space-time r-norm."""
     if not r > 1:
         raise BadExponents(f"need r > 1, got {r}")
-    stats = _field_stats(traj)
     grid, times = stats.grid, stats.times
-    if len(times) == 0:
-        raise DegenerateField("empty trajectory")
     mags = stats.magnitudes()
     a_r = spacetime_norm(mags.derive(f"psi r={r!r}", lambda x: x**2), r, grid, times)
     if a_r == 0.0:
@@ -362,7 +423,7 @@ def build_ladder(
 
 def estimate_threshold(
     sp: ScaledPsi,
-    traj: Trajectory | FieldStats,
+    stats: FieldStats,
     params: ExponentParams,
     ell: float,
 ) -> float:
@@ -374,11 +435,11 @@ def estimate_threshold(
                          float(params.alpha), float(params.b))
     if not ell > r:
         raise BadExponents(f"need ell > r, got ell = {ell}, r = {r}")
-    stats = _field_stats(traj)
     m_sigma = stats.m_sigma
     mags = stats.magnitudes()
     u2q = stats.norm(mags, 2 * q)
-    u0_l2 = space_norm(mags[0], 2.0, stats.grid)
+    # ||u0 / m_sigma||_2: the measured ||u0||_2 when m_sigma is 1
+    u0_l2 = stats.u0_l2 if mags is stats.unscaled else space_norm(mags[0], 2.0, stats.grid)
     psinorm = stats.norm(sp.psi_tilde, ell)
     if u2q == 0.0 or psinorm == 0.0 or u0_l2 == 0.0:
         raise DegenerateField("zero field has no nontrivial threshold")
@@ -438,7 +499,7 @@ def fit_recursion_constant(measures, alpha: float, prefactor: float):
 def check_recursion(
     ladder: LevelSetLadder,
     sp: ScaledPsi,
-    traj: Trajectory | FieldStats,
+    stats: FieldStats,
     params: ExponentParams,
     dominating_ladder: Optional[LevelSetLadder] = None,
 ) -> CheckRecord:
@@ -450,7 +511,6 @@ def check_recursion(
     """
     a = float(params.alpha)
     q = float(params.q)
-    stats = _field_stats(traj)
     m_sigma = stats.m_sigma
     u2q = stats.norm(stats.magnitudes(), 2 * q)
     try:
@@ -492,9 +552,8 @@ def check_recursion(
     )
 
 
-def check_energy(traj: Trajectory | FieldStats) -> CheckRecord:
+def check_energy(stats: FieldStats) -> CheckRecord:
     """Residual of the energy identity plus the fitted space-time constant."""
-    stats = _field_stats(traj)
     traj = stats.traj
     nu = traj.config.viscosity
     band = traj.grid.band
@@ -507,9 +566,8 @@ def check_energy(traj: Trajectory | FieldStats) -> CheckRecord:
         abs(e + d - e0) / e0 for e, d in zip(energies, traj.dissipation)
     )
     lz = (traj.grid.dim + 2) / traj.grid.dim
-    u0_l2 = space_norm(traj.magnitudes()[0], 2.0, traj.grid)
     st_norm = stats.norm(stats.unscaled, 2 * lz)
-    fitted = st_norm / u0_l2
+    fitted = st_norm / stats.u0_l2
     ok = residual <= ENERGY_RESIDUAL_TOL
     return CheckRecord(
         "energy", residual, ENERGY_RESIDUAL_TOL, fitted, ok,
@@ -518,71 +576,19 @@ def check_energy(traj: Trajectory | FieldStats) -> CheckRecord:
     )
 
 
-def _audited(x: float) -> bool:
-    lo, hi = AMPLITUDE_RANGE
-    return lo <= x <= hi
-
-
-def _velocity_pass(traj: Trajectory, s_values: tuple) -> list:
-    """The audit's one velocity per snapshot (``Trajectory.over_velocities``)
-    gives |u| and its sup to the trajectory and the pressure to check_pressure.
-
-    Returns per snapshot the ratios ||p||_s / ||u||_2s^2 at each s of the
-    band as stored: the pressure bound is homogeneous of degree 2, so they
-    are the same at every scale M_sigma.  None where no pressure is solved
-    (an s not above 1, or a nonzero sup outside AMPLITUDE_RANGE); or its
-    NotDivergenceFree, raised by check_pressure after run_audit's amplitude
-    guards.
-    """
-    grid, coeffs = traj.grid, traj.coeffs
-
-    def ratios(i, u, mag, sup):
-        if not (all(s > 1 for s in s_values) and (sup == 0.0 or _audited(sup))):
-            return None
-        dens = [space_norm(mag, 2 * s, grid) ** 2 for s in s_values]
-        if not any(dens):
-            return [0.0 for _ in s_values]
-        try:
-            p = cz_pressure(coeffs[i], u, grid)
-        except NotDivergenceFree as exc:
-            return exc
-        return [space_norm(p, s, grid) / den if den else 0.0
-                for s, den in zip(s_values, dens)]
-
-    return traj.over_velocities(ratios)
-
-
-def check_pressure(traj: Trajectory | FieldStats, s_values) -> list[CheckRecord]:
-    """Per-snapshot ratios ||p||_s / ||u||_{2s}^2, one record per s;
-    the max over snapshots is c_s.
-
-    The ratios come from ``_velocity_pass``, run_audit's or one of its own:
-    the pressure does not depend on s, so each snapshot gets one pressure
-    solve, measured at every s.
-    """
-    s_values = tuple(float(s) for s in s_values)
-    for s in s_values:
-        if not s > 1:
-            raise BadExponents(f"need s > 1, got {s}")
-    stats = _field_stats(traj)
-    per_snapshot = stats.pressure_rows(s_values)
-    for i, row in enumerate(per_snapshot):
-        if isinstance(row, NotDivergenceFree):
-            raise row
-        if row is None:
-            raise DegenerateField(f"snapshot {i}: sup |u| = {stats.traj.sups()[i]:.3g} "
-                                  "is outside the audited range")
-    ratios = [[row[k] for row in per_snapshot] for k in range(len(s_values))]
+def check_pressure(stats: FieldStats) -> list[CheckRecord]:
+    """One record per exponent s of the ratios ||p||_s / ||u||_{2s}^2 that
+    ``FieldStats.measure`` took of each snapshot; the max over snapshots
+    is c_s."""
     return [
         CheckRecord(f"pressure_s{s:g}", max(r, default=0.0), 1.0, max(r, default=0.0),
                     True, 0.0, {"ratios": r, "s": s})
-        for s, r in zip(s_values, ratios)
+        for s, r in zip(stats.s_values, stats.pressure)
     ]
 
 
-def check_interpolation(traj: Trajectory | FieldStats, ell: float, r: float) -> CheckRecord:
+def check_interpolation(stats: FieldStats, ell: float, r: float) -> CheckRecord:
     """Interpolation bound against the sup norm plus the unit-norm chain."""
-    stats = _field_stats(traj)
     lz = (stats.grid.dim + 2) / stats.grid.dim
     if not (math.isfinite(ell) and ell > r >= lz):
         raise BadExponents(f"need inf > ell > r >= {lz:g}, got ell = {ell}, r = {r}")
@@ -606,7 +612,7 @@ def check_interpolation(traj: Trajectory | FieldStats, ell: float, r: float) -> 
 
 
 def log_norm_limit(
-    traj: Trajectory | FieldStats,
+    stats: FieldStats,
     r: float,
     params: Optional[ExponentParams] = None,
 ) -> CheckRecord:
@@ -618,7 +624,6 @@ def log_norm_limit(
     # the limit is sampled at ell = r + 1e-4 and above, which must differ from r
     if not 1 < r < r + 1e-4:
         raise BadExponents(f"need r > 1 and r + 1e-4 != r in float64, got {r}")
-    stats = _field_stats(traj)
     f = stats.magnitudes()
     base = stats.norm(f, 2 * r)
     if base == 0.0:
@@ -671,22 +676,22 @@ def log_norm_limit(
 
 
 def calibrate_final_constant(
-    traj: Trajectory,
+    stats: FieldStats,
     params: ExponentParams,
     margin_factor: float = FINAL_MARGIN_FACTOR,
 ) -> float:
     """Minimal constant making the final bound hold on this run, widened by
     a safety factor so held-out runs test stability rather than equality."""
-    v0max, bracket, vmax = _final_bound_pieces(traj, params)
+    v0max, bracket, vmax = _final_bound_pieces(stats, params)
     if v0max == 0.0:
         return margin_factor
     return margin_factor * vmax / (v0max * bracket)
 
 
-def _final_bound_pieces(traj: Trajectory, params: ExponentParams):
-    sups = traj.sups()
+def _final_bound_pieces(stats: FieldStats, params: ExponentParams):
+    sups = stats.sups
     v0max = float(sups[0])
-    v0_l2 = space_norm(traj.magnitudes()[0], 2.0, traj.grid)
+    v0_l2 = stats.u0_l2
     try:
         d0 = float(params.delta0)
         n_exp = (params.N - 2) * d0 / 2
@@ -698,10 +703,10 @@ def _final_bound_pieces(traj: Trajectory, params: ExponentParams):
     return v0max, bracket, vmax
 
 
-def check_final_bound(traj: Trajectory, params: ExponentParams, c: float) -> CheckRecord:
+def check_final_bound(stats: FieldStats, params: ExponentParams, c: float) -> CheckRecord:
     """Sup-norm bound in terms of the initial data; a violation is reported
     as a falsification candidate, never raised."""
-    v0max, bracket, vmax = _final_bound_pieces(traj, params)
+    v0max, bracket, vmax = _final_bound_pieces(stats, params)
     rhs = c * v0max * bracket
     ok = vmax <= rhs
     return CheckRecord(
@@ -711,25 +716,17 @@ def check_final_bound(traj: Trajectory, params: ExponentParams, c: float) -> Che
     )
 
 
-def dichotomy_branch(traj: Trajectory | FieldStats, params: ExponentParams) -> int:
+def dichotomy_branch(stats: FieldStats, params: ExponentParams) -> int:
     """Which side of the log-moment dichotomy this run falls on (1 or 2)."""
     r = float(params.r)
     A = float((params.q + params.B) / params.q)
-    log_i0, mean_log, _ = _field_stats(traj).log_integrals(2 * r)
+    log_i0, mean_log, _ = stats.log_integrals(2 * r)
     return 1 if mean_log >= (A / (2 * r)) * log_i0 else 2
 
 
 # ---------------------------------------------------------------------------
 # full audit
 # ---------------------------------------------------------------------------
-
-
-def _m_sigma(v0max: float, sigma) -> float:
-    """M_sigma = (sup |u0|)^sigma, 1 for the zero field, inf beyond float64."""
-    try:
-        return v0max ** float(sigma) if v0max > 0 else 1.0
-    except OverflowError:
-        return math.inf
 
 
 def constant_key(check_id: str) -> str | None:
@@ -746,7 +743,8 @@ def run_audit(
     constants: Optional[dict] = None,
     run_id: str = "",
 ) -> AuditReport:
-    """Run every check on one trajectory and assemble the report.
+    """Run every check on one trajectory's ``FieldStats.measure`` and
+    assemble the report.
 
     ``constants`` carries fitted constants from a calibration run; missing
     entries are fitted on this run (self-calibration, recorded as such).
@@ -761,28 +759,11 @@ def run_audit(
     constants = dict(constants or {})
     grid = traj.grid
     r = spec.effective_r(params)
-    if len(traj) == 0:
-        raise DegenerateField("empty trajectory")
-    s_values = tuple(float(s) for s in spec.s_values)
-    rows = _velocity_pass(traj, s_values)
-    sups = traj.sups()
-    vmax = float(sups.max())
-    lo, hi = AMPLITUDE_RANGE
-    if vmax != 0.0 and not _audited(vmax):
-        raise DegenerateField(f"sup |u| = {vmax:.3g} is outside the audited range [{lo:g}, {hi:g}]")
-    v0max = float(sups[0])
-    m_sigma = _m_sigma(v0max, params.sigma)
-    if not _audited(m_sigma):
-        raise BadExponents(f"sigma = {params.sigma} takes M_sigma = (sup |u0|)^sigma outside "
-                           f"the audited range [{lo:g}, {hi:g}]")
+    stats = FieldStats.measure(traj, spec.s_values, params.sigma)
+    checks = [check_energy(stats), *check_pressure(stats)]
 
-    stats = FieldStats(traj, m_sigma, _pressure={s_values: rows})
-
-    checks = [check_energy(stats), *check_pressure(stats, spec.s_values)]
-
-    degenerate = v0max == 0.0
     branch = None
-    if not degenerate:
+    if stats.sups[0] != 0.0:
         sp = stats.scaled_psi(r)
         for ell in spec.effective_ells(r):
             checks.append(check_interpolation(stats, float(ell), r))
@@ -803,9 +784,9 @@ def run_audit(
         branch = dichotomy_branch(stats, params)
 
     if "c_final" not in constants:
-        constants["c_final"] = calibrate_final_constant(traj, params)
+        constants["c_final"] = calibrate_final_constant(stats, params)
         constants["c_final_self_calibrated"] = True
-    checks.append(check_final_bound(traj, params, constants["c_final"]))
+    checks.append(check_final_bound(stats, params, constants["c_final"]))
     for c in checks:
         key = constant_key(c.check_id)
         if key is not None:
@@ -820,7 +801,7 @@ def run_audit(
         "scheme": "rk4",
         "snapshots": len(traj),
         "sigma": str(params.sigma),
-        "m_sigma": m_sigma,
+        "m_sigma": stats.m_sigma,
         "audit_r": r,
         "audit_q": float(params.q),
         "dichotomy_branch": branch,

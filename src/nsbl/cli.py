@@ -89,12 +89,14 @@ def _exponent_fields(args) -> dict:
         if key not in CHECK_KEYS or key in check:
             raise DomainError(f"{'repeated' if key in check else 'unknown'} --check key {key!r}")
         check[key] = val
-    if args.delta is not None and "delta" in check:
-        raise DomainError("delta given twice, as --delta and in --check")
-    # --delta stands in for a tuple's delta= key; keys a tuple omits, and an
-    # omitted --delta, take their values from CHECK_DEFAULTS
-    delta = CHECK_DEFAULTS["delta"] if args.delta is None else args.delta
-    given = {"N": args.N, **(CHECK_DEFAULTS if args.check else {}), "delta": delta, **check}
+    # --N and --delta stand in for a tuple's N= and delta= keys; keys a
+    # tuple omits, and an omitted --N or --delta, take their defaults
+    flags = {key: getattr(args, key) for key in ("N", "delta") if getattr(args, key) is not None}
+    for key in flags:
+        if key in check:
+            raise DomainError(f"{key} given twice, as --{key} and in --check")
+    given = {"N": DEFAULT_LEDGER["N"], **(CHECK_DEFAULTS if args.check else {}),
+             "delta": CHECK_DEFAULTS["delta"], **flags, **check}
     return {key: parse_exact(key, val, integer=key == "N") for key, val in given.items()}
 
 
@@ -185,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exponents", help="search or check an exponent tuple")
-    p.add_argument("--N", default="3", help="space dimension (>= 3)")
+    p.add_argument("--N", default=None, help="space dimension (>= 3, default 3)")
     p.add_argument("--q-max", type=int, default=1_000_000, dest="q_max",
                    help="ceiling for the q lattice search")
     p.add_argument("--delta", default=None, help="delta for the pivot exponent (default 1/2)")

@@ -13,15 +13,15 @@ fourth order instead of the snapshot quadrature's.
 Everything here is band coefficients of the 2/3-rule band (see
 ``spectral.SpectralBand``): the initial data ``make_initial`` draws, the
 states ``step`` and ``run`` advance, the tendency ``nonlinear_term`` gives
-and the snapshots a ``Trajectory`` holds; ``Trajectory.magnitudes`` reads
-|u| off the bands.  A run allocates its stage arrays and the quadratic
-kernel's buffers once (``_Workspace``), so each step allocates only its
-new state.
+and the snapshots a ``Trajectory`` holds; the audit reads |u| off those
+bands (``audit.FieldStats.measure``).  A run allocates its stage arrays
+and the quadratic kernel's buffers once (``_Workspace``), so each step
+allocates only its new state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .spectral import (
     SpectralVelocity,
     TorusGrid,
     _project,
-    over_snapshots,
     quadratic_products,
     speed,
 )
@@ -93,10 +92,11 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Snapshots of one run plus the step-resolved dissipation integral.
+    """Snapshots of one run plus the step-resolved dissipation integral:
+    what the run wrote, and nothing measured from it.
 
-    ``coeffs`` holds each snapshot as band coefficients of ``grid.band``,
-    and ``magnitudes`` reads the bands directly.
+    ``coeffs`` holds each snapshot as band coefficients of ``grid.band``;
+    the audit's ``FieldStats.measure`` forms |u| from them.
     """
 
     grid: TorusGrid
@@ -104,9 +104,6 @@ class Trajectory:
     times: list[float]
     coeffs: list[np.ndarray]
     dissipation: list[float]
-
-    _magnitudes: np.ndarray | None = field(default=None, repr=False)
-    _sups: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         shape = (3,) + self.grid.band.shape
@@ -117,42 +114,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-    def magnitudes(self) -> np.ndarray:
-        """|u| on the grid for every snapshot, shape (nt, n, n, n); cached."""
-        if self._magnitudes is None:
-            self.over_velocities(lambda i, u, mag, sup: None)
-        return self._magnitudes
-
-    def sups(self) -> np.ndarray:
-        """max |u| of each snapshot, shape (nt,); cached with ``magnitudes``."""
-        self.magnitudes()
-        return self._sups
-
-    def over_velocities(self, fn) -> list:
-        """[fn(i, u, mag, sup) for every snapshot i], each band inverted once.
-
-        u is snapshot i's velocity, mag its ``speed`` |u| in the cached
-        magnitude stack and sup the max of mag.  The fn calls run through
-        ``over_snapshots``.  Once the stack is cached, the pass reads it and
-        forms no |u| again.
-        """
-        band, nt = self.grid.band, len(self.coeffs)
-        cached = self._magnitudes is not None
-        if cached:
-            mags, sups = self._magnitudes, self._sups
-        else:
-            mags, sups = np.empty((nt,) + (self.grid.npts,) * 3), np.empty(nt)
-
-        def velocity(i):
-            u = band.inverse(self.coeffs[i])
-            if not cached:
-                sups[i] = speed(u, out=mags[i]).max()
-            return u
-
-        out = over_snapshots(lambda i: fn(i, velocity(i), mags[i], sups[i]), nt)
-        self._magnitudes, self._sups = mags, sups
-        return out
 
 
 class _Workspace:

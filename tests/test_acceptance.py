@@ -182,7 +182,8 @@ def test_criterion_04_recursion_threshold():
 
 def test_criterion_05_beltrami_oracle(beltrami_traj):
     traj = beltrami_traj
-    ratio = traj.sups()[-1] / traj.sups()[0]
+    sups = audit_mod.FieldStats.measure(traj, (), 0).sups
+    ratio = sups[-1] / sups[0]
     rel_err = abs(ratio - math.exp(-0.5)) / math.exp(-0.5)
     worst_div = max(divergence_max(c, traj.grid.band.wavenumbers) for c in traj.coeffs)
     ok = rel_err <= 1e-6 and worst_div <= 1e-10 and traj.elapsed < 120.0
@@ -285,13 +286,13 @@ def test_criterion_08_interpolation_and_log_limit():
     const_traj = Trajectory(g16, cfg, [0.0, 0.5, 1.0], [compact(g16.band, coeff)] * 3,
                             [0.0] * 3)
     r = 3.0
-    rec_const = audit_mod.log_norm_limit(const_traj, r)
+    rec_const = audit_mod.log_norm_limit(audit_mod.FieldStats.measure(const_traj, (), 0), r)
     qt = g16.volume * 1.0
     const_err = abs(rec_const.rhs - qt ** (-1 / (2 * r * r))) / qt ** (-1 / (2 * r * r))
     # random trajectory: first-order convergence
     v0 = make_initial("random_spectrum", TorusGrid(16), seed=3, amplitude=1.5, kmax=4)
     rtraj = run(v0, SolverConfig(viscosity=1.0, dt=5e-3, t_final=0.1, snapshot_stride=4))
-    rec_rand = audit_mod.log_norm_limit(rtraj, 3.0)
+    rec_rand = audit_mod.log_norm_limit(audit_mod.FieldStats.measure(rtraj, (), 0), 3.0)
     order = rec_rand.extra["convergence_order"]
     diffs = rec_rand.extra["diffs"]
     ok = (
@@ -356,7 +357,8 @@ def test_criterion_10_final_bound_suite(suite_results):
             traj = trajectory_from_manifest(load_manifest(mp), mp.parent)
             cal = json.loads((out / "seed-00" / "report.json").read_text())
             c_final = float(cal["constants"]["c_final"])
-            rec = audit_mod.check_final_bound(traj, sc.exponent_params(), c_final)
+            stats = audit_mod.FieldStats.measure(traj, (), 0)
+            rec = audit_mod.check_final_bound(stats, sc.exponent_params(), c_final)
             refined_ok.append(rec.passed)
     ok = (not final_fals or all(refined_ok)) and elapsed < 7200
     detail = (

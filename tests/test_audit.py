@@ -61,16 +61,16 @@ def constant_trajectory(grid, value=2.0, times=(0.0, 0.5, 1.0)):
                       [0.0 for _ in times])
 
 
-def copy_trajectory(traj):
-    """The same snapshots in a new Trajectory, with no cached |u|."""
-    return Trajectory(traj.grid, traj.config, list(traj.times), list(traj.coeffs),
-                      list(traj.dissipation))
+def measured(traj, s_values=(), sigma=0):
+    """The audit's one pass over traj, with pressure ratios at s_values and
+    M_sigma = (sup |u0|)^sigma."""
+    return A.FieldStats.measure(traj, s_values, sigma)
 
 
-def psi_tilde_oracle(sp, traj):
+def psi_tilde_oracle(sp, stats):
     """The scaled field |u|^2 / A_r as one stack, checked bit for bit
     against the view the audit reads it from, one snapshot at a time."""
-    want = traj.magnitudes() ** 2 / sp.a_r
+    want = stats.mags ** 2 / sp.a_r
     got = [sp.psi_tilde[i] for i in range(len(sp.psi_tilde))]
     assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
     return want
@@ -85,7 +85,7 @@ def zero_trajectory(grid):
 class TestScaledPsi:
     def test_zero_field_degenerate(self, grid):
         with pytest.raises(A.DegenerateField):
-            A.build_scaled_psi(zero_trajectory(grid), 2.0)
+            A.build_scaled_psi(measured(zero_trajectory(grid)), 2.0)
 
     def test_normalization_drift_raises(self, grid, monkeypatch):
         # a typed error, not an assert, so it survives python -O
@@ -97,43 +97,43 @@ class TestScaledPsi:
 
         monkeypatch.setattr(A, "spacetime_norm", drifting)
         with pytest.raises(A.DegenerateField, match="normalization drifted"):
-            A.build_scaled_psi(constant_trajectory(grid), 2.0)
+            A.build_scaled_psi(measured(constant_trajectory(grid)), 2.0)
 
     def test_constant_field_closed_form(self, grid):
         c = 2.0
-        traj = constant_trajectory(grid, value=c)
+        stats = measured(constant_trajectory(grid, value=c))
         r = 3.0
-        sp = A.build_scaled_psi(traj, r)
+        sp = A.build_scaled_psi(stats, r)
         qt_measure = grid.volume * 1.0
         assert sp.a_r == pytest.approx(c**2 * qt_measure ** (1 / r), rel=1e-12)
-        assert np.allclose(psi_tilde_oracle(sp, traj), qt_measure ** (-1 / r), rtol=1e-12)
+        assert np.allclose(psi_tilde_oracle(sp, stats), qt_measure ** (-1 / r), rtol=1e-12)
 
     def test_beltrami_unit_norm_requadrature(self, beltrami_traj):
-        sp = A.build_scaled_psi(beltrami_traj, 3.0)
-        check = spacetime_norm(psi_tilde_oracle(sp, beltrami_traj), 3.0, beltrami_traj.grid,
+        stats = measured(beltrami_traj)
+        sp = A.build_scaled_psi(stats, 3.0)
+        check = spacetime_norm(psi_tilde_oracle(sp, stats), 3.0, beltrami_traj.grid,
                                beltrami_traj.times)
         assert abs(check - 1.0) <= 1e-6
 
 
 class TestLadder:
     def test_levels(self, grid):
-        traj = constant_trajectory(grid, value=1.0)
-        sp = A.build_scaled_psi(traj, 2.0)
+        sp = A.build_scaled_psi(measured(constant_trajectory(grid, value=1.0)), 2.0)
         lad = A.build_ladder(sp, 8.0, 3, enforce_threshold=False)
         assert lad.levels == [4.0, 6.0, 7.0, 7.5]
 
     def test_bounded_field_all_zero(self, grid):
-        traj = constant_trajectory(grid, value=1.0)
-        sp = A.build_scaled_psi(traj, 2.0)
-        k = 4.0 * float(psi_tilde_oracle(sp, traj).max())
+        stats = measured(constant_trajectory(grid, value=1.0))
+        sp = A.build_scaled_psi(stats, 2.0)
+        k = 4.0 * float(psi_tilde_oracle(sp, stats).max())
         lad = A.build_ladder(sp, k, 10)
         assert all(y == 0.0 for y in lad.measures)
         assert lad.reached_zero() == 0
 
     def test_occupancy_counted_exactly(self, grid):
         # synthetic two-level psi: known cell occupancy at each rung
-        traj = constant_trajectory(grid, value=1.0, times=(0.0, 1.0))
-        sp = A.build_scaled_psi(traj, 2.0)
+        sp = A.build_scaled_psi(measured(constant_trajectory(grid, value=1.0, times=(0.0, 1.0))),
+                                2.0)
         n = grid.npts
         high = np.full((2, n, n, n), 0.25)
         high[:, : n // 2] = 1.0  # half the cells sit at 1.0
@@ -147,10 +147,11 @@ class TestLadder:
     def test_sorted_measures_match_per_threshold_counts(self, random_traj):
         # both of run_audit's ladders, read from one sort, bit for bit
         # against a scan of the stack per rung
-        sp = A.build_scaled_psi(random_traj, float(PARAMS.r))
+        stats = measured(random_traj)
+        sp = A.build_scaled_psi(stats, float(PARAMS.r))
         w = time_weights(sp.times)
-        psi_tilde = psi_tilde_oracle(sp, random_traj)
-        k_dom = A.estimate_threshold(sp, random_traj, PARAMS, float(PARAMS.r) + 1.0)
+        psi_tilde = psi_tilde_oracle(sp, stats)
+        k_dom = A.estimate_threshold(sp, stats, PARAMS, float(PARAMS.r) + 1.0)
         k_fit = 2.0 * float(np.quantile(psi_tilde, 0.90))
         for k, enforce in ((k_dom, True), (k_fit, False)):
             lad = A.build_ladder(sp, k, 40, enforce_threshold=enforce)
@@ -161,8 +162,7 @@ class TestLadder:
         assert any(y > 0.0 for y in lad.measures)
 
     def test_threshold_too_small(self, grid):
-        traj = constant_trajectory(grid, value=1.0)
-        sp = A.build_scaled_psi(traj, 2.0)
+        sp = A.build_scaled_psi(measured(constant_trajectory(grid, value=1.0)), 2.0)
         with pytest.raises(A.ThresholdTooSmall):
             A.build_ladder(sp, 0.5 * float(sp.psi_tilde[0].max()), 5)
         with pytest.raises(A.ThresholdTooSmall):
@@ -183,23 +183,26 @@ class TestRecursionFit:
         assert pairs == 0
 
     def test_vacuous_pass_on_bounded_run(self, beltrami_traj):
-        sp = A.build_scaled_psi(beltrami_traj, float(PARAMS.r))
-        k = 4.0 * float(psi_tilde_oracle(sp, beltrami_traj).max())
+        stats = measured(beltrami_traj)
+        sp = A.build_scaled_psi(stats, float(PARAMS.r))
+        k = 4.0 * float(psi_tilde_oracle(sp, stats).max())
         lad = A.build_ladder(sp, k, 10)
-        rec = A.check_recursion(lad, sp, beltrami_traj, PARAMS)
+        rec = A.check_recursion(lad, sp, stats, PARAMS)
         assert rec.passed
         assert rec.fitted_constant == 0.0
 
     def test_beltrami_dominating_ladder_hits_zero(self, beltrami_traj):
-        sp = A.build_scaled_psi(beltrami_traj, float(PARAMS.r))
-        k = A.estimate_threshold(sp, beltrami_traj, PARAMS, 13.0)
+        stats = measured(beltrami_traj)
+        sp = A.build_scaled_psi(stats, float(PARAMS.r))
+        k = A.estimate_threshold(sp, stats, PARAMS, 13.0)
         lad = A.build_ladder(sp, k, 40)
         assert lad.reached_zero() is not None
         assert lad.reached_zero() <= 40
 
     def test_measures_nonincreasing(self, random_traj):
-        sp = A.build_scaled_psi(random_traj, float(PARAMS.r))
-        k = 2.0 * float(np.quantile(psi_tilde_oracle(sp, random_traj), 0.9))
+        stats = measured(random_traj)
+        sp = A.build_scaled_psi(stats, float(PARAMS.r))
+        k = 2.0 * float(np.quantile(psi_tilde_oracle(sp, stats), 0.9))
         lad = A.build_ladder(sp, k, 40, enforce_threshold=False)
         ys = lad.measures
         assert all(a >= b for a, b in zip(ys, ys[1:]))
@@ -212,12 +215,12 @@ class TestRecursionFit:
 
 class TestEnergy:
     def test_zero_field_vacuous(self, grid):
-        rec = A.check_energy(zero_trajectory(grid))
+        rec = A.check_energy(measured(zero_trajectory(grid)))
         assert rec.passed
         assert rec.fitted_constant == 0.0
 
     def test_beltrami_residual(self, beltrami_traj):
-        rec = A.check_energy(beltrami_traj)
+        rec = A.check_energy(measured(beltrami_traj))
         assert rec.passed
         assert rec.lhs <= 1e-5
 
@@ -229,7 +232,7 @@ class TestEnergy:
                     for c in random_traj.coeffs]
         want = max(abs(e + d - energies[0]) / energies[0]
                    for e, d in zip(energies, random_traj.dissipation))
-        assert A.check_energy(random_traj).lhs == want
+        assert A.check_energy(measured(random_traj)).lhs == want
         full = [0.5 * random_traj.grid.volume * np.sum(np.abs(expand(band, c)) ** 2)
                 for c in random_traj.coeffs]
         assert energies == pytest.approx(full, rel=1e-14, abs=0)
@@ -237,11 +240,11 @@ class TestEnergy:
 
 class TestPressureCheck:
     def test_zero_field(self, grid):
-        rec = A.check_pressure(zero_trajectory(grid), (2.0,))[0]
+        rec = A.check_pressure(measured(zero_trajectory(grid), (2.0,)))[0]
         assert rec.fitted_constant == 0.0
 
     def test_beltrami_matches_direct(self, beltrami_traj):
-        rec = A.check_pressure(beltrami_traj, (2.0,))[0]
+        rec = A.check_pressure(measured(beltrami_traj, (2.0,)))[0]
         v = SpectralVelocity(beltrami_traj.coeffs[0], beltrami_traj.grid)
         p = cz_pressure(v.coeff, v.components(), v.grid)
         direct = space_norm(p, 2.0, v.grid) / space_norm(v.magnitude(), 4.0, v.grid) ** 2
@@ -249,7 +252,7 @@ class TestPressureCheck:
 
     def test_bad_exponent(self, beltrami_traj):
         with pytest.raises(A.BadExponents):
-            A.check_pressure(beltrami_traj, (1.0,))
+            measured(beltrami_traj, (1.0,))
 
 
 def pressure_oracle(traj, s, m_sigma=1.0):
@@ -277,7 +280,7 @@ class TestOnePassPressure:
     S_VALUES = (1.5, 2.0, 3.0, 4.0)
 
     def test_matches_oracle_exactly_unscaled(self, random_traj):
-        recs = A.check_pressure(random_traj, self.S_VALUES)
+        recs = A.check_pressure(measured(random_traj, self.S_VALUES))
         assert [r.check_id for r in recs] == ["pressure_s1.5", "pressure_s2",
                                               "pressure_s3", "pressure_s4"]
         for rec, s in zip(recs, self.S_VALUES):
@@ -287,21 +290,13 @@ class TestOnePassPressure:
     def test_matches_oracle_scaled(self, random_traj):
         # sigma = 1/2: the audit solves the stored band's pressure; the bound
         # is homogeneous of degree 2, so the scaled ratios agree to roundoff
-        m_sigma = float(random_traj.magnitudes()[0].max()) ** 0.5
-        recs = A.check_pressure(A.FieldStats(random_traj, m_sigma), self.S_VALUES)
+        stats = measured(random_traj, self.S_VALUES)
+        m_sigma = float(stats.mags[0].max()) ** 0.5
+        recs = A.check_pressure(replace(stats, m_sigma=m_sigma))
         for rec, s in zip(recs, self.S_VALUES):
             oracle = pressure_oracle(random_traj, s, m_sigma)
             for got, want in zip(rec.extra["ratios"], oracle, strict=True):
                 assert abs(got - want) <= 1e-12 * want
-
-    def test_cached_magnitudes_are_reused(self, random_traj):
-        # |u| first, then the pressure check on the bare trajectory: its
-        # pass reads the cached stack and builds no second one
-        mags, sups = random_traj.magnitudes(), random_traj.sups()
-        before = (mags.tobytes(), sups.tobytes())
-        A.check_pressure(random_traj, self.S_VALUES)
-        assert random_traj.magnitudes() is mags and random_traj.sups() is sups
-        assert (mags.tobytes(), sups.tobytes()) == before
 
     @pytest.mark.parametrize("sigma", [0, F(1, 2)], ids=["0", "0.5"])
     def test_one_pressure_solve_per_snapshot(self, random_traj, monkeypatch, sigma):
@@ -321,13 +316,13 @@ class TestOnePassPressure:
         assert sorted(solved) == list(range(len(random_traj)))
 
     def test_repeated_exponent_gets_its_own_record(self, beltrami_traj):
-        first, second = A.check_pressure(beltrami_traj, (2.0, 2.0))
+        first, second = A.check_pressure(measured(beltrami_traj, (2.0, 2.0)))
         assert first.extra["ratios"] == second.extra["ratios"]
         assert len(first.extra["ratios"]) == len(beltrami_traj)
 
     def test_bad_exponent_anywhere_in_tuple(self, beltrami_traj):
         with pytest.raises(A.BadExponents):
-            A.check_pressure(beltrami_traj, (2.0, 1.0))
+            measured(beltrami_traj, (2.0, 1.0))
 
 
 class TestOnePassAudit:
@@ -345,7 +340,7 @@ class TestOnePassAudit:
         def recording(f, ell, g, times):
             # |u| is the one stack normed; every other quantity is a named
             # view, formed per snapshot and keyed on its name
-            assert isinstance(f, A.SnapshotView) or f is random_traj.magnitudes()
+            assert isinstance(f, A.SnapshotView)
             seen.append((getattr(f, "name", "|u|"), ell))
             return spacetime_norm(f, ell, g, times)
 
@@ -371,10 +366,44 @@ class TestOnePassAudit:
             return inverse(band, coeff)
 
         monkeypatch.setattr(SpectralBand, "inverse", counting)
-        A.run_audit(copy_trajectory(random_traj), PARAMS,
+        A.run_audit(random_traj, PARAMS,
                     A.AuditSpec(s_values=(1.5, 2.0, 3.0, 4.0)))
         assert calls.count((3,) + random_traj.grid.band.shape) == len(random_traj)
         assert len(calls) == 2 * len(random_traj)
+
+    def test_bad_s_refused_before_the_pass(self, grid, monkeypatch):
+        v0 = make_initial("random_spectrum", grid, seed=2, amplitude=1.0, kmax=4)
+        traj = run(v0, SolverConfig(dt=1e-3, t_final=5e-3, snapshot_stride=1))
+        assert len(traj) == 6
+        calls = []
+        inverse = SpectralBand.inverse
+
+        def counting(band, coeff):
+            calls.append(coeff.shape)
+            return inverse(band, coeff)
+
+        monkeypatch.setattr(SpectralBand, "inverse", counting)
+        with pytest.raises(A.BadExponents, match="need s > 1"):
+            A.run_audit(traj, PARAMS, A.AuditSpec(s_values=(1.0, 2.0)))
+        assert calls == []
+
+    @pytest.mark.parametrize("r", [None, 1.0], ids=["done", "raises"])
+    def test_audit_leaves_the_trajectory_as_it_found_it(self, grid, r):
+        # r = 1 is refused after the velocity pass, by the scaled field
+        v0 = make_initial("random_spectrum", grid, seed=2, amplitude=1.0, kmax=4)
+        traj = run(v0, SolverConfig(dt=1e-3, t_final=5e-3, snapshot_stride=1))
+        before = dict(vars(traj))
+        coeffs = [c.tobytes() for c in traj.coeffs]
+        times, dissipation = list(traj.times), list(traj.dissipation)
+        if r is None:
+            A.run_audit(traj, PARAMS, A.AuditSpec())
+        else:
+            with pytest.raises(A.BadExponents, match="need r > 1"):
+                A.run_audit(traj, PARAMS, A.AuditSpec(r=r))
+        assert vars(traj).keys() == before.keys()
+        assert all(vars(traj)[key] is value for key, value in before.items())
+        assert [c.tobytes() for c in traj.coeffs] == coeffs
+        assert (traj.times, traj.dissipation) == (times, dissipation)
 
     def test_views_formed_once_per_power_sum(self, random_traj, snapshot_workers, monkeypatch):
         # sigma = 1/2, so |u|/m_sigma is a view too: a finite-exponent norm
@@ -413,7 +442,7 @@ class TestOnePassAudit:
         monkeypatch.setattr(A, "power_log_integrals", inside(power_log_integrals, lambda p: 1))
         monkeypatch.setattr(A, "estimate_threshold", inside(A.estimate_threshold))
         monkeypatch.setattr(A, "build_ladder", inside(A.build_ladder))
-        rep = A.run_audit(copy_trajectory(random_traj), replace(PARAMS, sigma=F(1, 2)),
+        rep = A.run_audit(random_traj, replace(PARAMS, sigma=F(1, 2)),
                           A.AuditSpec(s_values=(1.5, 2.0, 3.0, 4.0)))
         assert rep.environment["m_sigma"] != 1.0
         assert formed["|u|/m_sigma", 0] > 0
@@ -445,8 +474,8 @@ class TestOnePassAudit:
 
         scaled = replace(PARAMS, sigma=F(1, 2))
         for params in (PARAMS, scaled):
-            alone_r = report(copy_trajectory(random_traj), params)
-            alone_b = report(copy_trajectory(beltrami_traj), params)
+            alone_r = report(random_traj, params)
+            alone_b = report(beltrami_traj, params)
             assert alone_r != alone_b
             assert report(random_traj, params) == alone_r
             assert report(beltrami_traj, params) == alone_b
@@ -466,11 +495,11 @@ class TestAuditMemory:
         snapshot = g.npts**3 * 8
         spec = A.AuditSpec(s_values=(1.5, 2.0, 3.0, 4.0))
         # the grid's own caches are built once, outside the measured audits
-        A.run_audit(copy_trajectory(traj), PARAMS, spec)
+        A.run_audit(traj, PARAMS, spec)
         for params in (PARAMS, replace(PARAMS, sigma=F(1, 2))):
             tracemalloc.start()
             try:
-                A.run_audit(copy_trajectory(traj), params, spec)
+                A.run_audit(traj, params, spec)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -480,23 +509,24 @@ class TestAuditMemory:
 class TestInterpolationCheck:
     def test_constant_field_equality(self, grid):
         traj = constant_trajectory(grid, value=3.0)
-        rec = A.check_interpolation(traj, 4.0, 2.0)
+        rec = A.check_interpolation(measured(traj), 4.0, 2.0)
         assert rec.passed
         assert abs(rec.extra["sup_margin"]) <= 1e-10 * rec.rhs
 
     def test_random_field_strict_margin(self, random_traj):
-        rec = A.check_interpolation(traj=random_traj, ell=4.0, r=2.0)
+        rec = A.check_interpolation(stats=measured(random_traj), ell=4.0, r=2.0)
         assert rec.passed
         assert rec.extra["sup_margin"] > 0
 
     def test_degenerate_exponents(self, random_traj):
+        stats = measured(random_traj)
         with pytest.raises(A.BadExponents):
-            A.check_interpolation(random_traj, 2.0, 2.0)
+            A.check_interpolation(stats, 2.0, 2.0)
         with pytest.raises(A.BadExponents):
-            A.check_interpolation(random_traj, math.inf, 2.0)
+            A.check_interpolation(stats, math.inf, 2.0)
 
     def test_exponent_identity_recorded(self, random_traj):
-        rec = A.check_interpolation(random_traj, 4.0, 2.0)
+        rec = A.check_interpolation(measured(random_traj), 4.0, 2.0)
         assert rec.extra["exponent_identity"] == pytest.approx(1.0, rel=1e-15)
 
 
@@ -506,7 +536,7 @@ class TestLogNormLimit:
         # offsets approach it at first order
         c, r = 2.0, 3.0
         traj = constant_trajectory(grid, value=c)
-        rec = A.log_norm_limit(traj, r)
+        rec = A.log_norm_limit(measured(traj), r)
         qt = grid.volume * traj.times[-1]
         analytic = qt ** (-1 / (2 * r * r))
         assert abs(rec.rhs - analytic) <= 1e-10 * analytic
@@ -515,26 +545,27 @@ class TestLogNormLimit:
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
 
     def test_random_first_order(self, random_traj):
-        rec = A.log_norm_limit(random_traj, 3.0)
+        rec = A.log_norm_limit(measured(random_traj), 3.0)
         assert rec.passed
         diffs = rec.extra["diffs"]
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
         assert 0.5 <= rec.extra["convergence_order"] <= 1.5
 
     def test_jensen_bound_evaluated(self, random_traj):
-        rec = A.log_norm_limit(random_traj, float(PARAMS.r), PARAMS)
+        rec = A.log_norm_limit(measured(random_traj), float(PARAMS.r), PARAMS)
         assert "jensen_lhs" in rec.extra
         assert rec.extra["jensen_pass"]
 
 
 class TestFinalBound:
     def test_zero_field(self, grid):
-        rec = A.check_final_bound(zero_trajectory(grid), PARAMS, c=1.0)
+        rec = A.check_final_bound(measured(zero_trajectory(grid)), PARAMS, c=1.0)
         assert rec.passed
 
     def test_beltrami_margin(self, beltrami_traj):
-        c = A.calibrate_final_constant(beltrami_traj, PARAMS)
-        rec = A.check_final_bound(beltrami_traj, PARAMS, c)
+        stats = measured(beltrami_traj)
+        c = A.calibrate_final_constant(stats, PARAMS)
+        rec = A.check_final_bound(stats, PARAMS, c)
         assert rec.passed
         assert rec.margin > 0
 
@@ -550,8 +581,8 @@ class TestFinalBound:
         v2 = SpectralVelocity(lam * v1.coeff.copy(), g2)
         t2 = run(v2, SolverConfig(viscosity=1.0, dt=4e-3 / lam**2,
                                   t_final=0.2 / lam**2, snapshot_stride=10))
-        r1 = A.check_final_bound(t1, params, c=1.0)
-        r2 = A.check_final_bound(t2, params, c=1.0)
+        r1 = A.check_final_bound(measured(t1), params, c=1.0)
+        r2 = A.check_final_bound(measured(t2), params, c=1.0)
         ratio1 = r1.lhs / r1.rhs
         ratio2 = r2.lhs / r2.rhs
         assert ratio2 / ratio1 == pytest.approx(1.0, rel=0.05)
@@ -564,8 +595,8 @@ class TestPressureScalingInvariance:
         t1 = run(v, cfg)
         w = SpectralVelocity(2.0 * v.coeff.copy(), grid)
         t2 = run(w, cfg)
-        c1 = A.check_pressure(t1, (2.0,))[0].fitted_constant
-        c2 = A.check_pressure(t2, (2.0,))[0].fitted_constant
+        c1 = A.check_pressure(measured(t1, (2.0,)))[0].fitted_constant
+        c2 = A.check_pressure(measured(t2, (2.0,)))[0].fitted_constant
         assert abs(c1 - c2) <= 1e-10 * c1
 
 
@@ -605,7 +636,7 @@ class TestSnapshotFanOut:
         for workers in (1, 2, 3):
             snapshot_workers(workers)
             reports[workers] = [
-                canonical_json(A.run_audit(copy_trajectory(random_traj), params, spec).as_dict())
+                canonical_json(A.run_audit(random_traj, params, spec).as_dict())
                 for params in (PARAMS, replace(PARAMS, sigma=F(1, 2)))
             ]
         assert reports[1] == reports[2] == reports[3]

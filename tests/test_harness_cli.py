@@ -199,7 +199,8 @@ class TestSimulate:
         sc = quick_scenario("bel2", t_final=0.05)
         mp = simulate(sc, tmp_path)
         traj = trajectory_from_manifest(load_manifest(mp), mp.parent)
-        ratio = traj.sups()[-1] / traj.sups()[0]
+        sups = A.FieldStats.measure(traj, (), 0).sups
+        ratio = sups[-1] / sups[0]
         assert ratio == pytest.approx(np.exp(-0.05), rel=1e-6)
 
     def test_t_zero_single_checkpoint(self, tmp_path):
@@ -253,6 +254,16 @@ class TestAuditCommandLayer:
         _, j1, _ = audit_manifest(mp1)
         _, j2, _ = audit_manifest(mp2)
         assert j1.read_bytes() == j2.read_bytes()
+
+    def test_calibration_key_is_read_by_no_check(self, tmp_path):
+        # audit.calibration marks a suite's calibration member; the report
+        # is the same bytes either way
+        mp = simulate(quick_scenario("cal", kind="random_spectrum", seed=1), tmp_path)
+        reports = []
+        for flag in (True, False):
+            _, jp, cp = audit_manifest(mp, overrides={"calibration": flag})
+            reports.append((jp.read_bytes(), cp.read_bytes()))
+        assert reports[0] == reports[1]
 
 
 class TestSuite:
@@ -424,6 +435,15 @@ class TestCli:
                        "--check", "q=10,j=4,B=10,K=6/5,r=12,delta=1/4"])
         assert rc == 1
         assert "delta given twice" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["5", "3"])
+    def test_exponents_n_given_twice_exit_1(self, tmp_path, capsys, flag):
+        capsys.readouterr()
+        rc = cli.main(["exponents", "--out-dir", str(tmp_path), "--N", flag,
+                       "--check", "N=3,q=10,j=4,B=10,K=6/5,r=12"])
+        assert rc == 1
+        assert "N given twice" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
