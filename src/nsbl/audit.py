@@ -16,28 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .ledger import ExponentParams
-from .norms import (
-    INF,
-    level_set_measure,
-    power_log_integrals,
-    sorted_quantile,
-    space_norm,
-    spacetime_norm,
-)
+from .norms import INF, PowerTable, level_set_measure, sorted_quantile
 from .solver import Trajectory
-from .spectral import NotDivergenceFree, cz_pressure, over_snapshots, speed
+from .spectral import NotDivergenceFree, TorusGrid, cz_pressure, over_snapshots, speed
 
 __all__ = [
     "DegenerateField",
     "ThresholdTooSmall",
     "BadExponents",
     "FieldStats",
-    "SnapshotView",
     "ScaledPsi",
     "LevelSetLadder",
     "CheckRecord",
@@ -55,6 +47,7 @@ __all__ = [
     "calibrate_final_constant",
     "dichotomy_branch",
     "constant_key",
+    "audit_exponents",
     "run_audit",
 ]
 
@@ -72,6 +65,12 @@ FINAL_MARGIN_FACTOR = 1.5
 # grid sums must stay well inside float64
 AMPLITUDE_RANGE = (1e-100, 1e100)
 
+# the energy norm and the interpolation base are taken at 2 LZ
+LZ = (TorusGrid.dim + 2) / TorusGrid.dim
+
+# the log-moment clamps |u| / m_sigma below this and counts the cells
+LOG_CLAMP = 1e-300
+
 
 class DegenerateField(ValueError):
     pass
@@ -83,59 +82,6 @@ class ThresholdTooSmall(ValueError):
 
 class BadExponents(ValueError):
     pass
-
-
-@dataclass(frozen=True, eq=False)
-class SnapshotView:
-    """A stack formed one snapshot at a time, ``view[i] = op(base[i])``; the
-    norms take it as an (nt, n, n, n) array, and only snapshots in use exist.
-    The norms read each snapshot's max from ``maxima``."""
-
-    name: str
-    base: object
-    op: Callable
-    maxima: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.base)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.op(self.base[i])
-
-    def derive(self, name: str, op: Callable) -> "SnapshotView":
-        """The view ``op(self[i])``.  op is elementwise and non-decreasing on
-        non-negative values (a square, a division by a positive constant),
-        so its maxima are exactly op of these maxima."""
-        return SnapshotView(name, self, op, op(self.maxima))
-
-
-def _same(x):
-    return x
-
-
-@dataclass(eq=False)
-class ScaledPsi:
-    """|u|^2 time series normalized to unit space-time r-norm: a view, kept
-    as one stack only in sorted_tilde."""
-
-    a_r: float
-    r: float
-    psi_tilde: SnapshotView
-    grid: object
-    times: list[float]
-
-    @cached_property
-    def sorted_tilde(self) -> np.ndarray:
-        """Each snapshot of psi_tilde sorted ascending, shape (nt, cells):
-        the one sort every ladder's measures and the quantile are read from."""
-        out = np.empty((len(self.psi_tilde), self.grid.npts ** self.grid.dim))
-
-        def fill(i):
-            out[i] = self.psi_tilde[i].ravel()
-            out[i].sort()
-
-        over_snapshots(fill, len(out))
-        return out
 
 
 @dataclass(eq=False)
@@ -258,11 +204,9 @@ class FieldStats:
 
     ``measure`` makes the audit's one velocity pass and builds it: the |u|
     stack ``mags``, the sup of each snapshot, the pressure ratios at each
-    exponent s and M_sigma.  On top of these it memoizes |u| and
-    |u| / m_sigma as views of the stack (the same view when m_sigma is 1),
-    the scaled psi for each r, and the space-time norms and log-weighted
-    integrals of these, per (kind, quantity name, exponent).
-    """
+    exponent s, M_sigma, the power table of |u| and the count of cells the
+    log-moment clamps.  Every norm and log-moment a check reads comes from
+    the table, with M_sigma put back analytically."""
 
     traj: Trajectory
     s_values: tuple
@@ -271,23 +215,29 @@ class FieldStats:
     # per s, the ratio ||p||_s / ||u||_2s^2 of each snapshot
     pressure: tuple
     m_sigma: float
-
-    _psi: dict = field(default_factory=dict, init=False, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    powers: PowerTable
+    # cells with |u| / m_sigma below LOG_CLAMP, over all snapshots
+    clamped: int
 
     @classmethod
-    def measure(cls, traj: Trajectory, s_values, sigma) -> "FieldStats":
+    def measure(cls, traj: Trajectory, s_values, sigma, exponents=(),
+                log_exponents=()) -> "FieldStats":
         """The audit's one pass over the snapshots: each band is inverted
         once, and the velocity gives the snapshot's |u| (written into the
-        stack), its sup and one pressure solve, measured at every s.
+        stack), its sup and one pressure solve.
+
+        One logarithm of |u| / sup per snapshot gives every power sum of
+        |u| (a ``PowerTable``): at each of ``exponents``, at 2 for
+        ||u0||_2 and at 2s, and the log-moments at ``log_exponents``.  One
+        of |p| / max |p| gives the pressure's at each s.
 
         The pressure is solved on the band as stored: the bound is
         homogeneous of degree 2, so the ratios are the same at every scale
-        M_sigma = (sup |u0|)^sigma.  An s not above 1 is refused before the
-        pass.  After it come, in this order: a sup outside AMPLITUDE_RANGE,
-        an M_sigma outside it, and the first snapshot in time that is not
-        divergence-free or whose sup is outside the range (it gets no
-        pressure).
+        M_sigma = (sup |u0|)^sigma.  An s not above 1 and times that do not
+        increase are refused before the pass.  After it come, in this
+        order: a sup outside AMPLITUDE_RANGE, an M_sigma outside it, and
+        the first snapshot in time that is not divergence-free or whose sup
+        is outside the range (it gets no pressure).
         """
         if len(traj) == 0:
             raise DegenerateField("empty trajectory")
@@ -296,24 +246,29 @@ class FieldStats:
             if not s > 1:
                 raise BadExponents(f"need s > 1, got {s}")
         grid, band, coeffs, nt = traj.grid, traj.grid.band, traj.coeffs, len(traj.coeffs)
-        mags, sups = np.empty((nt,) + (grid.npts,) * 3), np.empty(nt)
+        powers = PowerTable.empty((2.0, *exponents, *(2 * s for s in s_values)),
+                                  log_exponents, traj.times, grid)
+        pressures = PowerTable.empty(s_values, (), traj.times, grid)
+        mags, sups, minima = np.empty((nt,) + (grid.npts,) * 3), powers.sups, np.empty(nt)
 
-        def ratios(i):
+        def measured(i):
             u = band.inverse(coeffs[i])
             sup = sups[i] = speed(u, out=mags[i]).max()
-            if not (sup == 0.0 or _audited(sup)):
-                return None
-            dens = [space_norm(mags[i], 2 * s, grid) ** 2 for s in s_values]
-            if not any(dens):
-                return [0.0 for _ in s_values]
+            minima[i] = mags[i].min()
+            if sup == 0.0 or not _audited(sup):
+                return sup == 0.0
             try:
                 p = cz_pressure(coeffs[i], u, grid)
             except NotDivergenceFree as exc:
                 return exc
-            return [space_norm(p, s, grid) / den if den else 0.0
-                    for s, den in zip(s_values, dens)]
+            # the sums' two temporaries are formed once the velocity is gone
+            del u
+            powers.add(i, mags[i])
+            pressures.sups[i] = max(p.max(), -p.min())
+            pressures.add(i, p)
+            return True
 
-        rows = over_snapshots(ratios, nt)
+        rows = over_snapshots(measured, nt)
         vmax = float(sups.max())
         lo, hi = AMPLITUDE_RANGE
         if vmax != 0.0 and not _audited(vmax):
@@ -325,11 +280,15 @@ class FieldStats:
         for i, row in enumerate(rows):
             if isinstance(row, NotDivergenceFree):
                 raise row
-            if row is None:
+            if row is False:
                 raise DegenerateField(f"snapshot {i}: sup |u| = {sups[i]:.3g} "
                                       "is outside the audited range")
-        pressure = tuple([row[k] for row in rows] for k in range(len(s_values)))
-        return cls(traj, s_values, mags, sups, pressure, m_sigma)
+        pressure = tuple([pressures.space_norm(i, s) / powers.space_norm(i, 2 * s) ** 2
+                          if sups[i] else 0.0 for i in range(nt)] for s in s_values)
+        # a snapshot holds a clamped cell only if its min does
+        clamped = sum(int(np.count_nonzero(mags[i] / m_sigma < LOG_CLAMP))
+                      for i in np.flatnonzero(minima / m_sigma < LOG_CLAMP))
+        return cls(traj, s_values, mags, sups, pressure, m_sigma, powers, clamped)
 
     @property
     def grid(self):
@@ -339,69 +298,72 @@ class FieldStats:
     def times(self) -> list[float]:
         return self.traj.times
 
-    @cached_property
-    def unscaled(self) -> SnapshotView:
-        """|u|: the stack as it is, with its measured sups."""
-        return SnapshotView("|u|", self.mags, _same, self.sups)
-
-    @cached_property
+    @property
     def u0_l2(self) -> float:
-        """||u0||_2 of the stack as measured."""
-        return space_norm(self.mags[0], 2.0, self.grid)
+        """||u0||_2 as measured."""
+        return self.powers.space_norm(0, 2.0)
 
-    def magnitudes(self) -> SnapshotView:
-        """|u| / m_sigma for every snapshot: ``unscaled`` when m_sigma is 1,
-        else a view dividing one snapshot at a time."""
-        if self.m_sigma == 1.0:
-            return self.unscaled
-        return self.unscaled.derive("|u|/m_sigma", lambda x: x / self.m_sigma)
-
-    def norm(self, stack: SnapshotView, ell: float) -> float:
-        """spacetime_norm of a named view."""
-        return self._once("norm", spacetime_norm, stack, ell)
+    def norm(self, e: float) -> float:
+        """The space-time e-norm of |u| / m_sigma; e = INF gives its sup."""
+        return self.powers.norm(e, self.m_sigma)
 
     def log_integrals(self, p: float) -> tuple[float, float, int]:
-        """power_log_integrals of |u| / m_sigma at power p:
-        (ln I0, I1/I0, clamped cell count)."""
-        return self._once("log", power_log_integrals, self.magnitudes(), p)
+        """(ln I0, I1/I0, clamped cell count) of f = |u| / m_sigma at power
+        p, for I0 = integral |f|^p and I1 = integral |f|^p ln|f|."""
+        return (*self.powers.log_integrals(p, self.m_sigma), self.clamped)
 
-    def scaled_psi(self, r: float) -> ScaledPsi:
-        """The scaled field for exponent r; built once."""
-        if r not in self._psi:
-            self._psi[r] = build_scaled_psi(self, r)
-        return self._psi[r]
 
-    def _once(self, kind, fn, stack, exponent):
-        # functions arrive through the module namespace, so patched or
-        # wrapped versions are the ones called; views are short-lived, so
-        # the key holds a quantity's name, never an object id
-        key = (kind, stack.name, exponent)
-        if key not in self._memo:
-            self._memo[key] = fn(stack, exponent, self.grid, self.times)
-        return self._memo[key]
+@dataclass(eq=False)
+class ScaledPsi:
+    """psi_tilde = (|u| / m_sigma)^2 / a_r, of unit space-time r-norm; its
+    norms are ||u / m_sigma||_2ell^2 / a_r, and the field itself is formed
+    only to be sorted, one snapshot at a time, in ``sorted_tilde``."""
+
+    a_r: float
+    r: float
+    stats: FieldStats
+
+    def norm(self, ell: float) -> float:
+        """||psi_tilde||_ell; ell = INF gives its sup."""
+        n = self.stats.norm(2 * ell)
+        return n * n / self.a_r
+
+    @cached_property
+    def sorted_tilde(self) -> np.ndarray:
+        """Each snapshot of psi_tilde sorted ascending, shape (nt, cells):
+        the one sort every ladder's measures and the quantile are read from.
+
+        The same pass re-measures ||psi_tilde||_r from the sorted values, so
+        a wrong a_r shows: a norm off 1 by more than 1e-6 raises."""
+        stats, a_r, r = self.stats, self.a_r, self.r
+        out = np.empty((len(stats.mags), stats.mags[0].size))
+        check = PowerTable.empty((r,), (), stats.times, stats.grid)
+
+        def fill(i):
+            g = out[i]
+            np.divide(stats.mags[i].ravel(), stats.m_sigma, out=g)
+            np.square(g, out=g)
+            g /= a_r
+            g.sort()
+            check.sups[i] = g[-1]
+            check.add(i, g)
+
+        over_snapshots(fill, len(out))
+        if not abs(check.norm(r) - 1.0) <= 1e-6:
+            raise DegenerateField(f"normalization drifted: {check.norm(r)}")
+        return out
 
 
 def build_scaled_psi(stats: FieldStats, r: float) -> ScaledPsi:
-    """psi = |u|^2 normalized by its space-time r-norm."""
+    """psi = (|u| / m_sigma)^2 normalized by its space-time r-norm,
+    a_r = ||psi||_r = ||u / m_sigma||_2r^2, read from the table."""
     if not r > 1:
         raise BadExponents(f"need r > 1, got {r}")
-    grid, times = stats.grid, stats.times
-    mags = stats.magnitudes()
-    a_r = spacetime_norm(mags.derive(f"psi r={r!r}", lambda x: x**2), r, grid, times)
+    n = stats.norm(2 * r)
+    a_r = n * n
     if a_r == 0.0:
         raise DegenerateField("identically zero field")
-
-    def tilde(x):
-        # x**2 / a_r with one temporary per snapshot, not two
-        g = x**2
-        g /= a_r
-        return g
-
-    psi_tilde = mags.derive(f"psi_tilde r={r!r}", tilde)
-    check = spacetime_norm(psi_tilde, r, grid, times)
-    if not abs(check - 1.0) <= 1e-6:
-        raise DegenerateField(f"normalization drifted: {check}")
-    return ScaledPsi(a_r, r, psi_tilde, grid, list(times))
+    return ScaledPsi(a_r, r, stats)
 
 
 def build_ladder(
@@ -417,7 +379,7 @@ def build_ladder(
                 f"threshold {k:.6g} below twice the initial sup {initial_sup:.6g}"
             )
     levels = [k - k / 2 ** (n + 1) for n in range(n_max + 1)]
-    measures = level_set_measure(sp.sorted_tilde, levels, sp.grid, sp.times)
+    measures = level_set_measure(sp.sorted_tilde, levels, sp.stats.grid, sp.stats.times)
     return LevelSetLadder(k, levels, measures, n_max)
 
 
@@ -436,11 +398,9 @@ def estimate_threshold(
     if not ell > r:
         raise BadExponents(f"need ell > r, got ell = {ell}, r = {r}")
     m_sigma = stats.m_sigma
-    mags = stats.magnitudes()
-    u2q = stats.norm(mags, 2 * q)
-    # ||u0 / m_sigma||_2: the measured ||u0||_2 when m_sigma is 1
-    u0_l2 = stats.u0_l2 if mags is stats.unscaled else space_norm(mags[0], 2.0, stats.grid)
-    psinorm = stats.norm(sp.psi_tilde, ell)
+    u2q = stats.norm(2 * q)
+    u0_l2 = stats.powers.space_norm(0, 2.0, m_sigma)
+    psinorm = sp.norm(ell)
     if u2q == 0.0 or psinorm == 0.0 or u0_l2 == 0.0:
         raise DegenerateField("zero field has no nontrivial threshold")
     den = N * q - N - 2
@@ -512,7 +472,7 @@ def check_recursion(
     a = float(params.alpha)
     q = float(params.q)
     m_sigma = stats.m_sigma
-    u2q = stats.norm(stats.magnitudes(), 2 * q)
+    u2q = stats.norm(2 * q)
     try:
         prefactor = m_sigma**2 * u2q**4 / (ladder.threshold * sp.a_r)
     except OverflowError as exc:
@@ -565,8 +525,7 @@ def check_energy(stats: FieldStats) -> CheckRecord:
     residual = max(
         abs(e + d - e0) / e0 for e, d in zip(energies, traj.dissipation)
     )
-    lz = (traj.grid.dim + 2) / traj.grid.dim
-    st_norm = stats.norm(stats.unscaled, 2 * lz)
+    st_norm = stats.powers.norm(2 * LZ)
     fitted = st_norm / stats.u0_l2
     ok = residual <= ENERGY_RESIDUAL_TOL
     return CheckRecord(
@@ -589,19 +548,16 @@ def check_pressure(stats: FieldStats) -> list[CheckRecord]:
 
 def check_interpolation(stats: FieldStats, ell: float, r: float) -> CheckRecord:
     """Interpolation bound against the sup norm plus the unit-norm chain."""
-    lz = (stats.grid.dim + 2) / stats.grid.dim
-    if not (math.isfinite(ell) and ell > r >= lz):
-        raise BadExponents(f"need inf > ell > r >= {lz:g}, got ell = {ell}, r = {r}")
-    f = stats.magnitudes()
-    lhs1 = stats.norm(f, 2 * ell)
-    sup = stats.norm(f, INF)
-    base = stats.norm(f, 2 * lz)
-    rhs1 = sup ** (1 - lz / ell) * base ** (lz / ell)
+    if not (math.isfinite(ell) and ell > r >= LZ):
+        raise BadExponents(f"need inf > ell > r >= {LZ:g}, got ell = {ell}, r = {r}")
+    lhs1 = stats.norm(2 * ell)
+    sup = stats.norm(INF)
+    base = stats.norm(2 * LZ)
+    rhs1 = sup ** (1 - LZ / ell) * base ** (LZ / ell)
     margin1 = rhs1 - lhs1
-    sp = stats.scaled_psi(r)
-    psinorm = stats.norm(sp.psi_tilde, ell)
-    lhs2 = psinorm ** (ell / (ell - r))
-    rhs2 = stats.norm(sp.psi_tilde, INF)
+    sp = build_scaled_psi(stats, r)
+    lhs2 = sp.norm(ell) ** (ell / (ell - r))
+    rhs2 = sp.norm(INF)
     margin2 = rhs2 - lhs2
     ok = margin1 >= -ROUNDOFF_RTOL * rhs1 and margin2 >= -ROUNDOFF_RTOL * rhs2
     return CheckRecord(
@@ -624,17 +580,15 @@ def log_norm_limit(
     # the limit is sampled at ell = r + 1e-4 and above, which must differ from r
     if not 1 < r < r + 1e-4:
         raise BadExponents(f"need r > 1 and r + 1e-4 != r in float64, got {r}")
-    f = stats.magnitudes()
-    base = stats.norm(f, 2 * r)
+    base = stats.norm(2 * r)
     if base == 0.0:
         return CheckRecord("log_norm_limit", 0.0, 0.0, 0.0, True, 0.0,
                            {"note": "vacuous on the zero field"})
     _, mean_log, clamped = stats.log_integrals(2 * r)
     closed = base ** (-1.0 / r) * math.exp(mean_log / r)
     values, diffs = [], []
-    for kk in range(1, 5):
-        ell = r + 10.0**-kk
-        n2l = stats.norm(f, 2 * ell)
+    for ell in _limit_ells(r):
+        n2l = stats.norm(2 * ell)
         val = math.exp(math.log(n2l / base) / (ell - r))
         values.append(val)
         diffs.append(abs(val - closed))
@@ -661,8 +615,8 @@ def log_norm_limit(
         rr = float(params.r)
         _, mean_log_r, _ = stats.log_integrals(2 * rr)
         i_one = math.exp(b * (rr - q) * mean_log_r / (2 * al * q * (rr - 2 * j)))
-        u2q = stats.norm(f, 2 * q)
-        u2r = stats.norm(f, 2 * rr)
+        u2q = stats.norm(2 * q)
+        u2r = stats.norm(2 * rr)
         jensen_rhs = u2q ** (-b / (2 * al * (rr - 2 * j))) * u2r ** (
             b * rr / (2 * al * (rr - 2 * j) * q)
         )
@@ -736,6 +690,34 @@ def constant_key(check_id: str) -> str | None:
     return "c_final" if check_id == "final_bound" else None
 
 
+def _limit_ells(r: float) -> list[float]:
+    """The ell at which ``log_norm_limit`` samples the norm ratio toward r."""
+    return [r + 10.0**-k for k in range(1, 5)]
+
+
+def _threshold_ell(params: ExponentParams, spec: AuditSpec, r: float) -> float:
+    """The ell of ``run_audit``'s dominating threshold: the audit's first.
+    The threshold's chain runs at the ledger's r, whatever r the audit
+    overrides, so a default ell must exceed that r."""
+    ell0 = spec.effective_ells(r)[0]
+    if spec.ell_values is None and not ell0 > float(params.r):
+        ell0 = float(params.r) + 1.0
+    return ell0
+
+
+def audit_exponents(params: ExponentParams, spec: AuditSpec) -> tuple[list, list]:
+    """(exponents, log_exponents): every e at which ``run_audit``'s checks
+    read a space-time norm of |u| / m_sigma, and every p at which they read
+    its log-moment; ``FieldStats.measure`` adds the pressure's 2s and the 2
+    of ||u0||_2.  An exponent below 1 or infinite comes only from an r or
+    ell that a check refuses before it reads, so it is left out."""
+    r, ledger_r = spec.effective_r(params), float(params.r)
+    halves = (*spec.effective_ells(r), _threshold_ell(params, spec, r), *_limit_ells(r),
+              r, ledger_r, LZ, float(params.q))
+    exponents = sorted({2 * x for x in halves if 1 <= 2 * x < INF})
+    return exponents, sorted({p for p in (2 * r, 2 * ledger_r) if p in exponents})
+
+
 def run_audit(
     traj: Trajectory,
     params: ExponentParams,
@@ -759,21 +741,17 @@ def run_audit(
     constants = dict(constants or {})
     grid = traj.grid
     r = spec.effective_r(params)
-    stats = FieldStats.measure(traj, spec.s_values, params.sigma)
+    stats = FieldStats.measure(traj, spec.s_values, params.sigma,
+                               *audit_exponents(params, spec))
     checks = [check_energy(stats), *check_pressure(stats)]
 
     branch = None
     if stats.sups[0] != 0.0:
-        sp = stats.scaled_psi(r)
+        sp = build_scaled_psi(stats, r)
         for ell in spec.effective_ells(r):
             checks.append(check_interpolation(stats, float(ell), r))
         checks.append(log_norm_limit(stats, r, params))
-        ell0 = spec.effective_ells(r)[0]
-        if spec.ell_values is None and not ell0 > float(params.r):
-            # the threshold's chain runs at the ledger's r, whatever r the
-            # audit overrides; its default ell must exceed that r
-            ell0 = float(params.r) + 1.0
-        k_dom = estimate_threshold(sp, stats, params, ell0)
+        k_dom = estimate_threshold(sp, stats, params, _threshold_ell(params, spec, r))
         dom_ladder = build_ladder(sp, k_dom, spec.n_max, enforce_threshold=True)
         # exploratory ladder keyed to a bulk quantile: far stabler across
         # seeds than anything keyed to the sup

@@ -165,6 +165,11 @@ def _audit_spec(d: dict) -> AuditSpec:
     s_values = _numbers(a, "s_values", (2.0, 3.0), "audit")
     if s_values == ():
         raise BadScenario("audit.s_values must be a non-empty list")
+    # each exponent gets one record, and the power table one entry
+    for key, values in (("s_values", s_values), ("ell_values", ells or ())):
+        for i, x in enumerate(values):
+            if x in values[:i]:
+                raise BadScenario(f"audit.{key} repeats {x!r}")
     n_max = _integer(a, "n_max", 40, "audit")
     # the ladder's levels k - k / 2^(n+1) need 2^(n_max+1) inside float64
     if not 0 <= n_max <= 1022:
@@ -382,15 +387,21 @@ def _check_manifest(d) -> None:
 def trajectory_from_manifest(manifest: dict, base_dir) -> Trajectory:
     """Rebuild the trajectory, verifying every checkpoint hash and band.
 
-    Each file's band is read as stored into the scenario's grid, and its
-    time must be the manifest's; the reads are shared out with
-    ``over_snapshots``, and the first bad file in manifest order is the one
-    reported.
+    The manifest's times must increase strictly.  Each file's band is read
+    as stored into the scenario's grid, and its time must be the
+    manifest's; the reads are shared out with ``over_snapshots``, and the
+    first bad file in manifest order is the one reported.
     """
     base = Path(base_dir)
     scenario = Scenario.from_dict(manifest["scenario"])
     grid = scenario.grid()
     entries = manifest["checkpoints"]
+    # the time weights need snapshots in time order
+    for i in range(1, len(entries)):
+        t, before = entries[i]["t"], entries[i - 1]["t"]
+        if not t > before:
+            raise CorruptCheckpoint(f"{base / entries[i]['path']}: checkpoints[{i}].t = {t!r} "
+                                    f"is not above checkpoints[{i - 1}].t = {before!r}")
 
     def read(i):
         path, t = base / entries[i]["path"], entries[i]["t"]

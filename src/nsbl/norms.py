@@ -1,47 +1,62 @@
-"""Discrete Lebesgue norms, super-level-set measures, and log-weighted integrals.
+"""Discrete Lebesgue norms from per-snapshot power sums, super-level-set
+measures, and log-weighted integrals.
 
 Space integrals are cell sums weighted by the cell volume; space-time
-integrals use trapezoidal weights over the stored snapshot times.  Large
-exponents are evaluated after rescaling by the max so nothing overflows;
-the log-weighted integrals return the logarithm and a ratio, with the
-scale put back analytically.  Super-level-set measures answer a whole
-ladder of thresholds, and quantiles are selected, from one per-snapshot sort.
+integrals use trapezoidal weights over the stored snapshot times, which
+must increase strictly.  A ``PowerTable`` measures each snapshot f once:
+it takes L = ln(|f| / sup_i), sup_i = max |f|, one time and reads every
+power sum it holds from it, sum exp(e L) = sum (|f| / sup_i)^e, and every
+log-moment, sum exp(p L) L.  The scale goes back analytically: a
+space-time norm adds the snapshots' sums in snapshot order, each scaled by
+(sup_i / m)^e with m the largest sup, so nothing overflows at any
+exponent, and the log-weighted integrals return the logarithm and a
+ratio.  Super-level-set measures answer a whole ladder of thresholds, and
+quantiles are selected, from one per-snapshot sort.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import TorusGrid, over_snapshots
+from .spectral import TorusGrid
 
 __all__ = [
     "BadExponent",
+    "UnmeasuredExponent",
     "INF",
     "time_weights",
-    "space_norm",
-    "spacetime_norm",
+    "PowerTable",
     "level_set_measure",
     "sorted_quantile",
-    "power_log_integrals",
 ]
 
 INF = math.inf
 
-# clamp applied under logarithms so log-weighted integrals never see log(0)
-LOG_CLAMP = 1e-300
+# |f| / sup is floored here before its logarithm, so the log is finite; a
+# cell under the floor adds at most _FLOOR^e to a power sum
+_FLOOR = np.finfo(np.float64).tiny
 
 
 class BadExponent(ValueError):
     pass
 
 
+class UnmeasuredExponent(LookupError):
+    """A norm asked of a ``PowerTable`` at an exponent it does not hold."""
+
+
 def time_weights(times) -> np.ndarray:
-    """Trapezoidal quadrature weights; a single snapshot gets unit weight."""
+    """Trapezoidal quadrature weights; a single snapshot gets unit weight.
+    Times that do not increase strictly would give weights of zero or
+    below, so they are refused."""
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1d sequence")
+    if not np.all(t[1:] > t[:-1]):
+        raise ValueError(f"times must increase strictly, got {t.tolist()}")
     if t.size == 1:
         return np.ones(1)
     w = np.empty_like(t)
@@ -51,72 +66,95 @@ def time_weights(times) -> np.ndarray:
     return w
 
 
-def _check_exponent(ell):
-    if ell != INF and (not np.isfinite(ell) or ell < 1):
-        raise BadExponent(f"exponent must be >= 1 or inf, got {ell}")
+@dataclass(frozen=True, eq=False)
+class PowerTable:
+    """One stack's power sums at a fixed set of exponents, one row per
+    snapshot: ``sums[e][i]`` is the sum of (|f_i| / sups[i])^e and
+    ``log_sums[p][i]`` the sum of (|f_i| / sups[i])^p ln(|f_i| / sups[i]).
+    Norms and log-weighted integrals of f / scale follow for any scale; an
+    exponent the table does not hold raises UnmeasuredExponent, as the
+    table never goes back to the stack."""
 
+    sups: np.ndarray
+    sums: dict
+    log_sums: dict
+    weights: np.ndarray  # trapezoidal time weights
+    cell_volume: float
 
-def space_norm(values: np.ndarray, ell: float, grid: TorusGrid) -> float:
-    """( integral |f|^ell dx )^(1/ell) over the box; ell = inf gives max |f|."""
-    _check_exponent(ell)
-    a = np.abs(np.asarray(values, dtype=np.float64))
-    if ell == INF:
-        return float(a.max())
-    m = float(a.max())
-    if m == 0.0:
-        return 0.0
-    # the one temporary, scaled and powered in place
-    a /= m
-    a **= ell
-    s = np.sum(a) * grid.cell_volume
-    return float(m * s ** (1.0 / ell))
+    @classmethod
+    def empty(cls, exponents, log_exponents, times, grid: TorusGrid) -> "PowerTable":
+        """A table of zeros for ``len(times)`` snapshots, holding power sums
+        at each exponent and log exponent, each finite and at least 1."""
+        exponents = sorted({*exponents, *log_exponents})
+        for e in exponents:
+            if not (math.isfinite(e) and e >= 1):
+                raise BadExponent(f"exponent must be finite and >= 1, got {e}")
+        nt = len(times)
+        return cls(np.zeros(nt), {e: np.zeros(nt) for e in exponents},
+                   {p: np.zeros(nt) for p in sorted(set(log_exponents))},
+                   time_weights(times), grid.cell_volume)
 
+    def add(self, i: int, values: np.ndarray) -> None:
+        """Row i from snapshot f = values, whose max |f| the caller stored in
+        ``sups[i]``; a zero snapshot adds nothing.  The cells near the sup
+        dominate every sum and have L near 0, where exp(e L) is as accurate
+        as pow."""
+        if self.sups[i] == 0.0:
+            return
+        log = np.divide(values, self.sups[i])
+        np.abs(log, out=log)
+        np.maximum(log, _FLOOR, out=log)
+        np.log(log, out=log)
+        # with one exponent and no log-moment, the powers overwrite the logs
+        power = log if len(self.sums) == 1 and not self.log_sums else np.empty_like(log)
+        for e, column in self.sums.items():
+            np.multiply(log, e, out=power)
+            np.exp(power, out=power)
+            column[i] = np.sum(power)
+            if e in self.log_sums:
+                power *= log
+                self.log_sums[e][i] = np.sum(power)
 
-def _snapshots(stack):
-    # anything with len() and [i] giving one (n, n, n) snapshot is a stack
-    if not isinstance(stack, np.ndarray):
-        return stack
-    a = stack.astype(np.float64, copy=False)
-    return a[None] if a.ndim == 3 else a
+    def _column(self, table: dict, e: float) -> np.ndarray:
+        if e not in table:
+            raise UnmeasuredExponent(f"no power sums at exponent {e!r}; the table holds "
+                                     f"{sorted(table)}")
+        return table[e]
 
+    def space_norm(self, i: int, e: float, scale: float = 1.0) -> float:
+        """( integral |f_i / scale|^e dx )^(1/e) of snapshot i."""
+        total = self._column(self.sums, e)[i] * self.cell_volume
+        return float(self.sups[i] / scale * total ** (1.0 / e))
 
-def _maxima(stack):
-    """Each snapshot's max |f|: the stack's own ``maxima`` when it carries
-    them (the audit's views do), else one pass over the snapshots."""
-    maxima = getattr(stack, "maxima", None)
-    if maxima is None:
-        maxima = over_snapshots(lambda i: np.abs(stack[i]).max(), len(stack))
-    return maxima
+    def norm(self, e: float, scale: float = 1.0) -> float:
+        """The space-time e-norm of f / scale; e = INF gives max |f| / scale."""
+        m = self.sups.max()
+        if e == INF:
+            return float(m / scale)
+        sums = self._column(self.sums, e)
+        if m == 0.0:
+            return 0.0
+        per_t = sums * (self.sups / m) ** e * self.cell_volume
+        return float(m / scale * float(np.dot(self.weights, per_t)) ** (1.0 / e))
 
-
-def spacetime_norm(stack, ell: float, grid: TorusGrid, times) -> float:
-    """Space-time norm over stored snapshots with trapezoidal time weights.
-
-    Each snapshot's sum of (|f|/m)^ell is computed on its own
-    (``over_snapshots``), with m the max of the snapshots' maxima
-    (``_maxima``); the time sum over the snapshots is taken here, in
-    snapshot order.
-    """
-    _check_exponent(ell)
-    a = _snapshots(stack)
-    m = float(np.max(_maxima(a)))
-    if ell == INF:
-        return m
-    w = time_weights(times)
-    if w.size != len(a):
-        raise ValueError(f"{len(a)} snapshots but {w.size} time weights")
-    if m == 0.0:
-        return 0.0
-
-    def power_sum(i):
-        # one snapshot's temporary, scaled and powered in place
-        g = np.abs(a[i])
-        g /= m
-        g **= ell
-        return np.sum(g)
-
-    per_t = np.array(over_snapshots(power_sum, len(a))) * grid.cell_volume
-    return float(m * float(np.dot(w, per_t)) ** (1.0 / ell))
+    def log_integrals(self, p: float, scale: float = 1.0) -> tuple[float, float]:
+        """(ln I0, I1/I0) of g = f / scale: I0 = integral |g|^p and I1 =
+        integral |g|^p ln|g|, so I1/I0 is the |g|^p-weighted mean of ln|g|.
+        Both are taken of |f|/m, m the largest sup, and the scale goes back
+        in analytically: ln I0 gains p ln(m/scale), I1/I0 gains ln(m/scale),
+        so neither leaves float64 whatever m and p are."""
+        sums, logs = self._column(self.sums, p), self._column(self.log_sums, p)
+        m = float(self.sups.max())
+        if m == 0.0:
+            raise ValueError("the zero field has no log-weighted integrals")
+        ratio = self.sups / m
+        # ln(sup_i / m), 0 for a zero snapshot, which adds nothing
+        log_ratio = np.log(ratio, out=np.zeros_like(ratio), where=ratio > 0)
+        weight = ratio**p * self.cell_volume
+        j0 = float(np.dot(self.weights, weight * sums))
+        j1 = float(np.dot(self.weights, weight * (logs + log_ratio * sums)))
+        log_m = math.log(m / scale)
+        return math.log(j0) + p * log_m, j1 / j0 + log_m
 
 
 def level_set_measure(sorted_stack: np.ndarray, thresholds, grid: TorusGrid,
@@ -166,40 +204,3 @@ def sorted_quantile(sorted_stack: np.ndarray, q: float) -> float:
     prev, nxt = select(lo), select(min(lo + 1, a.size - 1))
     diff = nxt - prev
     return float(nxt - diff * (1 - gamma) if gamma >= 0.5 else prev + diff * gamma)
-
-
-def power_log_integrals(
-    stack, p: float, grid: TorusGrid, times
-) -> tuple[float, float, int]:
-    """(ln I0, I1/I0, clamped cell count) for I0 = integral |f|^p and
-    I1 = integral |f|^p ln|f|; I1/I0 is the |f|^p-weighted mean of ln|f|.
-
-    Both integrals are taken of |f|/m with m = max |f|, and the scale goes
-    back in analytically: ln I0 gains p ln m and I1/I0 gains ln m, so
-    neither leaves float64 whatever m and p are.  |f| is clamped below
-    LOG_CLAMP so the logarithm stays finite; the number of clamped cells is
-    reported alongside.
-    """
-    a = _snapshots(stack)
-    w = time_weights(times)
-    # the max of the clamped values, from the snapshots' maxima
-    m = max(float(np.max(_maxima(a))), LOG_CLAMP)
-
-    def sums(i):
-        # one snapshot's temporaries: |f|/m (clamped) and its p-th power
-        g = np.abs(a[i])
-        clamped = np.count_nonzero(g < LOG_CLAMP)
-        np.maximum(g, LOG_CLAMP, out=g)
-        g /= m
-        gp = g**p
-        np.log(g, out=g)
-        g *= gp
-        return clamped, np.sum(gp), np.sum(g)
-
-    per_t = over_snapshots(sums, len(a))
-    clamped = sum(row[0] for row in per_t)
-    s0, s1 = np.array([row[1:] for row in per_t]).T
-    j0 = float(np.dot(w, s0 * grid.cell_volume))
-    j1 = float(np.dot(w, s1 * grid.cell_volume))
-    log_m = math.log(m)
-    return math.log(j0) + p * log_m, j1 / j0 + log_m, clamped

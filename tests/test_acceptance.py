@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from band_oracle import compact, expand
+from norm_oracle import space_norm
 from nsbl import audit as audit_mod
 from nsbl import ledger as L
 from nsbl.harness import Scenario, load_manifest, run_suite, simulate, trajectory_from_manifest
-from nsbl.norms import INF, space_norm
+from nsbl.norms import INF
 from nsbl.solver import SolverConfig, Trajectory, make_initial, run
 from nsbl.spectral import TorusGrid, cz_pressure, divergence_max
 
@@ -48,6 +49,14 @@ def random_scenario(seed, npts=32):
         solver=SolverConfig(viscosity=1.0, dt=2e-3, t_final=0.25, snapshot_stride=5),
         initial={"kind": "random_spectrum", "seed": seed, "amplitude": 2.0, "kmax": 8},
     )
+
+
+def measured_at(traj, r):
+    """The audit's pass over traj, measured at every exponent an audit at r
+    reads."""
+    spec = audit_mod.AuditSpec(r=r)
+    exponents = audit_mod.audit_exponents(random_scenario(0).exponent_params(), spec)
+    return audit_mod.FieldStats.measure(traj, (), 0, *exponents)
 
 
 @pytest.fixture(scope="module")
@@ -286,13 +295,13 @@ def test_criterion_08_interpolation_and_log_limit():
     const_traj = Trajectory(g16, cfg, [0.0, 0.5, 1.0], [compact(g16.band, coeff)] * 3,
                             [0.0] * 3)
     r = 3.0
-    rec_const = audit_mod.log_norm_limit(audit_mod.FieldStats.measure(const_traj, (), 0), r)
+    rec_const = audit_mod.log_norm_limit(measured_at(const_traj, r), r)
     qt = g16.volume * 1.0
     const_err = abs(rec_const.rhs - qt ** (-1 / (2 * r * r))) / qt ** (-1 / (2 * r * r))
     # random trajectory: first-order convergence
     v0 = make_initial("random_spectrum", TorusGrid(16), seed=3, amplitude=1.5, kmax=4)
     rtraj = run(v0, SolverConfig(viscosity=1.0, dt=5e-3, t_final=0.1, snapshot_stride=4))
-    rec_rand = audit_mod.log_norm_limit(audit_mod.FieldStats.measure(rtraj, (), 0), 3.0)
+    rec_rand = audit_mod.log_norm_limit(measured_at(rtraj, 3.0), 3.0)
     order = rec_rand.extra["convergence_order"]
     diffs = rec_rand.extra["diffs"]
     ok = (

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -7,17 +8,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import norm_oracle as oracle
 from band_oracle import compact, expand
 from nsbl import audit as A
 from nsbl import cli
 from nsbl.harness import Scenario, canonical_json, simulate
 from nsbl.ledger import ExponentParams
-from nsbl.norms import (
-    power_log_integrals,
-    space_norm,
-    spacetime_norm,
-    time_weights,
-)
+from nsbl.norms import INF, PowerTable, UnmeasuredExponent, time_weights
 from nsbl.solver import SolverConfig, Trajectory, make_initial, run
 from nsbl.spectral import (
     NotDivergenceFree,
@@ -26,6 +23,7 @@ from nsbl.spectral import (
     SpectralVelocity,
     TorusGrid,
     cz_pressure,
+    over_snapshots,
 )
 
 
@@ -61,18 +59,19 @@ def constant_trajectory(grid, value=2.0, times=(0.0, 0.5, 1.0)):
                       [0.0 for _ in times])
 
 
-def measured(traj, s_values=(), sigma=0):
-    """The audit's one pass over traj, with pressure ratios at s_values and
-    M_sigma = (sup |u0|)^sigma."""
-    return A.FieldStats.measure(traj, s_values, sigma)
+def measured(traj, s_values=(), sigma=0, r=None, ells=None):
+    """The audit's one pass over traj, with pressure ratios at s_values,
+    M_sigma = (sup |u0|)^sigma, and every norm an audit at r (default the
+    ledger's) and ells reads."""
+    exponents = A.audit_exponents(PARAMS, A.AuditSpec(r=r, ell_values=ells))
+    return A.FieldStats.measure(traj, s_values, sigma, *exponents)
 
 
 def psi_tilde_oracle(sp, stats):
-    """The scaled field |u|^2 / A_r as one stack, checked bit for bit
-    against the view the audit reads it from, one snapshot at a time."""
-    want = stats.mags ** 2 / sp.a_r
-    got = [sp.psi_tilde[i] for i in range(len(sp.psi_tilde))]
-    assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+    """The scaled field (|u| / M_sigma)^2 / A_r as one stack, checked bit for
+    bit against the sorted snapshots the audit reads it from."""
+    want = (stats.mags / stats.m_sigma) ** 2 / sp.a_r
+    assert np.array_equal(np.sort(want.reshape(len(want), -1), axis=1), sp.sorted_tilde)
     return want
 
 
@@ -85,23 +84,21 @@ def zero_trajectory(grid):
 class TestScaledPsi:
     def test_zero_field_degenerate(self, grid):
         with pytest.raises(A.DegenerateField):
-            A.build_scaled_psi(measured(zero_trajectory(grid)), 2.0)
+            A.build_scaled_psi(measured(zero_trajectory(grid), r=2.0), 2.0)
 
-    def test_normalization_drift_raises(self, grid, monkeypatch):
-        # a typed error, not an assert, so it survives python -O
-        calls = []
-
-        def drifting(f, r, g, times):
-            calls.append(r)
-            return spacetime_norm(f, r, g, times) * (1.0 if len(calls) == 1 else 1.5)
-
-        monkeypatch.setattr(A, "spacetime_norm", drifting)
+    def test_normalization_drift_raises(self, grid):
+        # a typed error, not an assert, so it survives python -O; the sort
+        # re-measures the scaled field, so a wrong a_r cannot pass unseen
+        stats = measured(constant_trajectory(grid), r=2.0)
+        sp = A.build_scaled_psi(stats, 2.0)
+        sp.a_r *= 1.5
         with pytest.raises(A.DegenerateField, match="normalization drifted"):
-            A.build_scaled_psi(measured(constant_trajectory(grid)), 2.0)
+            sp.sorted_tilde
+        assert A.build_scaled_psi(stats, 2.0).sorted_tilde.shape == (3, grid.npts**3)
 
     def test_constant_field_closed_form(self, grid):
         c = 2.0
-        stats = measured(constant_trajectory(grid, value=c))
+        stats = measured(constant_trajectory(grid, value=c), r=3.0)
         r = 3.0
         sp = A.build_scaled_psi(stats, r)
         qt_measure = grid.volume * 1.0
@@ -109,21 +106,21 @@ class TestScaledPsi:
         assert np.allclose(psi_tilde_oracle(sp, stats), qt_measure ** (-1 / r), rtol=1e-12)
 
     def test_beltrami_unit_norm_requadrature(self, beltrami_traj):
-        stats = measured(beltrami_traj)
+        stats = measured(beltrami_traj, r=3.0)
         sp = A.build_scaled_psi(stats, 3.0)
-        check = spacetime_norm(psi_tilde_oracle(sp, stats), 3.0, beltrami_traj.grid,
-                               beltrami_traj.times)
+        check = oracle.spacetime_norm(psi_tilde_oracle(sp, stats), 3.0, beltrami_traj.grid,
+                                      beltrami_traj.times)
         assert abs(check - 1.0) <= 1e-6
 
 
 class TestLadder:
     def test_levels(self, grid):
-        sp = A.build_scaled_psi(measured(constant_trajectory(grid, value=1.0)), 2.0)
+        sp = A.build_scaled_psi(measured(constant_trajectory(grid, value=1.0), r=2.0), 2.0)
         lad = A.build_ladder(sp, 8.0, 3, enforce_threshold=False)
         assert lad.levels == [4.0, 6.0, 7.0, 7.5]
 
     def test_bounded_field_all_zero(self, grid):
-        stats = measured(constant_trajectory(grid, value=1.0))
+        stats = measured(constant_trajectory(grid, value=1.0), r=2.0)
         sp = A.build_scaled_psi(stats, 2.0)
         k = 4.0 * float(psi_tilde_oracle(sp, stats).max())
         lad = A.build_ladder(sp, k, 10)
@@ -132,8 +129,8 @@ class TestLadder:
 
     def test_occupancy_counted_exactly(self, grid):
         # synthetic two-level psi: known cell occupancy at each rung
-        sp = A.build_scaled_psi(measured(constant_trajectory(grid, value=1.0, times=(0.0, 1.0))),
-                                2.0)
+        sp = A.build_scaled_psi(measured(constant_trajectory(grid, value=1.0, times=(0.0, 1.0)),
+                                         r=2.0), 2.0)
         n = grid.npts
         high = np.full((2, n, n, n), 0.25)
         high[:, : n // 2] = 1.0  # half the cells sit at 1.0
@@ -149,22 +146,22 @@ class TestLadder:
         # against a scan of the stack per rung
         stats = measured(random_traj)
         sp = A.build_scaled_psi(stats, float(PARAMS.r))
-        w = time_weights(sp.times)
+        w = time_weights(sp.stats.times)
         psi_tilde = psi_tilde_oracle(sp, stats)
         k_dom = A.estimate_threshold(sp, stats, PARAMS, float(PARAMS.r) + 1.0)
         k_fit = 2.0 * float(np.quantile(psi_tilde, 0.90))
         for k, enforce in ((k_dom, True), (k_fit, False)):
             lad = A.build_ladder(sp, k, 40, enforce_threshold=enforce)
             scans = [float(np.dot(w, np.sum(psi_tilde >= kn, axis=(1, 2, 3))
-                                  .astype(np.float64))) * sp.grid.cell_volume
+                                  .astype(np.float64))) * sp.stats.grid.cell_volume
                      for kn in lad.levels]
             assert lad.measures == scans
         assert any(y > 0.0 for y in lad.measures)
 
     def test_threshold_too_small(self, grid):
-        sp = A.build_scaled_psi(measured(constant_trajectory(grid, value=1.0)), 2.0)
+        sp = A.build_scaled_psi(measured(constant_trajectory(grid, value=1.0), r=2.0), 2.0)
         with pytest.raises(A.ThresholdTooSmall):
-            A.build_ladder(sp, 0.5 * float(sp.psi_tilde[0].max()), 5)
+            A.build_ladder(sp, 0.5 * float(sp.sorted_tilde[0, -1]), 5)
         with pytest.raises(A.ThresholdTooSmall):
             A.build_ladder(sp, -1.0, 5)
 
@@ -247,7 +244,8 @@ class TestPressureCheck:
         rec = A.check_pressure(measured(beltrami_traj, (2.0,)))[0]
         v = SpectralVelocity(beltrami_traj.coeffs[0], beltrami_traj.grid)
         p = cz_pressure(v.coeff, v.components(), v.grid)
-        direct = space_norm(p, 2.0, v.grid) / space_norm(v.magnitude(), 4.0, v.grid) ** 2
+        direct = (oracle.space_norm(p, 2.0, v.grid)
+                  / oracle.space_norm(v.magnitude(), 4.0, v.grid) ** 2)
         assert rec.extra["ratios"][0] == pytest.approx(direct, abs=1e-8)
 
     def test_bad_exponent(self, beltrami_traj):
@@ -267,24 +265,27 @@ def pressure_oracle(traj, s, m_sigma=1.0):
         u = traj.coeffs[i] / m_sigma
         uu = grid.band.inverse(u)
         mag = np.sqrt(uu[0] ** 2 + uu[1] ** 2 + uu[2] ** 2)
-        den = m_sigma**2 * space_norm(mag, 2 * s, grid) ** 2
+        den = m_sigma**2 * oracle.space_norm(mag, 2 * s, grid) ** 2
         if den == 0.0:
             ratios.append(0.0)
             continue
         p = m_sigma**2 * cz_pressure(u, uu, grid)
-        ratios.append(space_norm(p, s, grid) / den)
+        ratios.append(oracle.space_norm(p, s, grid) / den)
     return ratios
 
 
 class TestOnePassPressure:
     S_VALUES = (1.5, 2.0, 3.0, 4.0)
 
-    def test_matches_oracle_exactly_unscaled(self, random_traj):
+    def test_matches_oracle_unscaled(self, random_traj):
+        # both norms of each ratio come from one log per snapshot, the
+        # oracle's from pow: they agree to rounding
         recs = A.check_pressure(measured(random_traj, self.S_VALUES))
         assert [r.check_id for r in recs] == ["pressure_s1.5", "pressure_s2",
                                               "pressure_s3", "pressure_s4"]
         for rec, s in zip(recs, self.S_VALUES):
-            assert rec.extra["ratios"] == pressure_oracle(random_traj, s)
+            assert rec.extra["ratios"] == pytest.approx(pressure_oracle(random_traj, s),
+                                                        rel=1e-13, abs=0)
             assert rec.fitted_constant == max(rec.extra["ratios"])
 
     def test_matches_oracle_scaled(self, random_traj):
@@ -325,34 +326,98 @@ class TestOnePassPressure:
             measured(beltrami_traj, (2.0, 1.0))
 
 
+def sine_band(grid):
+    """u = (sin y, 0.6 cos 2z, 0): divergence-free, and exactly 0 on 128 cells
+    of a 16^3 grid."""
+    coeff = np.zeros((3,) + (grid.npts,) * 3, dtype=complex)
+    coeff[0, 0, 1, 0], coeff[0, 0, -1, 0] = -0.5j, 0.5j
+    coeff[1, 0, 0, 2] = coeff[1, 0, 0, -2] = 0.3
+    return compact(grid.band, coeff)
+
+
+class TestPowerTableOracle:
+    """Every norm and log-moment the audit reads, from one log per snapshot,
+    against the pow-based oracle of the whole stack."""
+
+    EXPONENTS = (10 / 3, 2.0, 20.0, 24.0, 24.0002, 26.0, 200.0)
+    LOGS = (2.0, 24.0, 200.0)
+
+    @pytest.fixture(scope="class")
+    def trajectories(self):
+        g = TorusGrid(16)
+        v0 = make_initial("random_spectrum", g, seed=4, amplitude=2.0, kmax=4)
+        traj = run(v0, SolverConfig(dt=1e-3, t_final=3e-3, snapshot_stride=1))
+        coeffs = list(traj.coeffs)
+        # exactly-zero cells, then a zero snapshot, mid-trajectory
+        coeffs[1] = sine_band(g)
+        coeffs[2] = np.zeros_like(coeffs[2])
+        mixed = Trajectory(g, traj.config, traj.times, coeffs, traj.dissipation)
+        one = Trajectory(g, traj.config, [0.0], [sine_band(g)], [0.0])
+        return {"mixed": mixed, "one snapshot": one}
+
+    @pytest.mark.parametrize("sigma", [0, F(1, 2)], ids=["0", "0.5"])
+    @pytest.mark.parametrize("which", ["mixed", "one snapshot"])
+    def test_table_matches_oracle(self, trajectories, which, sigma):
+        traj = trajectories[which]
+        stats = A.FieldStats.measure(traj, (2.0,), sigma, self.EXPONENTS, self.LOGS)
+        m = stats.m_sigma
+        assert (m == 1.0) == (sigma == 0)
+        f = stats.mags / m
+        grid, times = traj.grid, traj.times
+        for e in self.EXPONENTS:
+            want = oracle.spacetime_norm(f, e, grid, times)
+            assert abs(stats.norm(e) - want) <= 1e-13 * want, e
+            for i, mag in enumerate(stats.mags):
+                want = oracle.space_norm(mag, e, grid)
+                assert abs(stats.powers.space_norm(i, e) - want) <= 1e-13 * want, (e, i)
+        assert stats.norm(INF) == oracle.spacetime_norm(f, INF, grid, times)
+        want = oracle.space_norm(stats.mags[0], 2.0, grid)
+        assert abs(stats.u0_l2 - want) <= 1e-13 * want
+        for p in self.LOGS:
+            log_i0, mean_log, clamped = stats.log_integrals(p)
+            want_i0, want_mean, want_clamped = oracle.power_log_integrals(f, p, grid, times)
+            assert abs(log_i0 - want_i0) <= 1e-13 * abs(want_i0), p
+            assert abs(mean_log - want_mean) <= 1e-13 * abs(want_mean), p
+            assert clamped == want_clamped
+        assert stats.clamped == 128 + (grid.npts**3 if which == "mixed" else 0)
+        ratios = stats.pressure[0]
+        assert ratios == pytest.approx(pressure_oracle(traj, 2.0), rel=1e-13, abs=0)
+        assert ratios[2:3] in ([], [0.0])
+
+
 class TestOnePassAudit:
     def test_each_norm_computed_once(self, random_traj, monkeypatch):
         self.assert_each_norm_once(random_traj, PARAMS, monkeypatch)
 
     def test_each_norm_computed_once_scaled(self, random_traj, monkeypatch):
-        # sigma = 1/2: |u| / m_sigma is a view too
+        # sigma = 1/2: the norms of |u| / m_sigma are read from the same sums
         self.assert_each_norm_once(random_traj, replace(PARAMS, sigma=F(1, 2)), monkeypatch)
 
     @staticmethod
     def assert_each_norm_once(random_traj, params, monkeypatch):
-        seen, logs = [], []
+        # one log per snapshot of |u| gives every power sum any check reads,
+        # each exponent once; one of |p| gives the pressure's, and one of the
+        # sorted scaled field the normalization guard's
+        calls = []
+        add = PowerTable.add
 
-        def recording(f, ell, g, times):
-            # |u| is the one stack normed; every other quantity is a named
-            # view, formed per snapshot and keyed on its name
-            assert isinstance(f, A.SnapshotView)
-            seen.append((getattr(f, "name", "|u|"), ell))
-            return spacetime_norm(f, ell, g, times)
+        def recording(table, i, values):
+            calls.append((tuple(table.sums), tuple(table.log_sums)))
+            return add(table, i, values)
 
-        def recording_logs(f, p, g, times):
-            logs.append(p)
-            return power_log_integrals(f, p, g, times)
-
-        monkeypatch.setattr(A, "spacetime_norm", recording)
-        monkeypatch.setattr(A, "power_log_integrals", recording_logs)
-        A.run_audit(random_traj, params, A.AuditSpec())
-        assert len(seen) == len(set(seen))
-        assert logs == [2 * float(PARAMS.r)]
+        monkeypatch.setattr(PowerTable, "add", recording)
+        s_values = (1.5, 2.0, 3.0, 4.0)
+        spec = A.AuditSpec(s_values=s_values)
+        A.run_audit(random_traj, params, spec)
+        exponents, logs = A.audit_exponents(params, spec)
+        r = spec.effective_r(params)
+        nt = len(random_traj)
+        counts = Counter(calls)
+        [u_exps] = [e for e, p in counts if p]
+        assert list(u_exps) == sorted(set(u_exps))
+        assert set(u_exps) == {2.0, *exponents, *(2 * s for s in s_values)}
+        assert set(logs) == {2 * r}
+        assert counts == {(u_exps, (2 * r,)): nt, (s_values, ()): nt, ((r,), ()): nt}
 
     def test_one_velocity_per_snapshot(self, random_traj, snapshot_workers, monkeypatch):
         # each band is inverted once for the velocity, which gives |u| and
@@ -405,48 +470,38 @@ class TestOnePassAudit:
         assert [c.tobytes() for c in traj.coeffs] == coeffs
         assert (traj.times, traj.dissipation) == (times, dissipation)
 
-    def test_views_formed_once_per_power_sum(self, random_traj, snapshot_workers, monkeypatch):
-        # sigma = 1/2, so |u|/m_sigma is a view too: a finite-exponent norm
-        # and the log integrals form each snapshot of their view once, no
-        # view is formed to take a maximum, and outside the norms and the
-        # threshold and ladders (which read the sorted scaled field) no view
-        # is formed at all: the pressure pass divides its own |u|
-        snapshot_workers(1)
-        formed, outside, depth = Counter(), Counter(), [0]
-        getitem = A.SnapshotView.__getitem__
+    def test_two_snapshot_passes_per_audit(self, random_traj, snapshot_workers, monkeypatch):
+        # the velocity pass and the sort of the scaled field are the audit's
+        # only passes over the snapshots, at one CPU and at two: every norm,
+        # log-moment and the normalization guard is read from them
+        passes = []
 
-        def counting(view, i):
-            formed[view.name, i] += 1
-            if not depth[0]:
-                outside[view.name, i] += 1
-            return getitem(view, i)
+        def counting(fn, nt):
+            passes.append(nt)
+            return over_snapshots(fn, nt)
 
-        def inside(fn, passes=None):
-            def call(f, exponent, *rest, **kw):
-                before = formed.copy()
-                depth[0] += 1
-                try:
-                    out = fn(f, exponent, *rest, **kw)
-                finally:
-                    depth[0] -= 1
-                name = getattr(f, "name", None)
-                if passes is not None and name is not None:
-                    got = [formed[name, i] - before[name, i] for i in range(len(f))]
-                    assert got == [passes(exponent)] * len(f), (name, exponent, got)
-                return out
-            return call
+        # every module of the package that holds over_snapshots counts
+        for name, module in list(sys.modules.items()):
+            held = getattr(module, "over_snapshots", None)
+            if name.startswith("nsbl.") and held is over_snapshots:
+                monkeypatch.setattr(module, "over_snapshots", counting)
+        for workers in (1, 2):
+            snapshot_workers(workers)
+            for sigma in (0, F(1, 2)):
+                passes.clear()
+                A.run_audit(random_traj, replace(PARAMS, sigma=F(sigma)),
+                            A.AuditSpec(s_values=(1.5, 2.0, 3.0, 4.0)))
+                assert passes == [len(random_traj)] * 2, (workers, sigma)
 
-        monkeypatch.setattr(A.SnapshotView, "__getitem__", counting)
-        monkeypatch.setattr(A, "spacetime_norm",
-                            inside(spacetime_norm, lambda ell: 0 if ell == math.inf else 1))
-        monkeypatch.setattr(A, "power_log_integrals", inside(power_log_integrals, lambda p: 1))
-        monkeypatch.setattr(A, "estimate_threshold", inside(A.estimate_threshold))
-        monkeypatch.setattr(A, "build_ladder", inside(A.build_ladder))
-        rep = A.run_audit(random_traj, replace(PARAMS, sigma=F(1, 2)),
-                          A.AuditSpec(s_values=(1.5, 2.0, 3.0, 4.0)))
-        assert rep.environment["m_sigma"] != 1.0
-        assert formed["|u|/m_sigma", 0] > 0
-        assert not outside
+    def test_unmeasured_exponent_raises(self, random_traj):
+        # a check asks the table, never the stack: an exponent the pass did
+        # not measure is a typed error, not a pass of its own
+        stats = measured(random_traj)
+        with pytest.raises(UnmeasuredExponent):
+            A.log_norm_limit(stats, 3.0)
+        with pytest.raises(UnmeasuredExponent):
+            A.check_interpolation(stats, 4.0, 2.0)
+        assert A.log_norm_limit(measured(random_traj, r=3.0), 3.0).passed
 
     def test_undealiased_run_refused(self, grid):
         # snapshots that keep the whole half spectrum, as an undealiased run
@@ -509,12 +564,13 @@ class TestAuditMemory:
 class TestInterpolationCheck:
     def test_constant_field_equality(self, grid):
         traj = constant_trajectory(grid, value=3.0)
-        rec = A.check_interpolation(measured(traj), 4.0, 2.0)
+        rec = A.check_interpolation(measured(traj, r=2.0, ells=(4.0,)), 4.0, 2.0)
         assert rec.passed
         assert abs(rec.extra["sup_margin"]) <= 1e-10 * rec.rhs
 
     def test_random_field_strict_margin(self, random_traj):
-        rec = A.check_interpolation(stats=measured(random_traj), ell=4.0, r=2.0)
+        rec = A.check_interpolation(stats=measured(random_traj, r=2.0, ells=(4.0,)), ell=4.0,
+                                    r=2.0)
         assert rec.passed
         assert rec.extra["sup_margin"] > 0
 
@@ -526,7 +582,7 @@ class TestInterpolationCheck:
             A.check_interpolation(stats, math.inf, 2.0)
 
     def test_exponent_identity_recorded(self, random_traj):
-        rec = A.check_interpolation(measured(random_traj), 4.0, 2.0)
+        rec = A.check_interpolation(measured(random_traj, r=2.0, ells=(4.0,)), 4.0, 2.0)
         assert rec.extra["exponent_identity"] == pytest.approx(1.0, rel=1e-15)
 
 
@@ -536,7 +592,7 @@ class TestLogNormLimit:
         # offsets approach it at first order
         c, r = 2.0, 3.0
         traj = constant_trajectory(grid, value=c)
-        rec = A.log_norm_limit(measured(traj), r)
+        rec = A.log_norm_limit(measured(traj, r=r), r)
         qt = grid.volume * traj.times[-1]
         analytic = qt ** (-1 / (2 * r * r))
         assert abs(rec.rhs - analytic) <= 1e-10 * analytic
@@ -545,7 +601,7 @@ class TestLogNormLimit:
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
 
     def test_random_first_order(self, random_traj):
-        rec = A.log_norm_limit(measured(random_traj), 3.0)
+        rec = A.log_norm_limit(measured(random_traj, r=3.0), 3.0)
         assert rec.passed
         diffs = rec.extra["diffs"]
         assert all(b < a for a, b in zip(diffs, diffs[1:]))

@@ -598,6 +598,55 @@ class TestCli:
         assert "checkpoint_0001.nsbl: time 0.004 is not the manifest's 10.0" in err
         assert not (tmp_path / "times" / "report.json").exists()
 
+    def test_audit_checkpoints_out_of_time_order_exit_4(self, tmp_path, capsys):
+        # entries 5 and 6 swapped whole: each still matches its file, but the
+        # time weights of that order would be negative
+        sc = quick_scenario("order", t_final=0.012, stride=1)
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(sc.to_dict()))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
+        path = tmp_path / "order" / "manifest.json"
+        manifest = load_manifest(path)
+        entries = manifest["checkpoints"]
+        assert len(entries) == 7
+        entries[5], entries[6] = entries[6], entries[5]
+        path.write_bytes(canonical_json(manifest))
+        capsys.readouterr()
+        assert cli.main(["audit", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "checkpoint_0005.nsbl: checkpoints[6].t = 0.01 is not above checkpoints[5].t" in err
+        assert not (tmp_path / "order" / "report.json").exists()
+        # a repeated time is refused the same way
+        entries[5], entries[6] = entries[6], entries[5]
+        entries[3]["t"] = entries[2]["t"]
+        path.write_bytes(canonical_json(manifest))
+        assert cli.main(["audit", str(path)]) == 4
+        assert "checkpoints[3].t = 0.004 is not above checkpoints[2].t = 0.004" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("args,message", [
+        (["--s", "2,2"], "audit.s_values repeats 2.0"),
+        (["--s", "1.5,2,2.0"], "audit.s_values repeats 2.0"),
+        (["--l", "14,13,14"], "audit.ell_values repeats 14.0"),
+    ])
+    def test_audit_repeated_exponent_exit_1(self, tmp_path, capsys, args, message):
+        # one record per exponent: a repeat would be counted twice
+        sc = quick_scenario("repeat", t_final=4e-3, stride=1)
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(sc.to_dict()))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["audit", str(tmp_path / "repeat" / "manifest.json"), *args]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "repeat" / "report.json").exists()
+        # the same list in a scenario file is refused when it is parsed
+        key = "s_values" if args[0] == "--s" else "ell_values"
+        d = sc.to_dict()
+        d["audit"][key] = [float(x) for x in args[1].split(",")]
+        scn.write_bytes(canonical_json(d))
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path / "again")]) == 1
+        assert message in capsys.readouterr().err
+
     def test_audit_undealiased_run_exit_1(self, tmp_path, capsys):
         # a manifest whose scenario asks for an undealiased run is refused
         # when the scenario is parsed, before any checkpoint is read

@@ -172,7 +172,6 @@ THRESHOLD_TRAJ = Trajectory(
     GRID, SolverConfig(dt=0.01, t_final=0.01, snapshot_stride=1), [0.0, 0.01],
     [make_initial("random_spectrum", GRID, seed=2, amplitude=1.0, kmax=2).coeff] * 2,
     [0.0, 0.0])
-THRESHOLD_STATS = A.FieldStats.measure(THRESHOLD_TRAJ, (), 0)
 exponents = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-12, 12))
 
 
@@ -189,10 +188,12 @@ def test_threshold_with_extreme_exponents(N, excess, j, r, singular, ell_gap, m_
     else:
         r = F(max(r, 1.5))
     params = ExponentParams.derive(N, N + 2 + excess, 10, F(6, 5), j=j, r=r)
-    stats = replace(THRESHOLD_STATS, m_sigma=m_sigma)
     ell = float(r) * (1.0 + ell_gap)
+    # measured at every norm the threshold at this r and ell reads
+    exponents = A.audit_exponents(params, A.AuditSpec(ell_values=(ell,)))
+    stats = replace(A.FieldStats.measure(THRESHOLD_TRAJ, (), 0, *exponents), m_sigma=m_sigma)
     try:
-        k = A.estimate_threshold(stats.scaled_psi(float(r)), stats, params, ell)
+        k = A.estimate_threshold(A.build_scaled_psi(stats, float(r)), stats, params, ell)
     except (A.BadExponents, A.DegenerateField) as exc:
         event(type(exc).__name__)
         return

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from band_oracle import compact, expand
+from norm_oracle import space_norm
 from nsbl import solver
-from nsbl.audit import FieldStats, check_energy
+from nsbl.audit import LZ, FieldStats, check_energy
 from nsbl.harness import BadScenario, Scenario, load_manifest, simulate, trajectory_from_manifest
-from nsbl.norms import space_norm
 from nsbl.spectral import (
     SpectralVelocity,
     TorusGrid,
@@ -533,7 +533,8 @@ class TestMemoryOrder:
     @pytest.mark.parametrize("run_and_reload", [24, 32, 48], indirect=True)
     def test_check_energy_same_in_memory_and_reloaded(self, run_and_reload):
         traj, back = run_and_reload
-        energy = [check_energy(FieldStats.measure(t, (), 0)).as_dict() for t in (traj, back)]
+        energy = [check_energy(FieldStats.measure(t, (), 0, (2 * LZ,))).as_dict()
+                  for t in (traj, back)]
         assert energy[0] == energy[1]
 
     @pytest.mark.parametrize("n", [24, 32, 48])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from band_oracle import compact, expand
+from norm_oracle import space_norm
 import nsbl
 from nsbl import spectral
 from nsbl.spectral import (
@@ -27,7 +28,6 @@ from nsbl.spectral import (
     over_snapshots,
     quadratic_products,
 )
-from nsbl.norms import space_norm
 from nsbl.solver import make_initial
 
 
