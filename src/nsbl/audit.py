@@ -91,10 +91,9 @@ class LevelSetLadder:
     threshold: float
     levels: list[float]
     measures: list[float]
-    n_max: int
 
     def reached_zero(self) -> Optional[int]:
-        """First rung with zero measure, or None if undecided by n_max."""
+        """First rung with zero measure, or None if undecided on the ladder."""
         for n, y in enumerate(self.measures):
             if y == 0.0:
                 return n
@@ -380,15 +379,10 @@ def build_ladder(
             )
     levels = [k - k / 2 ** (n + 1) for n in range(n_max + 1)]
     measures = level_set_measure(sp.sorted_tilde, levels, sp.stats.grid, sp.stats.times)
-    return LevelSetLadder(k, levels, measures, n_max)
+    return LevelSetLadder(k, levels, measures)
 
 
-def estimate_threshold(
-    sp: ScaledPsi,
-    stats: FieldStats,
-    params: ExponentParams,
-    ell: float,
-) -> float:
+def estimate_threshold(sp: ScaledPsi, params: ExponentParams, ell: float) -> float:
     """Threshold guaranteed to dominate the normalized field per the
     estimate chain, assembled from measured norms with generic constants
     set to one and the first split weight fixed at 1/2."""
@@ -397,6 +391,7 @@ def estimate_threshold(
                          float(params.alpha), float(params.b))
     if not ell > r:
         raise BadExponents(f"need ell > r, got ell = {ell}, r = {r}")
+    stats = sp.stats
     m_sigma = stats.m_sigma
     u2q = stats.norm(2 * q)
     u0_l2 = stats.powers.space_norm(0, 2.0, m_sigma)
@@ -459,7 +454,6 @@ def fit_recursion_constant(measures, alpha: float, prefactor: float):
 def check_recursion(
     ladder: LevelSetLadder,
     sp: ScaledPsi,
-    stats: FieldStats,
     params: ExponentParams,
     dominating_ladder: Optional[LevelSetLadder] = None,
 ) -> CheckRecord:
@@ -471,8 +465,8 @@ def check_recursion(
     """
     a = float(params.alpha)
     q = float(params.q)
-    m_sigma = stats.m_sigma
-    u2q = stats.norm(2 * q)
+    m_sigma = sp.stats.m_sigma
+    u2q = sp.stats.norm(2 * q)
     try:
         prefactor = m_sigma**2 * u2q**4 / (ladder.threshold * sp.a_r)
     except OverflowError as exc:
@@ -629,17 +623,13 @@ def log_norm_limit(
                        -diffs[-1], extra)
 
 
-def calibrate_final_constant(
-    stats: FieldStats,
-    params: ExponentParams,
-    margin_factor: float = FINAL_MARGIN_FACTOR,
-) -> float:
+def calibrate_final_constant(stats: FieldStats, params: ExponentParams) -> float:
     """Minimal constant making the final bound hold on this run, widened by
     a safety factor so held-out runs test stability rather than equality."""
     v0max, bracket, vmax = _final_bound_pieces(stats, params)
     if v0max == 0.0:
-        return margin_factor
-    return margin_factor * vmax / (v0max * bracket)
+        return FINAL_MARGIN_FACTOR
+    return FINAL_MARGIN_FACTOR * vmax / (v0max * bracket)
 
 
 def _final_bound_pieces(stats: FieldStats, params: ExponentParams):
@@ -751,14 +741,13 @@ def run_audit(
         for ell in spec.effective_ells(r):
             checks.append(check_interpolation(stats, float(ell), r))
         checks.append(log_norm_limit(stats, r, params))
-        k_dom = estimate_threshold(sp, stats, params, _threshold_ell(params, spec, r))
+        k_dom = estimate_threshold(sp, params, _threshold_ell(params, spec, r))
         dom_ladder = build_ladder(sp, k_dom, spec.n_max, enforce_threshold=True)
         # exploratory ladder keyed to a bulk quantile: far stabler across
         # seeds than anything keyed to the sup
         k_fit = 2.0 * sorted_quantile(sp.sorted_tilde, 0.90)
         fit_ladder = build_ladder(sp, k_fit, spec.n_max, enforce_threshold=False)
-        checks.append(check_recursion(fit_ladder, sp, stats, params,
-                                      dominating_ladder=dom_ladder))
+        checks.append(check_recursion(fit_ladder, sp, params, dominating_ladder=dom_ladder))
         branch = dichotomy_branch(stats, params)
 
     if "c_final" not in constants:

@@ -141,18 +141,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_floats(text):
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _parse_floats(text: str, option: str) -> tuple:
+    """The comma-separated numbers of ``option``; UsageError on an empty entry."""
+    entries = [x.strip() for x in text.split(",")]
+    if "" in entries:
+        raise UsageError(f"{option} has an empty entry in {text!r}")
+    return tuple(float(x) for x in entries)
 
 
 def cmd_audit(args) -> int:
     overrides = {}
     if args.r is not None:
         overrides["r"] = args.r
-    if args.s:
-        overrides["s_values"] = _parse_floats(args.s)
-    if args.l:
-        overrides["ell_values"] = _parse_floats(args.l)
+    if args.s is not None:
+        overrides["s_values"] = _parse_floats(args.s, "--s")
+    if args.l is not None:
+        overrides["ell_values"] = _parse_floats(args.l, "--l")
     if args.n_max is not None:
         overrides["n_max"] = args.n_max
     report, json_path, csv_path = audit_manifest(args.manifest, overrides or None)

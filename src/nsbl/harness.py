@@ -48,10 +48,6 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
-# the keys ``simulate`` writes, and of those the ones the audit reads
-MANIFEST_KEYS = ("format", "scenario", "scenario_hash", "checkpoints", "instability",
-                 "wall_clock_s", "version")
-REQUIRED_MANIFEST_KEYS = ("format", "scenario", "checkpoints", "instability")
 
 # default certified tuple for audits (N=3); spelled as strings so scenario
 # files round-trip exactly
@@ -70,117 +66,182 @@ class InfeasibleLedger(Exception):
 
 
 class BadScenario(ValueError):
-    """A scenario file or an audit override that does not parse."""
+    """A scenario, suite or manifest object, or an audit override, that does not parse."""
 
 
 class UnknownKey(BadScenario):
-    """A key the scenario format does not have, e.g. a misspelled one."""
+    """A key the format does not have, e.g. a misspelled one."""
 
     def __init__(self, key: str):
         super().__init__(f"unknown key {key!r}")
         self.key = key
 
 
-# the keys of each level of the nsbl-scenario/1 format
-SCENARIO_KEYS = ("format", "name", "grid", "solver", "initial", "audit", "ledger")
-GRID_KEYS = ("npts", "length")
-SOLVER_KEYS = ("viscosity", "dt", "t_final", "snapshot_stride", "dealias", "scheme")
-INITIAL_KEYS = ("kind", "seed", "amplitude", "kmax")
-AUDIT_KEYS = ("r", "q", "s_values", "ell_values", "n_max", "calibration")
-SUITE_KEYS = ("format", "name", "calibration", "scenarios")
-# keys with one allowed value each: runs keep the 2/3-rule band and step by
-# RK4, and an audit's q is the ledger's.  to_dict writes them, so scenario
-# bytes and scenario_hash stay those of the files that still carry them.
-FIXED = {"solver": {"dealias": True, "scheme": "rk4"}, "audit": {"q": None}}
+# the parsers of FORMATS: each takes a value and its key's name, and returns
+# the value once it is known to be well formed
 
 
-def _section(d: dict, allowed, where: str) -> dict:
-    """``d`` itself once it is known to be an object holding only ``allowed``
-    keys, with each key of ``FIXED[where]`` it holds at its one value."""
-    if not isinstance(d, dict):
-        raise BadScenario(f"{where or 'scenario'} must be an object, got {type(d).__name__}")
-    for key in d:
-        if key not in allowed:
-            raise UnknownKey(f"{where}.{key}" if where else key)
-    for key, fixed in FIXED.get(where, {}).items():
-        value = d.get(key, fixed)
-        if type(value) is not type(fixed) or value != fixed:
-            raise BadScenario(f"{where}.{key} must be {json.dumps(fixed)}, got {value!r}")
-    return d
-
-
-def _integer(d: dict, key: str, default: int, where: str) -> int:
-    """``d[key]`` (else ``default``) once it is known to be an integral number."""
-    value = d.get(key, default)
+def _integer(value, name: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise BadScenario(f"{where}.{key} must be an integer, got {value!r}")
+        raise BadScenario(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
-def _flag(d: dict, key: str, default: bool, where: str) -> bool:
-    """``d[key]`` (else ``default``) once it is known to be a JSON boolean."""
-    value = d.get(key, default)
+def _flag(value, name: str) -> bool:
     if not isinstance(value, bool):
-        raise BadScenario(f"{where}.{key} must be true or false, got {value!r}")
+        raise BadScenario(f"{name} must be true or false, got {value!r}")
     return value
 
 
-def _number(d: dict, key: str, default: float, where: str) -> float:
-    """``d[key]`` (else ``default``) once it is known to be a finite number."""
-    value = d.get(key, default)
+def _number(value, name: str) -> float:
     try:
         ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
               and math.isfinite(value))
     except OverflowError:  # an integer beyond float64
         ok = False
     if not ok:
-        raise BadScenario(f"{where}.{key} must be a finite number, got {value!r}")
+        raise BadScenario(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _numbers(d: dict, key: str, default, where: str) -> tuple:
-    """``d[key]`` (else ``default``) once it is known to be a list of finite numbers."""
-    value = d.get(key, default)
-    if not isinstance(value, (list, tuple)):
-        raise BadScenario(f"{where}.{key} must be a list of numbers, got {value!r}")
-    return tuple(_number({key: x}, key, None, where) for x in value)
-
-
-def _string(d: dict, key: str, default: str, where: str) -> str:
-    """``d[key]`` (else ``default``) once it is known to be a JSON string."""
-    value = d.get(key, default)
+def _string(value, name: str) -> str:
     if not isinstance(value, str):
-        raise BadScenario(f"{where}.{key} must be a string, got {value!r}")
+        raise BadScenario(f"{name} must be a string, got {value!r}")
     return value
 
 
-def _audit_spec(d: dict) -> AuditSpec:
-    """The audit section of a scenario, or a scenario's section with CLI overrides."""
-    a = _section(d, AUDIT_KEYS, "audit")
-    ells = None if a.get("ell_values") is None else _numbers(a, "ell_values", None, "audit")
-    if ells == ():
-        raise BadScenario("audit.ell_values must be null or a non-empty list")
-    s_values = _numbers(a, "s_values", (2.0, 3.0), "audit")
-    if s_values == ():
-        raise BadScenario("audit.s_values must be a non-empty list")
-    # each exponent gets one record, and the power table one entry
-    for key, values in (("s_values", s_values), ("ell_values", ells or ())):
-        for i, x in enumerate(values):
-            if x in values[:i]:
-                raise BadScenario(f"audit.{key} repeats {x!r}")
-    n_max = _integer(a, "n_max", 40, "audit")
-    # the ladder's levels k - k / 2^(n+1) need 2^(n_max+1) inside float64
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise BadScenario(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _exponents(value, name: str) -> tuple:
+    """Distinct finite numbers: each exponent gets one record, and the power table one entry."""
+    if not isinstance(value, (list, tuple)):
+        raise BadScenario(f"{name} must be a list of numbers, got {value!r}")
+    xs = tuple(_number(x, name) for x in value)
+    if not xs:
+        raise BadScenario(f"{name} must be a non-empty list")
+    for i, x in enumerate(xs):
+        if x in xs[:i]:
+            raise BadScenario(f"{name} repeats {x!r}")
+    return xs
+
+
+def _n_max(value, name: str) -> int:
+    """The ladder's levels k - k / 2^(n+1) need 2^(n_max+1) inside float64."""
+    n_max = _integer(value, name)
     if not 0 <= n_max <= 1022:
-        raise BadScenario(f"audit.n_max must be in [0, 1022], got {n_max}")
-    return AuditSpec(
-        r=None if a.get("r") is None else _number(a, "r", None, "audit"),
-        s_values=s_values,
-        ell_values=ells,
-        n_max=n_max,
-        calibration=_flag(a, "calibration", False, "audit"),
-    )
+        raise BadScenario(f"{name} must be in [0, 1022], got {n_max}")
+    return n_max
+
+
+def _run_name(value, name: str) -> str:
+    """The run directory is out_root / name: one component, inside out_root."""
+    value = _string(value, name)
+    if value in ("", ".", "..") or any(c in value for c in "/\\\0"):
+        raise BadScenario(f"{name} must be one path component, got {value!r}")
+    return value
+
+
+def _sha256(value, name: str) -> str:
+    if not re.fullmatch("[0-9a-f]{64}", _string(value, name)):
+        raise BadScenario(f"{name} must be 64 hex digits, got {value!r}")
+    return value
+
+
+def _checkpoints(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise BadScenario(f"{name} must be a list, got {type(value).__name__}")
+    return [_parse(entry, "checkpoint", f"{name}[{i}]") for i, entry in enumerate(value)]
+
+
+def _members(value, name: str) -> list:
+    """A suite's members, which ``run_suite`` parses."""
+    if not isinstance(value, list) or not value:
+        raise BadScenario(f"{name} must be a non-empty list, got {value!r}")
+    return value
+
+
+# every key of every object of the nsbl-scenario/1, nsbl-suite/1 and
+# nsbl-manifest/1 formats, and the parser of its value
+FORMATS = {
+    "scenario": {
+        "name": _run_name,
+        "grid": lambda value, name: _parse(value, "grid", name),
+        "solver": lambda value, name: SolverConfig(**_parse(value, "solver", name)),
+        "initial": lambda value, name: _parse(value, "initial", name),
+        "audit": lambda value, name: AuditSpec(**_parse(value, "audit", name)),
+        "ledger": lambda value, name: _parse(value, "ledger", name),
+    },
+    "grid": {"npts": _integer, "length": _number},
+    "solver": {"viscosity": _number, "dt": _number, "t_final": _number,
+               "snapshot_stride": _integer},
+    "initial": {"kind": _string, "seed": _integer, "amplitude": _number, "kmax": _integer},
+    "audit": {
+        "r": lambda value, name: None if value is None else _number(value, name),
+        "s_values": _exponents,
+        "ell_values": lambda value, name: None if value is None else _exponents(value, name),
+        "n_max": _n_max,
+        "calibration": _flag,
+    },
+    # kept as written, so files round-trip; exponent_params parses them exactly
+    "ledger": dict.fromkeys(DEFAULT_LEDGER, lambda value, name: value),
+    "suite": {
+        "name": _string,
+        "calibration": lambda value, name: None if value is None else _string(value, name),
+        "scenarios": _members,
+    },
+    "manifest": {
+        "scenario": _object,
+        "scenario_hash": _sha256,
+        "checkpoints": _checkpoints,
+        "instability": lambda value, name: (
+            None if value is None else _parse(value, "instability", name)),
+        "wall_clock_s": _number,
+        "version": _string,
+    },
+    "instability": {"time": _number, "message": _string},
+    "checkpoint": {"path": _string, "t": _number, "sha256": _sha256, "dissipation": _number},
+}
+# keys with one allowed value each: runs keep the 2/3-rule band and step by
+# RK4, an audit's q is the ledger's, and a file names its format.  to_dict
+# writes them, so scenario bytes and scenario_hash stay those of the files
+# that still carry them.
+FIXED = {"scenario": {"format": "nsbl-scenario/1"}, "suite": {"format": "nsbl-suite/1"},
+         "manifest": {"format": "nsbl-manifest/1"},
+         "solver": {"dealias": True, "scheme": "rk4"}, "audit": {"q": None}}
+# the keys an object may not leave out; any other key it leaves out takes
+# its default from the one place that owns it: the Scenario, SolverConfig
+# and AuditSpec fields, DEFAULT_LEDGER, or make_initial's signature
+REQUIRED = {"scenario": ("name",), "initial": ("kind",), "suite": ("format", "scenarios"),
+            "manifest": ("format", "scenario", "checkpoints", "instability"),
+            "instability": ("time",), "checkpoint": ("path", "t", "sha256", "dissipation")}
+
+
+def _parse(d, section: str, where: str) -> dict:
+    """The keys ``d`` holds, each value parsed by its FORMATS entry, once
+    ``d`` is known to be a ``section`` object.  An unknown key raises
+    UnknownKey("<where>.<key>"); a FIXED key is held to its one value and
+    left out."""
+    if not isinstance(d, dict):
+        raise BadScenario(f"{where or section} must be an object, got {type(d).__name__}")
+    prefix = f"{where}." if where else ""
+    parsers, fixed = FORMATS[section], FIXED.get(section, {})
+    for key in d:
+        if key not in parsers and key not in fixed:
+            raise UnknownKey(prefix + key)
+    for key in REQUIRED.get(section, ()):
+        if key not in d:
+            raise BadScenario(f"missing key {prefix + key!r}")
+    for key, value in fixed.items():
+        got = d.get(key, value)
+        if type(got) is not type(value) or got != value:
+            raise BadScenario(f"{prefix + key} must be {json.dumps(value)}, got {got!r}")
+    return {key: parse(d[key], prefix + key) for key, parse in parsers.items() if key in d}
 
 
 def canonical_json(obj) -> bytes:
@@ -193,8 +254,7 @@ class Scenario:
     grid_npts: int = 32
     grid_length: float = float(2 * np.pi)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    initial: dict = field(default_factory=lambda: {"kind": "beltrami", "seed": 0,
-                                                   "amplitude": 1.0, "kmax": 8})
+    initial: dict = field(default_factory=lambda: {"kind": "beltrami"})
     audit: AuditSpec = field(default_factory=AuditSpec)
     ledger: dict = field(default_factory=lambda: dict(DEFAULT_LEDGER))
 
@@ -209,7 +269,7 @@ class Scenario:
 
     def to_dict(self) -> dict:
         return {
-            "format": "nsbl-scenario/1",
+            **FIXED["scenario"],
             "name": self.name,
             "grid": {"npts": self.grid_npts, "length": self.grid_length},
             "solver": {**asdict(self.solver), **FIXED["solver"]},
@@ -221,38 +281,9 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         """Parse an nsbl-scenario/1 object; every unknown key raises UnknownKey."""
-        _section(d, SCENARIO_KEYS, "")
-        if d.get("format", "nsbl-scenario/1") != "nsbl-scenario/1":
-            raise BadScenario(f"unknown scenario format {d.get('format')!r}")
-        g = _section(d.get("grid", {}), GRID_KEYS, "grid")
-        s = _section(d.get("solver", {}), SOLVER_KEYS, "solver")
-        initial = dict(_section(d.get("initial", {"kind": "beltrami"}), INITIAL_KEYS, "initial"))
-        for key in ("seed", "kmax"):
-            if key in initial:
-                initial[key] = _integer(initial, key, None, "initial")
-        if "kind" in initial:
-            initial["kind"] = _string(initial, "kind", None, "initial")
-        if "amplitude" in initial:
-            initial["amplitude"] = _number(initial, "amplitude", None, "initial")
-        ledger = _section(d.get("ledger", DEFAULT_LEDGER), tuple(DEFAULT_LEDGER), "ledger")
-        name = _string(d, "name", None, "scenario")
-        # the run directory is out_root / name: one component, inside out_root
-        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
-            raise BadScenario(f"scenario.name must be one path component, got {name!r}")
-        return cls(
-            name=name,
-            grid_npts=_integer(g, "npts", 32, "grid"),
-            grid_length=_number(g, "length", 2 * np.pi, "grid"),
-            solver=SolverConfig(
-                viscosity=_number(s, "viscosity", 1.0, "solver"),
-                dt=_number(s, "dt", 1e-3, "solver"),
-                t_final=_number(s, "t_final", 0.5, "solver"),
-                snapshot_stride=_integer(s, "snapshot_stride", 10, "solver"),
-            ),
-            initial=initial,
-            audit=_audit_spec(d.get("audit", {})),
-            ledger=dict(ledger),
-        )
+        parsed = _parse(d, "scenario", "")
+        grid = parsed.pop("grid", {})
+        return cls(**parsed, **{f"grid_{key}": value for key, value in grid.items()})
 
     @classmethod
     def load(cls, path) -> "Scenario":
@@ -305,14 +336,12 @@ def simulate(scenario: Scenario, out_root) -> Path:
     rather than raised.
     """
     gate_params(scenario.exponent_params())
+    # a scenario refused here leaves no run directory behind
+    grid = scenario.grid()
+    v0 = make_initial(grid=grid, **scenario.initial)
+    scenario.solver.validate(grid)
     out_dir = Path(out_root) / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = scenario.grid()
-    init = dict(scenario.initial)
-    v0 = make_initial(
-        init.get("kind", "beltrami"), grid, seed=int(init.get("seed", 0)),
-        amplitude=float(init.get("amplitude", 1.0)), kmax=int(init.get("kmax", 8)),
-    )
     t0 = time.monotonic()
     instability = None
     checkpoints = []
@@ -351,37 +380,10 @@ def load_manifest(path) -> dict:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed manifest: not UTF-8 JSON: {exc}") from exc
     try:
-        _check_manifest(d)
+        _parse(d, "manifest", "")
     except BadScenario as exc:
         raise CorruptCheckpoint(f"{path}: malformed manifest: {exc}") from exc
-    if d["format"] != "nsbl-manifest/1":
-        raise ValueError(f"unknown manifest format {d['format']!r}")
     return d
-
-
-def _check_manifest(d) -> None:
-    if not isinstance(d, dict):
-        raise BadScenario(f"manifest must be an object, got {type(d).__name__}")
-    unknown = [key for key in d if key not in MANIFEST_KEYS]
-    if unknown:
-        raise BadScenario(f"unknown manifest key {unknown[0]!r}")
-    missing = [key for key in REQUIRED_MANIFEST_KEYS if key not in d]
-    if missing:
-        raise BadScenario(f"manifest lacks {', '.join(missing)}")
-    if d["instability"] is not None:
-        _number(_section(d["instability"], ("time", "message"), "instability"),
-                "time", None, "instability")
-    if not isinstance(d["checkpoints"], list):
-        raise BadScenario(f"checkpoints must be a list, got {type(d['checkpoints']).__name__}")
-    for i, entry in enumerate(d["checkpoints"]):
-        where = f"checkpoints[{i}]"
-        if not isinstance(entry, dict):
-            raise BadScenario(f"{where} must be an object, got {type(entry).__name__}")
-        _string(entry, "path", None, where)
-        _number(entry, "t", None, where)
-        _number(entry, "dissipation", None, where)
-        if not re.fullmatch("[0-9a-f]{64}", _string(entry, "sha256", None, where)):
-            raise BadScenario(f"{where}.sha256 must be 64 hex digits, got {entry['sha256']!r}")
 
 
 def trajectory_from_manifest(manifest: dict, base_dir) -> Trajectory:
@@ -453,7 +455,7 @@ def audit_manifest(
     spec = scenario.audit
     if overrides:
         # an override replaces its key of the scenario's audit section
-        spec = _audit_spec({**scenario.to_dict()["audit"], **overrides})
+        spec = AuditSpec(**_parse({**scenario.to_dict()["audit"], **overrides}, "audit", "audit"))
     params = scenario.exponent_params()
     traj = trajectory_from_manifest(manifest, manifest_path.parent)
     report = run_audit(traj, params, spec, constants=constants, run_id=scenario.name)
@@ -471,14 +473,8 @@ def load_suite(path) -> dict:
     """The nsbl-suite/1 object at ``path``, once its top level is known to be
     well formed; anything else raises BadScenario.  Members are parsed by
     ``run_suite``."""
-    d = _section(json.loads(Path(path).read_text()), SUITE_KEYS, "suite")
-    if d.get("format") != "nsbl-suite/1":
-        raise BadScenario(f"unknown suite format {d.get('format')!r}")
-    _string(d, "name", "", "suite")
-    if d.get("calibration") is not None:
-        _string(d, "calibration", None, "suite")
-    if not isinstance(d.get("scenarios"), list) or not d["scenarios"]:
-        raise BadScenario(f"suite.scenarios must be a non-empty list, got {d.get('scenarios')!r}")
+    d = json.loads(Path(path).read_text())
+    _parse(d, "suite", "suite")
     return d
 
 

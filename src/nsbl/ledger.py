@@ -188,7 +188,6 @@ class ConstraintReport:
     satisfied: bool
     margin: Fraction
     note: str = ""
-    details: tuple["ConstraintReport", ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -466,8 +465,8 @@ def _direct_quadratic(
     )
 
 
-def r_feasible(params: ExponentParams) -> ConstraintReport:
-    """Verify every constraint on the radius r; the report carries failures."""
+def r_feasible(params: ExponentParams) -> list[ConstraintReport]:
+    """One report per constraint on the radius r."""
     N, q, B, K = params.N, params.q, params.B, params.K
     d, j, r = params.delta, params.j, params.r
     subs: list[ConstraintReport] = []
@@ -490,10 +489,7 @@ def r_feasible(params: ExponentParams) -> ConstraintReport:
         subs.append(_lt("r_below_max", r, _r_max(N, q, B, j)))
     except DomainError as e:
         subs.append(_infeasible("r_below_max", str(e)))
-    ok = all(s.satisfied for s in subs)
-    worst = min((s.margin for s in subs), default=Fraction(0))
-    return ConstraintReport("r_feasible", worst, Fraction(0), ok, worst,
-                            "aggregate of the radius constraints", tuple(subs))
+    return subs
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +543,7 @@ def constraint_suite(params: ExponentParams) -> list[ConstraintReport]:
     except DomainError as e:
         out.append(_infeasible("K_limit_ratio", str(e)))
     out.extend(j_lower_bounds(params))
-    r_rep = r_feasible(params)
-    out.extend(r_rep.details)
+    out.extend(r_feasible(params))
     return out
 
 

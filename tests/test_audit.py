@@ -148,7 +148,7 @@ class TestLadder:
         sp = A.build_scaled_psi(stats, float(PARAMS.r))
         w = time_weights(sp.stats.times)
         psi_tilde = psi_tilde_oracle(sp, stats)
-        k_dom = A.estimate_threshold(sp, stats, PARAMS, float(PARAMS.r) + 1.0)
+        k_dom = A.estimate_threshold(sp, PARAMS, float(PARAMS.r) + 1.0)
         k_fit = 2.0 * float(np.quantile(psi_tilde, 0.90))
         for k, enforce in ((k_dom, True), (k_fit, False)):
             lad = A.build_ladder(sp, k, 40, enforce_threshold=enforce)
@@ -184,14 +184,14 @@ class TestRecursionFit:
         sp = A.build_scaled_psi(stats, float(PARAMS.r))
         k = 4.0 * float(psi_tilde_oracle(sp, stats).max())
         lad = A.build_ladder(sp, k, 10)
-        rec = A.check_recursion(lad, sp, stats, PARAMS)
+        rec = A.check_recursion(lad, sp, PARAMS)
         assert rec.passed
         assert rec.fitted_constant == 0.0
 
     def test_beltrami_dominating_ladder_hits_zero(self, beltrami_traj):
         stats = measured(beltrami_traj)
         sp = A.build_scaled_psi(stats, float(PARAMS.r))
-        k = A.estimate_threshold(sp, stats, PARAMS, 13.0)
+        k = A.estimate_threshold(sp, PARAMS, 13.0)
         lad = A.build_ladder(sp, k, 40)
         assert lad.reached_zero() is not None
         assert lad.reached_zero() <= 40

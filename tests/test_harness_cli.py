@@ -68,6 +68,18 @@ class TestScenario:
         del d["solver"]["dealias"]
         assert scenario_hash(Scenario.from_dict(d)) == scenario_hash(sc)
 
+    def test_defaults_written_once(self):
+        # an omitted key and an omitted field take the same default
+        assert Scenario.from_dict({"name": "x"}) == Scenario(name="x")
+        assert scenario_hash(Scenario.from_dict({"name": "x"})) == scenario_hash(Scenario(name="x"))
+        assert Scenario(name="x").initial == {"kind": "beltrami"}
+
+    def test_initial_needs_its_kind(self):
+        d = quick_scenario("nokind").to_dict()
+        del d["initial"]["kind"]
+        with pytest.raises(BadScenario, match="initial.kind"):
+            Scenario.from_dict(d)
+
     def test_load_from_file(self, tmp_path):
         sc = quick_scenario("b")
         p = tmp_path / "sc.json"
@@ -536,11 +548,18 @@ class TestCli:
         assert cli.main(["audit", str(run_dir / "manifest.json")]) == 4
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", [
-        "list", "no_scenario", "no_instability", "checkpoints_object", "entry_list",
-        "path_number", "t_string", "dissipation_missing", "sha256_short", "sha256_not_hex",
-        "not_json", "not_utf8", "unknown_key",
-    ])
+    # each malformed manifest, and what its error names
+    MANIFEST_FAULTS = {
+        "list": "manifest must be an object", "no_scenario": "'scenario'",
+        "no_instability": "'instability'", "checkpoints_object": "checkpoints must",
+        "entry_list": "checkpoints[0] must", "path_number": "checkpoints[0].path",
+        "t_string": "checkpoints[0].t", "dissipation_missing": "checkpoints[0].dissipation",
+        "sha256_short": "checkpoints[0].sha256", "sha256_not_hex": "checkpoints[0].sha256",
+        "not_json": "not UTF-8 JSON", "not_utf8": "not UTF-8 JSON",
+        "unknown_key": "'checkpoint'", "format": "format", "instability_time": "instability.time",
+    }
+
+    @pytest.mark.parametrize("case", MANIFEST_FAULTS)
     def test_audit_malformed_manifest_exit_4(self, tmp_path, capsys, case):
         sc = quick_scenario("manifest", t_final=0.0)
         scn = tmp_path / "sc.json"
@@ -571,6 +590,10 @@ class TestCli:
             entry["sha256"] = "g" + entry["sha256"][1:]
         elif case == "unknown_key":
             manifest["checkpoint"] = manifest["checkpoints"]
+        elif case == "format":
+            manifest["format"] = "nsbl-manifest/2"
+        elif case == "instability_time":
+            manifest["instability"] = {"time": "1.0", "message": "blew up"}
         text = json.dumps(manifest).encode()
         if case == "not_json":
             text = b"not json"
@@ -579,7 +602,8 @@ class TestCli:
         path.write_bytes(text)
         capsys.readouterr()
         assert cli.main(["audit", str(path)]) == 4
-        assert "malformed manifest" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed manifest" in err and self.MANIFEST_FAULTS[case] in err
 
     def test_audit_times_contradicting_checkpoints_exit_4(self, tmp_path, capsys):
         # the checkpoints hold t = 0, 0.004, 0.008; the manifest says 0, 10, 20
@@ -826,6 +850,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert "suite" in err or "scenario" in err
         assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("solver", "dt", -0.001, "dt must be positive"),
+        ("grid", "npts", 15, "15"),
+        ("initial", "kmax", 9, "kmax"),
+    ])
+    def test_simulate_refused_leaves_no_run_dir(self, tmp_path, capsys, section, key, value,
+                                                message):
+        # the grid, the initial data and the solver config are checked
+        # before the run directory is made
+        d = quick_scenario("refused", kind="random_spectrum", t_final=4e-3, stride=1).to_dict()
+        d[section][key] = value
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(d))
+        capsys.readouterr()
+        assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "refused").exists()
+
+    @pytest.mark.parametrize("args", [["--s", ""], ["--l", ""], ["--s", "2,,3"], ["--s", "2,"],
+                                      ["--l", ",14"]])
+    def test_audit_empty_exponent_entry_exit_1(self, tmp_path, capsys, args):
+        # an empty --s or --l is refused, not read as "keep the scenario's"
+        path = simulate(quick_scenario("empty", t_final=4e-3, stride=1), tmp_path)
+        capsys.readouterr()
+        assert cli.main(["audit", str(path), *args]) == 1
+        assert f"{args[0]} has an empty entry" in capsys.readouterr().err
+        assert not (tmp_path / "empty" / "report.json").exists()
 
     @pytest.mark.parametrize("name", ["ABS", "", ".."])
     def test_simulate_name_outside_out_dir_exit_1(self, tmp_path, capsys, name):

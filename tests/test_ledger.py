@@ -184,26 +184,25 @@ class TestJLowerBounds:
 class TestRFeasible:
     def test_reference_tuple_all_pass(self):
         p = ExponentParams.derive(3, 200, 10, F(6, 5), j=100, r=240)
-        rep = L.r_feasible(p)
-        assert rep.satisfied
-        assert all(s.satisfied for s in rep.details)
+        reps = L.r_feasible(p)
+        assert reps and all(s.satisfied for s in reps)
 
     def test_r_equal_2j_violated(self):
         p = ExponentParams.derive(3, 200, 10, F(6, 5), j=100, r=200)
-        subs = {s.constraint_id: s for s in L.r_feasible(p).details}
+        subs = {s.constraint_id: s for s in L.r_feasible(p)}
         assert not subs["r_gt_2j"].satisfied
         assert subs["r_gt_2j"].margin == 0
 
     def test_r_equal_q_violated(self):
         p = ExponentParams.derive(3, 200, 10, F(6, 5), j=90, r=200)
-        subs = {s.constraint_id: s for s in L.r_feasible(p).details}
+        subs = {s.constraint_id: s for s in L.r_feasible(p)}
         assert not subs["r_gt_q"].satisfied
 
     def test_direct_quadratic_diagnostic_disagrees(self):
         # the reduced screening passes while the direct quadratic fails;
         # certificates must expose this
         p = ExponentParams.derive(3, 200, 10, F(6, 5), j=100, r=240)
-        subs = {s.constraint_id: s for s in L.r_feasible(p).details}
+        subs = {s.constraint_id: s for s in L.r_feasible(p)}
         assert subs["r_scaled_quadratic"].satisfied
         diag = L.diagnostics(p)[0]
         assert diag.constraint_id == "r_quadratic_direct"

@@ -193,7 +193,7 @@ def test_threshold_with_extreme_exponents(N, excess, j, r, singular, ell_gap, m_
     exponents = A.audit_exponents(params, A.AuditSpec(ell_values=(ell,)))
     stats = replace(A.FieldStats.measure(THRESHOLD_TRAJ, (), 0, *exponents), m_sigma=m_sigma)
     try:
-        k = A.estimate_threshold(A.build_scaled_psi(stats, float(r)), stats, params, ell)
+        k = A.estimate_threshold(A.build_scaled_psi(stats, float(r)), params, ell)
     except (A.BadExponents, A.DegenerateField) as exc:
         event(type(exc).__name__)
         return
@@ -319,8 +319,8 @@ OPTIONS = {
     "--q-max": ["10", "64", "1000000", "-1", "abc"],
     "--delta": ["1/2", "1/3", "0", "1", "0.25", "abc", "1/0"],
     "--r": ["12", "3", "0.5", "0", "-1", "1099511627776", "1e308", "nan", "inf", "abc"],
-    "--s": ["2,3", "1.5", "12", "0", "-2", "1e308", "nan", ",", "abc"],
-    "--l": ["13", "2", "12", "0", "-1", "1e308", "inf", "abc"],
+    "--s": ["2,3", "1.5", "12", "0", "-2", "1e308", "nan", ",", "", "2,,3", "abc"],
+    "--l": ["13", "2", "12", "0", "-1", "1e308", "inf", "", "2,,3", "abc"],
     "--n-max": ["0", "3", "-5", "2.5", "abc"],
     "--workers": ["1", "2", "0", "-3", "two"],
 }
