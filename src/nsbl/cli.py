@@ -9,7 +9,6 @@ outcome (0, 2 or 3); an error it raises leaves through ``ERRORS``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -17,15 +16,16 @@ from pathlib import Path
 from .audit import BadExponents
 from .checkpoint import CorruptCheckpoint
 from .harness import (
+    CERTIFICATE_NAME,
     DEFAULT_LEDGER,
     InfeasibleLedger,
     Scenario,
     audit_manifest,
+    canonical_json,
     certificate_dict,
     load_suite,
     run_suite,
     simulate,
-    write_certificate,
 )
 from .ledger import (
     DomainError,
@@ -71,10 +71,8 @@ class Parser(argparse.ArgumentParser):
 
 
 def out_root(args) -> Path:
-    root = args.out_dir or os.environ.get("NSBL_OUT") or "nsbl-out"
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output root; the command that writes into it makes it."""
+    return Path(args.out_dir or os.environ.get("NSBL_OUT") or "nsbl-out")
 
 
 def _exponent_fields(args) -> dict:
@@ -102,25 +100,20 @@ def _exponent_fields(args) -> dict:
 
 def cmd_exponents(args) -> int:
     root = out_root(args)
+    root.mkdir(parents=True, exist_ok=True)
     fields = _exponent_fields(args)
     if args.check:
-        params, note = ExponentParams.derive(**fields), "explicit tuple check"
+        cert = certificate_dict(ExponentParams.derive(**fields), "explicit tuple check")
     else:
         try:
             params = select_parameters(fields["N"], q_ceiling=args.q_max, delta=fields["delta"])
         except SearchExhausted as exc:
-            cert = {"format": "nsbl-certificate/1", "feasible": False,
-                    "search_exhausted": str(exc), "params": None,
-                    "reports": [], "diagnostics": [], "note": "lattice search exhausted"}
-            path = root / f"certificate-N{fields['N']}.json"
-            write_certificate(path, cert)
             print(f"SearchExhausted: {exc}", file=sys.stderr)
-            print(f"certificate: {path}")
-            return EXIT_INFEASIBLE
-        note = "lattice search result"
-    cert = certificate_dict(params, note=note)
-    path = root / f"certificate-N{params.N}.json"
-    write_certificate(path, cert)
+            cert = certificate_dict(None, "lattice search exhausted", str(exc))
+        else:
+            cert = certificate_dict(params, "lattice search result")
+    path = root / CERTIFICATE_NAME.format(fields["N"])
+    path.write_bytes(canonical_json(cert))
     print(f"certificate: {path}")
     print(f"feasible: {cert['feasible']}")
     for rep in cert["reports"]:
@@ -131,8 +124,7 @@ def cmd_exponents(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = Scenario.load(args.scenario)
-    manifest_path = simulate(scenario, out_root(args))
-    manifest = json.loads(manifest_path.read_text())
+    manifest_path, manifest = simulate(scenario, out_root(args))
     print(f"manifest: {manifest_path}")
     if manifest["instability"]:
         print(f"instability at t = {manifest['instability']['time']:.6g}", file=sys.stderr)

@@ -38,7 +38,6 @@ __all__ = [
     "canonical_json",
     "scenario_hash",
     "certificate_dict",
-    "write_certificate",
     "simulate",
     "load_manifest",
     "trajectory_from_manifest",
@@ -48,6 +47,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
+CERTIFICATE_NAME = "certificate-N{}.json"
 
 # default certified tuple for audits (N=3); spelled as strings so scenario
 # files round-trip exactly
@@ -139,8 +139,9 @@ def _n_max(value, name: str) -> int:
     return n_max
 
 
-def _run_name(value, name: str) -> str:
-    """The run directory is out_root / name: one component, inside out_root."""
+def _component(value, name: str) -> str:
+    """A name joined to a directory (a run's name to the output root, a
+    checkpoint's path to the run directory): one component, inside it."""
     value = _string(value, name)
     if value in ("", ".", "..") or any(c in value for c in "/\\\0"):
         raise BadScenario(f"{name} must be one path component, got {value!r}")
@@ -170,7 +171,7 @@ def _members(value, name: str) -> list:
 # nsbl-manifest/1 formats, and the parser of its value
 FORMATS = {
     "scenario": {
-        "name": _run_name,
+        "name": _component,
         "grid": lambda value, name: _parse(value, "grid", name),
         "solver": lambda value, name: SolverConfig(**_parse(value, "solver", name)),
         "initial": lambda value, name: _parse(value, "initial", name),
@@ -205,7 +206,7 @@ FORMATS = {
         "version": _string,
     },
     "instability": {"time": _number, "message": _string},
-    "checkpoint": {"path": _string, "t": _number, "sha256": _sha256, "dissipation": _number},
+    "checkpoint": {"path": _component, "t": _number, "sha256": _sha256, "dissipation": _number},
 }
 # keys with one allowed value each: runs keep the 2/3-rule band and step by
 # RK4, an audit's q is the ledger's, and a file names its format.  to_dict
@@ -299,21 +300,19 @@ def scenario_hash(scenario: Scenario) -> str:
 # ---------------------------------------------------------------------------
 
 
-def certificate_dict(params: ExponentParams, note: str = "") -> dict:
-    reports = constraint_suite(params)
-    diag = diagnostics(params)
-    return {
-        "format": "nsbl-certificate/1",
-        "params": params.as_dict(),
-        "feasible": all(r.satisfied for r in reports),
-        "reports": [r.as_dict() for r in reports],
-        "diagnostics": [r.as_dict() for r in diag],
-        "note": note,
-    }
-
-
-def write_certificate(path, cert: dict) -> None:
-    Path(path).write_bytes(canonical_json(cert))
+def certificate_dict(params: Optional[ExponentParams], note: str = "",
+                     exhausted: str = "") -> dict:
+    """The nsbl-certificate/1 object of ``params``; with ``params`` None, that
+    of a lattice search that found no tuple, ``exhausted`` saying why."""
+    if params is None:
+        body = {"params": None, "feasible": False, "reports": [], "diagnostics": [],
+                "search_exhausted": exhausted}
+    else:
+        reports = constraint_suite(params)
+        body = {"params": params.as_dict(), "feasible": all(r.satisfied for r in reports),
+                "reports": [r.as_dict() for r in reports],
+                "diagnostics": [r.as_dict() for r in diagnostics(params)]}
+    return {"format": "nsbl-certificate/1", **body, "note": note}
 
 
 def gate_params(params: ExponentParams) -> None:
@@ -328,8 +327,9 @@ def gate_params(params: ExponentParams) -> None:
 # ---------------------------------------------------------------------------
 
 
-def simulate(scenario: Scenario, out_root) -> Path:
-    """Run one scenario to checkpoints plus a manifest; returns the manifest path.
+def simulate(scenario: Scenario, out_root) -> tuple[Path, dict]:
+    """Run one scenario to checkpoints plus a manifest; returns the manifest's
+    path and the manifest it holds.
 
     The exponent certificate is checked before any stepping starts.  A
     discrete blow-up is recorded in the manifest (with the failing time)
@@ -369,25 +369,29 @@ def simulate(scenario: Scenario, out_root) -> Path:
         "version": __version__,
     }
     (out_dir / MANIFEST_NAME).write_bytes(canonical_json(manifest))
-    return out_dir / MANIFEST_NAME
+    return out_dir / MANIFEST_NAME, manifest
 
 
 def load_manifest(path) -> dict:
     """The manifest at ``path``, once its keys and checkpoint entries are
-    known to be well formed; a malformed one raises CorruptCheckpoint."""
+    known to be well formed and a stable run is known to have checkpoints;
+    a malformed one raises CorruptCheckpoint."""
     try:
         d = json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed manifest: not UTF-8 JSON: {exc}") from exc
     try:
-        _parse(d, "manifest", "")
+        parsed = _parse(d, "manifest", "")
+        if parsed["instability"] is None and not parsed["checkpoints"]:
+            raise BadScenario("checkpoints of a stable run must be a non-empty list")
     except BadScenario as exc:
         raise CorruptCheckpoint(f"{path}: malformed manifest: {exc}") from exc
     return d
 
 
-def trajectory_from_manifest(manifest: dict, base_dir) -> Trajectory:
-    """Rebuild the trajectory, verifying every checkpoint hash and band.
+def trajectory_from_manifest(manifest: dict, base_dir, scenario: Scenario) -> Trajectory:
+    """Rebuild the trajectory of ``scenario``, the manifest's parsed scenario,
+    verifying every checkpoint hash and band.
 
     The manifest's times must increase strictly.  Each file's band is read
     as stored into the scenario's grid, and its time must be the
@@ -395,7 +399,6 @@ def trajectory_from_manifest(manifest: dict, base_dir) -> Trajectory:
     first bad file in manifest order is the one reported.
     """
     base = Path(base_dir)
-    scenario = Scenario.from_dict(manifest["scenario"])
     grid = scenario.grid()
     entries = manifest["checkpoints"]
     # the time weights need snapshots in time order
@@ -423,12 +426,6 @@ def trajectory_from_manifest(manifest: dict, base_dir) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def report_csv_rows(report: AuditReport):
-    for c in report.checks:
-        yield [c.check_id, repr(float(c.lhs)), repr(float(c.rhs)),
-               repr(float(c.fitted_constant)), repr(float(c.margin))]
-
-
 def write_report(report: AuditReport, out_dir) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
     json_path = out_dir / "report.json"
@@ -437,7 +434,9 @@ def write_report(report: AuditReport, out_dir) -> tuple[Path, Path]:
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["check", "lhs", "rhs", "c", "margin"])
-        writer.writerows(report_csv_rows(report))
+        writer.writerows([c.check_id, repr(float(c.lhs)), repr(float(c.rhs)),
+                          repr(float(c.fitted_constant)), repr(float(c.margin))]
+                         for c in report.checks)
     return json_path, csv_path
 
 
@@ -449,7 +448,7 @@ def audit_manifest(
     """Audit a finished run; reports land next to the manifest."""
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
-    if manifest.get("instability"):
+    if manifest["instability"]:
         raise Instability(manifest["instability"]["time"], "run was unstable; nothing to audit")
     scenario = Scenario.from_dict(manifest["scenario"])
     spec = scenario.audit
@@ -457,7 +456,7 @@ def audit_manifest(
         # an override replaces its key of the scenario's audit section
         spec = AuditSpec(**_parse({**scenario.to_dict()["audit"], **overrides}, "audit", "audit"))
     params = scenario.exponent_params()
-    traj = trajectory_from_manifest(manifest, manifest_path.parent)
+    traj = trajectory_from_manifest(manifest, manifest_path.parent, scenario)
     report = run_audit(traj, params, spec, constants=constants, run_id=scenario.name)
     json_path, csv_path = write_report(report, manifest_path.parent)
     _release_freed_memory()
@@ -493,10 +492,9 @@ def _release_freed_memory() -> None:
 
 
 def _run_member(scenario: Scenario, out_root, constants):
-    manifest_path = simulate(scenario, out_root)
+    manifest_path, manifest = simulate(scenario, out_root)
     _release_freed_memory()
-    manifest = load_manifest(manifest_path)
-    if manifest.get("instability"):
+    if manifest["instability"]:
         return {"name": scenario.name, "instability": manifest["instability"]}
     report, _, _ = audit_manifest(manifest_path, constants=constants)
     return {"name": scenario.name, "report": report}
@@ -518,12 +516,12 @@ def run_suite(suite: dict, out_root, workers: int = 1) -> dict:
     cal_name = suite.get("calibration") or names[0]
     if cal_name not in names:
         raise ValueError(f"calibration scenario {cal_name!r} not in suite")
-    out_root = Path(out_root)
-    out_root.mkdir(parents=True, exist_ok=True)
-
-    # ledger gate for every member before any solve starts
+    # ledger gate for every member before any solve starts, and before the
+    # output root is made
     for s in scenarios:
         gate_params(s.exponent_params())
+    out_root = Path(out_root)
+    out_root.mkdir(parents=True, exist_ok=True)
 
     cal_scenario = next(s for s in scenarios if s.name == cal_name)
     cal_scenario.audit.calibration = True

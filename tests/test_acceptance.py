@@ -362,8 +362,8 @@ def test_criterion_10_final_bound_suite(suite_results):
             seed = int(item["run"].split("-")[1])
             sc = random_scenario(seed, npts=48)
             sc.name = f"refine-{seed:02d}"
-            mp = simulate(sc, out / "refined")
-            traj = trajectory_from_manifest(load_manifest(mp), mp.parent)
+            mp, _ = simulate(sc, out / "refined")
+            traj = trajectory_from_manifest(load_manifest(mp), mp.parent, sc)
             cal = json.loads((out / "seed-00" / "report.json").read_text())
             c_final = float(cal["constants"]["c_final"])
             stats = audit_mod.FieldStats.measure(traj, (), 0)

@@ -723,7 +723,7 @@ class TestSnapshotFanOut:
             solver=SolverConfig(dt=1e-3, t_final=6e-3, snapshot_stride=1),
             initial={"kind": "random_spectrum", "seed": 1, "amplitude": 1.0, "kmax": 4},
         )
-        manifest = simulate(scenario, tmp_path)
+        manifest, _ = simulate(scenario, tmp_path)
         for i in bad:
             path = tmp_path / "bad" / f"checkpoint_{i:04d}.nsbl"
             blob = bytearray(path.read_bytes())

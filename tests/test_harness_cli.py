@@ -2,6 +2,7 @@ import hashlib
 import json
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ class TestScenario:
             Scenario.from_dict(d)
 
     def test_audit_overrides_use_the_parser(self, tmp_path):
-        mp = simulate(quick_scenario("over", t_final=0.01), tmp_path)
+        mp, _ = simulate(quick_scenario("over", t_final=0.01), tmp_path)
         report, _, _ = audit_manifest(mp, {"s_values": (1.5,), "n_max": 5})
         ids = [c.check_id for c in report.checks]
         assert "pressure_s1.5" in ids and "pressure_s2" not in ids
@@ -197,33 +198,34 @@ class TestScenario:
 class TestSimulate:
     def test_manifest_and_checkpoints(self, tmp_path):
         sc = quick_scenario("bel")
-        mp = simulate(sc, tmp_path)
+        mp, written = simulate(sc, tmp_path)
         manifest = load_manifest(mp)
+        assert manifest == json.loads(canonical_json(written))
         assert manifest["scenario_hash"] == scenario_hash(sc)
         assert len(manifest["checkpoints"]) == 6
         for entry in manifest["checkpoints"]:
             assert (mp.parent / entry["path"]).exists()
-        traj = trajectory_from_manifest(manifest, mp.parent)
+        traj = trajectory_from_manifest(manifest, mp.parent, sc)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(0.05)
 
     def test_final_norm_matches_decay(self, tmp_path):
         sc = quick_scenario("bel2", t_final=0.05)
-        mp = simulate(sc, tmp_path)
-        traj = trajectory_from_manifest(load_manifest(mp), mp.parent)
+        mp, _ = simulate(sc, tmp_path)
+        traj = trajectory_from_manifest(load_manifest(mp), mp.parent, sc)
         sups = A.FieldStats.measure(traj, (), 0).sups
         ratio = sups[-1] / sups[0]
         assert ratio == pytest.approx(np.exp(-0.05), rel=1e-6)
 
     def test_t_zero_single_checkpoint(self, tmp_path):
         sc = quick_scenario("frozen", t_final=0.0)
-        mp = simulate(sc, tmp_path)
+        mp, _ = simulate(sc, tmp_path)
         assert len(load_manifest(mp)["checkpoints"]) == 1
 
     def test_byte_identical_checkpoints(self, tmp_path):
         sc = quick_scenario("det", kind="random_spectrum", seed=5)
-        m1 = simulate(sc, tmp_path / "a")
-        m2 = simulate(sc, tmp_path / "b")
+        m1, _ = simulate(sc, tmp_path / "a")
+        m2, _ = simulate(sc, tmp_path / "b")
         c1 = [e["sha256"] for e in load_manifest(m1)["checkpoints"]]
         c2 = [e["sha256"] for e in load_manifest(m2)["checkpoints"]]
         assert c1 == c2
@@ -241,7 +243,7 @@ class TestSimulate:
             solver=SolverConfig(viscosity=1e-4, dt=0.5, t_final=25.0, snapshot_stride=10),
             initial={"kind": "random_spectrum", "seed": 1, "amplitude": 500.0, "kmax": 4},
         )
-        mp = simulate(sc, tmp_path)
+        mp, _ = simulate(sc, tmp_path)
         manifest = load_manifest(mp)
         assert manifest["instability"] is not None
         assert manifest["instability"]["time"] > 0
@@ -250,7 +252,7 @@ class TestSimulate:
 
 class TestAuditCommandLayer:
     def test_reports_written(self, tmp_path):
-        mp = simulate(quick_scenario("bel"), tmp_path)
+        mp, _ = simulate(quick_scenario("bel"), tmp_path)
         report, jp, cp = audit_manifest(mp)
         assert jp.exists() and cp.exists()
         data = json.loads(jp.read_text())
@@ -261,8 +263,8 @@ class TestAuditCommandLayer:
         assert len(rows) == len(report.checks) + 1
 
     def test_reports_deterministic(self, tmp_path):
-        mp1 = simulate(quick_scenario("bel"), tmp_path / "a")
-        mp2 = simulate(quick_scenario("bel"), tmp_path / "b")
+        mp1, _ = simulate(quick_scenario("bel"), tmp_path / "a")
+        mp2, _ = simulate(quick_scenario("bel"), tmp_path / "b")
         _, j1, _ = audit_manifest(mp1)
         _, j2, _ = audit_manifest(mp2)
         assert j1.read_bytes() == j2.read_bytes()
@@ -270,7 +272,7 @@ class TestAuditCommandLayer:
     def test_calibration_key_is_read_by_no_check(self, tmp_path):
         # audit.calibration marks a suite's calibration member; the report
         # is the same bytes either way
-        mp = simulate(quick_scenario("cal", kind="random_spectrum", seed=1), tmp_path)
+        mp, _ = simulate(quick_scenario("cal", kind="random_spectrum", seed=1), tmp_path)
         reports = []
         for flag in (True, False):
             _, jp, cp = audit_manifest(mp, overrides={"calibration": flag})
@@ -388,8 +390,8 @@ class TestAuditOverrides:
 
     @pytest.fixture(scope="class")
     def default_run(self, tmp_path_factory):
-        path = simulate(quick_scenario("over", kind="random_spectrum", seed=2),
-                        tmp_path_factory.mktemp("overrides"))
+        path, _ = simulate(quick_scenario("over", kind="random_spectrum", seed=2),
+                           tmp_path_factory.mktemp("overrides"))
         assert cli.main(["audit", str(path)]) == 0
         return path, json.loads((path.parent / "report.json").read_text())["checks"]
 
@@ -557,6 +559,9 @@ class TestCli:
         "sha256_short": "checkpoints[0].sha256", "sha256_not_hex": "checkpoints[0].sha256",
         "not_json": "not UTF-8 JSON", "not_utf8": "not UTF-8 JSON",
         "unknown_key": "'checkpoint'", "format": "format", "instability_time": "instability.time",
+        "checkpoints_empty": "checkpoints of a stable run must be a non-empty list",
+        "path_parent": "checkpoints[0].path must be one path component",
+        "path_absolute": "checkpoints[0].path must be one path component",
     }
 
     @pytest.mark.parametrize("case", MANIFEST_FAULTS)
@@ -594,6 +599,13 @@ class TestCli:
             manifest["format"] = "nsbl-manifest/2"
         elif case == "instability_time":
             manifest["instability"] = {"time": "1.0", "message": "blew up"}
+        elif case == "checkpoints_empty":
+            manifest["checkpoints"] = []
+        elif case == "path_parent":
+            entry["path"] = "../manifest/" + entry["path"]
+        elif case == "path_absolute":
+            # the run's own checkpoint, under its own hash
+            entry["path"] = str(path.parent / entry["path"])
         text = json.dumps(manifest).encode()
         if case == "not_json":
             text = b"not json"
@@ -706,7 +718,7 @@ class TestCli:
         # a manifest written when RK2 and audit.q were options, edited here,
         # is refused when its scenario is parsed
         sc = quick_scenario("fixed", t_final=4e-3, stride=1)
-        path = simulate(sc, tmp_path)
+        path, _ = simulate(sc, tmp_path)
         manifest = load_manifest(path)
         manifest["scenario"][section][key] = value
         path.write_bytes(canonical_json(manifest))
@@ -729,7 +741,7 @@ class TestCli:
     def test_audit_has_no_q_option(self, tmp_path, capsys):
         # an audit's q is the ledger's q
         sc = quick_scenario("noq", t_final=4e-3, stride=1)
-        path = simulate(sc, tmp_path)
+        path, _ = simulate(sc, tmp_path)
         assert cli.main(["audit", str(path), "--q", "7"]) == 1
         assert "--q" in capsys.readouterr().err
         assert not (tmp_path / "noq" / "report.json").exists()
@@ -795,6 +807,8 @@ class TestCli:
         scn = tmp_path / "bad.json"
         scn.write_bytes(canonical_json(bad.to_dict()))
         assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 3
+        # an unstable run's manifest has no checkpoints, and its audit exits 3
+        assert cli.main(["audit", str(tmp_path / "blowcli" / "manifest.json")]) == 3
 
     def test_simulate_infeasible_exit(self, tmp_path):
         sc = quick_scenario("gatedcli")
@@ -859,7 +873,7 @@ class TestCli:
     def test_simulate_refused_leaves_no_run_dir(self, tmp_path, capsys, section, key, value,
                                                 message):
         # the grid, the initial data and the solver config are checked
-        # before the run directory is made
+        # before the run directory, or the output root, is made
         d = quick_scenario("refused", kind="random_spectrum", t_final=4e-3, stride=1).to_dict()
         d[section][key] = value
         scn = tmp_path / "sc.json"
@@ -867,13 +881,58 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "out" / "refused").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_suite_infeasible_member_leaves_no_root(self, tmp_path, capsys):
+        # every member passes the ledger gate before the output root is made
+        members = [quick_scenario(f"m{i}", t_final=4e-3, stride=1).to_dict() for i in range(2)]
+        members[1]["ledger"] = dict(DEFAULT_LEDGER, j="3")
+        suite = tmp_path / "suite.json"
+        suite.write_bytes(canonical_json({"format": "nsbl-suite/1", "scenarios": members}))
+        capsys.readouterr()
+        assert cli.main(["suite", str(suite), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "ledger gate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_files_read_once(self, tmp_path, monkeypatch):
+        # simulate hands back the manifest it wrote, an audit reads its
+        # manifest and parses the scenario in it once, and a suite member
+        # adds nothing to its audit's read
+        calls = []
+        read_text, from_dict = Path.read_text, Scenario.from_dict.__func__
+
+        def counted_read(path, *args, **kwargs):
+            if path.name == "manifest.json":
+                calls.append("read")
+            return read_text(path, *args, **kwargs)
+
+        def counted_parse(cls, d):
+            calls.append("parse")
+            return from_dict(cls, d)
+
+        monkeypatch.setattr(Path, "read_text", counted_read)
+        monkeypatch.setattr(Scenario, "from_dict", classmethod(counted_parse))
+
+        def reads_and_parses(*argv):
+            calls.clear()
+            assert cli.main([str(a) for a in argv]) == 0
+            return calls.count("read"), calls.count("parse")
+
+        members = [quick_scenario(f"s{k}", kind="random_spectrum", seed=k).to_dict()
+                   for k in range(2)]
+        scn = tmp_path / "sc.json"
+        scn.write_bytes(canonical_json(members[0]))
+        assert reads_and_parses("simulate", scn, "--out-dir", tmp_path) == (0, 1)
+        assert reads_and_parses("audit", tmp_path / "s0" / "manifest.json") == (1, 1)
+        sp = tmp_path / "suite.json"
+        sp.write_bytes(canonical_json({"format": "nsbl-suite/1", "scenarios": members}))
+        assert reads_and_parses("suite", sp, "--workers", 2, "--out-dir", tmp_path / "out") == (2, 4)
 
     @pytest.mark.parametrize("args", [["--s", ""], ["--l", ""], ["--s", "2,,3"], ["--s", "2,"],
                                       ["--l", ",14"]])
     def test_audit_empty_exponent_entry_exit_1(self, tmp_path, capsys, args):
         # an empty --s or --l is refused, not read as "keep the scenario's"
-        path = simulate(quick_scenario("empty", t_final=4e-3, stride=1), tmp_path)
+        path, _ = simulate(quick_scenario("empty", t_final=4e-3, stride=1), tmp_path)
         capsys.readouterr()
         assert cli.main(["audit", str(path), *args]) == 1
         assert f"{args[0]} has an empty entry" in capsys.readouterr().err

@@ -504,8 +504,8 @@ def run_and_reload(request, tmp_path_factory):
     scenario = Scenario(name=f"order{n}", grid_npts=n, solver=cfg, initial=initial)
     grid = scenario.grid()
     traj = run(make_initial("random_spectrum", grid, seed=3, amplitude=2.0, kmax=7), cfg)
-    manifest = simulate(scenario, tmp_path_factory.mktemp(f"order{n}"))
-    return traj, trajectory_from_manifest(load_manifest(manifest), manifest.parent)
+    manifest, _ = simulate(scenario, tmp_path_factory.mktemp(f"order{n}"))
+    return traj, trajectory_from_manifest(load_manifest(manifest), manifest.parent, scenario)
 
 
 def transposed_copy(band):
