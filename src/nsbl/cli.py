@@ -99,8 +99,6 @@ def _exponent_fields(args) -> dict:
 
 
 def cmd_exponents(args) -> int:
-    root = out_root(args)
-    root.mkdir(parents=True, exist_ok=True)
     fields = _exponent_fields(args)
     if args.check:
         cert = certificate_dict(ExponentParams.derive(**fields), "explicit tuple check")
@@ -112,6 +110,8 @@ def cmd_exponents(args) -> int:
             cert = certificate_dict(None, "lattice search exhausted", str(exc))
         else:
             cert = certificate_dict(params, "lattice search result")
+    root = out_root(args)  # made only now: exponents refused above leave no root
+    root.mkdir(parents=True, exist_ok=True)
     path = root / CERTIFICATE_NAME.format(fields["N"])
     path.write_bytes(canonical_json(cert))
     print(f"certificate: {path}")

@@ -3,9 +3,9 @@
 The boundedness estimate chain hinges on a tuple of parameters
 (N, q, B, K, delta, j, r, sigma) tied together by a web of strict
 inequalities.  This module evaluates every one of those inequalities in
-exact rational arithmetic, cross-validates the equivalent algebraic forms
-of the derived exponents, and searches a deterministic lattice for a
-fully certified tuple.
+exact rational arithmetic, from derived exponents that ``ExponentParams``
+computes once, each in one algebraic form, and searches a deterministic
+lattice for a fully certified tuple.
 
 Generic multiplicative constants are never pinned here: every check is a
 sign or ordering condition between exact rationals (square roots are
@@ -30,12 +30,9 @@ __all__ = [
     "lambda_z",
     "alpha",
     "b_exponent",
-    "b_exponent_forms",
     "big_m",
-    "big_m_forms",
     "alpha_j_interval_sup",
     "m_delta",
-    "m_delta_forms",
     "k_interval",
     "ratio_gates",
     "k_limit_ratio",
@@ -97,21 +94,12 @@ def alpha(N: int, q: Rat) -> Fraction:
     return 2 * (q - N - 2) / (q * (N + 2))
 
 
-def b_exponent_forms(N: int, q: Rat, j: Rat) -> tuple[Fraction, Fraction, Fraction]:
-    """The three equivalent algebraic forms of the high-norm exponent b."""
+def b_exponent(N: int, q: Rat, j: Rat) -> Fraction:
+    """High-norm exponent b = 4 - 2(j*alpha + 1)Nq/(Nq - N - 2)."""
     q, j = _frac(q), _frac(j)
     if j < 0:
         raise DomainError(f"need j >= 0, got {j}")
-    a = alpha(N, q)
-    den = N * q - N - 2
-    f1 = 4 - 2 * (j * a + 1) * N * q / den
-    f2 = 2 * (N * q - 2 * (N + 2)) / den - 2 * N * q * a * j / den
-    f3 = (2 * N * q / den) * (Fraction(N * q - 2 * (N + 2), N * q) - a * j)
-    return f1, f2, f3
-
-
-def b_exponent(N: int, q: Rat, j: Rat) -> Fraction:
-    return b_exponent_forms(N, q, j)[0]
+    return 4 - 2 * (j * alpha(N, q) + 1) * N * q / (N * q - N - 2)
 
 
 def alpha_j_interval_sup(N: int, q: Rat) -> Fraction:
@@ -121,8 +109,9 @@ def alpha_j_interval_sup(N: int, q: Rat) -> Fraction:
     return Fraction(N * q - 2 * (N + 2) + q * a * (N * q - N - 2), 1) / (N * q)
 
 
-def big_m_forms(N: int, q: Rat, j: Rat) -> tuple[Fraction, Fraction]:
-    """Both forms of the interpolation pivot M; they must agree exactly."""
+def big_m(N: int, q: Rat, j: Rat) -> Fraction:
+    """Interpolation pivot M = 2q(2*alpha*j + b)/(b + 2q*alpha), defined for
+    0 <= alpha*j < alpha_j_interval_sup(N, q)."""
     q, j = _frac(q), _frac(j)
     a = alpha(N, q)
     aj = a * j
@@ -133,38 +122,15 @@ def big_m_forms(N: int, q: Rat, j: Rat) -> tuple[Fraction, Fraction]:
     den = b + 2 * q * a
     if den == 0:
         raise DomainError("vanishing denominator b + 2*q*alpha")
-    f1 = 2 * q * (2 * aj + b) / den
-    f2 = (
-        2 * (N + 2) * (Fraction(N * q - 2 * (N + 2), N + 2) - aj)
-        / (N * (Fraction(N * q - 2 * (N + 2) + q * a * (N * q - N - 2), N * q) - aj))
-    )
-    return f1, f2
-
-
-def big_m(N: int, q: Rat, j: Rat) -> Fraction:
-    return big_m_forms(N, q, j)[0]
-
-
-def m_delta_forms(N: int, q: Rat, delta: Rat) -> tuple[Fraction, ...]:
-    """The expansion chain for M at j = delta*(N+2), every line exact."""
-    q, d = _frac(q), _frac(delta)
-    if not 0 < d < 1:
-        raise DomainError(f"need 0 < delta < 1, got {d}")
-    a = alpha(N, q)
-    h = N + 2
-    f1 = big_m(N, q, d * h)
-    f2 = (2 * (N * q - 2 * h) - 2 * a * d * h**2) / (N * a * (q - d * h) + N - 2)
-    f3 = (2 * h * q * (N * q - 2 * h) - 4 * (q - h) * d * h**2) / (
-        2 * N * (q - h) * (q - d * h) + (N - 2) * h * q
-    )
-    den4 = 2 * N * q**2 - h * ((1 + 2 * d) * N + 2) * q + 2 * N * d * h**2
-    f4 = h * (2 * N * q**2 - 4 * h * (1 + d) * q + 4 * d * h**2) / den4
-    f5 = h + h**2 * (N - 2) * ((1 + 2 * d) * q - 2 * d * h) / den4
-    return f1, f2, f3, f4, f5
+    return 2 * q * (2 * aj + b) / den
 
 
 def m_delta(N: int, q: Rat, delta: Rat) -> Fraction:
-    return m_delta_forms(N, q, delta)[0]
+    """The pivot M at j = delta*(N+2), for 0 < delta < 1."""
+    d = _frac(delta)
+    if not 0 < d < 1:
+        raise DomainError(f"need 0 < delta < 1, got {d}")
+    return big_m(N, q, d * (N + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -365,25 +331,20 @@ def k_limit_ratio(N: int, B: Rat, K: Rat) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _j_sign_threshold(N: int, q: Fraction) -> Fraction:
+def _j_sign_threshold(p: ExponentParams) -> Fraction:
     # j above this makes the exponent b strictly negative
-    lz = lambda_z(N)
-    return (q - 2 * lz) / (q * alpha(N, q))
+    return (p.q - 2 * p.lambda_z) / (p.q * p.alpha)
 
 
-def _j_interp_threshold(N: int, q: Fraction, B: Fraction, delta: Fraction) -> Fraction:
-    lz = lambda_z(N)
-    a = alpha(N, q)
-    md = m_delta(N, q, delta)
+def _j_interp_threshold(p: ExponentParams) -> Fraction:
+    q, B, lz, a, md = p.q, p.B, p.lambda_z, p.alpha, p.m_delta
     den = a * ((2 * lz + 2 * B - md) * q - 2 * B * lz)
     if den <= 0:
         raise DomainError("interpolation threshold undefined: nonpositive denominator")
     return ((q - 2 * lz) * (2 * q - md) - 2 * lz * a * q * (q - lz)) / den
 
 
-def _reduced_quadratic_coeffs(
-    N: int, q: Fraction, B: Fraction, K: Fraction
-) -> tuple[Fraction, Fraction]:
+def _reduced_quadratic_coeffs(p: ExponentParams) -> tuple[Fraction, Fraction]:
     """Coefficients (a1, a2) of the linear-in-j reduction used by the recipe.
 
     The selection recipe rests on this reduction; a1 < 0 there, so the
@@ -391,8 +352,7 @@ def _reduced_quadratic_coeffs(
     direct quadratic form disagrees with this reduction on real tuples;
     it is evaluated separately in :func:`diagnostics`.
     """
-    lz = lambda_z(N)
-    a = alpha(N, q)
+    q, B, K, lz, a = p.q, p.B, p.K, p.lambda_z, p.alpha
     a1 = a * q * ((B * K**2 - 2 * B * K + lz) * q - (K - 1) * lz * B)
     a2 = (
         (1 - lz * a) * K * q**3
@@ -403,8 +363,8 @@ def _reduced_quadratic_coeffs(
     return a1, a2
 
 
-def _j_scaled_threshold(N: int, q: Fraction, B: Fraction, K: Fraction) -> Fraction:
-    a1, a2 = _reduced_quadratic_coeffs(N, q, B, K)
+def _j_scaled_threshold(p: ExponentParams) -> Fraction:
+    a1, a2 = _reduced_quadratic_coeffs(p)
     if a1 >= 0:
         raise DomainError("scaled threshold undefined: nonnegative leading coefficient")
     return a2 / (-a1)
@@ -412,14 +372,14 @@ def _j_scaled_threshold(N: int, q: Fraction, B: Fraction, K: Fraction) -> Fracti
 
 def j_lower_bounds(params: ExponentParams) -> list[ConstraintReport]:
     """Reports for each lower bound on j, stating whether params.j exceeds it."""
-    N, q, B, K, d, j = params.N, params.q, params.B, params.K, params.delta, params.j
-    out = [_gt("j_above_sign_threshold", j, _j_sign_threshold(N, q))]
+    j = params.j
+    out = [_gt("j_above_sign_threshold", j, _j_sign_threshold(params))]
     try:
-        out.append(_gt("j_above_interp_threshold", j, _j_interp_threshold(N, q, B, d)))
+        out.append(_gt("j_above_interp_threshold", j, _j_interp_threshold(params)))
     except DomainError as e:
         out.append(_infeasible("j_above_interp_threshold", str(e)))
     try:
-        out.append(_gt("j_above_scaled_threshold", j, _j_scaled_threshold(N, q, B, K)))
+        out.append(_gt("j_above_scaled_threshold", j, _j_scaled_threshold(params)))
     except DomainError as e:
         out.append(_infeasible("j_above_scaled_threshold", str(e)))
     return out
@@ -430,10 +390,8 @@ def j_lower_bounds(params: ExponentParams) -> list[ConstraintReport]:
 # ---------------------------------------------------------------------------
 
 
-def _r_min(N: int, q: Fraction, B: Fraction, delta: Fraction, j: Fraction) -> Fraction:
-    lz = lambda_z(N)
-    a = alpha(N, q)
-    md = m_delta(N, q, delta)
+def _r_min(p: ExponentParams) -> Fraction:
+    q, B, j, lz, a, md = p.q, p.B, p.j, p.lambda_z, p.alpha, p.m_delta
     A = (q + B) / q
     den = -(2 - A) * j + lz - (q - 2 * lz - a * q * j) * (2 * q - md) / (2 * a * q * (q - lz))
     if den <= 0:
@@ -441,23 +399,18 @@ def _r_min(N: int, q: Fraction, B: Fraction, delta: Fraction, j: Fraction) -> Fr
     return lz * A * j / den
 
 
-def _r_max(N: int, q: Fraction, B: Fraction, j: Fraction) -> Fraction:
-    lz = lambda_z(N)
-    a = alpha(N, q)
+def _r_max(p: ExponentParams) -> Fraction:
+    q, B, j, lz, a = p.q, p.B, p.j, p.lambda_z, p.alpha
     den = B * (a * q * j - q + 2 * lz)
     if den <= 0:
         raise DomainError("maximal radius undefined: j below the sign threshold")
     return q + (q + B) * (q - lz) * a * q * j / den
 
 
-def _direct_quadratic(
-    N: int, q: Fraction, B: Fraction, j: Fraction, r: Fraction
-) -> Fraction:
+def _direct_quadratic(p: ExponentParams) -> Fraction:
     """Value of the direct quadratic in r; the screening wants it < 0."""
-    lz = lambda_z(N)
-    a = alpha(N, q)
-    A = (q + B) / q
-    b = b_exponent(N, q, j)
+    q, j, r, lz, a, b = p.q, p.j, p.r, p.lambda_z, p.alpha, p.b
+    A = (q + p.B) / q
     return (
         -(A - 1) * b * r**2
         + ((2 * A - 1) * b * q + 2 * A * a * q * j - 2 * lz * A * a * q) * r
@@ -467,14 +420,13 @@ def _direct_quadratic(
 
 def r_feasible(params: ExponentParams) -> list[ConstraintReport]:
     """One report per constraint on the radius r."""
-    N, q, B, K = params.N, params.q, params.B, params.K
-    d, j, r = params.delta, params.j, params.r
+    q, j, r = params.q, params.j, params.r
     subs: list[ConstraintReport] = []
     try:
-        subs.append(_gt("r_above_min", r, _r_min(N, q, B, d, j)))
+        subs.append(_gt("r_above_min", r, _r_min(params)))
     except DomainError as e:
         subs.append(_infeasible("r_above_min", str(e)))
-    a1, a2 = _reduced_quadratic_coeffs(N, q, B, K)
+    a1, a2 = _reduced_quadratic_coeffs(params)
     subs.append(
         _lt(
             "r_scaled_quadratic",
@@ -486,7 +438,7 @@ def r_feasible(params: ExponentParams) -> list[ConstraintReport]:
     subs.append(_gt("r_gt_2j", r, 2 * j))
     subs.append(_gt("r_gt_q", r, q))
     try:
-        subs.append(_lt("r_below_max", r, _r_max(N, q, B, j)))
+        subs.append(_lt("r_below_max", r, _r_max(params)))
     except DomainError as e:
         subs.append(_infeasible("r_below_max", str(e)))
     return subs
@@ -554,9 +506,8 @@ def diagnostics(params: ExponentParams) -> list[ConstraintReport]:
     linear-in-j reduction that the selection recipe is built on; it is
     reported here so certificates expose the discrepancy.
     """
-    val = _direct_quadratic(params.N, params.q, params.B, params.j, params.r)
     return [
-        _lt("r_quadratic_direct", val, Fraction(0),
+        _lt("r_quadratic_direct", _direct_quadratic(params), Fraction(0),
             "direct quadratic at the chosen r; disagrees with the reduced form")
     ]
 

@@ -894,6 +894,13 @@ class TestCli:
         assert "ledger gate" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_exponents_refused_leaves_no_root(self, tmp_path, capsys):
+        # the exponents are read and the certificate built before the root is made
+        capsys.readouterr()
+        assert cli.main(["exponents", "--N", "2", "--out-dir", str(tmp_path / "fresh")]) == 1
+        assert "dimension must be >= 3" in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()
+
     def test_run_files_read_once(self, tmp_path, monkeypatch):
         # simulate hands back the manifest it wrote, an audit reads its
         # manifest and parses the scenario in it once, and a suite member

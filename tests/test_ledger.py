@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import ledger_oracle as oracle
 from nsbl import ledger as L
 from nsbl.ledger import ExponentParams
 
@@ -58,8 +59,7 @@ class TestBExponent:
             N = rng.choice([3, 4, 5])
             q = rand_q(rng, N)
             j = F(rng.randint(0, 300), rng.randint(1, 30))
-            f1, f2, f3 = L.b_exponent_forms(N, q, j)
-            assert f1 == f2 == f3
+            assert set(oracle.b_exponent_forms(N, q, j)) == {L.b_exponent(N, q, j)}
 
     def test_sign_boundary_matches_threshold(self):
         # b vanishes exactly at j = (q - 2*lz)/(q*alpha)
@@ -88,8 +88,7 @@ class TestBigM:
             sup = L.alpha_j_interval_sup(N, q)
             a = L.alpha(N, q)
             j = sup * F(rng.randint(0, 99), 100) / a
-            f1, f2 = L.big_m_forms(N, q, j)
-            assert f1 == f2
+            assert set(oracle.big_m_forms(N, q, j)) == {L.big_m(N, q, j)}
 
     def test_monotone_in_alpha_j(self):
         rng = random.Random(4)
@@ -122,8 +121,7 @@ class TestMDelta:
             N = rng.choice([3, 4, 5])
             q = rand_q(rng, N)
             d = F(rng.randint(1, 99), 100)
-            forms = L.m_delta_forms(N, q, d)
-            assert len(set(forms)) == 1
+            assert set(oracle.m_delta_forms(N, q, d)) == {L.m_delta(N, q, d)}
 
     def test_strict_bounds(self):
         rng = random.Random(6)
@@ -207,6 +205,38 @@ class TestRFeasible:
         diag = L.diagnostics(p)[0]
         assert diag.constraint_id == "r_quadratic_direct"
         assert not diag.satisfied
+
+
+class TestRadiusGates:
+    # (q/(N+2), B, delta, j/q): four rational tuples with b < 0, where both
+    # radii are defined
+    TUPLES = [(F(4), F(10), F(1, 2), F(1, 2)), (F(7, 3), F(37, 3), F(1, 3), F(3, 5)),
+              (F(10), F(25, 2), F(3, 4), F(2, 3)), (F(31, 5), F(8), F(1, 5), F(5, 8))]
+
+    @staticmethod
+    def r_min(N, q, B, d, j):
+        # with h = N + 2 and P the denominator of m_delta's expansion chain
+        h = N + 2
+        P = 2 * N * q**2 - h * (h + 2 * N * d) * q + 2 * N * d * h**2
+        return j * h * (B + q) * P / (
+            j * N * (B * P - (N - 2) * h * q**2)
+            - (N - 2) * h * q**2 * (N * q - h * (1 + N * d)))
+
+    @staticmethod
+    def r_max(N, q, B, j):
+        h = N + 2
+        return q + 2 * j * (B + q) * (q - h) * (N * q - h) / (
+            B * (2 * N * j * (q - h) - N * h * q + 2 * h**2))
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_radii_match_closed_forms(self, N):
+        for q_share, B, d, j_share in self.TUPLES:
+            q = q_share * (N + 2)
+            j = j_share * q
+            p = ExponentParams.derive(N, q, B, F(6, 5), d, j)
+            assert p.b < 0
+            assert L._r_min(p) == self.r_min(N, q, B, d, j)
+            assert L._r_max(p) == self.r_max(N, q, B, j)
 
 
 class TestSelectParameters:

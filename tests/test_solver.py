@@ -271,6 +271,36 @@ def test_band_is_alias_free(n):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def galerkin_transfers(v):
+    """|T_E| / (|u| |N|) and |T_H| / (|omega| |N|) of N = nonlinear_term(v):
+    the energy and helicity the truncated nonlinear term moves, which an
+    alias-free band keeps at round-off."""
+    band = v.grid.band
+    u, nl = v.coeff, nonlinear_term(v).coeff
+    omega = 1j * np.cross(band.wavenumbers, u, axis=0)
+    inner = lambda a, b: float(np.sum(band.weights * (np.conj(a) * b).real))
+    norm = lambda a: np.sqrt(band.sum_squares(a))
+    return (abs(inner(u, nl)) / (norm(u) * norm(nl)),
+            abs(inner(omega, nl)) / (norm(omega) * norm(nl)))
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(24, marks=pytest.mark.xfail(
+        strict=True, reason="n = 3c aliases the product mode 2c onto -c (ROADMAP item 3)")),
+    32,
+])
+def test_nonlinear_term_moves_no_energy_or_helicity(n):
+    # a suite member's flow (random_spectrum seed 0, amplitude 2, kmax 8)
+    # over 25 RK4 steps: every state's nonlinear term conserves both invariants
+    g = TorusGrid(n)
+    cfg = SolverConfig(viscosity=1.0, dt=2e-3, t_final=0.05, snapshot_stride=1)
+    traj = run(make_initial("random_spectrum", g, seed=0, amplitude=2.0, kmax=8), cfg)
+    transfers = np.array([galerkin_transfers(SpectralVelocity(c, g)) for c in traj.coeffs])
+    assert len(traj.coeffs) == 26
+    energy, helicity = transfers.max(axis=0)
+    assert energy <= 1e-13 and helicity <= 1e-13, (energy, helicity)
+
+
 class TestStep:
     def test_zero_fixed_point(self, grid):
         v = SpectralVelocity(np.zeros((3,) + grid.band.shape, dtype=complex), grid)
