@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .ledger import ExponentParams
-from .norms import INF, PowerTable, level_set_measure, sorted_quantile
+from .norms import INF, BadExponents, PowerTable, level_set_measure, sorted_quantile
 from .solver import Trajectory
 from .spectral import NotDivergenceFree, TorusGrid, cz_pressure, over_snapshots, speed
 
@@ -77,10 +77,6 @@ class DegenerateField(ValueError):
 
 
 class ThresholdTooSmall(ValueError):
-    pass
-
-
-class BadExponents(ValueError):
     pass
 
 

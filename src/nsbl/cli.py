@@ -9,6 +9,7 @@ outcome (0, 2 or 3); an error it raises leaves through ``ERRORS``.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -23,7 +24,6 @@ from .harness import (
     audit_manifest,
     canonical_json,
     certificate_dict,
-    load_suite,
     run_suite,
     simulate,
 )
@@ -160,7 +160,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    suite = load_suite(args.suite)
+    suite = json.loads(Path(args.suite).read_text())
     aggregate = run_suite(suite, out_root(args), workers=args.workers)
     print(f"runs completed: {aggregate['runs_completed']}")
     print(f"falsifications: {len(aggregate['falsifications'])}")

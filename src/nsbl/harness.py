@@ -18,6 +18,7 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -161,10 +162,10 @@ def _checkpoints(value, name: str) -> list:
 
 
 def _members(value, name: str) -> list:
-    """A suite's members, which ``run_suite`` parses."""
+    """A suite's members, each parsed as a Scenario."""
     if not isinstance(value, list) or not value:
         raise BadScenario(f"{name} must be a non-empty list, got {value!r}")
-    return value
+    return [Scenario.from_dict(d) for d in value]
 
 
 # every key of every object of the nsbl-scenario/1, nsbl-suite/1 and
@@ -426,17 +427,21 @@ def trajectory_from_manifest(manifest: dict, base_dir, scenario: Scenario) -> Tr
 # ---------------------------------------------------------------------------
 
 
+def _write_csv(path: Path, header: list, rows) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_report(report: AuditReport, out_dir) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
     json_path = out_dir / "report.json"
     csv_path = out_dir / "report.csv"
     json_path.write_bytes(canonical_json(report.as_dict()))
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "lhs", "rhs", "c", "margin"])
-        writer.writerows([c.check_id, repr(float(c.lhs)), repr(float(c.rhs)),
-                          repr(float(c.fitted_constant)), repr(float(c.margin))]
-                         for c in report.checks)
+    _write_csv(csv_path, ["check", "lhs", "rhs", "c", "margin"],
+               ([c.check_id, repr(float(c.lhs)), repr(float(c.rhs)),
+                 repr(float(c.fitted_constant)), repr(float(c.margin))] for c in report.checks))
     return json_path, csv_path
 
 
@@ -468,15 +473,6 @@ def audit_manifest(
 # ---------------------------------------------------------------------------
 
 
-def load_suite(path) -> dict:
-    """The nsbl-suite/1 object at ``path``, once its top level is known to be
-    well formed; anything else raises BadScenario.  Members are parsed by
-    ``run_suite``."""
-    d = json.loads(Path(path).read_text())
-    _parse(d, "suite", "suite")
-    return d
-
-
 try:
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
 except (AttributeError, OSError, TypeError):  # not glibc
@@ -491,12 +487,18 @@ def _release_freed_memory() -> None:
         _MALLOC_TRIM(0)
 
 
-def _run_member(scenario: Scenario, out_root, constants):
-    manifest_path, manifest = simulate(scenario, out_root)
-    _release_freed_memory()
-    if manifest["instability"]:
-        return {"name": scenario.name, "instability": manifest["instability"]}
-    report, _, _ = audit_manifest(manifest_path, constants=constants)
+def _run_member(scenario: Scenario, out_root, constants) -> dict:
+    """One member's outcome: ``{"name", "report"}``, ``{"name",
+    "instability"}`` for a run that blew up, or ``{"name", "error"}``
+    (``"<Type>: <message>"``) for whatever it raised."""
+    try:
+        manifest_path, manifest = simulate(scenario, out_root)
+        _release_freed_memory()
+        if manifest["instability"]:
+            return {"name": scenario.name, "instability": manifest["instability"]}
+        report, _, _ = audit_manifest(manifest_path, constants=constants)
+    except Exception as exc:  # one member's failure poisons nothing else
+        return {"name": scenario.name, "error": f"{type(exc).__name__}: {exc}"}
     return {"name": scenario.name, "report": report}
 
 
@@ -509,133 +511,103 @@ def run_suite(suite: dict, out_root, workers: int = 1) -> dict:
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    scenarios = [Scenario.from_dict(d) for d in suite["scenarios"]]
+    parsed = _parse(suite, "suite", "suite")
+    scenarios = parsed["scenarios"]
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("duplicate scenario names in suite")
-    cal_name = suite.get("calibration") or names[0]
+    cal_name = parsed.get("calibration") or names[0]
     if cal_name not in names:
         raise ValueError(f"calibration scenario {cal_name!r} not in suite")
-    # ledger gate for every member before any solve starts, and before the
-    # output root is made
+    # the whole suite is parsed, and every member gated, before the root is made
     for s in scenarios:
         gate_params(s.exponent_params())
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
 
-    cal_scenario = next(s for s in scenarios if s.name == cal_name)
-    cal_scenario.audit.calibration = True
-    results, errors, constants = [], [], None
-    try:
-        cal_result = _run_member(cal_scenario, out_root, None)
-    except Exception as exc:  # calibration failure poisons nothing else
-        errors.append({"name": cal_name, "error": f"{type(exc).__name__}: {exc}"})
-    else:
-        # a calibration member that blew up is listed with the instabilities
-        results.append(cal_result)
-        if "report" in cal_result:
-            constants = {
-                k: v for k, v in cal_result["report"].constants.items()
-                if not k.endswith("_self_calibrated")
-            }
-
-    rest = [s for s in scenarios if s.name != cal_name]
-
-    def job(s):
-        try:
-            return _run_member(s, out_root, constants)
-        except Exception as exc:
-            return {"name": s.name, "error": f"{type(exc).__name__}: {exc}"}
-
+    cal = next(s for s in scenarios if s.name == cal_name)
+    cal.audit.calibration = True
+    cal_outcome = _run_member(cal, out_root, None)
+    # without a calibration report the held-out members calibrate themselves
+    constants = None if "report" not in cal_outcome else {
+        k: v for k, v in cal_outcome["report"].constants.items()
+        if not k.endswith("_self_calibrated")}
+    member = partial(_run_member, out_root=out_root, constants=constants)
+    rest = [s for s in scenarios if s is not cal]
     if workers > 1 and len(rest) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, rest))
+            outcomes = list(pool.map(member, rest))
     else:
-        outcomes = [job(s) for s in rest]
-    for out in outcomes:
-        if "error" in out:
-            errors.append(out)
-        else:
-            results.append(out)
+        outcomes = [member(s) for s in rest]
 
-    aggregate = _aggregate(results, errors, cal_name, constants or {})
+    aggregate = _aggregate([cal_outcome, *outcomes], cal_name, constants or {})
     (out_root / "aggregate.json").write_bytes(canonical_json(aggregate))
-    with (out_root / "aggregate.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "min_margin", "median_margin", "max_margin", "runs",
-                         "falsifications"])
-        for cid, row in sorted(aggregate["per_check"].items()):
-            writer.writerow([cid, row["min_margin"], row["median_margin"],
-                             row["max_margin"], row["runs"], row["falsifications"]])
+    _write_csv(out_root / "aggregate.csv",
+               ["check", "min_margin", "median_margin", "max_margin", "runs", "falsifications"],
+               ([cid, row["min_margin"], row["median_margin"], row["max_margin"], row["runs"],
+                 row["falsifications"]] for cid, row in sorted(aggregate["per_check"].items())))
     return aggregate
 
 
-def _aggregate(results, errors, cal_name, calibrated: dict) -> dict:
-    """The suite's table; ``calibrated`` holds the constants the members took."""
+def _max_rel_deviation(values, center: float) -> float:
+    """max |v - center| / |center| over ``values``; 0 at a zero center."""
+    return float(np.max(np.abs(np.subtract(values, center)))) / abs(center) if center else 0.0
+
+
+def _aggregate(outcomes, cal_name, calibrated: dict) -> dict:
+    """The suite's table of its members' outcomes; ``calibrated`` holds the
+    constants the members took."""
     per_check: dict = {}
-    constants: dict = {}
-    per_resolution: dict = {}
-    falsifications = []
-    instabilities = []
-    for res in results:
-        if "instability" in res:
-            instabilities.append({"name": res["name"], **res["instability"]})
+    records = []  # (npts, key, value): each run's own fitted constants
+    falsifications, instabilities, errors = [], [], []
+    for out in outcomes:
+        if "error" in out:
+            errors.append(out)
             continue
-        report: AuditReport = res["report"]
-        npts = report.environment["grid_npts"]
+        if "instability" in out:
+            instabilities.append({"name": out["name"], **out["instability"]})
+            continue
+        report: AuditReport = out["report"]
         for c in report.checks:
-            row = per_check.setdefault(
-                c.check_id, {"margins": [], "falsifications": 0}
-            )
+            row = per_check.setdefault(c.check_id, {"margins": [], "falsifications": 0})
             row["margins"].append(c.margin)
             if not c.passed:
                 row["falsifications"] += 1
-                falsifications.append({"run": res["name"], "check": c.check_id})
-            # stability is judged on each run's own fitted constant
+                falsifications.append({"run": out["name"], "check": c.check_id})
             key = constant_key(c.check_id)
             if key is not None:
-                constants.setdefault(key, {}).setdefault("values", []).append(
-                    float(c.fitted_constant)
-                )
-                per_resolution.setdefault(str(npts), {}).setdefault(key, []).append(
-                    float(c.fitted_constant)
-                )
+                records.append((report.environment["grid_npts"], key, float(c.fitted_constant)))
 
-    for cid, row in per_check.items():
+    for row in per_check.values():
         m = np.asarray(row.pop("margins"))
         row["min_margin"] = float(m.min())
         row["median_margin"] = float(np.median(m))
         row["max_margin"] = float(m.max())
         row["runs"] = int(m.size)
 
-    for key, row in constants.items():
-        vals = np.asarray(row["values"])
-        med = float(np.median(vals))
-        row["median"] = med
-        row["max_rel_deviation"] = (
-            float(np.max(np.abs(vals - med)) / abs(med)) if med else 0.0
-        )
+    constants = {}
+    for key in dict.fromkeys(key for _, key, _ in records):
+        values = [v for _, k, v in records if k == key]
+        med = float(np.median(values))
+        constants[key] = {"values": values, "median": med,
+                          "max_rel_deviation": _max_rel_deviation(values, med)}
 
     drift = {}
-    resolutions = sorted(per_resolution, key=int)
-    if len(resolutions) > 1:
-        for key in constants:
-            # only the resolutions where some member has this constant
-            per_res_med = {res: float(np.median(per_resolution[res][key]))
-                           for res in resolutions if key in per_resolution[res]}
-            base_val = next(iter(per_res_med.values()))
-            drift[key] = {
-                "per_resolution_median": per_res_med,
-                "max_rel_drift": float(
-                    max(abs(med - base_val) / abs(base_val) for med in per_res_med.values())
-                ) if base_val else 0.0,
-            }
+    resolutions = sorted({npts for npts, _, _ in records})
+    for key in constants if len(resolutions) > 1 else ():
+        # only the resolutions where some member has this constant; the
+        # coarsest of them is the base
+        medians = {str(npts): float(np.median(values)) for npts in resolutions
+                   if (values := [v for n, k, v in records if n == npts and k == key])}
+        base = next(iter(medians.values()))
+        drift[key] = {"per_resolution_median": medians,
+                      "max_rel_drift": _max_rel_deviation(list(medians.values()), base)}
 
     return {
         "format": "nsbl-aggregate/1",
         "calibration_run": cal_name,
         "calibrated_constants": {k: float(v) for k, v in calibrated.items()},
-        "runs_completed": len(results),
+        "runs_completed": len(outcomes) - len(errors),
         "per_check": per_check,
         "constants": constants,
         "per_resolution_drift": drift,

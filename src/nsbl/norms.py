@@ -24,7 +24,7 @@ import numpy as np
 from .spectral import TorusGrid
 
 __all__ = [
-    "BadExponent",
+    "BadExponents",
     "UnmeasuredExponent",
     "INF",
     "time_weights",
@@ -40,8 +40,8 @@ INF = math.inf
 _FLOOR = np.finfo(np.float64).tiny
 
 
-class BadExponent(ValueError):
-    pass
+class BadExponents(ValueError):
+    """An exponent outside the range a norm, a bound or an audit check is defined on."""
 
 
 class UnmeasuredExponent(LookupError):
@@ -88,7 +88,7 @@ class PowerTable:
         exponents = sorted({*exponents, *log_exponents})
         for e in exponents:
             if not (math.isfinite(e) and e >= 1):
-                raise BadExponent(f"exponent must be finite and >= 1, got {e}")
+                raise BadExponents(f"exponent must be finite and >= 1, got {e}")
         nt = len(times)
         return cls(np.zeros(nt), {e: np.zeros(nt) for e in exponents},
                    {p: np.zeros(nt) for p in sorted(set(log_exponents))},

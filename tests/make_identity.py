@@ -13,6 +13,10 @@ The set:
 - one run audited at sigma = 1/2, and a three-member suite at
   ``--workers 1`` and at ``--workers 2`` (two members share the pool),
   each member at 16^3 for 2 steps;
+- a mixed suite at ``--workers 1`` and at ``--workers 2`` that meets every
+  member outcome: a calibration member whose t_final/dt is not an integer
+  (an error, so the others calibrate themselves), held-out members at
+  16^3 and 24^3 (a drift), one that blows up and one that errs;
 - ``exponents`` searches at N = 3 to 6, one that exhausts its ceiling, and
   two ``--check`` tuples, one feasible and one not.
 
@@ -43,6 +47,9 @@ RECORD = Path(__file__).resolve().parent / "identity.json"
 
 SOLVER = SolverConfig(viscosity=1.0, dt=2e-3, t_final=0.02, snapshot_stride=2)
 SHORT = SolverConfig(viscosity=1.0, dt=2e-3, t_final=4e-3, snapshot_stride=1)
+# t_final/dt = 2.5: simulate refuses it with BadSpec
+FRACTIONAL = SolverConfig(viscosity=1.0, dt=2e-3, t_final=5e-3, snapshot_stride=1)
+BLOWUP = SolverConfig(viscosity=1e-4, dt=0.5, t_final=25.0, snapshot_stride=10)
 
 
 def environment() -> dict:
@@ -56,9 +63,10 @@ def environment() -> dict:
     return {"numpy": np.__version__, "machine": platform.machine(), "simd": simd}
 
 
-def _scenario(name: str, npts: int, kind: str, solver=SOLVER, seed=1, **ledger) -> dict:
+def _scenario(name: str, npts: int, kind: str, solver=SOLVER, seed=1, amplitude=2.0,
+              **ledger) -> dict:
     return Scenario(name=name, grid_npts=npts, solver=solver,
-                    initial={"kind": kind, "seed": seed, "amplitude": 2.0, "kmax": 4},
+                    initial={"kind": kind, "seed": seed, "amplitude": amplitude, "kmax": 4},
                     ledger={**DEFAULT_LEDGER, **ledger}).to_dict()
 
 
@@ -84,8 +92,17 @@ def commands(work: Path) -> list:
     members = [_scenario(f"member{k}", 16, "random_spectrum", SHORT, seed=k) for k in range(3)]
     suite = write("suite.json", {"format": "nsbl-suite/1", "name": "identity",
                                  "scenarios": members})
+    mixed = [_scenario("lo", 16, "random_spectrum", SHORT),
+             _scenario("cal-badspec", 16, "random_spectrum", FRACTIONAL),
+             _scenario("hi", 24, "random_spectrum", SHORT),
+             _scenario("blowup", 16, "random_spectrum", BLOWUP, amplitude=500.0),
+             _scenario("badspec", 16, "random_spectrum", FRACTIONAL)]
+    mixed = write("mixed.json", {"format": "nsbl-suite/1", "name": "mixed",
+                                 "calibration": "cal-badspec", "scenarios": mixed})
     for workers in ("1", "2"):
         argvs.append(["suite", suite, "--out-dir", str(work / f"suite-w{workers}"),
+                      "--workers", workers])
+        argvs.append(["suite", mixed, "--out-dir", str(work / f"mixed-w{workers}"),
                       "--workers", workers])
     for N in ("3", "4", "5", "6"):
         argvs.append(["exponents", "--N", N, "--out-dir", str(work / f"search-N{N}")])

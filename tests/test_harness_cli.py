@@ -342,7 +342,7 @@ class TestSuite:
         agg = _aggregate([result("hi", 128, {"energy": 3.0, "pressure_s3": 3.0}),
                           result("lo", 16, {"energy": 2.0}),
                           result("mid", 32, {"energy": 2.0, "pressure_s3": 2.0})],
-                         [], "lo", {})
+                         "lo", {})
         drift = agg["per_resolution_drift"]["c_energy"]
         assert drift["per_resolution_median"] == {"16": 2.0, "32": 2.0, "128": 3.0}
         assert drift["max_rel_drift"] == 0.5
@@ -382,6 +382,33 @@ class TestSuite:
             rep = json.loads((tmp_path / f"m{k}" / "report.json").read_text())
             c_finals.append(float(rep["constants"]["c_final"]))
         assert c_finals[0] == c_finals[1] == c_finals[2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_members_reach_the_module_simulate_and_audit(self, tmp_path, monkeypatch, workers):
+        # the benchmark times a suite's members by wrapping harness.simulate
+        # and harness.audit_manifest: each member must call each once
+        import nsbl.harness as H
+
+        calls = []
+        simulate_, audit_ = H.simulate, H.audit_manifest
+
+        def counted_simulate(scenario, out_root):
+            calls.append(("simulate", scenario.name))
+            return simulate_(scenario, out_root)
+
+        def counted_audit(manifest_path, *args, **kwargs):
+            calls.append(("audit", Path(manifest_path).parent.name))
+            return audit_(manifest_path, *args, **kwargs)
+
+        monkeypatch.setattr(H, "simulate", counted_simulate)
+        monkeypatch.setattr(H, "audit_manifest", counted_audit)
+        members = [quick_scenario(f"m{k}", kind="random_spectrum", seed=k, t_final=4e-3,
+                                  stride=1).to_dict() for k in range(3)]
+        agg = run_suite({"format": "nsbl-suite/1", "scenarios": members}, tmp_path,
+                        workers=workers)
+        assert agg["runs_completed"] == 3
+        assert sorted(calls) == sorted((f, f"m{k}") for f in ("simulate", "audit")
+                                       for k in range(3))
 
 
 class TestAuditOverrides:
@@ -864,6 +891,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "suite" in err or "scenario" in err
         assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("top", [{"scenario": []}, {"format": "nsbl-suite/2"}],
+                             ids=["unknown_key", "format"])
+    def test_run_suite_malformed_leaves_no_root(self, tmp_path, top):
+        # run_suite parses the whole suite object itself, not only what the CLI reads
+        member = quick_scenario("m0", t_final=4e-3, stride=1).to_dict()
+        with pytest.raises(BadScenario, match=f"suite.{next(iter(top))}"):
+            run_suite({"format": "nsbl-suite/1", "scenarios": [member], **top}, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section,key,value,message", [
         ("solver", "dt", -0.001, "dt must be positive"),

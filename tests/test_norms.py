@@ -7,7 +7,7 @@ import norm_oracle as oracle
 from band_oracle import expand
 from nsbl.norms import (
     INF,
-    BadExponent,
+    BadExponents,
     PowerTable,
     UnmeasuredExponent,
     level_set_measure,
@@ -63,7 +63,7 @@ def test_one_exponent_table_overwrites_its_logs(grid):
 
 def test_bad_exponent(grid):
     for e in (0.5, -2.0, INF, math.nan):
-        with pytest.raises(BadExponent):
+        with pytest.raises(BadExponents):
             PowerTable.empty((2.0, e), (), (0.0,), grid)
 
 
